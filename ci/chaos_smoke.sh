@@ -128,8 +128,7 @@ with open(sys.argv[1]) as f:
         for field in ("ts_ms", "id", "endpoint", "status", "rows",
                       "total_us", "stages"):
             assert field in r, (field, r)
-        for stage in ("queue_wait_us", "batch_assemble_us", "predict_us",
-                      "store_io_us", "serialize_us"):
+        for stage in ("predict_us", "store_io_us", "serialize_us"):
             assert stage in r["stages"], (stage, r)
         ids.add(r["id"])
 assert lines > 0, "access log is empty"

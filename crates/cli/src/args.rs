@@ -105,13 +105,6 @@ pub struct Cli {
     pub k: usize,
     /// Server worker threads (`serve` only).
     pub workers: usize,
-    /// Micro-batch concurrent predictions (`serve` only; `--no-batch`
-    /// disables).
-    pub micro_batch: bool,
-    /// Micro-batcher linger window in microseconds (`serve` only): how
-    /// long the batcher waits after the first pending request for more
-    /// arrivals to coalesce. 0 flushes immediately.
-    pub batch_wait_us: u64,
     /// Model-store directory: persist accepted models and repopulate the
     /// registry after a restart (`serve` only).
     pub model_dir: Option<PathBuf>,
@@ -311,8 +304,8 @@ usage:
                 [--metric D] [--progress]
   gbabs inspect INPUT.csv [--rho N] [--seed S] [--backend B] [--metric D]
   gbabs serve   INPUT.csv [--addr HOST:PORT] [--rho N] [--seed S] [--backend B] [--metric D]
-                [--k K] [--workers W] [--no-batch] [--batch-wait MICROS]
-                [--model-dir DIR] [--model-mem-budget BYTES] [--max-versions N] [--preload N]
+                [--k K] [--workers W] [--model-dir DIR] [--model-mem-budget BYTES]
+                [--max-versions N] [--preload N]
                 [--request-timeout-ms MS] [--store-fault-rate P] [--store-fault-seed S]
                 [--access-log PATH|stderr]
   gbabs router  --backend HOST:PORT [--backend HOST:PORT ...] [--addr HOST:PORT]
@@ -337,9 +330,6 @@ options:
   --addr HOST:PORT    serve listen address (default 127.0.0.1:8080)
   --k K               serve: GB-kNN vote size (default 1)
   --workers W         serve: worker threads (default 8)
-  --no-batch          serve: disable predict micro-batching
-  --batch-wait MICROS serve: micro-batcher linger window in microseconds
-                      (default 300; 0 flushes immediately)
   --model-dir DIR     serve: persist models here and reload them at boot
                       (enables POST-reload survival across restarts)
   --model-mem-budget BYTES
@@ -400,8 +390,6 @@ pub fn parse(args: &[String]) -> Result<Cli, ParseError> {
         addr: "127.0.0.1:8080".to_string(),
         k: 1,
         workers: 8,
-        micro_batch: true,
-        batch_wait_us: 300,
         model_dir: None,
         model_mem_budget: None,
         max_versions: None,
@@ -508,12 +496,6 @@ pub fn parse(args: &[String]) -> Result<Cli, ParseError> {
                 if cli.workers == 0 {
                     return Err(ParseError::BadValue(arg.clone()));
                 }
-            }
-            "--no-batch" => cli.micro_batch = false,
-            "--batch-wait" => {
-                cli.batch_wait_us = value(arg)?
-                    .parse()
-                    .map_err(|_| ParseError::BadValue(arg.clone()))?;
             }
             "--model-dir" => cli.model_dir = Some(PathBuf::from(value(arg)?)),
             "--model-mem-budget" => {
@@ -706,36 +688,29 @@ mod tests {
     #[test]
     fn parses_serve_with_options() {
         let cli = parse(&argv(
-            "serve data.csv --addr 0.0.0.0:9000 --k 3 --workers 2 --no-batch --rho 7",
+            "serve data.csv --addr 0.0.0.0:9000 --k 3 --workers 2 --rho 7",
         ))
         .unwrap();
         assert_eq!(cli.command, Command::Serve);
         assert_eq!(cli.addr, "0.0.0.0:9000");
         assert_eq!(cli.k, 3);
         assert_eq!(cli.workers, 2);
-        assert!(!cli.micro_batch);
         assert_eq!(cli.rho, 7);
         let defaults = parse(&argv("serve data.csv")).unwrap();
         assert_eq!(defaults.addr, "127.0.0.1:8080");
         assert_eq!(defaults.k, 1);
         assert_eq!(defaults.workers, 8);
-        assert!(defaults.micro_batch);
-        assert_eq!(defaults.batch_wait_us, 300);
     }
 
     #[test]
-    fn parses_batch_wait_window() {
-        let cli = parse(&argv("serve data.csv --batch-wait 1500")).unwrap();
-        assert_eq!(cli.batch_wait_us, 1500);
-        let zero = parse(&argv("serve data.csv --batch-wait 0")).unwrap();
-        assert_eq!(zero.batch_wait_us, 0, "0 = flush immediately");
+    fn removed_batching_flags_are_unknown() {
         assert_eq!(
-            parse(&argv("serve data.csv --batch-wait soon")),
-            Err(ParseError::BadValue("--batch-wait".into()))
+            parse(&argv("serve data.csv --no-batch")),
+            Err(ParseError::UnknownFlag("--no-batch".into()))
         );
         assert_eq!(
-            parse(&argv("serve data.csv --batch-wait")),
-            Err(ParseError::BadValue("--batch-wait".into()))
+            parse(&argv("serve data.csv --batch-wait 300")),
+            Err(ParseError::UnknownFlag("--batch-wait".into()))
         );
     }
 

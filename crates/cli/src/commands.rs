@@ -284,8 +284,6 @@ fn serve(cli: &Cli, data: &Dataset) -> Result<String, String> {
         ServeConfig {
             addr: cli.addr.clone(),
             workers: cli.workers,
-            micro_batch: cli.micro_batch,
-            batch_wait: std::time::Duration::from_micros(cli.batch_wait_us),
             request_timeout: std::time::Duration::from_millis(cli.request_timeout_ms),
             access_log: cli.access_log.clone(),
             preload: cli.preload,

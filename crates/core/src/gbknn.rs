@@ -10,7 +10,6 @@
 //! substrate for the ablation study comparing "sample on balls, train a
 //! classic classifier" (GBABS) against "classify directly with balls".
 
-use crate::ball::GranularBall;
 use crate::rdgbg::{rd_gbg, RdGbgConfig, RdGbgModel};
 use gb_dataset::distance::Metric;
 use gb_dataset::Dataset;
@@ -57,13 +56,21 @@ impl Default for GbKnnConfig {
 }
 
 /// A fitted GB-kNN model.
+///
+/// The cover is held flat — one row-major center matrix plus a radius and
+/// a label per ball — because prediction reads nothing else: no member
+/// lists, and one contiguous scan per query.
 pub struct GbKnn {
-    balls: Vec<GranularBall>,
     /// Ball centers flattened row-major (`n_balls × n_features`) so the
     /// per-query center scan runs through the batched SIMD kernel. Cosine
     /// models hold normalized centers (RD-GBG granulates cosine covers in
     /// normalized space), so no re-preparation happens here.
     centers: Vec<f64>,
+    /// Ball radii, indexed like the center rows.
+    radii: Vec<f64>,
+    /// Ball labels, indexed like the center rows.
+    labels: Vec<u32>,
+    n_features: usize,
     n_classes: usize,
     k: usize,
     rule: DistanceRule,
@@ -100,8 +107,10 @@ impl GbKnn {
             centers.extend_from_slice(&b.center);
         }
         Self {
-            balls: model.balls.clone(),
             centers,
+            radii: model.balls.iter().map(|b| b.radius).collect(),
+            labels: model.balls.iter().map(|b| b.label).collect(),
+            n_features: p,
             n_classes,
             k,
             rule: DistanceRule::Surface,
@@ -112,7 +121,7 @@ impl GbKnn {
     /// Number of balls backing the model.
     #[must_use]
     pub fn n_balls(&self) -> usize {
-        self.balls.len()
+        self.radii.len()
     }
 
     /// Number of classes the model votes over.
@@ -124,7 +133,7 @@ impl GbKnn {
     /// Feature-space dimensionality of the ball centers.
     #[must_use]
     pub fn n_features(&self) -> usize {
-        self.balls[0].center.len()
+        self.n_features
     }
 
     /// Number of nearest balls that vote.
@@ -155,7 +164,7 @@ impl GbKnn {
     /// *prepared* query to every ball center: one batched kernel call over
     /// the flattened center matrix.
     fn kernel_distances(&self, prepared_row: &[f64]) -> Vec<f64> {
-        let mut sq = vec![0.0f64; self.balls.len()];
+        let mut sq = vec![0.0f64; self.n_balls()];
         self.metric
             .one_to_many(prepared_row, &self.centers, &mut sq);
         sq
@@ -170,28 +179,34 @@ impl GbKnn {
     /// blocked many-to-many kernel (contract v2), so `predict_row`,
     /// `predict`, and `predict_batch` are mutually bit-identical for any
     /// kernel tier.
+    ///
+    /// One pass keeps the `k` best balls ordered by `(distance, ball
+    /// index)`. The scan visits balls in index order, so a newcomer
+    /// displaces an entry only when strictly closer — equal distances keep
+    /// the earlier ball. A NaN distance panics once compared (`"finite
+    /// distances"`): it has no place in the order.
     fn vote(&self, kernel: &[f64]) -> u32 {
-        let mut dists: Vec<(f64, usize)> = kernel
-            .iter()
-            .enumerate()
-            .map(|(i, &d_sq)| {
-                let center_dist = self.metric.rank_of(d_sq);
-                let d = match self.rule {
-                    DistanceRule::Surface => center_dist - self.balls[i].radius,
-                    DistanceRule::Center => center_dist,
-                };
-                (d, i)
-            })
-            .collect();
-        let k = self.k.min(dists.len());
-        dists.select_nth_unstable_by(k - 1, |a, b| {
-            a.0.partial_cmp(&b.0)
-                .expect("finite distances")
-                .then_with(|| a.1.cmp(&b.1))
-        });
+        let closer = |a: f64, b: f64| a.partial_cmp(&b).expect("finite distances").is_lt();
+        let k = self.k.min(kernel.len());
+        let mut best: Vec<(f64, usize)> = Vec::with_capacity(k);
+        for (i, &d_kernel) in kernel.iter().enumerate() {
+            let center_dist = self.metric.rank_of(d_kernel);
+            let d = match self.rule {
+                DistanceRule::Surface => center_dist - self.radii[i],
+                DistanceRule::Center => center_dist,
+            };
+            if best.len() == k {
+                if !closer(d, best[k - 1].0) {
+                    continue;
+                }
+                best.pop();
+            }
+            let at = best.partition_point(|&(b, _)| !closer(d, b));
+            best.insert(at, (d, i));
+        }
         let mut counts = vec![0usize; self.n_classes];
-        for &(_, i) in &dists[..k] {
-            counts[self.balls[i].label as usize] += 1;
+        for &(_, i) in &best {
+            counts[self.labels[i] as usize] += 1;
         }
         counts
             .iter()
@@ -219,8 +234,8 @@ impl GbKnn {
 
     /// Predicts every row of a raw row-major feature buffer, in parallel
     /// and in row order — the predictor-reuse entry point for callers (like
-    /// the `gb-serve` micro-batcher) that assemble query rows without
-    /// building a [`Dataset`]. Queries tile in groups of [`PREDICT_TILE`]
+    /// `gb-serve`'s `/predict`) that hold query rows without building a
+    /// [`Dataset`]. Queries tile in groups of `PREDICT_TILE` (16)
     /// through the register-blocked many-to-many kernel, so the center
     /// matrix streams once per tile instead of once per row. The blocked
     /// kernel is bit-identical to repeated one-to-many calls (contract
@@ -244,7 +259,7 @@ impl GbKnn {
             "feature buffer must be a whole number of rows"
         );
         let n = features.len() / n_features;
-        let nb = self.balls.len();
+        let nb = self.n_balls();
         let tiles: Vec<Vec<u32>> = (0..n.div_ceil(PREDICT_TILE))
             .into_par_iter()
             .map(|t| {
@@ -276,11 +291,146 @@ impl GbKnn {
 }
 
 #[cfg(test)]
+impl GbKnn {
+    /// The vote as it stood when the predictor cloned every ball: an
+    /// m-long `(distance, index)` vector per query and
+    /// `select_nth_unstable_by`, reading radii and labels from the balls
+    /// themselves. Kept as the oracle the one-pass vote must match.
+    fn oracle_vote(&self, balls: &[crate::ball::GranularBall], kernel: &[f64]) -> u32 {
+        let mut dists: Vec<(f64, usize)> = kernel
+            .iter()
+            .enumerate()
+            .map(|(i, &d_sq)| {
+                let center_dist = self.metric.rank_of(d_sq);
+                let d = match self.rule {
+                    DistanceRule::Surface => center_dist - balls[i].radius,
+                    DistanceRule::Center => center_dist,
+                };
+                (d, i)
+            })
+            .collect();
+        let k = self.k.min(dists.len());
+        dists.select_nth_unstable_by(k - 1, |a, b| {
+            a.0.partial_cmp(&b.0)
+                .expect("finite distances")
+                .then_with(|| a.1.cmp(&b.1))
+        });
+        let mut counts = vec![0usize; self.n_classes];
+        for &(_, i) in &dists[..k] {
+            counts[balls[i].label as usize] += 1;
+        }
+        counts
+            .iter()
+            .enumerate()
+            .max_by(|(ia, ca), (ib, cb)| ca.cmp(cb).then_with(|| ib.cmp(ia)))
+            .map(|(i, _)| i as u32)
+            .unwrap_or(0)
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ball::GranularBall;
     use gb_dataset::catalog::DatasetId;
     use gb_dataset::split::stratified_holdout;
     use gb_metrics::accuracy;
+    use rand::rngs::StdRng;
+    use rand::Rng;
+
+    /// A random cover built to tie: centers and queries on a coarse grid,
+    /// radii from three values, and a quarter of the balls copies of an
+    /// earlier ball's center and radius (with a label of their own).
+    fn tie_heavy_cover(rng: &mut StdRng, m: usize, p: usize, n_classes: u32) -> Vec<GranularBall> {
+        let mut balls: Vec<GranularBall> = Vec::with_capacity(m);
+        for i in 0..m {
+            let (center, radius) = if i > 0 && rng.gen_bool(0.25) {
+                let twin = &balls[rng.gen_range(0..i)];
+                (twin.center.clone(), twin.radius)
+            } else {
+                let center = (0..p).map(|_| grid_value(rng)).collect();
+                (center, [0.0, 0.5, 1.0][rng.gen_range(0..3)])
+            };
+            balls.push(GranularBall {
+                center,
+                radius,
+                label: rng.gen_range(0..n_classes),
+                members: vec![i],
+                center_row: None,
+                purity: 1.0,
+            });
+        }
+        balls
+    }
+
+    fn grid_value(rng: &mut StdRng) -> f64 {
+        f64::from(rng.gen_range(-3i32..=3)) * 0.5
+    }
+
+    /// Whether the `k`-th and `(k+1)`-th rule distances are equal, i.e.
+    /// the ball index decides which of them votes.
+    fn boundary_tied(clf: &GbKnn, kernel: &[f64]) -> bool {
+        let mut d: Vec<f64> = kernel
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| match clf.rule {
+                DistanceRule::Surface => clf.metric.rank_of(v) - clf.radii[i],
+                DistanceRule::Center => clf.metric.rank_of(v),
+            })
+            .collect();
+        d.sort_by(f64::total_cmp);
+        clf.k < d.len() && d[clf.k - 1] == d[clf.k]
+    }
+
+    #[test]
+    fn one_pass_vote_matches_the_select_nth_oracle() {
+        let mut tied_boundaries = 0usize;
+        for seed in 0..48u64 {
+            let mut rng = gb_dataset::rng::rng_from_seed(seed);
+            let p = [1, 2, 3, 5][rng.gen_range(0..4)];
+            let m = rng.gen_range(1..=24);
+            let n_classes = rng.gen_range(2..=4u32);
+            let balls = tie_heavy_cover(&mut rng, m, p, n_classes);
+            // More than one PREDICT_TILE of queries, so predict_batch
+            // crosses a tile boundary.
+            let queries: Vec<f64> = (0..(PREDICT_TILE + 5) * p)
+                .map(|_| grid_value(&mut rng))
+                .collect();
+            for metric in Metric::ALL {
+                let mut cover = balls.clone();
+                for b in &mut cover {
+                    metric.prepare_rows(&mut b.center, p);
+                }
+                let model = RdGbgModel {
+                    balls: cover,
+                    noise: vec![],
+                    orphan_count: 0,
+                    iterations: 1,
+                    metric,
+                };
+                for k in [1, 2, 3, 5, m + 1] {
+                    for rule in [DistanceRule::Surface, DistanceRule::Center] {
+                        let mut clf = GbKnn::from_model(&model, n_classes as usize, k);
+                        clf.set_rule(rule);
+                        let batch = clf.predict_batch(&queries, p);
+                        for (q, row) in queries.chunks_exact(p).enumerate() {
+                            let kernel = clf.kernel_distances(&metric.prepare_query(row));
+                            let want = clf.oracle_vote(&model.balls, &kernel);
+                            let case = format!("seed {seed} {metric} k={k} {rule:?} query {q}");
+                            assert_eq!(clf.vote(&kernel), want, "{case}");
+                            assert_eq!(clf.predict_row(row), want, "{case}");
+                            assert_eq!(batch[q], want, "{case}");
+                            tied_boundaries += usize::from(boundary_tied(&clf, &kernel));
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            tied_boundaries > 1000,
+            "the covers must exercise index tie-breaks ({tied_boundaries} tied boundaries)"
+        );
+    }
 
     #[test]
     fn classifies_separable_clusters() {

@@ -6,7 +6,7 @@
 //! Contract shared by every backend (property-tested in `gbabs`):
 //!
 //! * all distances are **kernel values** of the index's
-//!   [`Metric`](crate::distance::Metric) — squared Euclidean by default,
+//!   [`Metric`] — squared Euclidean by default,
 //!   L1 for Manhattan, squared chord (on internally L2-normalized rows)
 //!   for cosine. The monotone `rank_of` map (`sqrt` / identity) is
 //!   deferred until a ball radius is finalized. Field names say `sq_*`
@@ -270,7 +270,8 @@ const ASSIGN_BLOCK: usize = 128;
 /// that gather centroids in ascending row order inherit the workspace's
 /// smaller-row tie-break.
 ///
-/// Determinism: distances come from [`sq_dist_block`], which is
+/// Determinism: distances come from
+/// [`sq_dist_block`](crate::distance::sq_dist_block), which is
 /// bit-identical to the per-pair kernels per the width-keyed contract (and
 /// `(a-b)²` is bitwise symmetric), and the argmin still walks centroids in
 /// ascending index with strict `<` — so routing through the register tile

@@ -15,7 +15,7 @@
 //! inline sequential kernel is the fastest thing there is.
 //!
 //! The all-rows self-join ([`k_nearest_all_rows`], the Tomek/ENN shape)
-//! additionally tiles *queries* in groups of [`QUERY_TILE`] through the
+//! additionally tiles *queries* in groups of `QUERY_TILE` (16) through the
 //! register-blocked many-to-many kernel [`sq_dist_block`], which reuses
 //! each candidate-row load across the whole query tile. The blocked kernel
 //! is bit-identical to repeated one-to-many calls (kernel contract v2), so
@@ -237,7 +237,7 @@ pub fn k_nearest_batch(data: &Dataset, queries: &[&[f64]], k: usize) -> Vec<Vec<
 /// loops instead.
 /// Rows of a lane width or more tile their queries through the blocked
 /// many-to-many kernel so every candidate-row block is loaded once per
-/// [`QUERY_TILE`] queries; sub-lane widths keep the per-row scan (the
+/// `QUERY_TILE` queries; sub-lane widths keep the per-row scan (the
 /// blocked kernel has no vector work there). Either way the results are
 /// bit-identical to the sequential per-row calls.
 #[must_use]

@@ -5,8 +5,8 @@
 //!
 //! * [`span`] — per-request context ([`RequestCtx`]): a generated or
 //!   client-propagated request id plus typed stage timers
-//!   ([`Stage`]: `queue_wait`, `batch_assemble`, `predict`, `store_io`,
-//!   `serialize`). A finished request collapses into a
+//!   ([`Stage`]: `predict`, `store_io`, `serialize`, `forward`,
+//!   `ingest`). A finished request collapses into a
 //!   [`RequestRecord`] — the unit both the access log and the debug
 //!   ring consume.
 //! * [`log`] — [`AccessLog`]: a JSONL sink (file or stderr). Producers

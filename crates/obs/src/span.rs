@@ -16,12 +16,8 @@ use std::time::{Duration, Instant, SystemTime};
 /// The typed stages of a served request, in pipeline order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Stage {
-    /// Time spent queued in the micro-batcher before dequeue.
-    QueueWait,
-    /// Time the batcher spent coalescing rows into the flush buffer.
-    BatchAssemble,
-    /// Time inside the predictor (`GbKnn::predict_batch`) — batched or
-    /// inline.
+    /// Time inside the model: `GbKnn::predict_batch` for `/predict`, the
+    /// GBABS run for `/sample`.
     Predict,
     /// Time resolving the model: registry lookup including any cold
     /// reload from the model store (warm hits cost nanoseconds).
@@ -38,13 +34,11 @@ pub enum Stage {
 }
 
 /// Number of stages (sizes the per-request timing array).
-pub const N_STAGES: usize = 7;
+pub const N_STAGES: usize = 5;
 
 impl Stage {
     /// Every stage, in pipeline order.
     pub const ALL: [Stage; N_STAGES] = [
-        Stage::QueueWait,
-        Stage::BatchAssemble,
         Stage::Predict,
         Stage::StoreIo,
         Stage::Serialize,
@@ -56,8 +50,6 @@ impl Stage {
     #[must_use]
     pub fn as_str(self) -> &'static str {
         match self {
-            Stage::QueueWait => "queue_wait",
-            Stage::BatchAssemble => "batch_assemble",
             Stage::Predict => "predict",
             Stage::StoreIo => "store_io",
             Stage::Serialize => "serialize",
@@ -68,13 +60,11 @@ impl Stage {
 
     fn index(self) -> usize {
         match self {
-            Stage::QueueWait => 0,
-            Stage::BatchAssemble => 1,
-            Stage::Predict => 2,
-            Stage::StoreIo => 3,
-            Stage::Serialize => 4,
-            Stage::Forward => 5,
-            Stage::Ingest => 6,
+            Stage::Predict => 0,
+            Stage::StoreIo => 1,
+            Stage::Serialize => 2,
+            Stage::Forward => 3,
+            Stage::Ingest => 4,
         }
     }
 }
@@ -273,9 +263,9 @@ mod tests {
         let mut ctx = RequestCtx::new("r-x", "/predict");
         ctx.record(Stage::Predict, Duration::from_micros(100));
         ctx.record(Stage::Predict, Duration::from_micros(50));
-        ctx.record_us(Stage::QueueWait, 7);
+        ctx.record_us(Stage::StoreIo, 7);
         assert_eq!(ctx.stage_us(Stage::Predict), 150);
-        assert_eq!(ctx.stage_us(Stage::QueueWait), 7);
+        assert_eq!(ctx.stage_us(Stage::StoreIo), 7);
         assert_eq!(ctx.stage_us(Stage::Serialize), 0);
     }
 
@@ -295,7 +285,7 @@ mod tests {
             "\"code\":null",
             "\"rows\":32",
             "\"predict_us\":123",
-            "\"queue_wait_us\":0",
+            "\"store_io_us\":0",
             "\"deadline_remaining_ms\":950",
         ] {
             assert!(line.contains(needle), "{needle} missing in {line}");

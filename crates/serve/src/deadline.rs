@@ -3,10 +3,10 @@
 //! A [`Deadline`] is an absolute point in time carried alongside a request
 //! from the first byte read off the socket to the final response write.
 //! Every blocking step on the request path — socket reads, socket writes,
-//! batcher queueing, cold model reloads — checks the *same* deadline, so a
-//! request's total latency is bounded end to end instead of each step
-//! getting its own independent timeout (which would let a slow client
-//! spend `n_steps × timeout` of a worker's time).
+//! cold model reloads, the start of predict — checks the *same* deadline,
+//! so a request's total latency is bounded end to end instead of each
+//! step getting its own independent timeout (which would let a slow
+//! client spend `n_steps × timeout` of a worker's time).
 //!
 //! The server derives the deadline from `ServeConfig::request_timeout`
 //! when the first byte of a request arrives; a client may only ever
@@ -16,7 +16,7 @@
 use std::time::{Duration, Instant};
 
 /// An absolute per-request time budget. Copyable so it travels with the
-/// request through the router, the batcher queue, and the registry.
+/// request through the router and the registry.
 #[derive(Debug, Clone, Copy)]
 pub struct Deadline {
     /// `None` = unbounded (deadline enforcement disabled).

@@ -31,11 +31,11 @@ pub enum ErrorCode {
     /// The client was too slow delivering its request (slow-loris guard) —
     /// the per-request deadline expired while reading the socket. 408.
     RequestTimeout,
-    /// The request's deadline expired server-side (in the batcher queue or
-    /// before a cold reload) and the work was dropped uncomputed. 504.
+    /// The request's deadline expired server-side (before a cold reload or
+    /// before predict) and the work was dropped uncomputed. 504.
     DeadlineExceeded,
-    /// Load shed by an admission gate (connection backlog or batcher
-    /// queued-rows cap). 503 with `Retry-After`.
+    /// Load shed by the admission gate (connection backlog full). 503 with
+    /// `Retry-After`.
     Overloaded,
     /// The server is draining. 503.
     ShuttingDown,

@@ -25,8 +25,8 @@
 //! Every request carries a **request id** (client-supplied `X-Request-Id`
 //! or server-generated), echoed on every response — including errors and
 //! shed 503s — and stamped into JSON bodies. Handlers record typed stage
-//! spans (`queue_wait`, `batch_assemble`, `predict`, `store_io`,
-//! `serialize`) on a per-request [`gb_obs::RequestCtx`]; when the server
+//! spans (`predict`, `store_io`, `serialize`, `forward`, `ingest`) on a
+//! per-request [`gb_obs::RequestCtx`]; when the server
 //! runs with an access log ([`server::ServeConfig::access_log`]), each
 //! completed request is rendered as one JSON line and handed to a
 //! dedicated writer thread, so the hot path never blocks on file I/O and
@@ -35,18 +35,14 @@
 //! `docs/SERVING.md` for the access-log schema and Prometheus scrape
 //! config.
 //!
-//! ## Micro-batching
+//! ## Prediction
 //!
-//! `/predict` requests do not call the predictor directly: each handler
-//! submits its rows to a shared [`batcher::Batcher`] and blocks. The
-//! batcher lingers a few hundred microseconds after the first pending
-//! submission, coalesces everything that arrived into **one**
-//! order-preserving parallel [`gbabs::GbKnn::predict_batch`] call, and
-//! hands every request back exactly the predictions for its own rows.
-//! Per-row predictions are independent, so coalescing cannot change any
-//! response — it only amortizes the parallel-section setup across
-//! requests (see `BENCH_SERVE.json` for the measured effect). Batching can
-//! be disabled per server via [`server::ServeConfig::micro_batch`].
+//! `/predict` runs on the worker thread that read the request: one
+//! [`gbabs::GbKnn::predict_batch`] call over the request's own rows, with
+//! no queue or hand-off in between. A panicking predict is contained to
+//! its request (500 `internal`); the worker goes on serving. Coalescing
+//! concurrent requests into shared predict calls measured slower than
+//! this at every concurrency tried (`BENCH_SERVE.json` entry 7).
 //!
 //! ## Hot reload
 //!
@@ -72,19 +68,18 @@
 //!
 //! ## Load shedding
 //!
-//! Two bounded admission gates return `503` instead of queuing
+//! The bounded admission gate returns `503` instead of queuing
 //! unboundedly: the accept loop sheds whole connections once the worker
-//! hand-off queue reaches `backlog`, and the batcher sheds submissions
-//! once `max_queued_rows` rows are pending. Shed responses carry a
-//! `Retry-After` header and `"retryable": true` in the body.
+//! hand-off queue reaches `backlog`. Shed responses carry a `Retry-After`
+//! header and `"retryable": true` in the body.
 //!
 //! ## Resilience
 //!
 //! Every request runs under a **deadline** ([`deadline::Deadline`],
 //! default from `ServeConfig::request_timeout`, tightenable per request
-//! with `X-Deadline-Ms`): socket reads and writes, the batcher queue, and
-//! cold reloads all check the same budget, so a slow-loris client gets a
-//! `408` and work that expires queued is dropped with `504` instead of
+//! with `X-Deadline-Ms`): socket reads and writes, cold reloads, and the
+//! start of predict all check the same budget, so a slow-loris client gets
+//! a `408` and work whose budget is spent is dropped with `504` instead of
 //! computed. Non-200 responses follow a structured taxonomy
 //! ([`errors::ServeError`]) with machine-readable codes and a
 //! retryable/permanent classification; [`client::RetryingClient`]
@@ -107,7 +102,6 @@
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
-pub mod batcher;
 pub mod client;
 pub mod deadline;
 pub mod errors;
@@ -118,7 +112,6 @@ pub mod router;
 pub mod server;
 pub mod store;
 
-pub use batcher::BatchOutcome;
 pub use client::{ClientResponse, HttpClient, RetryPolicy, RetryingClient};
 pub use deadline::Deadline;
 pub use errors::{ErrorCode, ServeError};

@@ -45,7 +45,7 @@ use crate::metrics::LatencyHistogram;
 use crate::store::{MaintainedTenant, ModelStore, ScanReport};
 use gb_dataset::index::GranulationBackend;
 use gb_dataset::Dataset;
-use gbabs::{AppendStats, DistanceRule, GbKnn, GranularBall, MaintainedModel, RdGbgModel};
+use gbabs::{AppendStats, DistanceRule, GbKnn, MaintainedModel, RdGbgModel};
 use serde::Value;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -99,10 +99,9 @@ impl ModelStats {
     }
 }
 
-/// Estimated resident footprint of a loaded model: the ball cover held by
-/// the predictor (centers, member lists, per-ball struct overhead — GB-kNN
-/// keeps its own copy of the balls) plus the flattened center matrix the
-/// batched distance kernel scans.
+/// Estimated resident footprint of a loaded model: what the GB-kNN
+/// predictor holds — the flattened center matrix plus one radius and one
+/// label per ball (no member lists).
 ///
 /// Used only for **memory-only** models, which never touch the store.
 /// Persisted tenants are accounted by their measured serialized-envelope
@@ -113,15 +112,8 @@ impl ModelStats {
 fn estimate_resident_bytes(model: &RdGbgModel) -> u64 {
     use std::mem::size_of;
     let n_features = model.balls.first().map_or(0, |b| b.center.len());
-    let mut cover = 0u64;
-    for b in &model.balls {
-        cover += (b.center.len() * size_of::<f64>()) as u64
-            + (b.members.len() * size_of::<usize>()) as u64
-            + size_of::<GranularBall>() as u64;
-    }
-    cover
-        + (model.balls.len() * n_features * size_of::<f64>()) as u64
-        + (model.noise.len() * size_of::<usize>()) as u64
+    let per_ball = n_features * size_of::<f64>() + size_of::<f64>() + size_of::<u32>();
+    (model.balls.len() * per_ball) as u64
 }
 
 /// A model as served: predictor + metadata, immutable once loaded.
@@ -499,6 +491,12 @@ impl ModelRegistry {
     /// needed to finish the swap except the version.
     fn build(model: &RdGbgModel, options: &LoadOptions) -> Result<Built, String> {
         Self::validate(model, options)?;
+        Ok(Self::build_unchecked(model, options))
+    }
+
+    /// [`Self::build`] without the validation — the predictor is built
+    /// from whatever geometry `model` holds.
+    fn build_unchecked(model: &RdGbgModel, options: &LoadOptions) -> Built {
         let derived = model
             .balls
             .iter()
@@ -508,12 +506,12 @@ impl ModelRegistry {
         let n_classes = options.n_classes.unwrap_or(derived).max(derived);
         let mut predictor = GbKnn::from_model(model, n_classes, options.k);
         predictor.set_rule(options.rule);
-        Ok(Built {
+        Built {
             predictor,
             n_classes,
             stats: ModelStats::from_model(model),
             resident_bytes: estimate_resident_bytes(model),
-        })
+        }
     }
 
     /// Allocates the version, swaps the model in, and enforces the budget.
@@ -609,6 +607,16 @@ impl ModelRegistry {
     ) -> Result<Arc<ServingModel>, String> {
         let built = Self::build(model, options)?;
         Ok(self.swap_in(name, built, options.backend, false))
+    }
+
+    /// Loads `model` memory-only **without validating it**: the way to
+    /// serve a cover the validating loaders refuse, e.g. to prove that a
+    /// panicking predict stays contained to its request.
+    #[cfg(test)]
+    pub(crate) fn load_unchecked(&self, name: &str, model: &RdGbgModel) -> Arc<ServingModel> {
+        let options = LoadOptions::default();
+        let built = Self::build_unchecked(model, &options);
+        self.swap_in(name, built, options.backend, false)
     }
 
     /// Like [`ModelRegistry::load`], but when a store is attached the

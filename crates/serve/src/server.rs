@@ -6,10 +6,9 @@
 //! routing them, and writing JSON responses. When every worker is busy and
 //! the hand-off queue is at `backlog` capacity, the accept thread sheds the
 //! connection with an immediate `503` instead of queuing unboundedly — the
-//! first of the two admission gates (the second bounds queued rows in the
-//! [`crate::batcher`]).
+//! server's admission gate. `/predict` runs on the worker that read the
+//! request, so a request never waits on another thread.
 
-use crate::batcher::{Batcher, SubmitError};
 use crate::deadline::Deadline;
 use crate::errors::{ErrorCode, ServeError};
 use crate::http::{peek_head, read_request, HttpError, Response};
@@ -38,26 +37,18 @@ pub struct ServeConfig {
     pub addr: String,
     /// Worker threads (= max concurrently served connections).
     pub workers: usize,
-    /// Admission gate 1: connections allowed to wait for a worker before
+    /// Admission gate: connections allowed to wait for a worker before
     /// the accept loop sheds with 503.
     pub backlog: usize,
-    /// Micro-batching on/off (off = predict inline per request).
-    pub micro_batch: bool,
-    /// Max rows coalesced into one predict call.
-    pub max_batch_rows: usize,
-    /// Admission gate 2: max rows queued in the batcher before 503.
-    pub max_queued_rows: usize,
-    /// How long the batcher lingers for more arrivals after the first
-    /// pending request.
-    pub batch_wait: Duration,
     /// Per-connection idle read timeout (keep-alive reaper).
     pub read_timeout: Duration,
     /// Per-request time budget, armed when the first byte of a request
-    /// arrives and enforced on socket reads/writes, at batcher dequeue,
-    /// and before cold reloads. A slow client is rejected with 408, work
-    /// that expires queued is dropped with 504. Clients may tighten (never
-    /// extend) the budget per request with an `X-Deadline-Ms` header.
-    /// `Duration::ZERO` disables deadline enforcement.
+    /// arrives and enforced on socket reads/writes, before cold reloads,
+    /// and before predict. A slow client is rejected with 408, work whose
+    /// budget is spent before it starts is dropped with 504. Clients may
+    /// tighten (never extend) the budget per request with an
+    /// `X-Deadline-Ms` header. `Duration::ZERO` disables deadline
+    /// enforcement.
     pub request_timeout: Duration,
     /// Max accepted request body size.
     pub max_body_bytes: usize,
@@ -82,10 +73,6 @@ impl Default for ServeConfig {
             addr: "127.0.0.1:0".into(),
             workers: 8,
             backlog: 64,
-            micro_batch: true,
-            max_batch_rows: 4096,
-            max_queued_rows: 1 << 16,
-            batch_wait: Duration::from_micros(300),
             read_timeout: Duration::from_secs(10),
             request_timeout: Duration::from_secs(10),
             max_body_bytes: 64 << 20,
@@ -99,9 +86,6 @@ impl Default for ServeConfig {
 /// Shared state every worker routes against.
 struct ServerCtx {
     registry: Arc<ModelRegistry>,
-    /// `None` when micro-batching is disabled — the predict path then
-    /// calls the predictor inline.
-    batcher: Option<Arc<Batcher>>,
     metrics: Metrics,
     /// Per-tenant counters/histograms (entries minted only on model
     /// resolution, never by junk names).
@@ -145,13 +129,6 @@ impl Server {
         gb_dataset::validate_simd_env()
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?;
         let listener = TcpListener::bind(&config.addr)?;
-        let batcher = config.micro_batch.then(|| {
-            Batcher::start(
-                config.max_batch_rows,
-                config.max_queued_rows,
-                config.batch_wait,
-            )
-        });
         let access_log = match &config.access_log {
             Some(target) => Some(AccessLog::open(target)?),
             None => None,
@@ -159,7 +136,6 @@ impl Server {
         let ring = DebugRing::new(config.debug_ring.max(1));
         let ctx = Arc::new(ServerCtx {
             registry,
-            batcher,
             metrics: Metrics::default(),
             tenants: TenantRegistry::default(),
             access_log,
@@ -276,9 +252,6 @@ impl ServerHandle {
     /// Stops accepting, drains the workers, and joins every thread.
     pub fn stop(self) {
         self.ctx.stop.store(true, Ordering::SeqCst);
-        if let Some(batcher) = &self.ctx.batcher {
-            batcher.shutdown();
-        }
         // Unblock the accept loop with a dummy connection.
         let _ = TcpStream::connect(self.addr);
         for t in self.threads {
@@ -738,11 +711,6 @@ fn metrics_endpoint(req: &crate::http::Request, ctx: &ServerCtx) -> Response {
         return Response::text(200, prometheus_metrics(ctx), "text/plain; version=0.0.4");
     }
     let m = &ctx.metrics;
-    let zero_stats = crate::batcher::BatchStats::default();
-    let b = ctx
-        .batcher
-        .as_ref()
-        .map_or(&zero_stats, |batcher| &batcher.stats);
     let tenants = obj(ctx
         .tenants
         .snapshot()
@@ -807,25 +775,6 @@ fn metrics_endpoint(req: &crate::http::Request, ctx: &ServerCtx) -> Response {
         ),
         ("shed", Value::Num(m.shed.load(Ordering::Relaxed) as f64)),
         ("errors_by_code", m.errors.to_value()),
-        (
-            "batcher",
-            obj(vec![
-                (
-                    "flushes",
-                    Value::Num(b.flushes.load(Ordering::Relaxed) as f64),
-                ),
-                ("rows", Value::Num(b.rows.load(Ordering::Relaxed) as f64)),
-                (
-                    "max_requests_per_flush",
-                    Value::Num(b.max_requests_per_flush.load(Ordering::Relaxed) as f64),
-                ),
-                ("shed", Value::Num(b.shed.load(Ordering::Relaxed) as f64)),
-                (
-                    "expired",
-                    Value::Num(b.expired.load(Ordering::Relaxed) as f64),
-                ),
-            ]),
-        ),
         ("registry", {
             let snap = ctx.registry.snapshot();
             let r = &ctx.registry.stats;
@@ -883,8 +832,8 @@ pub(crate) fn prom_histogram(
     p.sample(&format!("{name}_count"), labels, h.count() as f64);
 }
 
-/// Renders the whole metrics registry — global counters, batcher and
-/// registry stats, latency histograms, and per-tenant series — in
+/// Renders the whole metrics registry — global counters, registry
+/// stats, latency histograms, and per-tenant series — in
 /// Prometheus text exposition format (`GET /metrics?format=prometheus`).
 #[allow(clippy::too_many_lines)]
 fn prometheus_metrics(ctx: &ServerCtx) -> String {
@@ -981,60 +930,6 @@ fn prometheus_metrics(ctx: &ServerCtx) -> String {
         &[],
         m.server_errors.load(Ordering::Relaxed) as f64,
     );
-
-    if let Some(batcher) = &ctx.batcher {
-        let b = &batcher.stats;
-        p.metric(
-            "gb_batcher_flushes_total",
-            "counter",
-            "Coalesced predict calls",
-        );
-        p.sample(
-            "gb_batcher_flushes_total",
-            &[],
-            b.flushes.load(Ordering::Relaxed) as f64,
-        );
-        p.metric(
-            "gb_batcher_rows_total",
-            "counter",
-            "Rows predicted through the batcher",
-        );
-        p.sample(
-            "gb_batcher_rows_total",
-            &[],
-            b.rows.load(Ordering::Relaxed) as f64,
-        );
-        p.metric(
-            "gb_batcher_shed_total",
-            "counter",
-            "Submissions shed at the row-queue gate",
-        );
-        p.sample(
-            "gb_batcher_shed_total",
-            &[],
-            b.shed.load(Ordering::Relaxed) as f64,
-        );
-        p.metric(
-            "gb_batcher_expired_total",
-            "counter",
-            "Submissions dropped at dequeue after deadline expiry",
-        );
-        p.sample(
-            "gb_batcher_expired_total",
-            &[],
-            b.expired.load(Ordering::Relaxed) as f64,
-        );
-        p.metric(
-            "gb_batcher_max_requests_per_flush",
-            "gauge",
-            "Largest number of requests coalesced into one flush",
-        );
-        p.sample(
-            "gb_batcher_max_requests_per_flush",
-            &[],
-            b.max_requests_per_flush.load(Ordering::Relaxed) as f64,
-        );
-    }
 
     let snap = ctx.registry.snapshot();
     let r = &ctx.registry.stats;
@@ -1333,51 +1228,36 @@ fn predict_endpoint(req: &crate::http::Request, ctx: &ServerCtx, obs: &mut ObsCt
     };
     let n_rows = rows.len() / model.n_features;
     obs.rows = n_rows as u64;
-    // Micro-batch small requests; a request at or above the flush cap is
-    // already its own batch, so it runs inline instead of bouncing off the
-    // queued-rows gate with a 503 that no retry could ever satisfy.
-    let coalesce = ctx
-        .batcher
-        .as_ref()
-        .filter(|_| n_rows < ctx.config.max_batch_rows);
-    let predictions = match coalesce {
-        Some(batcher) => match batcher.predict(&model, rows, req.deadline) {
-            Ok(outcome) => {
-                obs.record_us(Stage::QueueWait, outcome.queue_wait_us);
-                obs.record_us(Stage::BatchAssemble, outcome.batch_assemble_us);
-                obs.record_us(Stage::Predict, outcome.predict_us);
-                outcome.predictions
-            }
-            Err(SubmitError::Overloaded) => {
-                return err_response(
-                    ctx,
-                    obs,
-                    ServeError::overloaded("prediction queue full; retry later"),
-                )
-            }
-            Err(SubmitError::Closed) => {
-                return err_response(
-                    ctx,
-                    obs,
-                    ServeError::new(ErrorCode::ShuttingDown, "server shutting down"),
-                )
-            }
-            Err(SubmitError::Expired) => {
-                return err_response(
-                    ctx,
-                    obs,
-                    ServeError::deadline_exceeded(
-                        "deadline expired in the prediction queue; dropped at dequeue",
-                    ),
-                )
-            }
-            Err(SubmitError::Failed(message)) => {
-                return err_response(ctx, obs, ServeError::internal(message))
-            }
-        },
-        None => obs.time(Stage::Predict, || {
+    // Second deadline gate: a cold reload may have spent the budget.
+    if req.deadline.expired() {
+        return err_response(
+            ctx,
+            obs,
+            ServeError::deadline_exceeded("deadline expired before predict"),
+        );
+    }
+    // Contain a panicking predict (e.g. a cover whose geometry slipped
+    // past validation): this request fails with a 500 naming the model,
+    // and the worker goes on serving its connection.
+    let predicted = obs.time(Stage::Predict, || {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             model.predictor.predict_batch(&rows, model.n_features)
-        }),
+        }))
+    });
+    let predictions = match predicted {
+        Ok(predictions) => predictions,
+        Err(panic) => {
+            let what = panic
+                .downcast_ref::<&str>()
+                .map(ToString::to_string)
+                .or_else(|| panic.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "prediction panicked".into());
+            return err_response(
+                ctx,
+                obs,
+                ServeError::internal(format!("prediction failed for '{}': {what}", model.name)),
+            );
+        }
     };
     ctx.metrics.predict_requests.fetch_add(1, Ordering::Relaxed);
     ctx.metrics
@@ -1711,10 +1591,27 @@ fn extract_labelled_rows(body: &Value) -> Result<(Vec<f64>, Vec<u32>, usize), St
     Ok((flat, out, n_features))
 }
 
+/// Every key an ingest body may carry. Anything else is rejected, so an
+/// option the endpoint does not support (`"metric"`) or a misspelt one
+/// (`"n_class"`) fails loudly instead of creating a tenant without it.
+const INGEST_KEYS: [&str; 6] = ["rows", "labels", "rho", "n_classes", "k", "rule"];
+
 /// Parses the creation parameters an ingest body may carry (`rho`,
 /// `n_classes`, `k`, `rule`); they only apply when the batch creates the
 /// tenant — appends to an existing maintained tenant keep its parameters.
+/// Rejects keys outside [`INGEST_KEYS`], naming the first one.
 fn extract_create_options(body: &Value) -> Result<CreateOptions, String> {
+    if let Value::Obj(fields) = body {
+        if let Some((key, _)) = fields
+            .iter()
+            .find(|(key, _)| !INGEST_KEYS.contains(&key.as_str()))
+        {
+            return Err(format!(
+                "unknown key '{key}'; a /rows body takes only {}",
+                INGEST_KEYS.join(", ")
+            ));
+        }
+    }
     let mut create = CreateOptions::default();
     match body.get("rho") {
         Some(Value::Num(n)) if *n >= 2.0 && n.fract() == 0.0 => create.rho = *n as usize,
@@ -1950,5 +1847,71 @@ fn version_endpoint(req: &crate::http::Request, ctx: &ServerCtx, obs: &mut ObsCt
             ServeError::not_found(format!("no model named '{name}'")),
         ),
         Err(e) => err_response(ctx, obs, ingest_error(e)),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::HttpClient;
+    use gb_dataset::catalog::DatasetId;
+    use gbabs::{rd_gbg, GranularBall, RdGbgConfig, RdGbgModel};
+
+    #[test]
+    fn panicking_predict_fails_the_request_but_not_the_worker() {
+        let registry = Arc::new(ModelRegistry::new());
+        let data = DatasetId::S5.generate(0.05, 3);
+        registry
+            .load(
+                "default",
+                &rd_gbg(&data, &RdGbgConfig::default()),
+                &LoadOptions::default(),
+            )
+            .expect("load healthy model");
+        // A poisoned model built by hand (the validating loaders reject
+        // it): infinite centers with infinite radii make every surface
+        // distance `inf − inf = NaN`, which panics the vote.
+        let ball = || GranularBall {
+            center: vec![f64::INFINITY, 0.0],
+            radius: f64::INFINITY,
+            label: 0,
+            members: vec![0],
+            center_row: None,
+            purity: 1.0,
+        };
+        let poisoned = RdGbgModel {
+            balls: vec![ball(), ball()],
+            noise: vec![],
+            orphan_count: 0,
+            iterations: 1,
+            metric: gb_dataset::Metric::SqEuclidean,
+        };
+        registry.load_unchecked("poisoned", &poisoned);
+        let config = ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        };
+        let handle = Server::bind(config, registry).unwrap().start().unwrap();
+        let mut c = HttpClient::connect(handle.addr(), Duration::from_secs(20)).unwrap();
+        let (status, body) = c
+            .request(
+                "POST",
+                "/predict",
+                Some("{\"model\":\"poisoned\",\"row\":[0.5,0.5]}"),
+            )
+            .unwrap();
+        assert_eq!(status, 500, "{body}");
+        assert!(body.contains("\"internal\""), "{body}");
+        assert!(body.contains("poisoned"), "{body}");
+        // The only worker survived: the same connection, and a fresh one
+        // after it closes, are still served.
+        let healthy = format!("{{\"row\":[{},{}]}}", data.row(0)[0], data.row(0)[1]);
+        let (status, body) = c.request("POST", "/predict", Some(&healthy)).unwrap();
+        assert_eq!(status, 200, "{body}");
+        drop(c);
+        let mut fresh = HttpClient::connect(handle.addr(), Duration::from_secs(20)).unwrap();
+        let (status, body) = fresh.request("POST", "/predict", Some(&healthy)).unwrap();
+        assert_eq!(status, 200, "{body}");
+        handle.stop();
     }
 }

@@ -301,22 +301,32 @@ fn over_capacity_connection_is_shed_with_503() {
 }
 
 #[test]
-fn oversized_request_bypasses_the_batcher_and_still_serves() {
-    // max_batch_rows of 8 with a 20-row request: the batcher would shed it
-    // forever, so the handler must predict inline instead.
-    let (handle, data, offline) = boot(ServeConfig {
-        max_batch_rows: 8,
-        max_queued_rows: 8,
-        ..ServeConfig::default()
-    });
-    let expected = offline.predict(&data);
-    let rows: Vec<usize> = (0..20).collect();
+fn ingest_rejects_unknown_body_keys() {
+    let (handle, _, _) = boot(ServeConfig::default());
     let mut c = client(&handle);
-    let (status, body) = c
-        .request("POST", "/predict", Some(&rows_json(&data, &rows)))
+    let batch = "\"rows\":[[0.0,0.0],[0.1,0.0],[5.0,5.0],[5.1,5.0]],\"labels\":[0,0,1,1]";
+    // An option the endpoint does not support, and a misspelt one: both
+    // must fail loudly instead of creating a tenant without them.
+    for (extra, key) in [
+        ("\"metric\":\"cosine\"", "metric"),
+        ("\"n_class\":2", "n_class"),
+    ] {
+        let body = format!("{{{batch},{extra}}}");
+        let (status, reply) = c
+            .request("POST", "/models/fresh/rows", Some(&body))
+            .unwrap();
+        assert_eq!(status, 400, "{reply}");
+        assert!(reply.contains("\"bad_request\""), "{reply}");
+        assert!(reply.contains(&format!("'{key}'")), "{reply}");
+    }
+    // The rejected batches committed nothing: the tenant is created by
+    // the first valid one.
+    let body = format!("{{{batch},\"n_classes\":2,\"rho\":2,\"k\":1,\"rule\":\"surface\"}}");
+    let (status, reply) = c
+        .request("POST", "/models/fresh/rows", Some(&body))
         .unwrap();
-    assert_eq!(status, 200, "{body}");
-    assert_eq!(predictions_of(&body), expected[..20].to_vec());
+    assert_eq!(status, 200, "{reply}");
+    assert!(reply.contains("\"created\":true"), "{reply}");
     handle.stop();
 }
 
