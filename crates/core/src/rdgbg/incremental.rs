@@ -44,11 +44,11 @@
 //! property-tested ball-for-ball across all exact backends in
 //! `tests/ingest_oracle.rs`.
 
+use super::step::{Granulator, Outcome, Vetting};
 use crate::ball::GranularBall;
-use crate::conflict::BallConflictIndex;
 use crate::rdgbg::RdGbgModel;
-use gb_dataset::distance::sq_euclidean;
-use gb_dataset::index::{GranulationBackend, NeighborIndex, RangeBound};
+use gb_dataset::distance::{sq_euclidean, Metric};
+use gb_dataset::index::GranulationBackend;
 use gb_dataset::Dataset;
 
 /// What one canonical-sweep candidate decision did (the replayable part).
@@ -79,32 +79,26 @@ struct Decision {
 }
 
 /// Mutable sweep state shared by replay and the live sweep.
-struct SweepState {
-    index: Box<dyn NeighborIndex>,
+struct SweepState<'d> {
+    granulator: Granulator<'d>,
     low_density: Vec<bool>,
-    conflicts: BallConflictIndex,
     noise: Vec<usize>,
 }
 
 /// Re-applies a prefix of decisions without any index queries: the exact
 /// tombstone deletions, conflict pushes, low-density marks, and noise
 /// removals the live sweep performed when the decisions were first made.
-fn replay(state: &mut SweepState, prefix: &[Decision]) {
+fn replay(state: &mut SweepState<'_>, prefix: &[Decision]) {
     for d in prefix {
         if let Some(bad) = d.noisy_neighbor {
-            state.index.delete(bad);
+            state.granulator.remove(bad);
             state.noise.push(bad);
         }
         match &d.kind {
-            DecisionKind::Ball(ball) => {
-                for &m in &ball.members {
-                    state.index.delete(m);
-                }
-                state.conflicts.push(&ball.center, ball.radius);
-            }
+            DecisionKind::Ball(ball) => state.granulator.absorb(ball),
             DecisionKind::LowDensity => state.low_density[d.row] = true,
             DecisionKind::CandidateNoise => {
-                state.index.delete(d.row);
+                state.granulator.remove(d.row);
                 state.noise.push(d.row);
             }
         }
@@ -114,130 +108,54 @@ fn replay(state: &mut SweepState, prefix: &[Decision]) {
 /// The live canonical sweep from `start_row` (inclusive), appending one
 /// decision per alive, non-low-density row.
 fn live_sweep(
-    state: &mut SweepState,
+    state: &mut SweepState<'_>,
     data: &Dataset,
-    rho: usize,
     start_row: usize,
     trace: &mut Vec<Decision>,
 ) {
     for row in start_row..data.n_samples() {
-        if !state.index.is_alive(row) || state.low_density[row] {
+        if !state.granulator.is_alive(row) || state.low_density[row] {
             continue;
         }
-        let label = data.label(row);
-        let c = data.row(row);
-
-        // One ρ-sized k-NN query serves the nearest-neighbour check, the
-        // neighbourhood vote, and the verdict's influence radius. Same
-        // semantics as `super::detect_center`; inlined to expose the hood.
-        let hood = state.index.k_nearest_sq(c, rho, Some(row));
-        let mut influence_sq = if hood.len() < rho {
-            // The neighbourhood was not full: any appended row could join
-            // it, so the decision is influenced at any distance.
-            f64::INFINITY
-        } else {
-            hood.last().map_or(f64::INFINITY, |n| n.sq_dist)
-        };
-        let noisy_neighbor = match hood.first() {
-            None => {
-                // No other undivided sample: low-density, orphaned later.
+        // The same per-candidate step as the stochastic engine. Its reach
+        // (the ρ-hood radius, `∞` when the hood was not full: any appended
+        // row could then join it) and the diffusion bound are everything
+        // the decision looked at.
+        let step = state.granulator.step(row);
+        let (noisy_neighbor, kind, influence_sq) = match step.outcome {
+            Outcome::CandidateIsNoise => {
+                state.noise.push(row);
+                (None, DecisionKind::CandidateNoise, step.reach)
+            }
+            Outcome::LowDensity => {
                 state.low_density[row] = true;
-                trace.push(Decision {
-                    row,
-                    influence_sq,
-                    noisy_neighbor: None,
-                    kind: DecisionKind::LowDensity,
-                });
-                continue;
+                (None, DecisionKind::LowDensity, step.reach)
             }
-            Some(&nn) if data.label(nn.row) == label => None,
-            Some(&nn) => {
-                let h = hood.iter().filter(|n| data.label(n.row) != label).count();
-                if h == hood.len() {
-                    // h == ρ: the candidate is class noise.
-                    state.index.delete(row);
-                    state.noise.push(row);
-                    trace.push(Decision {
-                        row,
-                        influence_sq,
-                        noisy_neighbor: None,
-                        kind: DecisionKind::CandidateNoise,
-                    });
-                    continue;
-                } else if h == 1 {
-                    Some(nn.row)
-                } else {
-                    // 1 < h < ρ: low-density candidate.
-                    state.low_density[row] = true;
-                    trace.push(Decision {
-                        row,
-                        influence_sq,
-                        noisy_neighbor: None,
-                        kind: DecisionKind::LowDensity,
-                    });
-                    continue;
+            Outcome::Accepted {
+                noisy_neighbor,
+                bound,
+                ball,
+                ..
+            } => {
+                if let Some(bad) = noisy_neighbor {
+                    state.noise.push(bad);
                 }
+                let kind = ball.map_or_else(
+                    || {
+                        state.low_density[row] = true;
+                        DecisionKind::LowDensity
+                    },
+                    DecisionKind::Ball,
+                );
+                (noisy_neighbor, kind, step.reach.max(bound))
             }
         };
-        if let Some(bad) = noisy_neighbor {
-            state.index.delete(bad);
-            state.noise.push(bad);
-        }
-
-        // Diffusion: identical bound selection and single range query as
-        // the stochastic engine (see `super::rd_gbg_with_progress`).
-        let d_het_sq = state
-            .index
-            .nearest_heterogeneous_sq(c, label, Some(row))
-            .map_or(f64::INFINITY, |h| h.sq_dist);
-        let rconf = state.conflicts.conflict_radius(c);
-        let (sq_bound, bound_kind) = if rconf * rconf < d_het_sq {
-            (rconf * rconf, RangeBound::Inclusive)
-        } else {
-            (d_het_sq, RangeBound::Strict)
-        };
-        if sq_bound.is_finite() {
-            influence_sq = influence_sq.max(sq_bound);
-        } else {
-            influence_sq = f64::INFINITY;
-        }
-        let hits = state.index.range_sq(c, sq_bound, bound_kind, Some(row));
-        let r_sq = hits.iter().fold(0.0f64, |m, h| m.max(h.sq_dist));
-        let r = r_sq.sqrt();
-
-        if r > 0.0 {
-            let mut members: Vec<usize> = hits.iter().map(|h| h.row).collect();
-            members.push(row);
-            members.sort_unstable();
-            for &m in &members {
-                debug_assert!(state.index.is_alive(m));
-                debug_assert_eq!(data.label(m), label, "diffusion must stay pure");
-                state.index.delete(m);
-            }
-            let ball = GranularBall {
-                center: c.to_vec(),
-                radius: r,
-                label,
-                members,
-                center_row: Some(row),
-                purity: 1.0,
-            };
-            state.conflicts.push(&ball.center, ball.radius);
-            trace.push(Decision {
-                row,
-                influence_sq,
-                noisy_neighbor,
-                kind: DecisionKind::Ball(ball),
-            });
-        } else {
-            state.low_density[row] = true;
-            trace.push(Decision {
-                row,
-                influence_sq,
-                noisy_neighbor,
-                kind: DecisionKind::LowDensity,
-            });
-        }
+        trace.push(Decision {
+            row,
+            influence_sq,
+            noisy_neighbor,
+            kind,
+        });
     }
 }
 
@@ -251,15 +169,22 @@ fn sweep(
     assert!(rho >= 2, "density tolerance must be at least 2");
     assert!(data.n_samples() > 0, "cannot granulate an empty dataset");
     let mut state = SweepState {
-        index: backend.build(data),
+        // The maintenance engine granulates in the paper's metric only —
+        // its influence-radius algebra is squared-Euclidean.
+        granulator: Granulator::new(
+            data,
+            backend,
+            Metric::SqEuclidean,
+            Vetting::Density(rho),
+            true,
+        ),
         low_density: vec![false; data.n_samples()],
-        conflicts: BallConflictIndex::new(data.n_features()),
         noise: Vec::new(),
     };
     let mut trace: Vec<Decision> = prefix.to_vec();
     replay(&mut state, prefix);
     let start_row = prefix.last().map_or(0, |d| d.row + 1);
-    live_sweep(&mut state, data, rho, start_row, &mut trace);
+    live_sweep(&mut state, data, start_row, &mut trace);
 
     // Orphan phase: surviving rows (all low-density or unreachable)
     // become radius-0 balls, recomputed fresh on every build — they are
@@ -273,7 +198,7 @@ fn sweep(
         })
         .collect();
     let mut orphan_count = 0usize;
-    for row in (0..data.n_samples()).filter(|&r| state.index.is_alive(r)) {
+    for row in (0..data.n_samples()).filter(|&r| state.granulator.is_alive(r)) {
         balls.push(GranularBall {
             center: data.row(row).to_vec(),
             radius: 0.0,
@@ -291,9 +216,7 @@ fn sweep(
         // The canonical engine is a single deterministic pass; the field
         // is kept for envelope compatibility with the stochastic engine.
         iterations: 1,
-        // The maintenance engine granulates in the paper's metric only —
-        // its influence-radius algebra is squared-Euclidean.
-        metric: gb_dataset::distance::Metric::SqEuclidean,
+        metric: Metric::SqEuclidean,
     };
     (model, trace)
 }

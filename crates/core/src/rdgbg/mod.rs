@@ -32,16 +32,17 @@
 //!   list.
 
 pub mod incremental;
+mod step;
 
 use crate::ball::GranularBall;
-use crate::conflict::BallConflictIndex;
 use gb_dataset::distance::{l2_normalize_rows, Metric};
-use gb_dataset::index::{GranulationBackend, NeighborIndex, RangeBound};
+use gb_dataset::index::GranulationBackend;
 use gb_dataset::rng::rng_from_seed;
 use gb_dataset::Dataset;
 use gb_obs::ProgressEvent;
 use rand::Rng;
 use std::time::Instant;
+use step::{Granulator, Outcome, Vetting};
 
 /// Optional per-iteration progress sink (see [`rd_gbg_with_progress`]).
 pub type ProgressSink<'a> = &'a mut dyn FnMut(&ProgressEvent);
@@ -147,57 +148,6 @@ impl RdGbgModel {
     #[must_use]
     pub fn covered_samples(&self) -> usize {
         self.balls.iter().map(GranularBall::len).sum()
-    }
-}
-
-/// What the local-density detection (Eq. 2 rules) decided for a candidate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum CenterVerdict {
-    /// Candidate passes; optional row to delete first (the `h == 1` noisy
-    /// nearest neighbour).
-    Accept { noisy_neighbor: Option<usize> },
-    /// Candidate itself is class noise (`h == ρ`): remove it from `U`.
-    CandidateIsNoise,
-    /// Candidate is a low-density sample (`1 < h < ρ`): move to `L`.
-    LowDensity,
-}
-
-/// Applies the paper's local-density center detection rules to a candidate,
-/// querying the alive set through the index. A single ρ-sized k-NN query
-/// serves both the nearest-neighbour check and the neighbourhood vote (its
-/// first hit *is* the nearest neighbour under the shared tie-break), so the
-/// hot path pays one index traversal per candidate instead of two.
-fn detect_center(
-    data: &Dataset,
-    index: &dyn NeighborIndex,
-    center_row: usize,
-    label: u32,
-    density_tolerance: usize,
-) -> CenterVerdict {
-    let c = data.row(center_row);
-    let hood = index.k_nearest_sq(c, density_tolerance, Some(center_row));
-    let Some(&nn) = hood.first() else {
-        // No other undivided sample: nothing to diffuse into. Treat as
-        // low-density; the orphan phase will pick it up.
-        return CenterVerdict::LowDensity;
-    };
-    if data.label(nn.row) == label {
-        return CenterVerdict::Accept {
-            noisy_neighbor: None,
-        };
-    }
-    // Nearest neighbour is heterogeneous: inspect the ρ-neighbourhood. When
-    // fewer than ρ rows remain the neighbourhood shrinks accordingly.
-    let effective = hood.len();
-    let h = hood.iter().filter(|&&n| data.label(n.row) != label).count();
-    if h == effective {
-        CenterVerdict::CandidateIsNoise
-    } else if h == 1 {
-        CenterVerdict::Accept {
-            noisy_neighbor: Some(nn.row),
-        }
-    } else {
-        CenterVerdict::LowDensity
     }
 }
 
@@ -333,10 +283,20 @@ pub fn rd_gbg_with_progress(
     let n = data.n_samples();
     // `U` lives inside the index as its alive set; `L` stays separate
     // (low-density rows remain in `U` and can still be absorbed by balls).
-    let mut index = config.backend.build_with(data, inner);
+    let vetting = if config.detect_noise {
+        Vetting::Density(config.density_tolerance)
+    } else {
+        Vetting::NearestOnly
+    };
+    let mut g = Granulator::new(
+        data,
+        config.backend,
+        inner,
+        vetting,
+        config.restrict_overlap,
+    );
     let mut low_density = vec![false; n];
     let mut balls: Vec<GranularBall> = Vec::new();
-    let mut conflicts = BallConflictIndex::new_with(data.n_features(), inner);
     let mut noise: Vec<usize> = Vec::new();
     let mut rng = rng_from_seed(config.seed);
     let mut iterations = 0usize;
@@ -365,120 +325,42 @@ pub fn rd_gbg_with_progress(
         for center_row in candidates {
             // A ball built earlier in this iteration may have absorbed the
             // candidate, or detection may have deleted it.
-            if !index.is_alive(center_row) || low_density[center_row] {
+            if !g.is_alive(center_row) || low_density[center_row] {
                 continue;
             }
-            let label = data.label(center_row);
-            let c = data.row(center_row);
-
-            let verdict = if config.detect_noise {
-                detect_center(
-                    data,
-                    index.as_ref(),
-                    center_row,
-                    label,
-                    config.density_tolerance,
-                )
-            } else {
-                // Ablation: no removals — a heterogeneous nearest neighbour
-                // simply routes the candidate to the low-density set.
-                match index.nearest_sq(c, Some(center_row)) {
-                    Some(nn) if data.label(nn.row) == label => CenterVerdict::Accept {
-                        noisy_neighbor: None,
-                    },
-                    _ => CenterVerdict::LowDensity,
-                }
-            };
-            match verdict {
-                CenterVerdict::CandidateIsNoise => {
-                    index.delete(center_row);
-                    pools[label as usize].remove(center_row);
+            let pool = data.label(center_row) as usize;
+            match g.step(center_row).outcome {
+                Outcome::CandidateIsNoise => {
+                    pools[pool].remove(center_row);
                     noise.push(center_row);
-                    continue;
                 }
-                CenterVerdict::LowDensity => {
+                Outcome::LowDensity => {
                     low_density[center_row] = true;
-                    pools[label as usize].remove(center_row);
-                    continue;
+                    pools[pool].remove(center_row);
                 }
-                CenterVerdict::Accept { noisy_neighbor } => {
+                Outcome::Accepted {
+                    noisy_neighbor,
+                    conflict_bounded: bounded,
+                    ball,
+                    ..
+                } => {
                     if let Some(bad) = noisy_neighbor {
-                        index.delete(bad);
                         pools[data.label(bad) as usize].remove(bad);
                         noise.push(bad);
                     }
+                    if let Some(ball) = ball {
+                        for &m in &ball.members {
+                            pools[pool].remove(m);
+                        }
+                        conflict_bounded += usize::from(bounded);
+                        balls.push(ball);
+                    } else {
+                        // Center sits on the edge of U; defer to a later
+                        // iteration or the orphan phase.
+                        low_density[center_row] = true;
+                        pools[pool].remove(center_row);
+                    }
                 }
-            }
-
-            // Diffusion bound: the first heterogeneous sample (Eq. 3) and
-            // the conflict radius against every previous ball (Eq. 4; the
-            // ablation drops it and balls may overlap). Both bounds are
-            // known before members are collected, so ONE range query
-            // suffices for Eq. 5/6:
-            //
-            // * rconf ≥ d_het — the heterogeneous stop binds first; the
-            //   members are exactly {d < d_het} and r = cr = max of them
-            //   (cr ≤ rconf holds by construction).
-            // * rconf < d_het — the sets {d < d_het} clipped to cr ≤ rconf
-            //   and {d ≤ rconf} coincide: any d ≤ rconf is < d_het, and if
-            //   cr ≤ rconf then no member of {d < d_het} exceeds rconf.
-            //
-            // All backends evaluate the same expressions on the same
-            // floats, so the choice of bound stays backend-invariant.
-            let d_het_sq = index
-                .nearest_heterogeneous_sq(c, label, Some(center_row))
-                .map_or(f64::INFINITY, |h| h.sq_dist);
-            let rconf = if config.restrict_overlap {
-                conflicts.conflict_radius(c)
-            } else {
-                f64::INFINITY
-            };
-            // `plane_gap` converts the rank-space conflict radius into the
-            // kernel space the index answers in (square for L2/chord,
-            // identity for L1).
-            let rconf_k = inner.plane_gap(rconf);
-            let (sq_bound, bound_kind) = if rconf_k < d_het_sq {
-                (rconf_k, RangeBound::Inclusive)
-            } else {
-                (d_het_sq, RangeBound::Strict)
-            };
-            let hits = index.range_sq(c, sq_bound, bound_kind, Some(center_row));
-            let r_sq = hits.iter().fold(0.0f64, |m, h| m.max(h.sq_dist));
-            let r = inner.rank_of(r_sq);
-
-            if r > 0.0 {
-                let mut members: Vec<usize> = hits.iter().map(|h| h.row).collect();
-                members.push(center_row);
-                members.sort_unstable();
-                for &m in &members {
-                    debug_assert!(index.is_alive(m));
-                    debug_assert_eq!(
-                        data.label(m),
-                        label,
-                        "restricted diffusion must yield pure balls"
-                    );
-                    index.delete(m);
-                    pools[label as usize].remove(m);
-                }
-                if config.restrict_overlap {
-                    conflicts.push(c, r);
-                }
-                if bound_kind == RangeBound::Inclusive {
-                    conflict_bounded += 1;
-                }
-                balls.push(GranularBall {
-                    center: c.to_vec(),
-                    radius: r,
-                    label,
-                    members,
-                    center_row: Some(center_row),
-                    purity: 1.0,
-                });
-            } else {
-                // Center sits on the edge of U; defer to a later iteration
-                // or the orphan phase.
-                low_density[center_row] = true;
-                pools[label as usize].remove(center_row);
             }
         }
 
@@ -490,6 +372,9 @@ pub fn rd_gbg_with_progress(
                 conflicts: conflict_bounded,
                 noise: noise.len(),
                 remaining,
+                knn_queries: g.queries.knn,
+                het_queries: g.queries.het,
+                range_queries: g.queries.range,
                 elapsed_us: u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX),
             });
         }
@@ -498,7 +383,7 @@ pub fn rd_gbg_with_progress(
     // Orphan phase: every remaining undivided (all low-density) sample
     // becomes its own radius-0 ball, honouring the completeness criterion.
     let mut orphan_count = 0usize;
-    for row in (0..n).filter(|&r| index.is_alive(r)) {
+    for row in (0..n).filter(|&r| g.is_alive(r)) {
         balls.push(GranularBall {
             center: data.row(row).to_vec(),
             radius: 0.0,

@@ -7,10 +7,9 @@
 //! back out.
 
 use crate::dataset::{Dataset, FeatureKind};
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 use std::fmt;
 use std::fs;
-use std::io::Write;
 use std::path::Path;
 
 /// Which column holds the class label.
@@ -101,8 +100,9 @@ impl From<std::io::Error> for CsvError {
     }
 }
 
-fn split_line(line: &str, sep: char) -> Vec<String> {
-    line.split(sep).map(|s| s.trim().to_string()).collect()
+/// The trimmed fields of one line.
+fn fields(line: &str, sep: char) -> impl Iterator<Item = &str> {
+    line.split(sep).map(str::trim)
 }
 
 /// Reads a CSV file into a [`Dataset`].
@@ -127,127 +127,215 @@ pub fn read_csv(path: &Path, options: &CsvOptions) -> Result<Dataset, CsvError> 
 
 /// [`read_csv`] over an in-memory string (used by tests and pipes).
 ///
+/// One pass over the text: each field is parsed once, borrowed from
+/// `content` (no `String` per field). A column is numeric until a value
+/// fails to parse; it then turns categorical, and its earlier rows are
+/// coded from their text in first-appearance order, exactly as if the
+/// column had been typed before reading it. Blank lines are skipped but
+/// still counted in the 1-based line numbers errors report.
+///
 /// # Errors
-/// See [`CsvError`].
+/// See [`CsvError`]. With several faults the first applies: no data rows,
+/// then the first ragged row, then an unresolvable label column.
 pub fn read_csv_str(content: &str, options: &CsvOptions) -> Result<Dataset, CsvError> {
+    let sep = options.separator;
     let mut lines = content
         .lines()
         .enumerate()
-        .filter(|(_, l)| !l.trim().is_empty());
-    let header: Option<Vec<String>> = if options.has_header {
-        lines.next().map(|(_, l)| split_line(l, options.separator))
+        .filter(|(_, l)| !l.trim().is_empty())
+        .map(|(i, l)| (i + 1, l));
+    let header: Option<Vec<&str>> = if options.has_header {
+        lines.next().map(|(_, l)| fields(l, sep).collect())
     } else {
         None
     };
-    let rows: Vec<(usize, Vec<String>)> = lines
-        .map(|(i, l)| (i + 1, split_line(l, options.separator)))
-        .collect();
-    if rows.is_empty() {
+    let mut lines = lines.peekable();
+    let Some(&(_, first)) = lines.peek() else {
         return Err(CsvError::Empty);
-    }
+    };
     let width = header
         .as_ref()
-        .map(Vec::len)
-        .unwrap_or_else(|| rows[0].1.len());
-    for (line, fields) in &rows {
-        if fields.len() != width {
+        .map_or_else(|| fields(first, sep).count(), Vec::len);
+    let label_idx = match label_column(&options.label, header.as_deref(), width) {
+        Ok(idx) => idx,
+        Err(e) => {
+            // A ragged row outranks a bad label selector.
+            for (line, text) in lines {
+                let found = fields(text, sep).count();
+                if found != width {
+                    return Err(CsvError::Ragged {
+                        line,
+                        found,
+                        expected: width,
+                    });
+                }
+            }
+            return Err(e);
+        }
+    };
+    let mut table = Table::new(width, label_idx, sep);
+    for (line, text) in lines {
+        table.push_row(line, text)?;
+    }
+    Ok(table.finish())
+}
+
+fn label_column(
+    label: &LabelColumn,
+    header: Option<&[&str]>,
+    width: usize,
+) -> Result<usize, CsvError> {
+    match label {
+        LabelColumn::Index(i) if *i >= width => Err(CsvError::BadLabelColumn(format!(
+            "index {i} >= width {width}"
+        ))),
+        LabelColumn::Index(i) => Ok(*i),
+        LabelColumn::Name(name) => header
+            .and_then(|h| h.iter().position(|c| c == name))
+            .ok_or_else(|| CsvError::BadLabelColumn(name.clone())),
+        LabelColumn::Last => Ok(width - 1),
+    }
+}
+
+/// The columns [`read_csv_str`] has read so far.
+struct Table<'a> {
+    width: usize,
+    label_idx: usize,
+    sep: char,
+    /// Row-major feature values: numbers, or codes in categorical columns.
+    features: Vec<f64>,
+    /// Per column: `None` while every value so far parsed as a number,
+    /// else the categorical code of each distinct text.
+    codes: Vec<Option<HashMap<&'a str, f64>>>,
+    /// The rows read so far, to code a column's earlier values when it
+    /// turns categorical.
+    rows: Vec<&'a str>,
+    /// Each row's label as an index into `label_texts`.
+    labels: Vec<u32>,
+    label_ids: HashMap<&'a str, u32>,
+    /// Distinct label texts in first-appearance order.
+    label_texts: Vec<&'a str>,
+}
+
+impl<'a> Table<'a> {
+    fn new(width: usize, label_idx: usize, sep: char) -> Self {
+        Self {
+            width,
+            label_idx,
+            sep,
+            features: Vec::new(),
+            codes: vec![None; width],
+            rows: Vec::new(),
+            labels: Vec::new(),
+            label_ids: HashMap::new(),
+            label_texts: Vec::new(),
+        }
+    }
+
+    fn push_row(&mut self, line: usize, text: &'a str) -> Result<(), CsvError> {
+        let mut found = 0;
+        for (c, field) in fields(text, self.sep).enumerate() {
+            found += 1;
+            if c >= self.width {
+                // Keep counting for the report.
+                continue;
+            }
+            if c == self.label_idx {
+                let next = self.label_texts.len() as u32;
+                let id = *self.label_ids.entry(field).or_insert(next);
+                if id == next {
+                    self.label_texts.push(field);
+                }
+                self.labels.push(id);
+                continue;
+            }
+            let value = match &mut self.codes[c] {
+                Some(codes) => code(codes, field),
+                None => match field.parse::<f64>() {
+                    Ok(v) => v,
+                    Err(_) => self.make_categorical(c, field),
+                },
+            };
+            self.features.push(value);
+        }
+        if found != self.width {
             return Err(CsvError::Ragged {
-                line: *line,
-                found: fields.len(),
-                expected: width,
+                line,
+                found,
+                expected: self.width,
             });
         }
+        self.rows.push(text);
+        Ok(())
     }
 
-    let label_idx = match &options.label {
-        LabelColumn::Index(i) => {
-            if *i >= width {
-                return Err(CsvError::BadLabelColumn(format!(
-                    "index {i} >= width {width}"
-                )));
-            }
-            *i
+    /// Turns column `c` categorical at the current row, whose text is
+    /// `field`: recodes the column's earlier rows from their text, in
+    /// order, and returns the current row's code.
+    fn make_categorical(&mut self, c: usize, field: &'a str) -> f64 {
+        let n_features = self.width - 1;
+        let column = c - usize::from(c > self.label_idx);
+        let mut codes = HashMap::new();
+        for (r, row) in self.rows.iter().enumerate() {
+            let text = fields(row, self.sep).nth(c).expect("row width checked");
+            self.features[r * n_features + column] = code(&mut codes, text);
         }
-        LabelColumn::Name(name) => header
-            .as_ref()
-            .and_then(|h| h.iter().position(|c| c == name))
-            .ok_or_else(|| CsvError::BadLabelColumn(name.clone()))?,
-        LabelColumn::Last => width - 1,
-    };
-
-    let feature_cols: Vec<usize> = (0..width).filter(|&c| c != label_idx).collect();
-    // column typing
-    let mut numeric = vec![true; width];
-    for (_, fields) in &rows {
-        for &c in &feature_cols {
-            if numeric[c] && fields[c].parse::<f64>().is_err() {
-                numeric[c] = false;
-            }
-        }
+        let current = code(&mut codes, field);
+        self.codes[c] = Some(codes);
+        current
     }
-    // categorical code maps (first-appearance order)
-    let mut code_maps: Vec<BTreeMap<String, f64>> = vec![BTreeMap::new(); width];
-    // labels: densify sorted text forms
-    let mut label_values: Vec<String> = rows.iter().map(|(_, f2)| f2[label_idx].clone()).collect();
-    label_values.sort();
-    label_values.dedup();
-    let label_code = |s: &str| {
-        label_values
-            .binary_search_by(|v| v.as_str().cmp(s))
-            .expect("present") as u32
-    };
 
-    let mut features = Vec::with_capacity(rows.len() * feature_cols.len());
-    let mut labels = Vec::with_capacity(rows.len());
-    for (line, fields) in &rows {
-        for &c in &feature_cols {
-            if numeric[c] {
-                let v: f64 = fields[c].parse().map_err(|_| CsvError::BadNumber {
-                    line: *line,
-                    column: c,
-                    text: fields[c].clone(),
-                })?;
-                features.push(v);
-            } else {
-                let next_code = code_maps[c].len() as f64;
-                let code = *code_maps[c].entry(fields[c].clone()).or_insert(next_code);
-                features.push(code);
-            }
+    fn finish(self) -> Dataset {
+        // Labels densify to 0..q in sorted order of their text.
+        let mut sorted: Vec<u32> = (0..self.label_texts.len() as u32).collect();
+        sorted.sort_unstable_by_key(|&id| self.label_texts[id as usize]);
+        let mut dense = vec![0u32; sorted.len()];
+        for (rank, &id) in sorted.iter().enumerate() {
+            dense[id as usize] = rank as u32;
         }
-        labels.push(label_code(&fields[label_idx]));
+        let labels = self.labels.iter().map(|&id| dense[id as usize]).collect();
+        let kinds: Vec<FeatureKind> = (0..self.width)
+            .filter(|&c| c != self.label_idx)
+            .map(|c| match self.codes[c] {
+                None => FeatureKind::Numeric,
+                Some(_) => FeatureKind::Categorical,
+            })
+            .collect();
+        Dataset::from_parts(
+            self.features,
+            labels,
+            self.width - 1,
+            self.label_texts.len(),
+        )
+        .with_kinds(kinds)
     }
-    let kinds: Vec<FeatureKind> = feature_cols
-        .iter()
-        .map(|&c| {
-            if numeric[c] {
-                FeatureKind::Numeric
-            } else {
-                FeatureKind::Categorical
-            }
-        })
-        .collect();
-    let d = Dataset::from_parts(features, labels, feature_cols.len(), label_values.len())
-        .with_kinds(kinds);
-    Ok(d)
+}
+
+/// The categorical code of `text`: its first-appearance index.
+fn code<'a>(codes: &mut HashMap<&'a str, f64>, text: &'a str) -> f64 {
+    let next = codes.len() as f64;
+    *codes.entry(text).or_insert(next)
 }
 
 /// Renders a dataset as headered CSV text (`f0..f{p-1}, label`), the exact
 /// format [`read_csv_str`] parses back (numeric round trip is lossless:
-/// values print via Rust's shortest-roundtrip float formatting).
+/// values print via Rust's shortest-roundtrip float formatting). The text
+/// is formatted straight into one buffer sized for the whole table.
 #[must_use]
 pub fn write_csv_str(data: &Dataset) -> String {
-    let mut out = String::new();
-    let header: Vec<String> = (0..data.n_features())
-        .map(|j| format!("f{j}"))
-        .chain(std::iter::once("label".to_string()))
-        .collect();
-    out.push_str(&header.join(","));
-    out.push('\n');
+    use std::fmt::Write as _;
+    const FIELD_BYTES: usize = 20;
+    let p = data.n_features();
+    let mut out = String::with_capacity((data.n_samples() + 1) * (p + 1) * FIELD_BYTES);
+    for j in 0..p {
+        write!(out, "f{j},").expect("formatting into a String cannot fail");
+    }
+    out.push_str("label\n");
     for (row, label) in data.iter_rows() {
-        let mut fields: Vec<String> = row.iter().map(|v| format!("{v}")).collect();
-        fields.push(label.to_string());
-        out.push_str(&fields.join(","));
-        out.push('\n');
+        for v in row {
+            write!(out, "{v},").expect("formatting into a String cannot fail");
+        }
+        writeln!(out, "{label}").expect("formatting into a String cannot fail");
     }
     out
 }
@@ -260,9 +348,7 @@ pub fn write_csv(data: &Dataset, path: &Path) -> std::io::Result<()> {
     if let Some(parent) = path.parent() {
         fs::create_dir_all(parent)?;
     }
-    let mut out = fs::File::create(path)?;
-    write!(out, "{}", write_csv_str(data))?;
-    Ok(())
+    fs::write(path, write_csv_str(data))
 }
 
 #[cfg(test)]
@@ -409,6 +495,119 @@ a,b,color,class
         .unwrap();
         assert_eq!(d.n_features(), 2);
         assert_eq!(d.n_classes(), 2);
+    }
+
+    #[test]
+    fn column_failing_in_its_last_row_turns_categorical() {
+        // "1" and "1.0" parse to the same number but are distinct texts,
+        // so the recoded column keeps them apart.
+        let csv = "a,b,class\n1,5,x\n2,6,y\n1.0,7,x\n1,8,y\nfoo,9,x\n";
+        let d = read_csv_str(csv, &CsvOptions::default()).unwrap();
+        assert_eq!(
+            d.feature_kinds(),
+            &[FeatureKind::Categorical, FeatureKind::Numeric]
+        );
+        let column: Vec<f64> = (0..d.n_samples()).map(|r| d.value(r, 0)).collect();
+        assert_eq!(column, [0.0, 1.0, 2.0, 0.0, 3.0]);
+        let numeric: Vec<f64> = (0..d.n_samples()).map(|r| d.value(r, 1)).collect();
+        assert_eq!(numeric, [5.0, 6.0, 7.0, 8.0, 9.0]);
+    }
+
+    #[test]
+    fn categorical_column_left_of_the_label_recodes_its_own_cells() {
+        let csv = "class,a,b\nx,1,p\ny,2,q\nx,3,p\n";
+        let d = read_csv_str(
+            csv,
+            &CsvOptions {
+                label: LabelColumn::Index(0),
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        assert_eq!(d.row(0), &[1.0, 0.0]);
+        assert_eq!(d.row(1), &[2.0, 1.0]);
+        assert_eq!(d.row(2), &[3.0, 0.0]);
+    }
+
+    #[test]
+    fn blank_lines_keep_reported_line_numbers() {
+        // Line 1 header, 2 blank, 3 data, 4 whitespace-only, 5 ragged.
+        let csv = "a,b,c\n\n1,2,0\n  \t\n3,4\n";
+        let err = read_csv_str(csv, &CsvOptions::default()).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                CsvError::Ragged {
+                    line: 5,
+                    found: 2,
+                    expected: 3
+                }
+            ),
+            "{err}"
+        );
+        // CRLF line ends and a trailing blank line read like LF ones.
+        let d = read_csv_str("a,b\r\n1,0\r\n\r\n2,1\r\n", &CsvOptions::default()).unwrap();
+        assert_eq!(d.n_samples(), 2);
+        assert_eq!(d.labels(), &[0, 1]);
+    }
+
+    #[test]
+    fn ragged_row_outranks_a_bad_label_column() {
+        let csv = "a,b\n1,2\n3\n";
+        let err = read_csv_str(
+            csv,
+            &CsvOptions {
+                label: LabelColumn::Name("nope".into()),
+                ..Default::default()
+            },
+        )
+        .unwrap_err();
+        assert!(matches!(err, CsvError::Ragged { line: 3, .. }), "{err}");
+        let err = read_csv_str(
+            "a,b\n1,2\n",
+            &CsvOptions {
+                label: LabelColumn::Index(2),
+                ..Default::default()
+            },
+        )
+        .unwrap_err();
+        assert!(matches!(err, CsvError::BadLabelColumn(_)), "{err}");
+    }
+
+    #[test]
+    fn string_labels_densify_in_sorted_order() {
+        // First appearance is pear, apple, fig; sorted text order is
+        // apple < fig < pear. Numeric labels sort as text too.
+        let csv = "x,label\n1,pear\n2,apple\n3,fig\n4,pear\n5,apple\n";
+        let d = read_csv_str(csv, &CsvOptions::default()).unwrap();
+        assert_eq!(d.n_classes(), 3);
+        assert_eq!(d.labels(), &[2, 0, 1, 2, 0]);
+        let d = read_csv_str("x,label\n1,10\n2,9\n3,10\n", &CsvOptions::default()).unwrap();
+        assert_eq!(d.labels(), &[0, 1, 0]);
+    }
+
+    #[test]
+    fn written_floats_keep_their_exact_text() {
+        let d = Dataset::from_parts(
+            vec![-0.0, 1e-7, 1e21, 5e-324, 0.1 + 0.2, 2.5],
+            vec![1, 0],
+            3,
+            2,
+        );
+        let text = write_csv_str(&d);
+        let expected = format!(
+            "f0,f1,f2,label\n-0,0.0000001,1000000000000000000000,1\n0.{}5,0.30000000000000004,2.5,0\n",
+            "0".repeat(323)
+        );
+        assert_eq!(text, expected);
+        let back = read_csv_str(&text, &CsvOptions::default()).unwrap();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(back.features()), bits(d.features()));
+
+        let path = std::env::temp_dir().join("gbabs-io-float-text.csv");
+        write_csv(&d, &path).unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), expected);
+        std::fs::remove_file(path).ok();
     }
 
     mod roundtrip_props {

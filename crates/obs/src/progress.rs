@@ -44,6 +44,15 @@ pub enum ProgressEvent {
         noise: usize,
         /// Unassigned rows remaining across all class pools.
         remaining: usize,
+        /// k-NN (density-hood) index queries so far: one per candidate
+        /// step.
+        knn_queries: usize,
+        /// Nearest-heterogeneous index queries so far: the steps whose
+        /// density hood could not prove the heterogeneous stop.
+        het_queries: usize,
+        /// Range index queries so far: the steps whose density hood could
+        /// not prove the ball's members.
+        range_queries: usize,
         /// Elapsed µs since granulation started.
         elapsed_us: u64,
     },
@@ -83,6 +92,9 @@ impl ProgressEvent {
                 conflicts,
                 noise,
                 remaining,
+                knn_queries,
+                het_queries,
+                range_queries,
                 elapsed_us,
             } => {
                 o.num_u64("iteration", u64::from(iteration))
@@ -90,6 +102,9 @@ impl ProgressEvent {
                     .num_u64("conflicts", conflicts as u64)
                     .num_u64("noise", noise as u64)
                     .num_u64("remaining", remaining as u64)
+                    .num_u64("knn_queries", knn_queries as u64)
+                    .num_u64("het_queries", het_queries as u64)
+                    .num_u64("range_queries", range_queries as u64)
                     .num_u64("elapsed_us", elapsed_us);
             }
             ProgressEvent::Borderline {
@@ -117,11 +132,15 @@ impl std::fmt::Display for ProgressEvent {
                 conflicts,
                 noise,
                 remaining,
+                knn_queries,
+                het_queries,
+                range_queries,
                 elapsed_us,
             } => write!(
                 f,
                 "[granulate] iter {iteration}: {balls} balls ({conflicts} conflict-bounded), \
-                 {noise} noise, {remaining} rows remaining, {:.1} ms",
+                 {noise} noise, {remaining} rows remaining, queries {knn_queries} knn + \
+                 {het_queries} het + {range_queries} range, {:.1} ms",
                 elapsed_us as f64 / 1000.0
             ),
             ProgressEvent::Borderline {
@@ -151,6 +170,9 @@ mod tests {
             conflicts: 5,
             noise: 2,
             remaining: 100,
+            knn_queries: 60,
+            het_queries: 7,
+            range_queries: 8,
             elapsed_us: 1500,
         };
         let j = e.to_json();
@@ -160,10 +182,14 @@ mod tests {
             "\"balls\":42",
             "\"conflicts\":5",
             "\"remaining\":100",
+            "\"knn_queries\":60",
+            "\"het_queries\":7",
+            "\"range_queries\":8",
         ] {
             assert!(j.contains(needle), "{needle} missing in {j}");
         }
         assert!(e.to_string().contains("iter 3"));
+        assert!(e.to_string().contains("queries 60 knn + 7 het + 8 range"));
 
         let b = ProgressEvent::Borderline {
             balls: 42,

@@ -37,8 +37,6 @@ pub enum ErrorCode {
     /// Load shed by the admission gate (connection backlog full). 503 with
     /// `Retry-After`.
     Overloaded,
-    /// The server is draining. 503.
-    ShuttingDown,
     /// Model store I/O failed (persist on publish, read on cold reload).
     /// Transient by assumption — the previous version keeps serving — so
     /// 503, not 500. Retryable.
@@ -49,7 +47,7 @@ pub enum ErrorCode {
 
 impl ErrorCode {
     /// Every code, in counter order (indexes [`ErrorStats`]).
-    pub const ALL: [ErrorCode; 10] = [
+    pub const ALL: [ErrorCode; 9] = [
         ErrorCode::BadRequest,
         ErrorCode::NotFound,
         ErrorCode::MethodNotAllowed,
@@ -57,7 +55,6 @@ impl ErrorCode {
         ErrorCode::RequestTimeout,
         ErrorCode::DeadlineExceeded,
         ErrorCode::Overloaded,
-        ErrorCode::ShuttingDown,
         ErrorCode::StoreIo,
         ErrorCode::Internal,
     ];
@@ -73,7 +70,6 @@ impl ErrorCode {
             ErrorCode::RequestTimeout => "request_timeout",
             ErrorCode::DeadlineExceeded => "deadline_exceeded",
             ErrorCode::Overloaded => "overloaded",
-            ErrorCode::ShuttingDown => "shutting_down",
             ErrorCode::StoreIo => "store_io",
             ErrorCode::Internal => "internal",
         }
@@ -89,13 +85,13 @@ impl ErrorCode {
             ErrorCode::PayloadTooLarge => 413,
             ErrorCode::RequestTimeout => 408,
             ErrorCode::DeadlineExceeded => 504,
-            ErrorCode::Overloaded | ErrorCode::ShuttingDown | ErrorCode::StoreIo => 503,
+            ErrorCode::Overloaded | ErrorCode::StoreIo => 503,
             ErrorCode::Internal => 500,
         }
     }
 
     /// Whether an identical retry can plausibly succeed. Timeouts, sheds,
-    /// drains, and store I/O are transient; everything 4xx-semantic or
+    /// and store I/O are transient; everything 4xx-semantic or
     /// internal is permanent.
     #[must_use]
     pub fn retryable(self) -> bool {
@@ -104,7 +100,6 @@ impl ErrorCode {
             ErrorCode::RequestTimeout
                 | ErrorCode::DeadlineExceeded
                 | ErrorCode::Overloaded
-                | ErrorCode::ShuttingDown
                 | ErrorCode::StoreIo
         )
     }
@@ -136,9 +131,7 @@ impl ServeError {
     #[must_use]
     pub fn new(code: ErrorCode, message: impl Into<String>) -> Self {
         let retry_after = match code {
-            ErrorCode::Overloaded | ErrorCode::ShuttingDown | ErrorCode::StoreIo => {
-                Some(Duration::from_secs(1))
-            }
+            ErrorCode::Overloaded | ErrorCode::StoreIo => Some(Duration::from_secs(1)),
             _ => None,
         };
         Self {

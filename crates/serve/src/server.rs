@@ -1142,6 +1142,18 @@ fn parse_body(req: &crate::http::Request) -> Result<Value, String> {
     serde_json::from_str::<Value>(text).map_err(|e| format!("bad JSON: {e}"))
 }
 
+/// [`parse_body`] for an endpoint whose body takes only the `allowed`
+/// keys (see [`reject_unknown_keys`]).
+fn parse_body_keys(
+    req: &crate::http::Request,
+    allowed: &[&str],
+    endpoint: &str,
+) -> Result<Value, String> {
+    let body = parse_body(req)?;
+    reject_unknown_keys(&body, allowed, endpoint)?;
+    Ok(body)
+}
+
 /// Extracts the query rows from a predict body: either `"rows": [[..]..]`
 /// or `"row": [..]`. Validates width and finiteness.
 fn extract_rows(body: &Value, n_features: usize) -> Result<Vec<f64>, String> {
@@ -1412,6 +1424,9 @@ fn progress_event_value(event: &ProgressEvent) -> Value {
             conflicts,
             noise,
             remaining,
+            knn_queries,
+            het_queries,
+            range_queries,
             elapsed_us,
         } => obj(vec![
             ("phase", Value::Str("granulate".into())),
@@ -1420,6 +1435,9 @@ fn progress_event_value(event: &ProgressEvent) -> Value {
             ("conflicts", Value::Num(conflicts as f64)),
             ("noise", Value::Num(noise as f64)),
             ("remaining", Value::Num(remaining as f64)),
+            ("knn_queries", Value::Num(knn_queries as f64)),
+            ("het_queries", Value::Num(het_queries as f64)),
+            ("range_queries", Value::Num(range_queries as f64)),
             ("elapsed_us", Value::Num(elapsed_us as f64)),
         ]),
         ProgressEvent::Borderline {
@@ -1446,7 +1464,7 @@ fn reload_endpoint(req: &crate::http::Request, ctx: &ServerCtx, obs: &mut ObsCtx
             ServeError::bad_request("model name must be a single path segment"),
         );
     }
-    let body = match parse_body(req) {
+    let body = match parse_body_keys(req, &RELOAD_KEYS, "POST /models/{name}") {
         Ok(v) => v,
         Err(e) => return err_response(ctx, obs, ServeError::bad_request(e)),
     };
@@ -1591,27 +1609,37 @@ fn extract_labelled_rows(body: &Value) -> Result<(Vec<f64>, Vec<u32>, usize), St
     Ok((flat, out, n_features))
 }
 
-/// Every key an ingest body may carry. Anything else is rejected, so an
-/// option the endpoint does not support (`"metric"`) or a misspelt one
-/// (`"n_class"`) fails loudly instead of creating a tenant without it.
+/// Every key an ingest body may carry.
 const INGEST_KEYS: [&str; 6] = ["rows", "labels", "rho", "n_classes", "k", "rule"];
+/// Every key a `POST /models/{name}` (hot reload) body may carry.
+const RELOAD_KEYS: [&str; 3] = ["model", "k", "rule"];
+/// Every key a `POST /models/{name}/rollback` body may carry.
+const ROLLBACK_KEYS: [&str; 1] = ["version"];
+
+/// Rejects a body key outside `allowed`, naming the first one, so an
+/// option the endpoint does not support (`"metric"`) or a misspelt one
+/// (`"n_class"`) fails loudly instead of being ignored.
+fn reject_unknown_keys(body: &Value, allowed: &[&str], endpoint: &str) -> Result<(), String> {
+    if let Value::Obj(fields) = body {
+        if let Some((key, _)) = fields
+            .iter()
+            .find(|(key, _)| !allowed.contains(&key.as_str()))
+        {
+            return Err(format!(
+                "unknown key '{key}'; a {endpoint} body takes only {}",
+                allowed.join(", ")
+            ));
+        }
+    }
+    Ok(())
+}
 
 /// Parses the creation parameters an ingest body may carry (`rho`,
 /// `n_classes`, `k`, `rule`); they only apply when the batch creates the
 /// tenant — appends to an existing maintained tenant keep its parameters.
 /// Rejects keys outside [`INGEST_KEYS`], naming the first one.
 fn extract_create_options(body: &Value) -> Result<CreateOptions, String> {
-    if let Value::Obj(fields) = body {
-        if let Some((key, _)) = fields
-            .iter()
-            .find(|(key, _)| !INGEST_KEYS.contains(&key.as_str()))
-        {
-            return Err(format!(
-                "unknown key '{key}'; a /rows body takes only {}",
-                INGEST_KEYS.join(", ")
-            ));
-        }
-    }
+    reject_unknown_keys(body, &INGEST_KEYS, "/rows")?;
     let mut create = CreateOptions::default();
     match body.get("rho") {
         Some(Value::Num(n)) if *n >= 2.0 && n.fract() == 0.0 => create.rho = *n as usize,
@@ -1737,7 +1765,7 @@ fn rollback_endpoint(req: &crate::http::Request, ctx: &ServerCtx, obs: &mut ObsC
         Ok(name) => name,
         Err(e) => return err_response(ctx, obs, ServeError::bad_request(e)),
     };
-    let body = match parse_body(req) {
+    let body = match parse_body_keys(req, &ROLLBACK_KEYS, "/rollback") {
         Ok(v) => v,
         Err(e) => return err_response(ctx, obs, ServeError::bad_request(e)),
     };

@@ -331,6 +331,38 @@ fn ingest_rejects_unknown_body_keys() {
 }
 
 #[test]
+fn reload_rejects_unknown_body_keys() {
+    let (handle, data, offline) = boot(ServeConfig::default());
+    let mut c = client(&handle);
+    let (_, model) = fixture();
+    let model_json = serde_json::to_string(&model).unwrap();
+    // A hot reload takes only model, k and rule: an unsupported option and
+    // a misspelt one are errors, not silently ignored.
+    for (extra, key) in [
+        ("\"metric\":\"cosine\"", "metric"),
+        ("\"ruel\":\"center\"", "ruel"),
+    ] {
+        let body = format!("{{\"model\":{model_json},\"k\":1,{extra}}}");
+        let (status, reply) = c.request("POST", "/models/default", Some(&body)).unwrap();
+        assert_eq!(status, 400, "{reply}");
+        assert!(reply.contains("\"bad_request\""), "{reply}");
+        assert!(reply.contains(&format!("'{key}'")), "{reply}");
+    }
+    // Nothing was published: version 1 still serves.
+    let (status, reply) = c
+        .request("POST", "/predict", Some(&rows_json(&data, &[0])))
+        .unwrap();
+    assert_eq!(status, 200, "{reply}");
+    assert_eq!(version_of(&reply), 1);
+    assert_eq!(predictions_of(&reply), offline.predict(&data)[..1].to_vec());
+    let body = format!("{{\"model\":{model_json},\"k\":1,\"rule\":\"surface\"}}");
+    let (status, reply) = c.request("POST", "/models/default", Some(&body)).unwrap();
+    assert_eq!(status, 200, "{reply}");
+    assert_eq!(version_of(&reply), 2);
+    handle.stop();
+}
+
+#[test]
 fn poisoned_reload_is_rejected_and_serving_continues() {
     let (handle, data, offline) = boot(ServeConfig::default());
     let mut c = client(&handle);

@@ -211,6 +211,69 @@ fn restart_serves_byte_identical_predictions_for_every_tenant() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The retained versions and the head of `name`, from
+/// `GET /models/{name}`.
+fn versions(c: &mut HttpClient, name: &str) -> (Vec<u64>, u64) {
+    let (status, body) = c.request("GET", &format!("/models/{name}"), None).unwrap();
+    assert_eq!(status, 200, "{body}");
+    let v: Value = serde_json::from_str(&body).unwrap();
+    let (Some(Value::Arr(versions)), Some(Value::Num(head))) = (v.get("versions"), v.get("head"))
+    else {
+        panic!("no versions/head in {body}");
+    };
+    let versions = versions
+        .iter()
+        .map(|v| match v {
+            Value::Num(n) => *n as u64,
+            other => panic!("bad version {other:?}"),
+        })
+        .collect();
+    (versions, *head as u64)
+}
+
+#[test]
+fn rollback_rejects_unknown_body_keys() {
+    let dir = tempdir("rollback_keys");
+    let handle = boot_with_store(&dir, None);
+    let mut c = client(&handle);
+    for seed in [1, 2] {
+        let model_json = serde_json::to_string(&fixture(seed).1).unwrap();
+        publish(&mut c, "tenant", &model_json, 1, "surface");
+    }
+    let (retained, head) = versions(&mut c, "tenant");
+    let first = retained[0];
+    assert!(head > first, "{retained:?} head {head}");
+    // A rollback takes only a version: an unsupported option and a
+    // misspelt one are errors, and nothing is rolled back.
+    for (extra, key) in [
+        ("\"metric\":\"cosine\"", "metric"),
+        ("\"verison\":1", "verison"),
+    ] {
+        let body = format!("{{\"version\":{first},{extra}}}");
+        let (status, reply) = c
+            .request("POST", "/models/tenant/rollback", Some(&body))
+            .unwrap();
+        assert_eq!(status, 400, "{reply}");
+        assert!(reply.contains("\"bad_request\""), "{reply}");
+        assert!(reply.contains(&format!("'{key}'")), "{reply}");
+    }
+    assert_eq!(versions(&mut c, "tenant"), (retained, head));
+    let (status, reply) = c
+        .request(
+            "POST",
+            "/models/tenant/rollback",
+            Some(&format!("{{\"version\":{first}}}")),
+        )
+        .unwrap();
+    assert_eq!(status, 200, "{reply}");
+    assert!(
+        reply.contains(&format!("\"rolled_back_to\":{first}")),
+        "{reply}"
+    );
+    handle.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Resident-byte estimate of `model`, measured through a throwaway
 /// registry (the estimator itself is internal to gb-serve).
 fn resident_bytes_of(model: &RdGbgModel) -> u64 {
