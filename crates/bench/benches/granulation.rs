@@ -16,15 +16,25 @@
 //! Brute in the noisy 50k cell takes ~8 s per granulation, so it is
 //! excluded from the repeated-measurement loop; its recorded number in
 //! BENCH_GRANULATION.json comes from a single timed run (see that file's
-//! `protocol` note). Run with:
+//! `protocol` note).
+//!
+//! One cell runs at the paper's widest set instead, where the distance
+//! kernels rather than tree traversal do most of the work:
+//! `rdgbg_usps/auto/p256` granulates a 1,162-row stratified sample of the
+//! S13 USPS surrogate (p = 256) with 10% class noise, drawn the way the
+//! end-to-end benchmark's `offline-usps-256d` workload draws its inputs.
+//! Run with:
 //!
 //! ```text
 //! cargo bench -p gb-bench --bench granulation
 //! ```
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use gb_dataset::catalog::DatasetId;
 use gb_dataset::index::GranulationBackend;
 use gb_dataset::noise::inject_class_noise;
+use gb_dataset::rng::derive_seed;
+use gb_dataset::split::stratified_subsample;
 use gb_dataset::synth::banana::BananaSpec;
 use gb_sampling::gbg_kdiv::{k_division_gbg, KDivConfig};
 use gb_sampling::gbg_pp::{gbg_pp, GbgPpConfig};
@@ -74,6 +84,42 @@ fn bench_granulation_backends(c: &mut Criterion) {
     }
 }
 
+/// Input 0 of run seed 1 of the end-to-end benchmark's
+/// `offline-usps-256d` workload: its fixed S13 population, a stratified
+/// 1,162-row sample, and 10% class noise, from the same seed streams.
+fn usps_sample() -> gb_dataset::Dataset {
+    const POPULATION_SEED: u64 = 0x5EED_0813;
+    const USPS_STREAM: u64 = 2;
+    const NOISE_STREAM: u64 = 3;
+    let mix = |seed: u64, stream: u64| derive_seed(derive_seed(seed, stream), 0);
+    let population = DatasetId::S13.generate(1.0, POPULATION_SEED);
+    let s = mix(1, USPS_STREAM);
+    let rows = stratified_subsample(&population, 1_162, s);
+    inject_class_noise(&population.select(&rows), 0.10, mix(s, NOISE_STREAM)).0
+}
+
+fn bench_granulation_usps(c: &mut Criterion) {
+    let mut group = c.benchmark_group("rdgbg_usps");
+    group.sample_size(10);
+    group.warm_up_time(std::time::Duration::from_millis(300));
+    group.measurement_time(std::time::Duration::from_secs(2));
+    let data = usps_sample();
+    // `auto` (the gated cell) is what `gbabs sample` runs; the concrete
+    // backends fill in the README's backend table at this width.
+    let backends = std::iter::once(GranulationBackend::Auto).chain(GranulationBackend::CONCRETE);
+    for backend in backends {
+        let cfg = RdGbgConfig {
+            seed: 7,
+            ..RdGbgConfig::default()
+        }
+        .with_backend(backend);
+        group.bench_with_input(BenchmarkId::new(backend.name(), "p256"), &data, |b, d| {
+            b.iter(|| black_box(rd_gbg(d, &cfg)));
+        });
+    }
+    group.finish();
+}
+
 /// The granulation-lineage baselines on the shared query layer (ISSUE-5
 /// tentpole): GBG++ across every backend — its attention peel is the
 /// distance-ordered index query, so the backend changes the asymptotics —
@@ -119,5 +165,10 @@ fn bench_lineage_baselines(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_granulation_backends, bench_lineage_baselines);
+criterion_group!(
+    benches,
+    bench_granulation_backends,
+    bench_granulation_usps,
+    bench_lineage_baselines
+);
 criterion_main!(benches);

@@ -9,9 +9,11 @@
 //! perturbs every subsequent draw — no incremental scheme can reproduce
 //! the stochastic trace without redoing it. The maintenance engine
 //! therefore fixes the candidate order to a **canonical sweep**: rows are
-//! considered in ascending row id, each exactly once, with the identical
-//! per-candidate mathematics (Eq. 2 density verdicts, Eq. 3 heterogeneous
-//! stop, Eq. 4–6 conflict restriction, one range query for the members).
+//! considered in ascending row id, each exactly once, through the same
+//! per-candidate step as the stochastic engine (Eq. 2 density verdicts,
+//! Eq. 3 heterogeneous stop, Eq. 4–6 conflict restriction, the members —
+//! answered from the density hood where it proves them, see
+//! [`super`]'s "Indexed hot path").
 //! Every cover invariant of the stochastic algorithm holds unchanged —
 //! purity 1.0, pairwise non-overlap, exact partition into
 //! balls ∪ noise — and the output is a *pure function of the row
@@ -21,10 +23,13 @@
 //! # Prefix reuse
 //!
 //! Each sweep decision records an **influence radius**: the largest
-//! squared distance from the candidate any index query inspected
+//! squared distance from the candidate the decision depends on
 //! (`max(ρ-hood radius, diffusion bound)`, `∞` when fewer than ρ rows
-//! remained). A decision is provably unchanged by rows that are all
-//! strictly farther than its influence radius:
+//! remained). Answering from the hood does not change it: the step's
+//! outcome is the same function of the alive set as the step that
+//! queried the index for the heterogeneous stop and the members. A
+//! decision is provably unchanged by rows that are all strictly farther
+//! than its influence radius:
 //!
 //! * the ρ-neighbourhood cannot admit a farther row (new rows also carry
 //!   larger row ids, so exact-tie ordering favours the old rows — and the

@@ -13,9 +13,8 @@
 //! # Indexed hot path
 //!
 //! The naive implementation scans all of `U` per candidate — `O(n²·d)`
-//! overall. Here every per-candidate operation (nearest neighbour, the
-//! ρ-neighbourhood, nearest heterogeneous sample, diffusion range query)
-//! runs against a [`NeighborIndex`] chosen by
+//! overall. Here every per-candidate query runs against a
+//! [`NeighborIndex`](gb_dataset::index::NeighborIndex) chosen by
 //! [`RdGbgConfig::backend`], and rows leave `U` by **tombstone deletion**
 //! instead of list rewriting. Distances stay **squared** until a ball
 //! radius is finalized (one `sqrt` per ball, not one per pair). All
@@ -24,6 +23,32 @@
 //! (property-tested in `tests/granulation_props.rs`); candidate-selection
 //! RNG draws depend only on the evolving `U − L` sets, never on the
 //! backend.
+//!
+//! Each candidate costs one k-NN query: its density hood `H`, the ρ
+//! nearest alive rows (`k = 1` under the noise-detection ablation), which
+//! decides the Eq.-2 verdict. Every alive row outside `H` lies at least
+//! `reach` away — `H`'s last distance, or `+∞` when fewer than `k` rows
+//! remained — so the same hood, less the noisy neighbour the verdict
+//! deleted, usually settles the rest of the step too:
+//!
+//! 1. the **heterogeneous stop** (Eq. 3) is the hood's first row of
+//!    another label; with none, it is at least `reach`, which is exact
+//!    when the hood was complete and does not matter when the conflict
+//!    radius (Eq. 4) is below `reach` (the conflict bound then binds);
+//! 2. the **members** are the hood's rows inside the bound whenever the
+//!    bound cannot admit a row outside the hood: a strict bound `≤ reach`
+//!    or an inclusive one `< reach`.
+//!
+//! Only when a rule does not apply does the step ask the index
+//! (`nearest_heterogeneous_sq`, `range_sq`). The rules are exact, not
+//! heuristics: every backend returns a row's kernel distance
+//! bit-identically from every query kind, so the hood's distances are the
+//! ones the skipped queries would have returned and the covers are the
+//! same bit for bit (pinned by `tests/rdgbg_golden.rs`; a test oracle that
+//! always runs both queries agrees with the step on every candidate of
+//! tie-heavy inputs). The step lives in `step.rs` and is shared with the
+//! canonical maintenance sweep ([`incremental`]); the per-iteration
+//! [`ProgressEvent::Granulate`] reports how many queries of each kind ran.
 //!
 //! Properties guaranteed by construction (and property-tested):
 //! * every ball is pure (purity 1.0),

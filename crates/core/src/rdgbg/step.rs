@@ -2,37 +2,11 @@
 //! ([`super::rd_gbg_with_progress`]) and the canonical sweep
 //! ([`super::incremental`]): the local-density verdict (Eq. 2), the
 //! heterogeneous stop (Eq. 3), the conflict restriction (Eqs. 4–6), and
-//! the diffusion members.
-//!
-//! # Answering from the density hood
-//!
-//! The step opens with one k-NN query: the candidate's hood `H`, its
-//! `k` nearest alive rows other than itself in `(distance, row)` order
-//! (`k = ρ`; `k = 1` under the noise-detection ablation). Let `D` be the
-//! distance of `H`'s last row, call `H` *complete* when `|H| < k` (it
-//! holds every other alive row), and let `L` be `H` without the noisy
-//! neighbour the verdict deleted. The step's *reach* is `D`, or `+∞` when
-//! `H` is complete; every alive row outside `L` is at least `reach` away.
-//! Two rules then answer the rest of the step from `L` alone:
-//!
-//! 1. **Heterogeneous stop.** The nearest heterogeneous distance is that of
-//!    the first row of `L` with another label. If `L` has none, every
-//!    heterogeneous row is at least `reach` away: with `H` complete there is
-//!    none (`+∞ = reach`), and when the conflict bound is below `reach` it
-//!    binds whatever the heterogeneous distance is, so `reach` stands in
-//!    for it. Only otherwise does the step call
-//!    [`NeighborIndex::nearest_heterogeneous_sq`].
-//! 2. **Members.** A strict bound `≤ reach`, or an inclusive bound
-//!    `< reach`, admits no row outside `L`, so the members are the rows of
-//!    `L` inside the bound. Only otherwise does the step call
-//!    [`NeighborIndex::range_sq`].
-//!
-//! Both rules are exact, not approximations: every backend computes a
-//! row's kernel distance bit-identically in every query kind, so a
-//! distance read from the hood equals the one the skipped query would
-//! have returned, and the step's outcome is the same function of the alive
-//! set as the three-query step it replaces (checked candidate by
-//! candidate against that step, kept as a test oracle).
+//! the diffusion members. The stop and the members come from the density
+//! hood wherever the two rules in the parent module's "Indexed hot path"
+//! docs prove them, and from the index otherwise. The three-query step the
+//! rules replaced is kept below as the test oracle they are checked
+//! against, candidate by candidate.
 
 use crate::ball::GranularBall;
 use crate::conflict::BallConflictIndex;
@@ -41,7 +15,7 @@ use gb_dataset::index::{GranulationBackend, NeighborIndex, RangeBound, SqNeighbo
 use gb_dataset::Dataset;
 
 /// Cumulative index-query counts of one granulation.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct QueryCounts {
     /// k-NN queries: one density hood per candidate step.
     pub(crate) knn: usize,
@@ -63,7 +37,7 @@ pub(crate) enum Vetting {
 
 /// What one candidate step decided. Its index and conflict-index updates
 /// are already applied when it returns.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug)]
 pub(crate) struct Step {
     /// Kernel distance at or beyond which every alive row the hood did not
     /// hold lies: the hood's last distance, `+∞` when the hood held every
@@ -72,7 +46,7 @@ pub(crate) struct Step {
     pub(crate) outcome: Outcome,
 }
 
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug)]
 pub(crate) enum Outcome {
     /// `h == ρ`: the candidate itself is class noise and left `U`.
     CandidateIsNoise,
@@ -156,45 +130,22 @@ impl<'d> Granulator<'d> {
 
     /// Runs one candidate through the verdict and diffusion, answering the
     /// heterogeneous stop and the members from the density hood wherever
-    /// the module-level rules allow.
+    /// the parent module's rules prove them.
     pub(crate) fn step(&mut self, row: usize) -> Step {
-        let (hood, reach, noisy_neighbor) = match self.vet(row) {
-            Ok(vetted) => vetted,
-            Err(step) => return step,
-        };
-        let data = self.data;
-        let label = data.label(row);
-        let c = data.row(row);
-        // L: the hood without the noisy neighbour (its first row) the
-        // verdict deleted.
-        let rest = &hood[usize::from(noisy_neighbor.is_some())..];
-        let rconf_k = self.conflict_bound(c);
-        let d_het = match rest.iter().find(|n| data.label(n.row) != label) {
-            Some(n) => n.sq_dist,
-            None if reach == f64::INFINITY || rconf_k < reach => reach,
-            None => self.nearest_heterogeneous(row),
-        };
-        let (bound, kind) = diffusion_bound(rconf_k, d_het);
-        let hood_suffices = match kind {
-            RangeBound::Strict => bound <= reach,
-            RangeBound::Inclusive => bound < reach,
-        };
-        let hits: Vec<SqNeighbor> = if hood_suffices {
-            rest.iter()
-                .filter(|n| kind.admits(n.sq_dist, bound))
-                .copied()
-                .collect()
-        } else {
-            self.queries.range += 1;
-            self.index.range_sq(c, bound, kind, Some(row))
-        };
-        self.diffuse(row, reach, noisy_neighbor, bound, kind, &hits)
+        self.vet_then_diffuse(row, |g, hood, reach| {
+            g.diffusion_from_hood(row, hood, reach)
+        })
     }
 
-    /// Fetches the hood and applies the verdict: `Ok((hood, reach, noisy
-    /// neighbour))` for an accepted candidate, whose noisy neighbour has
-    /// already left `U`; `Err(step)` for any other verdict.
-    fn vet(&mut self, row: usize) -> Result<(Vec<SqNeighbor>, f64, Option<usize>), Step> {
+    /// Fetches the candidate's hood and applies the Eq.-2 verdict. An
+    /// accepted candidate's noisy neighbour leaves `U`, and `diffusion`,
+    /// given the hood without it and the hood's reach, returns the bound
+    /// and the rows inside it, from which the ball is built.
+    fn vet_then_diffuse(
+        &mut self,
+        row: usize,
+        diffusion: impl FnOnce(&mut Self, &[SqNeighbor], f64) -> (f64, RangeBound, Vec<SqNeighbor>),
+    ) -> Step {
         let data = self.data;
         let label = data.label(row);
         let k = match self.vetting {
@@ -208,12 +159,14 @@ impl<'d> Granulator<'d> {
         } else {
             hood[k - 1].sq_dist
         };
-        let stop = |outcome| Err(Step { reach, outcome });
         // The hood's first hit is the nearest neighbour under the shared
         // tie-break. With no other undivided sample there is nothing to
         // diffuse into; the orphan phase picks the candidate up.
         let Some(&nn) = hood.first() else {
-            return stop(Outcome::LowDensity);
+            return Step {
+                reach,
+                outcome: Outcome::LowDensity,
+            };
         };
         let mut noisy_neighbor = None;
         if data.label(nn.row) != label {
@@ -223,16 +176,94 @@ impl<'d> Granulator<'d> {
             match self.vetting {
                 Vetting::Density(_) if h == hood.len() => {
                     self.index.delete(row);
-                    return stop(Outcome::CandidateIsNoise);
+                    return Step {
+                        reach,
+                        outcome: Outcome::CandidateIsNoise,
+                    };
                 }
-                Vetting::Density(_) if h == 1 => noisy_neighbor = Some(nn.row),
-                _ => return stop(Outcome::LowDensity),
+                Vetting::Density(_) if h == 1 => {
+                    self.index.delete(nn.row);
+                    noisy_neighbor = Some(nn.row);
+                }
+                _ => {
+                    return Step {
+                        reach,
+                        outcome: Outcome::LowDensity,
+                    }
+                }
             }
         }
-        if let Some(bad) = noisy_neighbor {
-            self.index.delete(bad);
+        // The noisy neighbour is the hood's first row.
+        let rest = &hood[usize::from(noisy_neighbor.is_some())..];
+        let (bound, kind, hits) = diffusion(self, rest, reach);
+        let r_k = hits.iter().fold(0.0f64, |m, h| m.max(h.sq_dist));
+        let radius = self.metric.rank_of(r_k);
+        let ball = (radius > 0.0).then(|| {
+            let mut members: Vec<usize> = hits.iter().map(|h| h.row).collect();
+            members.push(row);
+            members.sort_unstable();
+            GranularBall {
+                center: data.row(row).to_vec(),
+                radius,
+                label,
+                members,
+                center_row: Some(row),
+                purity: 1.0,
+            }
+        });
+        if let Some(ball) = &ball {
+            self.absorb(ball);
         }
-        Ok((hood, reach, noisy_neighbor))
+        Step {
+            reach,
+            outcome: Outcome::Accepted {
+                noisy_neighbor,
+                bound,
+                conflict_bounded: kind == RangeBound::Inclusive,
+                ball,
+            },
+        }
+    }
+
+    /// The diffusion bound and hits from the hood rows left after the
+    /// verdict (`rest`), asking the index only where the hood cannot prove
+    /// the heterogeneous stop or the members.
+    fn diffusion_from_hood(
+        &mut self,
+        row: usize,
+        rest: &[SqNeighbor],
+        reach: f64,
+    ) -> (f64, RangeBound, Vec<SqNeighbor>) {
+        let data = self.data;
+        let label = data.label(row);
+        let c = data.row(row);
+        let rconf_k = self.conflict_bound(c);
+        // Every heterogeneous row outside the hood is at least `reach` away.
+        // With the hood complete (`reach = ∞`) there is none; below `reach`
+        // the conflict bound binds whatever the stop is, so `reach` stands
+        // in for it.
+        let d_het = match rest.iter().find(|n| data.label(n.row) != label) {
+            Some(n) => n.sq_dist,
+            None if reach == f64::INFINITY || rconf_k < reach => reach,
+            None => self.nearest_heterogeneous(row),
+        };
+        let (bound, kind) = diffusion_bound(rconf_k, d_het);
+        // A bound that admits no row at distance `reach` admits no row
+        // outside the hood.
+        let hood_suffices = match kind {
+            RangeBound::Strict => bound <= reach,
+            RangeBound::Inclusive => bound < reach,
+        };
+        let hits = if hood_suffices {
+            rest.iter()
+                .filter(|n| kind.admits(n.sq_dist, bound))
+                .copied()
+                .collect()
+        } else {
+            self.queries.range += 1;
+            self.index.range_sq(c, bound, kind, Some(row))
+        };
+        (bound, kind, hits)
     }
 
     /// The conflict radius (Eq. 4) in kernel space, `+∞` under the overlap
@@ -252,46 +283,6 @@ impl<'d> Granulator<'d> {
         self.index
             .nearest_heterogeneous_sq(data.row(row), data.label(row), Some(row))
             .map_or(f64::INFINITY, |h| h.sq_dist)
-    }
-
-    /// Builds the ball from the diffusion `hits` (other rows inside the
-    /// bound), absorbing it when its radius is positive.
-    fn diffuse(
-        &mut self,
-        row: usize,
-        reach: f64,
-        noisy_neighbor: Option<usize>,
-        bound: f64,
-        kind: RangeBound,
-        hits: &[SqNeighbor],
-    ) -> Step {
-        let r_k = hits.iter().fold(0.0f64, |m, h| m.max(h.sq_dist));
-        let radius = self.metric.rank_of(r_k);
-        let ball = (radius > 0.0).then(|| {
-            let mut members: Vec<usize> = hits.iter().map(|h| h.row).collect();
-            members.push(row);
-            members.sort_unstable();
-            GranularBall {
-                center: self.data.row(row).to_vec(),
-                radius,
-                label: self.data.label(row),
-                members,
-                center_row: Some(row),
-                purity: 1.0,
-            }
-        });
-        if let Some(ball) = &ball {
-            self.absorb(ball);
-        }
-        Step {
-            reach,
-            outcome: Outcome::Accepted {
-                noisy_neighbor,
-                bound,
-                conflict_bounded: kind == RangeBound::Inclusive,
-                ball,
-            },
-        }
     }
 }
 
@@ -325,15 +316,12 @@ mod tests {
         /// it always asks the index for the nearest heterogeneous row and
         /// for the members. Kept only as the oracle of the rules.
         fn oracle_step(&mut self, row: usize) -> Step {
-            let (_, reach, noisy_neighbor) = match self.vet(row) {
-                Ok(vetted) => vetted,
-                Err(step) => return step,
-            };
-            let c = self.data.row(row);
-            let d_het = self.nearest_heterogeneous(row);
-            let (bound, kind) = diffusion_bound(self.conflict_bound(c), d_het);
-            let hits = self.index.range_sq(c, bound, kind, Some(row));
-            self.diffuse(row, reach, noisy_neighbor, bound, kind, &hits)
+            self.vet_then_diffuse(row, |g, _, _| {
+                let c = g.data.row(row);
+                let d_het = g.nearest_heterogeneous(row);
+                let (bound, kind) = diffusion_bound(g.conflict_bound(c), d_het);
+                (bound, kind, g.index.range_sq(c, bound, kind, Some(row)))
+            })
         }
     }
 
