@@ -145,13 +145,13 @@ fn live_sweep(
                 if let Some(bad) = noisy_neighbor {
                     state.noise.push(bad);
                 }
-                let kind = ball.map_or_else(
-                    || {
+                let kind = match ball {
+                    Some(ball) => DecisionKind::Ball(ball),
+                    None => {
                         state.low_density[row] = true;
                         DecisionKind::LowDensity
-                    },
-                    DecisionKind::Ball,
-                );
+                    }
+                };
                 (noisy_neighbor, kind, step.reach.max(bound))
             }
         };
