@@ -313,7 +313,7 @@ pub fn rd_gbg_with_progress(
     } else {
         Vetting::NearestOnly
     };
-    let mut g = Granulator::new(
+    let mut granulator = Granulator::new(
         data,
         config.backend,
         inner,
@@ -350,11 +350,11 @@ pub fn rd_gbg_with_progress(
         for center_row in candidates {
             // A ball built earlier in this iteration may have absorbed the
             // candidate, or detection may have deleted it.
-            if !g.is_alive(center_row) || low_density[center_row] {
+            if !granulator.is_alive(center_row) || low_density[center_row] {
                 continue;
             }
             let pool = data.label(center_row) as usize;
-            match g.step(center_row).outcome {
+            match granulator.step(center_row).outcome {
                 Outcome::CandidateIsNoise => {
                     pools[pool].remove(center_row);
                     noise.push(center_row);
@@ -397,9 +397,9 @@ pub fn rd_gbg_with_progress(
                 conflicts: conflict_bounded,
                 noise: noise.len(),
                 remaining,
-                knn_queries: g.queries.knn,
-                het_queries: g.queries.het,
-                range_queries: g.queries.range,
+                knn_queries: granulator.queries.knn,
+                het_queries: granulator.queries.het,
+                range_queries: granulator.queries.range,
                 elapsed_us: u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX),
             });
         }
@@ -408,7 +408,7 @@ pub fn rd_gbg_with_progress(
     // Orphan phase: every remaining undivided (all low-density) sample
     // becomes its own radius-0 ball, honouring the completeness criterion.
     let mut orphan_count = 0usize;
-    for row in (0..n).filter(|&r| g.is_alive(r)) {
+    for row in (0..n).filter(|&r| granulator.is_alive(r)) {
         balls.push(GranularBall {
             center: data.row(row).to_vec(),
             radius: 0.0,

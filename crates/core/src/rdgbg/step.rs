@@ -15,7 +15,7 @@ use gb_dataset::index::{GranulationBackend, NeighborIndex, RangeBound, SqNeighbo
 use gb_dataset::Dataset;
 
 /// Cumulative index-query counts of one granulation.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Default)]
 pub(crate) struct QueryCounts {
     /// k-NN queries: one density hood per candidate step.
     pub(crate) knn: usize,
@@ -50,7 +50,8 @@ pub(crate) struct Step {
 pub(crate) enum Outcome {
     /// `h == ρ`: the candidate itself is class noise and left `U`.
     CandidateIsNoise,
-    /// `1 < h < ρ`, or no other row is alive: the candidate moves to `L`.
+    /// `1 < h < ρ`, no other row is alive, or (under the ablation) the
+    /// nearest row is heterogeneous: the candidate moves to `L`.
     LowDensity,
     /// The candidate passed the verdict (its `h == 1` noisy nearest
     /// neighbour left `U` first) and diffused up to the kernel-space
