@@ -320,22 +320,27 @@ fn code<'a>(codes: &mut HashMap<&'a str, f64>, text: &'a str) -> f64 {
 /// Renders a dataset as headered CSV text (`f0..f{p-1}, label`), the exact
 /// format [`read_csv_str`] parses back (numeric round trip is lossless:
 /// values print via Rust's shortest-roundtrip float formatting). The text
-/// is formatted straight into one buffer sized for the whole table.
+/// is formatted straight into one buffer, sized for the whole table once
+/// the first row shows how wide a row is.
 #[must_use]
 pub fn write_csv_str(data: &Dataset) -> String {
     use std::fmt::Write as _;
-    const FIELD_BYTES: usize = 20;
-    let p = data.n_features();
-    let mut out = String::with_capacity((data.n_samples() + 1) * (p + 1) * FIELD_BYTES);
-    for j in 0..p {
+    let mut out = String::new();
+    for j in 0..data.n_features() {
         write!(out, "f{j},").expect("formatting into a String cannot fail");
     }
     out.push_str("label\n");
-    for (row, label) in data.iter_rows() {
+    for (i, (row, label)) in data.iter_rows().enumerate() {
+        let start = out.len();
         for v in row {
             write!(out, "{v},").expect("formatting into a String cannot fail");
         }
         writeln!(out, "{label}").expect("formatting into a String cannot fail");
+        if i == 0 {
+            // An eighth of slack absorbs rows with longer numbers.
+            let rest = (out.len() - start) * (data.n_samples() - 1);
+            out.reserve(rest + rest / 8);
+        }
     }
     out
 }
