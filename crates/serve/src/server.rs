@@ -1942,4 +1942,34 @@ mod tests {
         assert_eq!(status, 200, "{body}");
         handle.stop();
     }
+
+    #[test]
+    fn sample_progress_renders_the_same_fields_as_the_cli() {
+        // `/sample` builds its progress array with `progress_event_value`;
+        // `gbabs sample --progress` machine output is `to_json`. Both must
+        // carry every field, the query counts included, in the same order.
+        let events = [
+            ProgressEvent::Granulate {
+                iteration: 3,
+                balls: 42,
+                conflicts: 5,
+                noise: 2,
+                remaining: 100,
+                knn_queries: 60,
+                het_queries: 7,
+                range_queries: 8,
+                elapsed_us: 1500,
+            },
+            ProgressEvent::Borderline {
+                balls: 42,
+                borderline: 7,
+                sampled: 350,
+                elapsed_us: 9000,
+            },
+        ];
+        for event in &events {
+            let cli: Value = serde_json::from_str(&event.to_json()).unwrap();
+            assert_eq!(progress_event_value(event), cli);
+        }
+    }
 }
