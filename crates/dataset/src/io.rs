@@ -127,11 +127,13 @@ pub fn read_csv(path: &Path, options: &CsvOptions) -> Result<Dataset, CsvError> 
 
 /// [`read_csv`] over an in-memory string (used by tests and pipes).
 ///
-/// One pass over the text: each field is parsed once, borrowed from
+/// One pass over the text parses each field at most once, borrowed from
 /// `content` (no `String` per field). A column is numeric until a value
-/// fails to parse; it then turns categorical, and its earlier rows are
-/// coded from their text in first-appearance order, exactly as if the
-/// column had been typed before reading it. Blank lines are skipped but
+/// fails to parse; it is then categorical and its later values are not
+/// parsed. If any column turned categorical, one more pass over the rows
+/// codes every categorical column from its text in first-appearance
+/// order, exactly as if the columns had been typed before reading them.
+/// Both passes take time linear in the text. Blank lines are skipped but
 /// still counted in the 1-based line numbers errors report.
 ///
 /// # Errors
@@ -202,13 +204,13 @@ struct Table<'a> {
     width: usize,
     label_idx: usize,
     sep: char,
-    /// Row-major feature values: numbers, or codes in categorical columns.
+    /// Row-major feature values: numbers, or a placeholder in categorical
+    /// columns until [`Table::finish`] codes them.
     features: Vec<f64>,
-    /// Per column: `None` while every value so far parsed as a number,
-    /// else the categorical code of each distinct text.
-    codes: Vec<Option<HashMap<&'a str, f64>>>,
-    /// The rows read so far, to code a column's earlier values when it
-    /// turns categorical.
+    /// Per column: whether some value failed to parse as a number.
+    categorical: Vec<bool>,
+    /// The rows read so far, for [`Table::finish`] to code the
+    /// categorical columns from.
     rows: Vec<&'a str>,
     /// Each row's label as an index into `label_texts`.
     labels: Vec<u32>,
@@ -224,7 +226,7 @@ impl<'a> Table<'a> {
             label_idx,
             sep,
             features: Vec::new(),
-            codes: vec![None; width],
+            categorical: vec![false; width],
             rows: Vec::new(),
             labels: Vec::new(),
             label_ids: HashMap::new(),
@@ -249,12 +251,13 @@ impl<'a> Table<'a> {
                 self.labels.push(id);
                 continue;
             }
-            let value = match &mut self.codes[c] {
-                Some(codes) => code(codes, field),
-                None => match field.parse::<f64>() {
-                    Ok(v) => v,
-                    Err(_) => self.make_categorical(c, field),
-                },
+            let value = if self.categorical[c] {
+                f64::NAN
+            } else if let Ok(v) = field.parse::<f64>() {
+                v
+            } else {
+                self.categorical[c] = true;
+                f64::NAN
             };
             self.features.push(value);
         }
@@ -269,23 +272,21 @@ impl<'a> Table<'a> {
         Ok(())
     }
 
-    /// Turns column `c` categorical at the current row, whose text is
-    /// `field`: recodes the column's earlier rows from their text, in
-    /// order, and returns the current row's code.
-    fn make_categorical(&mut self, c: usize, field: &'a str) -> f64 {
+    fn finish(mut self) -> Dataset {
         let n_features = self.width - 1;
-        let column = c - usize::from(c > self.label_idx);
-        let mut codes = HashMap::new();
-        for (r, row) in self.rows.iter().enumerate() {
-            let text = fields(row, self.sep).nth(c).expect("row width checked");
-            self.features[r * n_features + column] = code(&mut codes, text);
+        if self.categorical.contains(&true) {
+            // Split each row once more and code every categorical column.
+            let mut codes: Vec<HashMap<&str, f64>> = vec![HashMap::new(); self.width];
+            for (r, &row) in self.rows.iter().enumerate() {
+                let cells = &mut self.features[r * n_features..][..n_features];
+                for (c, field) in fields(row, self.sep).enumerate() {
+                    if self.categorical[c] {
+                        let column = c - usize::from(c > self.label_idx);
+                        cells[column] = code(&mut codes[c], field);
+                    }
+                }
+            }
         }
-        let current = code(&mut codes, field);
-        self.codes[c] = Some(codes);
-        current
-    }
-
-    fn finish(self) -> Dataset {
         // Labels densify to 0..q in sorted order of their text.
         let mut sorted: Vec<u32> = (0..self.label_texts.len() as u32).collect();
         sorted.sort_unstable_by_key(|&id| self.label_texts[id as usize]);
@@ -296,18 +297,16 @@ impl<'a> Table<'a> {
         let labels = self.labels.iter().map(|&id| dense[id as usize]).collect();
         let kinds: Vec<FeatureKind> = (0..self.width)
             .filter(|&c| c != self.label_idx)
-            .map(|c| match self.codes[c] {
-                None => FeatureKind::Numeric,
-                Some(_) => FeatureKind::Categorical,
+            .map(|c| {
+                if self.categorical[c] {
+                    FeatureKind::Categorical
+                } else {
+                    FeatureKind::Numeric
+                }
             })
             .collect();
-        Dataset::from_parts(
-            self.features,
-            labels,
-            self.width - 1,
-            self.label_texts.len(),
-        )
-        .with_kinds(kinds)
+        Dataset::from_parts(self.features, labels, n_features, self.label_texts.len())
+            .with_kinds(kinds)
     }
 }
 
@@ -505,7 +504,7 @@ a,b,color,class
     #[test]
     fn column_failing_in_its_last_row_turns_categorical() {
         // "1" and "1.0" parse to the same number but are distinct texts,
-        // so the recoded column keeps them apart.
+        // so the categorical column keeps them apart.
         let csv = "a,b,class\n1,5,x\n2,6,y\n1.0,7,x\n1,8,y\nfoo,9,x\n";
         let d = read_csv_str(csv, &CsvOptions::default()).unwrap();
         assert_eq!(
@@ -516,6 +515,36 @@ a,b,color,class
         assert_eq!(column, [0.0, 1.0, 2.0, 0.0, 3.0]);
         let numeric: Vec<f64> = (0..d.n_samples()).map(|r| d.value(r, 1)).collect();
         assert_eq!(numeric, [5.0, 6.0, 7.0, 8.0, 9.0]);
+    }
+
+    #[test]
+    fn wide_rows_turning_categorical_read_in_linear_time() {
+        // Every column of the second row fails to parse. Coding each
+        // column as it turns categorical by splitting the earlier rows
+        // again would take ~width² / 2 field steps (10^10 here).
+        let width = 150_000;
+        let row = |text: &str, label: &str| format!("{}{label}\n", text.repeat(width - 1));
+        let options = CsvOptions {
+            has_header: false,
+            ..Default::default()
+        };
+        let started = std::time::Instant::now();
+        let d = read_csv_str(&(row("1,", "0") + &row("x,", "1")), &options).unwrap();
+        // The same second row, one field short.
+        let short = read_csv_str(&(row("1,", "0") + &row("x,", "1")[2..]), &options);
+        let elapsed = started.elapsed();
+        assert!(elapsed < std::time::Duration::from_secs(10), "{elapsed:?}");
+        assert_eq!(d.n_features(), width - 1);
+        assert!(d
+            .feature_kinds()
+            .iter()
+            .all(|&k| k == FeatureKind::Categorical));
+        assert!(d.row(0).iter().all(|&v| v == 0.0));
+        assert!(d.row(1).iter().all(|&v| v == 1.0));
+        let Err(CsvError::Ragged { line: 2, found, .. }) = short else {
+            panic!("the short row was not reported as ragged");
+        };
+        assert_eq!(found, width - 1);
     }
 
     #[test]
