@@ -1142,18 +1142,6 @@ fn parse_body(req: &crate::http::Request) -> Result<Value, String> {
     serde_json::from_str::<Value>(text).map_err(|e| format!("bad JSON: {e}"))
 }
 
-/// [`parse_body`] for an endpoint whose body takes only the `allowed`
-/// keys (see [`reject_unknown_keys`]).
-fn parse_body_keys(
-    req: &crate::http::Request,
-    allowed: &[&str],
-    endpoint: &str,
-) -> Result<Value, String> {
-    let body = parse_body(req)?;
-    reject_unknown_keys(&body, allowed, endpoint)?;
-    Ok(body)
-}
-
 /// Extracts the query rows from a predict body: either `"rows": [[..]..]`
 /// or `"row": [..]`. Validates width and finiteness.
 fn extract_rows(body: &Value, n_features: usize) -> Result<Vec<f64>, String> {
@@ -1464,10 +1452,13 @@ fn reload_endpoint(req: &crate::http::Request, ctx: &ServerCtx, obs: &mut ObsCtx
             ServeError::bad_request("model name must be a single path segment"),
         );
     }
-    let body = match parse_body_keys(req, &RELOAD_KEYS, "POST /models/{name}") {
+    let body = match parse_body(req) {
         Ok(v) => v,
         Err(e) => return err_response(ctx, obs, ServeError::bad_request(e)),
     };
+    if let Err(e) = reject_unknown_keys(&body, &RELOAD_KEYS, "POST /models/{name}") {
+        return err_response(ctx, obs, ServeError::bad_request(e));
+    }
     let Some(model_value) = body.get("model") else {
         return err_response(
             ctx,
@@ -1765,10 +1756,13 @@ fn rollback_endpoint(req: &crate::http::Request, ctx: &ServerCtx, obs: &mut ObsC
         Ok(name) => name,
         Err(e) => return err_response(ctx, obs, ServeError::bad_request(e)),
     };
-    let body = match parse_body_keys(req, &ROLLBACK_KEYS, "/rollback") {
+    let body = match parse_body(req) {
         Ok(v) => v,
         Err(e) => return err_response(ctx, obs, ServeError::bad_request(e)),
     };
+    if let Err(e) = reject_unknown_keys(&body, &ROLLBACK_KEYS, "/rollback") {
+        return err_response(ctx, obs, ServeError::bad_request(e));
+    }
     let version = match body.get("version") {
         Some(Value::Num(n)) if *n >= 0.0 && n.fract() == 0.0 => *n as u64,
         _ => {
