@@ -13,6 +13,7 @@
 //! *shorten* it via the `X-Deadline-Ms` header ([`Deadline::tighten`]).
 //! An unbounded deadline (`request_timeout = 0`) disables enforcement.
 
+use crate::errors::ServeError;
 use std::time::{Duration, Instant};
 
 /// An absolute per-request time budget. Copyable so it travels with the
@@ -49,6 +50,20 @@ impl Deadline {
     #[must_use]
     pub fn expired(&self) -> bool {
         self.at.is_some_and(|at| Instant::now() >= at)
+    }
+
+    /// Gates a step that starts work the request may no longer use:
+    /// `deadline_exceeded` (504) naming the step once the budget is spent.
+    ///
+    /// # Errors
+    /// The 504 when the deadline has expired.
+    pub(crate) fn check(&self, step: &str) -> Result<(), ServeError> {
+        if self.expired() {
+            return Err(ServeError::deadline_exceeded(format!(
+                "deadline expired before {step}"
+            )));
+        }
+        Ok(())
     }
 
     /// Time left, `None` when unbounded, zero when expired.

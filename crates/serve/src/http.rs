@@ -179,21 +179,21 @@ fn read_line(
     }
 }
 
+/// Decodes `%XX` escapes (exactly two ASCII hex digits; anything else
+/// keeps the `%` as a literal) and `+` as a space.
 fn percent_decode(s: &str) -> String {
     let bytes = s.as_bytes();
     let mut out = Vec::with_capacity(bytes.len());
     let mut i = 0;
     while i < bytes.len() {
         match bytes[i] {
-            b'%' if i + 2 < bytes.len() => {
+            b'%' if bytes
+                .get(i + 1..i + 3)
+                .is_some_and(|h| h.iter().all(u8::is_ascii_hexdigit)) =>
+            {
                 let hex = std::str::from_utf8(&bytes[i + 1..i + 3]).unwrap_or("");
-                if let Ok(v) = u8::from_str_radix(hex, 16) {
-                    out.push(v);
-                    i += 3;
-                } else {
-                    out.push(b'%');
-                    i += 1;
-                }
+                out.push(u8::from_str_radix(hex, 16).unwrap_or(b'%'));
+                i += 3;
             }
             b'+' => {
                 out.push(b' ');
@@ -515,6 +515,14 @@ mod tests {
         assert_eq!(req.query_param("x"), Some("a b"));
         assert_eq!(req.body, b"body");
         assert!(!req.close);
+    }
+
+    #[test]
+    fn percent_escapes_take_exactly_two_hex_digits() {
+        // `u8::from_str_radix` would read "+A" as 10 and decode a newline.
+        assert_eq!(percent_decode("a%+Ab"), "a% Ab");
+        assert_eq!(percent_decode("%4a%4"), "J%4");
+        assert_eq!(percent_decode("%-1%zz"), "%-1%zz");
     }
 
     #[test]

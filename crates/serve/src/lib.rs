@@ -20,6 +20,19 @@
 //! | `/metrics` | GET | counters, latency histograms (p50/p90/p99), registry cache stats, per-code and **per-tenant** breakdowns; `?format=prometheus` for text exposition |
 //! | `/debug/requests` | GET | bounded ring of the N slowest and most recent errored requests, with per-stage timings |
 //!
+//! ## One request path
+//!
+//! `gbabs serve` ([`server`]) and `gbabs router` ([`router`]) run the same
+//! shell (the private `service` module): the listener and accept loop
+//! with the admission gate, the worker pool, the keep-alive connection
+//! loop with deadline-sliced reads, the access log, `/debug/requests`,
+//! `/metrics`, and the 405/404 answers. Each process supplies only a
+//! route table whose handlers return `Result<Response, ServeError>`, its
+//! error counting, its metric samples, and one extra thread (preload for
+//! the server, the health probe for the router). Every `/metrics` family
+//! is declared once in [`metrics`] (Prometheus name, type, help, labels,
+//! JSON place), and both formats render from the same samples.
+//!
 //! ## Observability
 //!
 //! Every request carries a **request id** (client-supplied `X-Request-Id`
@@ -71,7 +84,9 @@
 //! The bounded admission gate returns `503` instead of queuing
 //! unboundedly: the accept loop sheds whole connections once the worker
 //! hand-off queue reaches `backlog`. Shed responses carry a `Retry-After`
-//! header and `"retryable": true` in the body.
+//! header, `"retryable": true` in the body, and the client's
+//! `X-Request-Id` (a bounded peek reads the request head first), on the
+//! server and the router alike.
 //!
 //! ## Resilience
 //!
@@ -110,6 +125,7 @@ pub mod metrics;
 pub mod registry;
 pub mod router;
 pub mod server;
+mod service;
 pub mod store;
 
 pub use client::{ClientResponse, HttpClient, RetryPolicy, RetryingClient};

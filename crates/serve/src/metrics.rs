@@ -1,7 +1,17 @@
-//! Request counters, latency histograms, and per-tenant statistics for
-//! `GET /metrics` (JSON and Prometheus exposition).
+//! Request counters, latency histograms, per-tenant statistics, and the
+//! metric families behind `GET /metrics`.
+//!
+//! Every family `gbabs serve` and `gbabs router` expose is declared once
+//! here as a [`Family`]: its Prometheus name, type, help and labels, and
+//! its place in the JSON body ([`SERVER_FAMILIES`], [`ROUTER_FAMILIES`]).
+//! A process adds its samples to an `Exposition`, which renders the JSON
+//! body or the Prometheus text from the same calls, so both formats carry
+//! the same series.
 
-use crate::errors::{ErrorCode, ErrorStats};
+use crate::errors::ErrorStats;
+use crate::http::Response;
+use crate::service::render;
+use gb_obs::PromText;
 use serde::Value;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -174,45 +184,10 @@ pub struct TenantStats {
     pub append_rows: AtomicU64,
     /// Accepted rollbacks of this tenant's version chain.
     pub rollbacks: AtomicU64,
-    /// Errors attributed to this tenant, by [`ErrorCode`].
+    /// Errors attributed to this tenant, by [`crate::errors::ErrorCode`].
     pub errors: ErrorStats,
     /// Predict-path latency for this tenant.
     pub predict_latency: LatencyHistogram,
-}
-
-impl TenantStats {
-    /// JSON rendering for the `tenants` object in `GET /metrics`.
-    #[must_use]
-    pub fn to_value(&self) -> Value {
-        Value::Obj(vec![
-            (
-                "requests".into(),
-                Value::Num(self.requests.load(Ordering::Relaxed) as f64),
-            ),
-            (
-                "rows".into(),
-                Value::Num(self.rows.load(Ordering::Relaxed) as f64),
-            ),
-            (
-                "reloads".into(),
-                Value::Num(self.reloads.load(Ordering::Relaxed) as f64),
-            ),
-            (
-                "appends".into(),
-                Value::Num(self.appends.load(Ordering::Relaxed) as f64),
-            ),
-            (
-                "append_rows".into(),
-                Value::Num(self.append_rows.load(Ordering::Relaxed) as f64),
-            ),
-            (
-                "rollbacks".into(),
-                Value::Num(self.rollbacks.load(Ordering::Relaxed) as f64),
-            ),
-            ("errors_by_code".into(), self.errors.to_value()),
-            ("predict_latency_us".into(), self.predict_latency.to_value()),
-        ])
-    }
 }
 
 /// Registry of per-tenant statistics, keyed by model name. Reads (the hot
@@ -264,17 +239,411 @@ impl TenantRegistry {
             .map(|(k, v)| (k.clone(), Arc::clone(v)))
             .collect()
     }
+}
 
-    /// Per-code error totals for one tenant as `(code, count)` pairs with
-    /// zero rows skipped — the label sets emitted to Prometheus.
-    #[must_use]
-    pub fn nonzero_errors(stats: &TenantStats) -> Vec<(ErrorCode, u64)> {
-        ErrorCode::ALL
-            .iter()
-            .map(|&c| (c, stats.errors.get(c)))
-            .filter(|&(_, n)| n > 0)
-            .collect()
+/// How a [`Family`] renders in Prometheus text.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kind {
+    /// A monotone count.
+    Counter,
+    /// A point-in-time value.
+    Gauge,
+    /// A gauge that is always 1 and carries its information in its labels
+    /// (`*_build_info`). Its JSON place holds an object of those labels.
+    Info,
+    /// A [`LatencyHistogram`] as cumulative `_bucket` series, `_sum` and
+    /// `_count`.
+    Histogram,
+    /// A [`LatencyHistogram`] as interpolated p50/p90/p99 `quantile`
+    /// series, `_sum` and `_count`.
+    Summary,
+}
+
+impl Kind {
+    fn as_str(self) -> &'static str {
+        match self {
+            Kind::Counter => "counter",
+            Kind::Gauge | Kind::Info => "gauge",
+            Kind::Histogram => "histogram",
+            Kind::Summary => "summary",
+        }
     }
+}
+
+/// One metric family, declared once for both `/metrics` formats.
+#[derive(Debug)]
+pub struct Family {
+    /// Prometheus family name.
+    pub name: &'static str,
+    /// Prometheus type.
+    pub kind: Kind,
+    /// Label names, in the order a sample gives their values.
+    pub labels: &'static [&'static str],
+    /// Place in the JSON body: dot-separated keys, where `{label}` is an
+    /// object keyed by that label's value and `key[field={label}]` is the
+    /// element of array `key` whose `field` equals it. A histogram or
+    /// summary places the whole [`LatencyHistogram::to_value`] object.
+    pub json: &'static str,
+    /// `# HELP` text.
+    pub help: &'static str,
+    /// Prometheus skips zero samples, bounding a label product such as
+    /// tenant × code; JSON keeps them.
+    pub sparse: bool,
+}
+
+/// Declares each family row as a `pub(crate)` constant, and the list of
+/// them in row order. A row reads `CONST: Kind "name" [labels] "json place"
+/// "help"`, plus `sparse` for families Prometheus skips zero samples of.
+macro_rules! families {
+    ($(#[$doc:meta])* $list:ident {
+        $($id:ident: $kind:ident $name:literal [$($label:literal),*] $json:literal $help:literal
+            $($sparse:ident)?;)*
+    }) => {
+        $(pub(crate) const $id: Family = Family {
+            name: $name,
+            kind: Kind::$kind,
+            labels: &[$($label),*],
+            json: $json,
+            help: $help,
+            sparse: families!(@sparse $($sparse)?),
+        };)*
+        $(#[$doc])*
+        pub const $list: &[&Family] = &[$(&$id),*];
+    };
+    (@sparse) => { false };
+    (@sparse sparse) => { true };
+}
+
+families! {
+    /// Every family `gbabs serve` exposes on `GET /metrics`, in output order.
+    SERVER_FAMILIES {
+        BUILD_INFO: Info "gb_build_info" ["version", "kernel", "kernel_contract"] "build"
+            "Build version, active SIMD kernel, and kernel contract version (value is always 1)";
+        UPTIME: Gauge "gb_uptime_seconds" [] "uptime_s" "Seconds since server start";
+        REQUESTS: Counter "gb_requests_total" ["endpoint"] "requests.{endpoint}"
+            "Completed requests by endpoint";
+        PREDICT_ROWS: Counter "gb_predict_rows_total" [] "predict_rows" "Rows predicted";
+        APPEND_ROWS: Counter "gb_append_rows_total" [] "append_rows"
+            "Labelled rows ingested through online maintenance";
+        CLIENT_ERRORS: Counter "gb_client_errors_total" [] "client_errors" "4xx responses";
+        SERVER_ERRORS: Counter "gb_server_errors_total" [] "server_errors"
+            "Non-shed 5xx responses";
+        SHED: Counter "gb_shed_total" [] "shed" "503 responses from the admission gates";
+        ERRORS: Counter "gb_errors_total" ["code"] "errors_by_code.{code}"
+            "Errors by taxonomy code";
+        RESIDENT_MODELS: Gauge "gb_registry_resident_models" [] "registry.resident_models"
+            "Models resident in memory";
+        COLD_MODELS: Gauge "gb_registry_cold_models" [] "registry.cold_models"
+            "Known models not resident in memory (rebuilt from the store on first use)";
+        RESIDENT_BYTES: Gauge "gb_registry_resident_bytes" [] "registry.resident_bytes"
+            "Bytes of resident models";
+        BUDGET_BYTES: Gauge "gb_registry_budget_bytes" [] "registry.budget_bytes"
+            "Resident-memory budget in bytes (no sample, JSON null, when unbounded)";
+        HITS: Counter "gb_registry_hits_total" [] "registry.hits" "Warm registry acquisitions";
+        COLD_RELOADS: Counter "gb_registry_cold_reloads_total" [] "registry.cold_reloads"
+            "Cold reloads from the model store";
+        EVICTIONS: Counter "gb_registry_evictions_total" [] "registry.evictions" "LRU evictions";
+        RELOAD_LATENCY: Histogram "gb_reload_latency_us" [] "registry.reload_latency_us"
+            "Cold-reload latency (µs)";
+        PREDICT_LATENCY: Histogram "gb_predict_latency_us" [] "predict_latency_us"
+            "End-to-end /predict handling latency (µs)";
+        TENANT_REQUESTS: Counter "gb_tenant_requests_total" ["tenant"] "tenants.{tenant}.requests"
+            "Requests by tenant";
+        TENANT_ROWS: Counter "gb_tenant_rows_total" ["tenant"] "tenants.{tenant}.rows"
+            "Predicted rows by tenant";
+        TENANT_RELOADS: Counter "gb_tenant_reloads_total" ["tenant"] "tenants.{tenant}.reloads"
+            "Hot reloads by tenant";
+        TENANT_APPENDS: Counter "gb_tenant_appends_total" ["tenant"] "tenants.{tenant}.appends"
+            "Accepted row appends by tenant";
+        TENANT_APPEND_ROWS: Counter "gb_tenant_append_rows_total" ["tenant"]
+            "tenants.{tenant}.append_rows" "Ingested rows by tenant";
+        TENANT_ROLLBACKS: Counter "gb_tenant_rollbacks_total" ["tenant"]
+            "tenants.{tenant}.rollbacks" "Accepted rollbacks by tenant";
+        TENANT_ERRORS: Counter "gb_tenant_errors_total" ["tenant", "code"]
+            "tenants.{tenant}.errors_by_code.{code}" "Errors by tenant and code" sparse;
+        TENANT_PREDICT_LATENCY: Summary "gb_tenant_predict_latency_us" ["tenant"]
+            "tenants.{tenant}.predict_latency_us"
+            "Per-tenant predict latency quantiles (µs, histogram-interpolated)";
+    }
+}
+
+families! {
+    /// Every family `gbabs router` exposes on `GET /metrics`, in output order.
+    ROUTER_FAMILIES {
+        ROUTER_BUILD_INFO: Info "gb_router_build_info" ["role", "version"] "build"
+            "Router role and build version (value is always 1)";
+        ROUTER_UPTIME: Gauge "gb_router_uptime_seconds" [] "uptime_s"
+            "Seconds since router start";
+        ROUTER_REQUESTS: Counter "gb_router_requests_total" [] "requests"
+            "Requests accepted by the router";
+        ROUTER_FORWARDED: Counter "gb_router_forwarded_all_total" [] "forwarded"
+            "Requests forwarded to and answered by any backend";
+        ROUTER_FORWARD_ERRORS: Counter "gb_router_forward_errors_all_total" [] "forward_errors"
+            "Transport-level forward failures across all backends";
+        ROUTER_NO_OWNER: Counter "gb_router_no_healthy_owner_total" [] "no_healthy_owner"
+            "Requests 503ed because no healthy backend owned the tenant";
+        ROUTER_SHED: Counter "gb_router_shed_total" [] "shed"
+            "Connections shed at the router accept gate";
+        ROUTER_ERRORS: Counter "gb_router_errors_total" ["code"] "errors_by_code.{code}"
+            "Router-originated errors by taxonomy code";
+        ROUTER_HOP_LATENCY: Histogram "gb_router_hop_latency_us" [] "hop_latency_us"
+            "Router-to-backend hop latency in microseconds";
+        BACKEND_HEALTHY: Gauge "gb_router_backend_healthy" ["backend"]
+            "backends[addr={backend}].healthy"
+            "1 when the backend's last /readyz probe (or forward) succeeded";
+        BACKEND_FORWARDED: Counter "gb_router_forwarded_total" ["backend"]
+            "backends[addr={backend}].forwarded" "Requests forwarded to a backend, by backend";
+        BACKEND_FORWARD_ERRORS: Counter "gb_router_forward_errors_total" ["backend"]
+            "backends[addr={backend}].forward_errors"
+            "Transport-level forward failures, by backend";
+        BACKEND_HEALTH_FLIPS: Counter "gb_router_backend_health_flips_total" ["backend"]
+            "backends[addr={backend}].health_flips" "Backend health transitions observed";
+        BACKEND_HOP_LATENCY: Histogram "gb_router_backend_hop_latency_us" ["backend"]
+            "backends[addr={backend}].hop_latency_us"
+            "Router-to-backend hop latency by backend, in microseconds";
+    }
+}
+
+/// One sample's value.
+pub(crate) enum Reading<'a> {
+    Num(f64),
+    /// A 0/1 gauge that JSON shows as a boolean.
+    Flag(bool),
+    /// No sample; JSON `null`.
+    Absent,
+    Latency(&'a LatencyHistogram),
+}
+
+impl From<f64> for Reading<'_> {
+    fn from(v: f64) -> Self {
+        Reading::Num(v)
+    }
+}
+
+impl From<u64> for Reading<'_> {
+    fn from(v: u64) -> Self {
+        Reading::Num(v as f64)
+    }
+}
+
+impl From<&AtomicU64> for Reading<'_> {
+    fn from(v: &AtomicU64) -> Self {
+        Reading::Num(v.load(Ordering::Relaxed) as f64)
+    }
+}
+
+impl From<bool> for Reading<'_> {
+    fn from(v: bool) -> Self {
+        Reading::Flag(v)
+    }
+}
+
+impl From<Option<f64>> for Reading<'_> {
+    fn from(v: Option<f64>) -> Self {
+        v.map_or(Reading::Absent, Reading::Num)
+    }
+}
+
+impl<'a> From<&'a LatencyHistogram> for Reading<'a> {
+    fn from(h: &'a LatencyHistogram) -> Self {
+        Reading::Latency(h)
+    }
+}
+
+/// One `GET /metrics` body under construction, in one of the two formats.
+/// A process adds each family's samples together, in the order of its
+/// family list; both formats come out of the same calls.
+pub(crate) struct Exposition {
+    families: &'static [&'static Family],
+    out: Format,
+}
+
+enum Format {
+    Json(Value),
+    Prometheus(PromText),
+}
+
+impl Exposition {
+    /// An empty body over `families`. JSON lays out every family's place up
+    /// front, so key order follows the list and empty sections (no tenants
+    /// yet) still appear.
+    pub(crate) fn new(families: &'static [&'static Family], prometheus: bool) -> Self {
+        let out = if prometheus {
+            Format::Prometheus(PromText::new())
+        } else {
+            let mut root = Value::Obj(Vec::new());
+            for family in families {
+                place(&mut root, family, &[]);
+            }
+            Format::Json(root)
+        };
+        Self { families, out }
+    }
+
+    /// Adds one sample of `family`; `values` are its label values.
+    pub(crate) fn add<'a>(
+        &mut self,
+        family: &Family,
+        values: &[&str],
+        reading: impl Into<Reading<'a>>,
+    ) {
+        debug_assert!(
+            self.families.iter().any(|f| f.name == family.name),
+            "{} is not in this process's family list",
+            family.name
+        );
+        debug_assert_eq!(values.len(), family.labels.len(), "{}", family.name);
+        let reading = reading.into();
+        match &mut self.out {
+            Format::Json(root) => {
+                let value = match reading {
+                    _ if family.kind == Kind::Info => Value::Obj(
+                        family
+                            .labels
+                            .iter()
+                            .zip(values)
+                            .map(|(label, v)| {
+                                // An integer label (a contract version) stays a JSON number.
+                                let v = v.parse::<u32>().map_or_else(
+                                    |_| Value::Str((*v).to_string()),
+                                    |n| Value::Num(f64::from(n)),
+                                );
+                                ((*label).to_string(), v)
+                            })
+                            .collect(),
+                    ),
+                    Reading::Num(n) => Value::Num(n),
+                    Reading::Flag(b) => Value::Bool(b),
+                    Reading::Absent => Value::Null,
+                    Reading::Latency(h) => h.to_value(),
+                };
+                if let Some(slot) = place(root, family, values) {
+                    *slot = value;
+                }
+            }
+            Format::Prometheus(p) => {
+                let labels: Vec<(&str, &str)> = family
+                    .labels
+                    .iter()
+                    .copied()
+                    .zip(values.iter().copied())
+                    .collect();
+                p.metric(family.name, family.kind.as_str(), family.help);
+                match reading {
+                    Reading::Num(v) if !(family.sparse && v == 0.0) => {
+                        p.sample(family.name, &labels, v);
+                    }
+                    Reading::Flag(b) => {
+                        p.sample(family.name, &labels, f64::from(u8::from(b)));
+                    }
+                    Reading::Latency(h) => latency(p, family, &labels, h),
+                    Reading::Num(_) | Reading::Absent => {}
+                }
+            }
+        }
+    }
+
+    /// The finished `200` response.
+    pub(crate) fn finish(self) -> Response {
+        match self.out {
+            Format::Json(root) => Response::json(200, render(&root)),
+            Format::Prometheus(p) => Response::text(200, p.finish(), "text/plain; version=0.0.4"),
+        }
+    }
+}
+
+/// Prometheus series of one latency family: cumulative log2-µs buckets
+/// (histogram) or interpolated quantiles (summary), then `_sum`, `_count`.
+fn latency(p: &mut PromText, family: &Family, labels: &[(&str, &str)], h: &LatencyHistogram) {
+    fn series<'l>(
+        labels: &[(&'l str, &'l str)],
+        key: &'l str,
+        value: &'l str,
+    ) -> Vec<(&'l str, &'l str)> {
+        let mut series = labels.to_vec();
+        series.push((key, value));
+        series
+    }
+    let name = family.name;
+    if family.kind == Kind::Histogram {
+        let bucket = format!("{name}_bucket");
+        let mut cumulative = 0u64;
+        for i in 0..LATENCY_BUCKETS {
+            cumulative += h.bucket(i);
+            let le = (1u64 << (i + 1)).to_string();
+            p.sample(&bucket, &series(labels, "le", &le), cumulative as f64);
+        }
+        p.sample(&bucket, &series(labels, "le", "+Inf"), h.count() as f64);
+    } else {
+        for (q, label) in [(0.5, "0.5"), (0.9, "0.9"), (0.99, "0.99")] {
+            p.sample(name, &series(labels, "quantile", label), h.percentile_us(q));
+        }
+    }
+    p.sample(&format!("{name}_sum"), labels, h.total_us() as f64);
+    p.sample(&format!("{name}_count"), labels, h.count() as f64);
+}
+
+/// Walks `family`'s JSON place from `root`, creating what is missing, and
+/// returns the slot it names. A label step takes its key from `values`;
+/// with no values the walk stops there, having laid out the container.
+fn place<'v>(root: &'v mut Value, family: &Family, values: &[&str]) -> Option<&'v mut Value> {
+    let label = |name: &str| {
+        let i = family.labels.iter().position(|l| *l == name)?;
+        values.get(i).copied()
+    };
+    let mut node = root;
+    for step in family.json.split('.') {
+        node = if let Some(name) = step.strip_prefix('{').and_then(|s| s.strip_suffix('}')) {
+            let fields = object(node);
+            field(fields, label(name)?)
+        } else if let Some((key, item)) = step.split_once('[') {
+            let (id_field, name) = item.strip_suffix("}]")?.split_once("={")?;
+            let items = array(field(object(node), key));
+            let id = Value::Str(label(name)?.to_string());
+            let i = match items.iter().position(|v| v.get(id_field) == Some(&id)) {
+                Some(i) => i,
+                None => {
+                    items.push(Value::Obj(vec![(id_field.to_string(), id)]));
+                    items.len() - 1
+                }
+            };
+            &mut items[i]
+        } else {
+            field(object(node), step)
+        };
+    }
+    Some(node)
+}
+
+fn object(node: &mut Value) -> &mut Vec<(String, Value)> {
+    if !matches!(node, Value::Obj(_)) {
+        *node = Value::Obj(Vec::new());
+    }
+    match node {
+        Value::Obj(fields) => fields,
+        _ => unreachable!("just made an object"),
+    }
+}
+
+fn array(node: &mut Value) -> &mut Vec<Value> {
+    if !matches!(node, Value::Arr(_)) {
+        *node = Value::Arr(Vec::new());
+    }
+    match node {
+        Value::Arr(items) => items,
+        _ => unreachable!("just made an array"),
+    }
+}
+
+fn field<'v>(fields: &'v mut Vec<(String, Value)>, key: &str) -> &'v mut Value {
+    let i = match fields.iter().position(|(k, _)| k == key) {
+        Some(i) => i,
+        None => {
+            fields.push((key.to_string(), Value::Null));
+            fields.len() - 1
+        }
+    };
+    &mut fields[i].1
 }
 
 #[cfg(test)]

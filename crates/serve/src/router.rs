@@ -28,9 +28,9 @@
 //! * `/sample` is stateless and round-robins over healthy backends.
 //! * `/models` fans out and reports per-backend snapshots.
 //!
-//! The router has its own observability surface (access log via
-//! [`gb_obs::AccessLog`], `/metrics` with per-backend health and a
-//! hop-latency histogram, `/debug/requests`, `/cluster`) and propagates
+//! The router runs the same request path as a shard (`service.rs`):
+//! its own access log, `/metrics` with per-backend health and hop-latency
+//! histograms, `/debug/requests`, and `/cluster`. It propagates
 //! `X-Request-Id` and `X-Deadline-Ms` across the hop so one id joins the
 //! router's access log with exactly one backend's. See `docs/CLUSTER.md`
 //! for the operator's guide.
@@ -38,15 +38,17 @@
 use crate::client::{RetryPolicy, RetryingClient};
 use crate::deadline::Deadline;
 use crate::errors::{ErrorCode, ErrorStats, ServeError};
-use crate::http::{read_request, HttpError, Request, Response};
-use crate::metrics::LatencyHistogram;
-use crate::server::{prom_histogram, SERVER_VERSION};
-use gb_obs::{gen_request_id, AccessLog, DebugRing, PromText, RequestCtx as ObsCtx, Stage};
+use crate::http::{Request, Response};
+use crate::metrics::{self as m, Exposition, LatencyHistogram};
+use crate::server::SERVER_VERSION;
+use crate::service::{
+    obj, render, Background, Bound, Limits, Reply, Route, Running, Service, Shell,
+};
+use gb_obs::{RequestCtx as ObsCtx, Stage};
 use serde::Value;
-use std::io::BufReader;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Upper bound on per-backend virtual nodes (the ring has
@@ -82,13 +84,16 @@ pub struct RouterConfig {
     pub max_body_bytes: usize,
     /// JSONL access-log target (file path, `"stderr"`/`"-"`, or `None`).
     pub access_log: Option<String>,
-    /// Capacity of the `/debug/requests` ring.
-    pub debug_ring: usize,
-    /// Backoff policy for the per-backend [`RetryingClient`] hop. Kept
-    /// short: ring failover — not in-place retry — is the router's main
-    /// recovery tool.
-    pub retry: RetryPolicy,
 }
+
+/// Backoff policy for the per-backend [`RetryingClient`] hop. Kept short:
+/// ring failover — not in-place retry — is the router's main recovery
+/// tool.
+const HOP_RETRY: RetryPolicy = RetryPolicy {
+    max_attempts: 2,
+    base: Duration::from_millis(5),
+    cap: Duration::from_millis(100),
+};
 
 impl Default for RouterConfig {
     fn default() -> Self {
@@ -103,12 +108,6 @@ impl Default for RouterConfig {
             request_timeout: Duration::from_secs(10),
             max_body_bytes: 64 << 20,
             access_log: None,
-            debug_ring: 64,
-            retry: RetryPolicy {
-                max_attempts: 2,
-                base: Duration::from_millis(5),
-                cap: Duration::from_millis(100),
-            },
         }
     }
 }
@@ -247,17 +246,14 @@ impl Backend {
 }
 
 /// Router-level counters (the backend-attributed ones live on
-/// [`Backend`]).
+/// [`Backend`], requests and sheds on the shell).
 #[derive(Default)]
 struct RouterMetrics {
-    requests: AtomicU64,
     forwarded: AtomicU64,
     forward_errors: AtomicU64,
     /// Requests that found no healthy backend (the 503 `overloaded`
     /// path).
     no_owner: AtomicU64,
-    shed: AtomicU64,
-    health_requests: AtomicU64,
     errors: ErrorStats,
     hop_latency: LatencyHistogram,
 }
@@ -268,14 +264,11 @@ struct RouterCtx {
     ring: HashRing,
     backends: Vec<Backend>,
     metrics: RouterMetrics,
-    access_log: Option<AccessLog>,
-    ring_buf: DebugRing,
+    shell: Shell,
     /// Round-robin cursor for `/sample`.
     rr: AtomicUsize,
     /// Seed counter for per-checkout [`RetryingClient`] jitter streams.
     seeds: AtomicU64,
-    started: Instant,
-    stop: AtomicBool,
 }
 
 impl RouterCtx {
@@ -296,16 +289,13 @@ impl RouterCtx {
 
 /// A bound (not yet serving) router.
 pub struct Router {
-    listener: TcpListener,
-    ctx: Arc<RouterCtx>,
+    inner: Bound<RouterCtx>,
 }
 
 /// Handle to a running router; call [`RouterHandle::stop`] to shut down
 /// (dropping the handle does not).
 pub struct RouterHandle {
-    addr: SocketAddr,
-    ctx: Arc<RouterCtx>,
-    threads: Vec<std::thread::JoinHandle<()>>,
+    inner: Running<RouterCtx>,
 }
 
 impl Router {
@@ -322,31 +312,26 @@ impl Router {
                 "router needs at least one --backend",
             ));
         }
-        let listener = TcpListener::bind(&config.addr)?;
-        let access_log = match &config.access_log {
-            Some(target) => Some(AccessLog::open(target)?),
-            None => None,
+        let limits = Limits {
+            workers: config.workers,
+            backlog: config.backlog,
+            read_timeout: config.read_timeout,
+            request_timeout: config.request_timeout,
+            max_body_bytes: config.max_body_bytes,
         };
-        let ring = HashRing::build(&config.backends, config.vnodes);
-        let backends = config
-            .backends
-            .iter()
-            .map(|a| Backend::new(a.clone()))
-            .collect();
-        let ring_buf = DebugRing::new(config.debug_ring.max(1));
-        let ctx = Arc::new(RouterCtx {
-            ring,
-            backends,
+        let ctx = RouterCtx {
+            ring: HashRing::build(&config.backends, config.vnodes),
+            backends: config.backends.iter().cloned().map(Backend::new).collect(),
             metrics: RouterMetrics::default(),
-            access_log,
-            ring_buf,
+            shell: Shell::new(limits, config.access_log.as_deref())?,
             rr: AtomicUsize::new(0),
             seeds: AtomicU64::new(0x6b8b_4567_327b_23c6),
-            started: Instant::now(),
-            stop: AtomicBool::new(false),
             config,
-        });
-        Ok(Router { listener, ctx })
+        };
+        let addr = ctx.config.addr.clone();
+        Ok(Router {
+            inner: Bound::bind(&addr, ctx)?,
+        })
     }
 
     /// The bound address (resolves port 0).
@@ -354,7 +339,7 @@ impl Router {
     /// # Errors
     /// Propagates `local_addr` failures.
     pub fn local_addr(&self) -> std::io::Result<SocketAddr> {
-        self.listener.local_addr()
+        self.inner.local_addr()
     }
 
     /// Runs one synchronous health pass (every backend polled once)
@@ -362,7 +347,7 @@ impl Router {
     /// one `health_interval` anyway; calling this avoids a cold router
     /// 503ing its first requests.
     pub fn warm_up(&self) {
-        health_pass(&self.ctx);
+        health_pass(self.inner.service());
     }
 
     /// Spawns the accept loop, worker pool, and health thread.
@@ -370,65 +355,9 @@ impl Router {
     /// # Errors
     /// Propagates address/thread-spawn failures.
     pub fn start(self) -> std::io::Result<RouterHandle> {
-        let addr = self.local_addr()?;
-        let ctx = Arc::clone(&self.ctx);
-        let workers = ctx.config.workers.max(1);
-        let (tx, rx) = mpsc::channel::<TcpStream>();
-        let rx = Arc::new(Mutex::new(rx));
-        let queued = Arc::new(AtomicUsize::new(0));
-        let mut threads = Vec::with_capacity(workers + 2);
-        for i in 0..workers {
-            let ctx = Arc::clone(&ctx);
-            let rx = Arc::clone(&rx);
-            let queued = Arc::clone(&queued);
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("gb-router-worker-{i}"))
-                    .spawn(move || loop {
-                        // Bind before matching: a match scrutinee's
-                        // MutexGuard lives to the end of the match, which
-                        // would hold the queue lock across the (long)
-                        // connection and serialize the whole pool.
-                        let conn = rx.lock().expect("worker queue").recv();
-                        match conn {
-                            Ok(stream) => {
-                                queued.fetch_sub(1, Ordering::SeqCst);
-                                handle_connection(stream, &ctx);
-                            }
-                            Err(_) => return,
-                        }
-                    })?,
-            );
-        }
-        let health_ctx = Arc::clone(&ctx);
-        threads.push(
-            std::thread::Builder::new()
-                .name("gb-router-health".into())
-                .spawn(move || health_loop(&health_ctx))?,
-        );
-        let accept_ctx = Arc::clone(&ctx);
-        let listener = self.listener;
-        threads.push(
-            std::thread::Builder::new()
-                .name("gb-router-accept".into())
-                .spawn(move || {
-                    for stream in listener.incoming() {
-                        if accept_ctx.stop.load(Ordering::SeqCst) {
-                            return;
-                        }
-                        let Ok(stream) = stream else { continue };
-                        if queued.fetch_add(1, Ordering::SeqCst) >= accept_ctx.config.backlog {
-                            queued.fetch_sub(1, Ordering::SeqCst);
-                            shed_connection(stream, &accept_ctx);
-                            continue;
-                        }
-                        if tx.send(stream).is_err() {
-                            return;
-                        }
-                    }
-                })?,
-        );
-        Ok(RouterHandle { addr, ctx, threads })
+        Ok(RouterHandle {
+            inner: self.inner.start()?,
+        })
     }
 }
 
@@ -436,28 +365,87 @@ impl RouterHandle {
     /// The routing address.
     #[must_use]
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.inner.addr()
     }
 
     /// Blocks for the router's lifetime (foreground `gbabs router` mode).
     pub fn wait(self) {
-        for t in self.threads {
-            let _ = t.join();
-        }
+        self.inner.wait();
     }
 
     /// Stops accepting, drains the workers, joins every thread, and
     /// flushes the access log.
     pub fn stop(self) {
-        self.ctx.stop.store(true, Ordering::SeqCst);
-        // Unblock the accept loop with a dummy connection.
-        let _ = TcpStream::connect(self.addr);
-        for t in self.threads {
-            let _ = t.join();
+        self.inner.stop();
+    }
+}
+
+impl Service for RouterCtx {
+    const NAME: &'static str = "router";
+    const ROUTES: &'static [Route<Self>] = &[
+        Route::new("GET", "/healthz", healthz_endpoint),
+        Route::new("GET", "/readyz", readyz_endpoint),
+        Route::new("GET", "/cluster", cluster_endpoint),
+        Route::new("POST", "/predict", predict_endpoint),
+        Route::new("GET", "/model", model_endpoint),
+        Route::new("POST", "/sample", sample_endpoint),
+        Route::new("GET", "/models", models_endpoint),
+        Route::new("POST", "/models/*", publish_endpoint),
+        Route::new("DELETE", "/models/*", publish_endpoint),
+        Route::new("GET", "/models/*", version_endpoint),
+    ];
+    const FAMILIES: &'static [&'static m::Family] = m::ROUTER_FAMILIES;
+
+    fn shell(&self) -> &Shell {
+        &self.shell
+    }
+
+    /// Counts every error the router originates; relayed backend errors
+    /// are the backend's.
+    fn count_error(&self, _: Option<&str>, code: ErrorCode) {
+        self.metrics.errors.record(code);
+    }
+
+    fn observe(&self, x: &mut Exposition) {
+        let metrics = &self.metrics;
+        x.add(&m::ROUTER_BUILD_INFO, &["router", SERVER_VERSION], 1.0);
+        x.add(&m::ROUTER_UPTIME, &[], self.shell.uptime_s());
+        x.add(&m::ROUTER_REQUESTS, &[], &self.shell.requests);
+        x.add(&m::ROUTER_FORWARDED, &[], &metrics.forwarded);
+        x.add(&m::ROUTER_FORWARD_ERRORS, &[], &metrics.forward_errors);
+        x.add(&m::ROUTER_NO_OWNER, &[], &metrics.no_owner);
+        x.add(&m::ROUTER_SHED, &[], &self.shell.shed);
+        for code in ErrorCode::ALL {
+            x.add(
+                &m::ROUTER_ERRORS,
+                &[code.as_str()],
+                metrics.errors.get(code),
+            );
         }
-        if let Some(log) = &self.ctx.access_log {
-            log.flush();
+        x.add(&m::ROUTER_HOP_LATENCY, &[], &metrics.hop_latency);
+        for b in &self.backends {
+            x.add(
+                &m::BACKEND_HEALTHY,
+                &[&b.addr],
+                b.healthy.load(Ordering::SeqCst),
+            );
         }
+        for b in &self.backends {
+            x.add(&m::BACKEND_FORWARDED, &[&b.addr], &b.forwarded);
+        }
+        for b in &self.backends {
+            x.add(&m::BACKEND_FORWARD_ERRORS, &[&b.addr], &b.forward_errors);
+        }
+        for b in &self.backends {
+            x.add(&m::BACKEND_HEALTH_FLIPS, &[&b.addr], &b.health_flips);
+        }
+        for b in &self.backends {
+            x.add(&m::BACKEND_HOP_LATENCY, &[&b.addr], &b.hop_latency);
+        }
+    }
+
+    fn background(&self) -> Option<Background<Self>> {
+        Some(("health", health_loop))
     }
 }
 
@@ -483,197 +471,14 @@ fn health_pass(ctx: &RouterCtx) {
 /// Background health thread: one pass per `health_interval`, sleeping in
 /// short slices so shutdown stays responsive.
 fn health_loop(ctx: &RouterCtx) {
-    while !ctx.stop.load(Ordering::SeqCst) {
+    while !ctx.shell.stopping() {
         health_pass(ctx);
         let mut left = ctx.config.health_interval;
-        while !left.is_zero() && !ctx.stop.load(Ordering::SeqCst) {
+        while !left.is_zero() && !ctx.shell.stopping() {
             let slice = left.min(Duration::from_millis(50));
             std::thread::sleep(slice);
             left = left.saturating_sub(slice);
         }
-    }
-}
-
-/// Sheds a connection at the accept gate with a blind 503 (the router
-/// keeps no peek threads — under a flood the cheapest honest answer
-/// wins).
-fn shed_connection(stream: TcpStream, ctx: &RouterCtx) {
-    ctx.metrics.shed.fetch_add(1, Ordering::Relaxed);
-    ctx.metrics.errors.record(ErrorCode::Overloaded);
-    let mut stream = stream;
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
-    let _ = ServeError::overloaded("router overloaded; retry later")
-        .to_response()
-        .write_to(&mut stream, true);
-    let mut obs = ObsCtx::new(gen_request_id(), "(shed)");
-    obs.code = Some(ErrorCode::Overloaded.as_str());
-    finish_request(ctx, obs, 503, &Deadline::unbounded());
-}
-
-/// Collapses a finished request into the debug ring and the access log.
-fn finish_request(ctx: &RouterCtx, obs: ObsCtx, status: u16, deadline: &Deadline) {
-    let remaining_ms = deadline
-        .remaining()
-        .map(|d| u64::try_from(d.as_millis()).unwrap_or(u64::MAX));
-    let rec = obs.finish(status, remaining_ms);
-    ctx.ring_buf.insert(&rec);
-    if let Some(log) = &ctx.access_log {
-        log.log(rec.to_json());
-    }
-}
-
-const IDLE_POLL: Duration = Duration::from_millis(100);
-const READ_SLICE: Duration = Duration::from_millis(50);
-
-/// One worker serving one keep-alive client connection (same loop shape
-/// as the backend server's).
-fn handle_connection(stream: TcpStream, ctx: &RouterCtx) {
-    let _ = stream.set_nodelay(true);
-    let mut reader = BufReader::new(&stream);
-    let mut idle_deadline = Instant::now() + ctx.config.read_timeout;
-    loop {
-        if ctx.stop.load(Ordering::SeqCst) {
-            return;
-        }
-        if reader.buffer().is_empty() {
-            let _ = stream.set_read_timeout(Some(IDLE_POLL));
-            match stream.peek(&mut [0u8; 1]) {
-                Ok(0) => return,
-                Ok(_) => {}
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                    ) =>
-                {
-                    if Instant::now() >= idle_deadline {
-                        return;
-                    }
-                    continue;
-                }
-                Err(_) => return,
-            }
-        }
-        let deadline = Deadline::after(ctx.config.request_timeout);
-        let slice = if deadline.remaining().is_some() {
-            READ_SLICE
-        } else {
-            ctx.config.read_timeout
-        };
-        let _ = stream.set_read_timeout(Some(slice));
-        match read_request(&mut reader, ctx.config.max_body_bytes, deadline) {
-            Ok(req) => {
-                let close = req.close;
-                let budget = req
-                    .deadline
-                    .remaining()
-                    .unwrap_or(ctx.config.read_timeout)
-                    .max(Duration::from_millis(250));
-                let _ = stream.set_write_timeout(Some(budget));
-                ctx.metrics.requests.fetch_add(1, Ordering::Relaxed);
-                let mut obs = ObsCtx::new(
-                    req.request_id.clone().unwrap_or_else(gen_request_id),
-                    req.path.clone(),
-                );
-                let mut response = route(&req, ctx, &mut obs);
-                response.request_id = Some(obs.id.clone());
-                let status = response.status;
-                let mut out = &stream;
-                let t0 = Instant::now();
-                let write_result = response.write_to(&mut out, close);
-                obs.record(Stage::Serialize, t0.elapsed());
-                finish_request(ctx, obs, status, &req.deadline);
-                if write_result.is_err() || close {
-                    return;
-                }
-                idle_deadline = Instant::now() + ctx.config.read_timeout;
-            }
-            Err(HttpError::ConnectionClosed | HttpError::Io(_)) => return,
-            Err(e) => {
-                let err = match e {
-                    HttpError::Timeout => ServeError::request_timeout(e.to_string()),
-                    HttpError::TooLarge(_) => {
-                        ServeError::new(ErrorCode::PayloadTooLarge, e.to_string())
-                    }
-                    _ => ServeError::bad_request(e.to_string()),
-                };
-                let mut obs = ObsCtx::new(gen_request_id(), "(read)");
-                let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
-                let response = err_response(ctx, &mut obs, err);
-                let status = response.status;
-                let mut out = &stream;
-                let t0 = Instant::now();
-                let _ = response.write_to(&mut out, true);
-                obs.record(Stage::Serialize, t0.elapsed());
-                finish_request(ctx, obs, status, &Deadline::unbounded());
-                return;
-            }
-        }
-    }
-}
-
-fn render(v: &Value) -> String {
-    serde_json::to_string(v).unwrap_or_else(|_| "{}".into())
-}
-
-fn obj(fields: Vec<(&str, Value)>) -> Value {
-    Value::Obj(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
-
-/// Counts and renders one classified error (every non-200 the router
-/// originates leaves through here; relayed backend errors do not).
-fn err_response(ctx: &RouterCtx, obs: &mut ObsCtx, err: ServeError) -> Response {
-    ctx.metrics.errors.record(err.code);
-    obs.code = Some(err.code.as_str());
-    err.to_response_with_id(&obs.id)
-}
-
-/// Routes one parsed request.
-fn route(req: &Request, ctx: &RouterCtx, obs: &mut ObsCtx) -> Response {
-    match (req.method.as_str(), req.path.as_str()) {
-        ("GET", "/healthz") => healthz_endpoint(ctx),
-        ("GET", "/readyz") => readyz_endpoint(ctx),
-        ("GET", "/metrics") => metrics_endpoint(req, ctx),
-        ("GET", "/cluster") => cluster_endpoint(req, ctx),
-        ("GET", "/debug/requests") => debug_requests_endpoint(ctx),
-        ("POST", "/predict") => predict_endpoint(req, ctx, obs),
-        ("GET", "/model") => model_endpoint(req, ctx, obs),
-        ("POST", "/sample") => sample_endpoint(req, ctx, obs),
-        ("GET", "/models") => models_endpoint(req, ctx, obs),
-        ("POST" | "DELETE", path) if path.starts_with("/models/") => {
-            publish_endpoint(req, ctx, obs)
-        }
-        ("GET", path) if path.starts_with("/models/") => version_endpoint(req, ctx, obs),
-        (
-            _,
-            "/healthz" | "/readyz" | "/metrics" | "/cluster" | "/debug/requests" | "/predict"
-            | "/model" | "/sample" | "/models",
-        ) => err_response(
-            ctx,
-            obs,
-            ServeError::new(
-                ErrorCode::MethodNotAllowed,
-                format!("method {} not allowed here", req.method),
-            ),
-        ),
-        (_, path) if path.starts_with("/models/") => err_response(
-            ctx,
-            obs,
-            ServeError::new(
-                ErrorCode::MethodNotAllowed,
-                format!("method {} not allowed here", req.method),
-            ),
-        ),
-        _ => err_response(
-            ctx,
-            obs,
-            ServeError::not_found(format!("no route for {}", req.path)),
-        ),
     }
 }
 
@@ -704,7 +509,7 @@ fn checkout(ctx: &RouterCtx, backend: &Backend) -> RetryingClient {
     RetryingClient::new(
         backend.addr.clone(),
         ctx.config.read_timeout,
-        ctx.config.retry.clone(),
+        HOP_RETRY,
         seed,
     )
 }
@@ -770,54 +575,43 @@ fn forward_owned(
     method: &str,
     path: &str,
     body: Option<&str>,
-) -> Response {
+) -> Reply {
     obs.tenant = Some(tenant.to_string());
     let alive = ctx.alive();
     for idx in ctx.ring.preference(tenant) {
-        if !alive[idx] || ctx.stop.load(Ordering::SeqCst) {
+        if !alive[idx] || ctx.shell.stopping() {
             continue;
         }
-        if deadline.expired() {
-            return err_response(
-                ctx,
-                obs,
-                ServeError::deadline_exceeded("deadline expired before the backend hop"),
-            );
-        }
+        deadline.check("the backend hop")?;
         let backend = &ctx.backends[idx];
         // Re-check: an earlier iteration may have marked it down.
         if !backend.healthy.load(Ordering::SeqCst) {
             continue;
         }
-        match forward_once(ctx, obs, backend, deadline, method, path, body) {
-            Ok(response) => return response,
-            Err(_) => continue,
+        if let Ok(response) = forward_once(ctx, obs, backend, deadline, method, path, body) {
+            return Ok(response);
         }
     }
     ctx.metrics.no_owner.fetch_add(1, Ordering::Relaxed);
-    err_response(
-        ctx,
-        obs,
-        ServeError::overloaded(format!(
-            "no healthy backend owns tenant '{tenant}' ({} configured, {} healthy)",
-            ctx.backends.len(),
-            ctx.healthy_count()
-        )),
-    )
+    Err(ServeError::overloaded(format!(
+        "no healthy backend owns tenant '{tenant}' ({} configured, {} healthy)",
+        ctx.backends.len(),
+        ctx.healthy_count()
+    )))
+}
+
+/// The request body as text; the router relays it without parsing.
+fn utf8_body(req: &Request) -> Result<&str, ServeError> {
+    std::str::from_utf8(&req.body).map_err(|_| ServeError::bad_request("body must be UTF-8 JSON"))
 }
 
 /// `POST /predict`: resolves the tenant (`?model=` query, else the JSON
 /// body's `model` field, else `default`) and forwards to its owner.
-fn predict_endpoint(req: &Request, ctx: &RouterCtx, obs: &mut ObsCtx) -> Response {
-    let Ok(body) = std::str::from_utf8(&req.body) else {
-        return err_response(ctx, obs, ServeError::bad_request("body must be UTF-8 JSON"));
-    };
+fn predict_endpoint(ctx: &RouterCtx, req: &Request, obs: &mut ObsCtx) -> Reply {
+    let body = utf8_body(req)?;
     let tenant = match req.query_param("model") {
         Some(m) => m.to_string(),
-        None => match tenant_from_body(body) {
-            Ok(t) => t,
-            Err(e) => return err_response(ctx, obs, ServeError::bad_request(e)),
-        },
+        None => tenant_from_body(body).map_err(ServeError::bad_request)?,
     };
     forward_owned(
         ctx,
@@ -871,7 +665,7 @@ fn encode_query_value(s: &str) -> String {
 
 /// `GET /model?name=`: forwards to the tenant's owner (query re-encoded
 /// from the decoded name).
-fn model_endpoint(req: &Request, ctx: &RouterCtx, obs: &mut ObsCtx) -> Response {
+fn model_endpoint(ctx: &RouterCtx, req: &Request, obs: &mut ObsCtx) -> Reply {
     let tenant = req.query_param("name").unwrap_or("default").to_string();
     let path = format!("/model?name={}", encode_query_value(&tenant));
     forward_owned(ctx, obs, &tenant, &req.deadline, "GET", &path, None)
@@ -879,10 +673,8 @@ fn model_endpoint(req: &Request, ctx: &RouterCtx, obs: &mut ObsCtx) -> Response 
 
 /// `POST /sample`: stateless, so any healthy backend will do —
 /// round-robin, with transport failover.
-fn sample_endpoint(req: &Request, ctx: &RouterCtx, obs: &mut ObsCtx) -> Response {
-    let Ok(body) = std::str::from_utf8(&req.body) else {
-        return err_response(ctx, obs, ServeError::bad_request("body must be UTF-8 JSON"));
-    };
+fn sample_endpoint(ctx: &RouterCtx, req: &Request, obs: &mut ObsCtx) -> Reply {
+    let body = utf8_body(req)?;
     let n = ctx.backends.len();
     let start = ctx.rr.fetch_add(1, Ordering::Relaxed) % n;
     for i in 0..n {
@@ -900,21 +692,19 @@ fn sample_endpoint(req: &Request, ctx: &RouterCtx, obs: &mut ObsCtx) -> Response
             "/sample",
             Some(body),
         ) {
-            return response;
+            return Ok(response);
         }
     }
     ctx.metrics.no_owner.fetch_add(1, Ordering::Relaxed);
-    err_response(
-        ctx,
-        obs,
-        ServeError::overloaded("no healthy backend available for /sample"),
-    )
+    Err(ServeError::overloaded(
+        "no healthy backend available for /sample",
+    ))
 }
 
 /// `GET /models`: fans out to every healthy backend and reports each
 /// shard's snapshot side by side (a shared-nothing cluster has no single
 /// registry to merge).
-fn models_endpoint(req: &Request, ctx: &RouterCtx, obs: &mut ObsCtx) -> Response {
+fn models_endpoint(ctx: &RouterCtx, req: &Request, obs: &mut ObsCtx) -> Reply {
     let mut shards = Vec::new();
     for backend in &ctx.backends {
         if !backend.healthy.load(Ordering::SeqCst) {
@@ -943,7 +733,8 @@ fn models_endpoint(req: &Request, ctx: &RouterCtx, obs: &mut ObsCtx) -> Response
         };
         shards.push(entry);
     }
-    Response::json(200, render(&obj(vec![("shards", Value::Arr(shards))])))
+    let body = obj(vec![("shards", Value::Arr(shards))]);
+    Ok(Response::json(200, render(&body)))
 }
 
 /// `POST /models/{name}` and `DELETE /models/{name}`: replicated
@@ -965,7 +756,7 @@ fn models_endpoint(req: &Request, ctx: &RouterCtx, obs: &mut ObsCtx) -> Response
 /// publish, an append is **not** idempotent — on a partial failure the
 /// caller must reconcile (roll every replica back to a common version)
 /// instead of blindly retrying; see `docs/CLUSTER.md`.
-fn publish_endpoint(req: &Request, ctx: &RouterCtx, obs: &mut ObsCtx) -> Response {
+fn publish_endpoint(ctx: &RouterCtx, req: &Request, obs: &mut ObsCtx) -> Reply {
     let rest = req.path.trim_start_matches("/models/");
     // Only POST carries maintenance actions; a DELETE with an action
     // suffix stays multi-segment and is rejected below.
@@ -976,17 +767,9 @@ fn publish_endpoint(req: &Request, ctx: &RouterCtx, obs: &mut ObsCtx) -> Respons
     } else {
         rest
     };
-    if name.is_empty() || name.contains('/') {
-        return err_response(
-            ctx,
-            obs,
-            ServeError::bad_request("model name must be a single path segment"),
-        );
-    }
+    check_model_name(name)?;
     obs.tenant = Some(name.to_string());
-    let Ok(body) = std::str::from_utf8(&req.body) else {
-        return err_response(ctx, obs, ServeError::bad_request("body must be UTF-8 JSON"));
-    };
+    let body = utf8_body(req)?;
     let body = (!body.is_empty()).then_some(body);
     let delete = req.method == "DELETE";
     let mut results = Vec::new();
@@ -1028,11 +811,9 @@ fn publish_endpoint(req: &Request, ctx: &RouterCtx, obs: &mut ObsCtx) -> Respons
     }
     if results.is_empty() {
         ctx.metrics.no_owner.fetch_add(1, Ordering::Relaxed);
-        return err_response(
-            ctx,
-            obs,
-            ServeError::overloaded(format!("no healthy backend to replicate '{name}' to")),
-        );
+        return Err(ServeError::overloaded(format!(
+            "no healthy backend to replicate '{name}' to"
+        )));
     }
     // A replica that was down at publish time is as incomplete as one
     // that rejected: it will rejoin the ring with its old tenants but
@@ -1042,15 +823,11 @@ fn publish_endpoint(req: &Request, ctx: &RouterCtx, obs: &mut ObsCtx) -> Respons
     if !failures.is_empty() || !skipped.is_empty() {
         let mut detail = failures;
         detail.extend(skipped.into_iter().map(|addr| format!("{addr} -> down")));
-        return err_response(
-            ctx,
-            obs,
-            ServeError::store_io(format!(
-                "replication incomplete for '{name}' ({replicas}/{} replicas): {}",
-                ctx.backends.len(),
-                detail.join(", ")
-            )),
-        );
+        return Err(ServeError::store_io(format!(
+            "replication incomplete for '{name}' ({replicas}/{} replicas): {}",
+            ctx.backends.len(),
+            detail.join(", ")
+        )));
     }
     let verb = if delete {
         "deleted"
@@ -1061,45 +838,44 @@ fn publish_endpoint(req: &Request, ctx: &RouterCtx, obs: &mut ObsCtx) -> Respons
     } else {
         "published"
     };
-    Response::json(
+    Ok(Response::json(
         200,
         render(&obj(vec![
             (verb, Value::Str(name.to_string())),
             ("replicas", Value::Num(replicas as f64)),
             ("results", Value::Arr(results)),
         ])),
-    )
+    ))
 }
 
 /// `GET /models/{name}[?version=N]`: version-chain metadata, forwarded to
 /// the tenant's owner shard (replication keeps the chains converged, so
 /// the owner's answer stands for the cluster).
-fn version_endpoint(req: &Request, ctx: &RouterCtx, obs: &mut ObsCtx) -> Response {
+fn version_endpoint(ctx: &RouterCtx, req: &Request, obs: &mut ObsCtx) -> Reply {
     let name = req.path.trim_start_matches("/models/");
-    if name.is_empty() || name.contains('/') {
-        return err_response(
-            ctx,
-            obs,
-            ServeError::bad_request("model name must be a single path segment"),
-        );
-    }
+    check_model_name(name)?;
     let path = match req.query_param("version") {
-        Some(raw) => match raw.parse::<u64>() {
-            Ok(v) => format!("{}?version={v}", req.path),
-            Err(_) => {
-                return err_response(
-                    ctx,
-                    obs,
-                    ServeError::bad_request("'version' must be a non-negative integer"),
-                )
-            }
-        },
+        Some(raw) => {
+            let v = raw
+                .parse::<u64>()
+                .map_err(|_| ServeError::bad_request("'version' must be a non-negative integer"))?;
+            format!("{}?version={v}", req.path)
+        }
         None => req.path.clone(),
     };
     forward_owned(ctx, obs, name, &req.deadline, "GET", &path, None)
 }
 
-/// Build-info fields shared by the router's health and metrics bodies.
+fn check_model_name(name: &str) -> Result<(), ServeError> {
+    if name.is_empty() || name.contains('/') {
+        return Err(ServeError::bad_request(
+            "model name must be a single path segment",
+        ));
+    }
+    Ok(())
+}
+
+/// Build-info fields of the router's `/healthz` and `/readyz`.
 fn build_info_fields() -> Vec<(&'static str, Value)> {
     vec![
         ("role", Value::Str("router".into())),
@@ -1108,37 +884,36 @@ fn build_info_fields() -> Vec<(&'static str, Value)> {
 }
 
 /// `GET /healthz`: router liveness plus the backend health tally.
-fn healthz_endpoint(ctx: &RouterCtx) -> Response {
-    ctx.metrics.health_requests.fetch_add(1, Ordering::Relaxed);
+fn healthz_endpoint(ctx: &RouterCtx, _: &Request, _: &mut ObsCtx) -> Reply {
     let mut fields = vec![
         ("status", Value::Str("ok".into())),
         ("backends", Value::Num(ctx.backends.len() as f64)),
         ("healthy_backends", Value::Num(ctx.healthy_count() as f64)),
-        ("uptime_s", Value::Num(ctx.started.elapsed().as_secs_f64())),
+        ("uptime_s", Value::Num(ctx.shell.uptime_s())),
     ];
     fields.extend(build_info_fields());
-    Response::json(200, render(&obj(fields)))
+    Ok(Response::json(200, render(&obj(fields))))
 }
 
 /// `GET /readyz`: ready iff at least one backend is healthy (a router
 /// with zero live shards can only shed).
-fn readyz_endpoint(ctx: &RouterCtx) -> Response {
-    ctx.metrics.health_requests.fetch_add(1, Ordering::Relaxed);
+fn readyz_endpoint(ctx: &RouterCtx, _: &Request, _: &mut ObsCtx) -> Reply {
     let healthy = ctx.healthy_count();
-    let ready = healthy > 0 && !ctx.stop.load(Ordering::SeqCst);
+    let ready = healthy > 0 && !ctx.shell.stopping();
     let mut fields = vec![
         ("ready", Value::Bool(ready)),
         ("backends", Value::Num(ctx.backends.len() as f64)),
         ("healthy_backends", Value::Num(healthy as f64)),
-        ("uptime_s", Value::Num(ctx.started.elapsed().as_secs_f64())),
+        ("uptime_s", Value::Num(ctx.shell.uptime_s())),
     ];
     fields.extend(build_info_fields());
-    Response::json(if ready { 200 } else { 503 }, render(&obj(fields)))
+    let status = if ready { 200 } else { 503 };
+    Ok(Response::json(status, render(&obj(fields))))
 }
 
 /// `GET /cluster`: the ring topology — per-backend health and counters;
 /// with `?tenant=NAME`, that tenant's owner and full failover order.
-fn cluster_endpoint(req: &Request, ctx: &RouterCtx) -> Response {
+fn cluster_endpoint(ctx: &RouterCtx, req: &Request, _: &mut ObsCtx) -> Reply {
     let alive = ctx.alive();
     let backends = ctx
         .backends
@@ -1192,186 +967,7 @@ fn cluster_endpoint(req: &Request, ctx: &RouterCtx) -> Response {
         ]);
         fields.push(("tenant", tenant_lookup));
     }
-    Response::json(200, render(&obj(fields)))
-}
-
-/// `GET /debug/requests`: the router's own slowest/errored ring (same
-/// shape as the backend endpoint).
-fn debug_requests_endpoint(ctx: &RouterCtx) -> Response {
-    let (slowest, errored) = ctx.ring_buf.snapshot();
-    let join = |records: &[gb_obs::RequestRecord]| {
-        let items: Vec<String> = records.iter().map(gb_obs::RequestRecord::to_json).collect();
-        format!("[{}]", items.join(","))
-    };
-    let body = format!(
-        "{{\"capacity\":{},\"slowest\":{},\"errored\":{}}}",
-        ctx.ring_buf.capacity(),
-        join(&slowest),
-        join(&errored)
-    );
-    Response::json(200, body)
-}
-
-/// `GET /metrics`: aggregated router metrics (JSON by default,
-/// `?format=prometheus` for text exposition).
-fn metrics_endpoint(req: &Request, ctx: &RouterCtx) -> Response {
-    if req.query_param("format") == Some("prometheus") {
-        return Response::text(200, prometheus_metrics(ctx), "text/plain; version=0.0.4");
-    }
-    let m = &ctx.metrics;
-    let backends = ctx
-        .backends
-        .iter()
-        .map(|b| {
-            obj(vec![
-                ("addr", Value::Str(b.addr.clone())),
-                ("healthy", Value::Bool(b.healthy.load(Ordering::SeqCst))),
-                (
-                    "forwarded",
-                    Value::Num(b.forwarded.load(Ordering::Relaxed) as f64),
-                ),
-                (
-                    "forward_errors",
-                    Value::Num(b.forward_errors.load(Ordering::Relaxed) as f64),
-                ),
-                (
-                    "health_flips",
-                    Value::Num(b.health_flips.load(Ordering::Relaxed) as f64),
-                ),
-                ("hop_latency_us", b.hop_latency.to_value()),
-            ])
-        })
-        .collect::<Vec<_>>();
-    let body = obj(vec![
-        ("uptime_s", Value::Num(ctx.started.elapsed().as_secs_f64())),
-        ("build", obj(build_info_fields())),
-        (
-            "requests",
-            Value::Num(m.requests.load(Ordering::Relaxed) as f64),
-        ),
-        (
-            "forwarded",
-            Value::Num(m.forwarded.load(Ordering::Relaxed) as f64),
-        ),
-        (
-            "forward_errors",
-            Value::Num(m.forward_errors.load(Ordering::Relaxed) as f64),
-        ),
-        (
-            "no_healthy_owner",
-            Value::Num(m.no_owner.load(Ordering::Relaxed) as f64),
-        ),
-        ("shed", Value::Num(m.shed.load(Ordering::Relaxed) as f64)),
-        ("errors_by_code", m.errors.to_value()),
-        ("hop_latency_us", m.hop_latency.to_value()),
-        ("backends", Value::Arr(backends)),
-    ]);
-    Response::json(200, render(&body))
-}
-
-/// Prometheus text exposition for the router: per-backend health gauges
-/// and counters, forward totals, and the hop-latency histogram.
-fn prometheus_metrics(ctx: &RouterCtx) -> String {
-    let m = &ctx.metrics;
-    let mut p = PromText::new();
-    p.metric(
-        "gb_router_requests_total",
-        "counter",
-        "Requests accepted by the router",
-    );
-    p.sample(
-        "gb_router_requests_total",
-        &[],
-        m.requests.load(Ordering::Relaxed) as f64,
-    );
-    p.metric(
-        "gb_router_forwarded_total",
-        "counter",
-        "Requests forwarded to a backend, by backend",
-    );
-    for b in &ctx.backends {
-        p.sample(
-            "gb_router_forwarded_total",
-            &[("backend", b.addr.as_str())],
-            b.forwarded.load(Ordering::Relaxed) as f64,
-        );
-    }
-    p.metric(
-        "gb_router_forward_errors_total",
-        "counter",
-        "Transport-level forward failures, by backend",
-    );
-    for b in &ctx.backends {
-        p.sample(
-            "gb_router_forward_errors_total",
-            &[("backend", b.addr.as_str())],
-            b.forward_errors.load(Ordering::Relaxed) as f64,
-        );
-    }
-    p.metric(
-        "gb_router_backend_healthy",
-        "gauge",
-        "1 when the backend's last /readyz probe (or forward) succeeded",
-    );
-    for b in &ctx.backends {
-        p.sample(
-            "gb_router_backend_healthy",
-            &[("backend", b.addr.as_str())],
-            f64::from(u8::from(b.healthy.load(Ordering::SeqCst))),
-        );
-    }
-    p.metric(
-        "gb_router_backend_health_flips_total",
-        "counter",
-        "Backend health transitions observed",
-    );
-    for b in &ctx.backends {
-        p.sample(
-            "gb_router_backend_health_flips_total",
-            &[("backend", b.addr.as_str())],
-            b.health_flips.load(Ordering::Relaxed) as f64,
-        );
-    }
-    p.metric(
-        "gb_router_no_healthy_owner_total",
-        "counter",
-        "Requests 503ed because no healthy backend owned the tenant",
-    );
-    p.sample(
-        "gb_router_no_healthy_owner_total",
-        &[],
-        m.no_owner.load(Ordering::Relaxed) as f64,
-    );
-    p.metric(
-        "gb_router_shed_total",
-        "counter",
-        "Connections shed at the router accept gate",
-    );
-    p.sample(
-        "gb_router_shed_total",
-        &[],
-        m.shed.load(Ordering::Relaxed) as f64,
-    );
-    p.metric(
-        "gb_router_errors_total",
-        "counter",
-        "Router-originated errors by taxonomy code",
-    );
-    for code in ErrorCode::ALL {
-        p.sample(
-            "gb_router_errors_total",
-            &[("code", code.as_str())],
-            m.errors.get(code) as f64,
-        );
-    }
-    prom_histogram(
-        &mut p,
-        "gb_router_hop_latency_us",
-        "Router-to-backend hop latency in microseconds",
-        &[],
-        &m.hop_latency,
-    );
-    p.finish()
+    Ok(Response::json(200, render(&obj(fields))))
 }
 
 #[cfg(test)]

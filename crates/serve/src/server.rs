@@ -1,29 +1,25 @@
-//! The serving loop: listener, worker pool, routing, admission.
+//! `gbabs serve`: the model server's routes, error counting and metrics.
 //!
-//! Connections are accepted on a dedicated thread and handed to a **fixed
-//! pool of worker threads** over a bounded queue; a worker owns its
-//! connection until the peer closes (HTTP keep-alive), reading requests,
-//! routing them, and writing JSON responses. When every worker is busy and
-//! the hand-off queue is at `backlog` capacity, the accept thread sheds the
-//! connection with an immediate `503` instead of queuing unboundedly — the
-//! server's admission gate. `/predict` runs on the worker that read the
-//! request, so a request never waits on another thread.
+//! The accept loop, admission gate, worker pool and connection loop are
+//! the shared shell in `service.rs`. `/predict` runs on the worker
+//! that read the request, so a request never waits on another thread.
 
-use crate::deadline::Deadline;
 use crate::errors::{ErrorCode, ServeError};
-use crate::http::{peek_head, read_request, HttpError, Response};
-use crate::metrics::{LatencyHistogram, Metrics, TenantRegistry, LATENCY_BUCKETS};
+use crate::http::{Request, Response};
+use crate::metrics::{self as m, Exposition, Metrics, TenantRegistry, TenantStats};
 use crate::registry::{
     CreateOptions, IngestError, LoadOptions, ModelRegistry, PublishError, ServingModel, VersionInfo,
 };
+use crate::service::{
+    obj, render, Background, Bound, Limits, Reply, Route, Running, Service, Shell,
+};
 use gb_dataset::index::GranulationBackend;
-use gb_obs::{gen_request_id, AccessLog, DebugRing, PromText, RequestCtx as ObsCtx, Stage};
+use gb_obs::{RequestCtx as ObsCtx, Stage};
 use gbabs::{DistanceRule, ProgressEvent};
 use serde::Value;
-use std::io::BufReader;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::net::SocketAddr;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Server build version, reported by `/healthz`, `/readyz`, and
@@ -57,9 +53,6 @@ pub struct ServeConfig {
     /// finished request (id, tenant, endpoint, status, error code, rows,
     /// per-stage µs, deadline remaining).
     pub access_log: Option<String>,
-    /// Capacity of the `/debug/requests` ring: how many slowest and how
-    /// many most-recent errored requests are retained in memory.
-    pub debug_ring: usize,
     /// Warm-ahead at boot: rebuild this many of the most-recently-written
     /// cold tenants in a background thread once the server starts, so
     /// first requests after a restart hit resident predictors. `0`
@@ -77,7 +70,6 @@ impl Default for ServeConfig {
             request_timeout: Duration::from_secs(10),
             max_body_bytes: 64 << 20,
             access_log: None,
-            debug_ring: 64,
             preload: 0,
         }
     }
@@ -90,30 +82,19 @@ struct ServerCtx {
     /// Per-tenant counters/histograms (entries minted only on model
     /// resolution, never by junk names).
     tenants: TenantRegistry,
-    /// JSONL access log, when `--access-log` is configured.
-    access_log: Option<AccessLog>,
-    /// Slowest/errored request ring behind `GET /debug/requests`.
-    ring: DebugRing,
-    /// Active bounded-peek shed threads (caps the thread cost of echoing
-    /// request ids on shed 503s under a connection flood).
-    shed_peeks: AtomicUsize,
-    config: ServeConfig,
-    started: Instant,
-    stop: AtomicBool,
+    shell: Shell,
+    preload: usize,
 }
 
 /// A bound (not yet serving) server.
 pub struct Server {
-    listener: TcpListener,
-    ctx: Arc<ServerCtx>,
+    inner: Bound<ServerCtx>,
 }
 
 /// Handle to a running server; dropping it does **not** stop the server —
 /// call [`ServerHandle::stop`].
 pub struct ServerHandle {
-    addr: SocketAddr,
-    ctx: Arc<ServerCtx>,
-    threads: Vec<std::thread::JoinHandle<()>>,
+    inner: Running<ServerCtx>,
 }
 
 impl Server {
@@ -128,24 +109,23 @@ impl Server {
         // (contract v2), but the operator asked for something specific.
         gb_dataset::validate_simd_env()
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?;
-        let listener = TcpListener::bind(&config.addr)?;
-        let access_log = match &config.access_log {
-            Some(target) => Some(AccessLog::open(target)?),
-            None => None,
+        let limits = Limits {
+            workers: config.workers,
+            backlog: config.backlog,
+            read_timeout: config.read_timeout,
+            request_timeout: config.request_timeout,
+            max_body_bytes: config.max_body_bytes,
         };
-        let ring = DebugRing::new(config.debug_ring.max(1));
-        let ctx = Arc::new(ServerCtx {
+        let ctx = ServerCtx {
             registry,
             metrics: Metrics::default(),
             tenants: TenantRegistry::default(),
-            access_log,
-            ring,
-            shed_peeks: AtomicUsize::new(0),
-            config,
-            started: Instant::now(),
-            stop: AtomicBool::new(false),
-        });
-        Ok(Server { listener, ctx })
+            shell: Shell::new(limits, config.access_log.as_deref())?,
+            preload: config.preload,
+        };
+        Ok(Server {
+            inner: Bound::bind(&config.addr, ctx)?,
+        })
     }
 
     /// The bound address (resolves port 0).
@@ -153,7 +133,7 @@ impl Server {
     /// # Errors
     /// Propagates `local_addr` failures.
     pub fn local_addr(&self) -> std::io::Result<SocketAddr> {
-        self.listener.local_addr()
+        self.inner.local_addr()
     }
 
     /// Spawns the accept loop and worker pool and returns immediately.
@@ -161,75 +141,9 @@ impl Server {
     /// # Errors
     /// Propagates address/thread-spawn failures.
     pub fn start(self) -> std::io::Result<ServerHandle> {
-        let addr = self.local_addr()?;
-        let ctx = Arc::clone(&self.ctx);
-        let workers = ctx.config.workers.max(1);
-        let (tx, rx) = mpsc::channel::<TcpStream>();
-        let rx = Arc::new(Mutex::new(rx));
-        let queued = Arc::new(AtomicUsize::new(0));
-        let mut threads = Vec::with_capacity(workers + 1);
-        for i in 0..workers {
-            let ctx = Arc::clone(&ctx);
-            let rx = Arc::clone(&rx);
-            let queued = Arc::clone(&queued);
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("gb-serve-worker-{i}"))
-                    .spawn(move || loop {
-                        let conn = rx.lock().expect("worker queue").recv();
-                        match conn {
-                            Ok(stream) => {
-                                queued.fetch_sub(1, Ordering::SeqCst);
-                                handle_connection(stream, &ctx);
-                            }
-                            Err(_) => return, // accept loop gone
-                        }
-                    })?,
-            );
-        }
-        if ctx.config.preload > 0 {
-            // Warm-ahead runs off the request path: the listener is
-            // already accepting, cold tenants stay servable throughout
-            // (a concurrent request simply coalesces onto the same
-            // single-flight reload), and the thread exits when done.
-            let preload_ctx = Arc::clone(&ctx);
-            threads.push(
-                std::thread::Builder::new()
-                    .name("gb-serve-preload".into())
-                    .spawn(move || {
-                        let warmed = preload_ctx
-                            .registry
-                            .preload_recent(preload_ctx.config.preload);
-                        if warmed > 0 {
-                            eprintln!("gb-serve: preloaded {warmed} tenant(s)");
-                        }
-                    })?,
-            );
-        }
-        let accept_ctx = Arc::clone(&ctx);
-        let listener = self.listener;
-        threads.push(
-            std::thread::Builder::new()
-                .name("gb-serve-accept".into())
-                .spawn(move || {
-                    for stream in listener.incoming() {
-                        if accept_ctx.stop.load(Ordering::SeqCst) {
-                            return; // tx drops; workers drain and exit
-                        }
-                        let Ok(stream) = stream else { continue };
-                        if queued.fetch_add(1, Ordering::SeqCst) >= accept_ctx.config.backlog {
-                            queued.fetch_sub(1, Ordering::SeqCst);
-                            accept_ctx.metrics.shed.fetch_add(1, Ordering::Relaxed);
-                            shed_connection(stream, &accept_ctx);
-                            continue;
-                        }
-                        if tx.send(stream).is_err() {
-                            return;
-                        }
-                    }
-                })?,
-        );
-        Ok(ServerHandle { addr, ctx, threads })
+        Ok(ServerHandle {
+            inner: self.inner.start()?,
+        })
     }
 }
 
@@ -237,272 +151,148 @@ impl ServerHandle {
     /// The serving address.
     #[must_use]
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.inner.addr()
     }
 
     /// Blocks the current thread for the server's lifetime (until another
     /// thread triggers shutdown or the process is killed) — the foreground
     /// mode `gbabs serve` runs in.
     pub fn wait(self) {
-        for t in self.threads {
-            let _ = t.join();
-        }
+        self.inner.wait();
     }
 
-    /// Stops accepting, drains the workers, and joins every thread.
+    /// Stops accepting, drains the workers, joins every thread, and
+    /// flushes the access log.
     pub fn stop(self) {
-        self.ctx.stop.store(true, Ordering::SeqCst);
-        // Unblock the accept loop with a dummy connection.
-        let _ = TcpStream::connect(self.addr);
-        for t in self.threads {
-            let _ = t.join();
-        }
-        // Drain buffered access-log lines before the process (possibly)
-        // exits: every request served before stop() returns is on disk.
-        if let Some(log) = &self.ctx.access_log {
-            log.flush();
-        }
+        self.inner.stop();
     }
 }
 
-/// How many concurrent shed connections may hold a bounded-peek thread;
-/// beyond this the 503 is written blind (no id echo) so a connection flood
-/// cannot become a thread flood.
-const MAX_SHED_PEEKS: usize = 32;
+impl Service for ServerCtx {
+    const NAME: &'static str = "server";
+    const ROUTES: &'static [Route<Self>] = &[
+        Route::new("GET", "/healthz", healthz_endpoint),
+        Route::new("GET", "/readyz", readyz_endpoint),
+        Route::new("GET", "/models", models_endpoint),
+        Route::new("GET", "/model", model_endpoint),
+        Route::new("POST", "/predict", predict_endpoint),
+        Route::new("POST", "/sample", sample_endpoint),
+        Route::new("POST", "/models/*/rows", ingest_endpoint),
+        Route::new("POST", "/models/*/rollback", rollback_endpoint),
+        Route::new("POST", "/models/*", reload_endpoint),
+        Route::new("DELETE", "/models/*", delete_endpoint),
+        Route::new("GET", "/models/*", version_endpoint),
+    ];
+    const FAMILIES: &'static [&'static m::Family] = m::SERVER_FAMILIES;
 
-/// Budget for peeking a shed connection's request head (id echo).
-const SHED_PEEK_BUDGET: Duration = Duration::from_millis(150);
-
-/// Sheds a connection at the accept gate with a 503. When thread budget
-/// allows, a short-lived detached thread peeks the request head first so
-/// the 503 still echoes the client's `X-Request-Id` and the shed lands in
-/// the access log with its real path; under a flood the response is
-/// written blind from the accept thread (never blocking accept on a read).
-fn shed_connection(stream: TcpStream, ctx: &Arc<ServerCtx>) {
-    ctx.metrics.errors.record(ErrorCode::Overloaded);
-    if ctx.shed_peeks.fetch_add(1, Ordering::SeqCst) < MAX_SHED_PEEKS {
-        let ctx2 = Arc::clone(ctx);
-        let spawned = std::thread::Builder::new()
-            .name("gb-serve-shed".into())
-            .spawn(move || {
-                shed_with_peek(stream, &ctx2);
-                ctx2.shed_peeks.fetch_sub(1, Ordering::SeqCst);
-            });
-        match spawned {
-            Ok(_) => return,
-            Err(_) => {
-                // Spawn failed: the moved stream is gone with the closure.
-                ctx.shed_peeks.fetch_sub(1, Ordering::SeqCst);
-                return;
-            }
-        }
+    fn shell(&self) -> &Shell {
+        &self.shell
     }
-    ctx.shed_peeks.fetch_sub(1, Ordering::SeqCst);
-    let mut stream = stream;
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
-    let _ = ServeError::overloaded("server overloaded; retry later")
-        .to_response()
-        .write_to(&mut stream, true);
-    finish_request(ctx, shed_obs(None, None), 503, &Deadline::unbounded());
-}
 
-fn shed_obs(id: Option<String>, path: Option<String>) -> ObsCtx {
-    let mut obs = ObsCtx::new(
-        id.unwrap_or_else(gen_request_id),
-        path.unwrap_or_else(|| "(shed)".into()),
-    );
-    obs.code = Some(ErrorCode::Overloaded.as_str());
-    obs
-}
-
-/// Shed path with head peek: bounded read of the request line + headers to
-/// recover the path and client request id, then the 503.
-fn shed_with_peek(stream: TcpStream, ctx: &ServerCtx) {
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
-    let deadline = Deadline::after(SHED_PEEK_BUDGET);
-    let (path, id) = {
-        let mut reader = BufReader::new(&stream);
-        peek_head(&mut reader, &deadline)
-    };
-    let mut obs = shed_obs(id, path);
-    let mut stream = stream;
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
-    let t0 = Instant::now();
-    let _ = ServeError::overloaded("server overloaded; retry later")
-        .to_response_with_id(&obs.id)
-        .write_to(&mut stream, true);
-    obs.record(Stage::Serialize, t0.elapsed());
-    finish_request(ctx, obs, 503, &Deadline::unbounded());
-}
-
-/// Collapses a finished request into its record, feeding the debug ring
-/// and (when configured) the access log.
-fn finish_request(ctx: &ServerCtx, obs: ObsCtx, status: u16, deadline: &Deadline) {
-    let remaining_ms = deadline
-        .remaining()
-        .map(|d| u64::try_from(d.as_millis()).unwrap_or(u64::MAX));
-    let rec = obs.finish(status, remaining_ms);
-    ctx.ring.insert(&rec);
-    if let Some(log) = &ctx.access_log {
-        log.log(rec.to_json());
-    }
-}
-
-/// Idle-poll granularity: how quickly a worker parked on a keep-alive
-/// connection notices shutdown.
-const IDLE_POLL: Duration = Duration::from_millis(100);
-
-/// Socket-timeout slice for reads of an **in-flight** request: each tick
-/// re-checks the request deadline, so a stalling client is bounded by the
-/// budget (408) instead of pinning a worker for the full socket timeout
-/// per byte.
-const READ_SLICE: Duration = Duration::from_millis(50);
-
-/// Arms the socket write timeout from the request's remaining budget (a
-/// small floor keeps error responses deliverable even when the deadline
-/// has already lapsed; unbounded deadlines fall back to `read_timeout` so
-/// a dead peer can never pin a worker on write either).
-fn arm_write_timeout(stream: &TcpStream, deadline: &Deadline, config: &ServeConfig) {
-    let budget = deadline
-        .remaining()
-        .unwrap_or(config.read_timeout)
-        .max(Duration::from_millis(250));
-    let _ = stream.set_write_timeout(Some(budget));
-}
-
-/// One worker serving one (keep-alive) connection to completion.
-fn handle_connection(stream: TcpStream, ctx: &ServerCtx) {
-    let _ = stream.set_nodelay(true);
-    let mut reader = BufReader::new(&stream);
-    let mut idle_deadline = Instant::now() + ctx.config.read_timeout;
-    loop {
-        if ctx.stop.load(Ordering::SeqCst) {
-            return;
+    /// Keeps the aggregate counters, the per-code counters, and the
+    /// per-tenant counters consistent. Error paths never mint tenant
+    /// entries: only an already-resolved tenant is attributed.
+    fn count_error(&self, tenant: Option<&str>, code: ErrorCode) {
+        self.metrics.errors.record(code);
+        if let Some(stats) = tenant.and_then(|t| self.tenants.get(t)) {
+            stats.errors.record(code);
         }
-        // Wait for the next request's first byte in short slices so both
-        // shutdown and the idle reaper stay responsive, then switch to the
-        // full timeout for reading the (now in-flight) request.
-        if reader.buffer().is_empty() {
-            let _ = stream.set_read_timeout(Some(IDLE_POLL));
-            match stream.peek(&mut [0u8; 1]) {
-                Ok(0) => return, // peer closed
-                Ok(_) => {}
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                    ) =>
-                {
-                    if Instant::now() >= idle_deadline {
-                        return; // reap idle keep-alive connection
-                    }
-                    continue;
-                }
-                Err(_) => return,
-            }
-        }
-        // First byte of a request has arrived: arm its deadline. With
-        // deadlines enabled, reads use short timeout slices so the budget
-        // is polled; with `request_timeout = 0` the legacy behavior holds
-        // (one hard socket timeout covering the whole read).
-        let deadline = Deadline::after(ctx.config.request_timeout);
-        let slice = if deadline.remaining().is_some() {
-            READ_SLICE
-        } else {
-            ctx.config.read_timeout
+        let counter = match code.status() {
+            503 => &self.metrics.shed,
+            500.. => &self.metrics.server_errors,
+            _ => &self.metrics.client_errors,
         };
-        let _ = stream.set_read_timeout(Some(slice));
-        match read_request(&mut reader, ctx.config.max_body_bytes, deadline) {
-            Ok(req) => {
-                let close = req.close;
-                arm_write_timeout(&stream, &req.deadline, &ctx.config);
-                let mut obs = ObsCtx::new(
-                    req.request_id.clone().unwrap_or_else(gen_request_id),
-                    req.path.clone(),
+        counter.fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn observe(&self, x: &mut Exposition) {
+        let metrics = &self.metrics;
+        let contract = gb_dataset::CONTRACT_VERSION.to_string();
+        let kernel = gb_dataset::active_kernel().name();
+        x.add(&m::BUILD_INFO, &[SERVER_VERSION, kernel, &contract], 1.0);
+        x.add(&m::UPTIME, &[], self.shell.uptime_s());
+        for (endpoint, counter) in [
+            ("predict", &metrics.predict_requests),
+            ("sample", &metrics.sample_requests),
+            ("model", &metrics.model_requests),
+            ("healthz", &metrics.health_requests),
+            ("reload", &metrics.reloads),
+            ("delete", &metrics.deletes),
+            ("append", &metrics.appends),
+            ("rollback", &metrics.rollbacks),
+        ] {
+            x.add(&m::REQUESTS, &[endpoint], counter);
+        }
+        x.add(&m::PREDICT_ROWS, &[], &metrics.predict_rows);
+        x.add(&m::APPEND_ROWS, &[], &metrics.append_rows);
+        x.add(&m::CLIENT_ERRORS, &[], &metrics.client_errors);
+        x.add(&m::SERVER_ERRORS, &[], &metrics.server_errors);
+        x.add(&m::SHED, &[], &metrics.shed);
+        for code in ErrorCode::ALL {
+            x.add(&m::ERRORS, &[code.as_str()], metrics.errors.get(code));
+        }
+        let snap = self.registry.snapshot();
+        let r = &self.registry.stats;
+        x.add(&m::RESIDENT_MODELS, &[], snap.resident as f64);
+        x.add(&m::COLD_MODELS, &[], snap.cold as f64);
+        x.add(&m::RESIDENT_BYTES, &[], snap.resident_bytes as f64);
+        x.add(&m::BUDGET_BYTES, &[], snap.budget_bytes.map(|b| b as f64));
+        x.add(&m::HITS, &[], &r.hits);
+        x.add(&m::COLD_RELOADS, &[], &r.cold_reloads);
+        x.add(&m::EVICTIONS, &[], &r.evictions);
+        x.add(&m::RELOAD_LATENCY, &[], &r.reload_latency);
+        x.add(&m::PREDICT_LATENCY, &[], &metrics.predict_latency);
+        let tenants = self.tenants.snapshot();
+        let counters: [(&m::Family, TenantCounter); 6] = [
+            (&m::TENANT_REQUESTS, |t| &t.requests),
+            (&m::TENANT_ROWS, |t| &t.rows),
+            (&m::TENANT_RELOADS, |t| &t.reloads),
+            (&m::TENANT_APPENDS, |t| &t.appends),
+            (&m::TENANT_APPEND_ROWS, |t| &t.append_rows),
+            (&m::TENANT_ROLLBACKS, |t| &t.rollbacks),
+        ];
+        for (family, counter) in counters {
+            for (name, stats) in &tenants {
+                x.add(family, &[name], counter(stats));
+            }
+        }
+        for (name, stats) in &tenants {
+            for code in ErrorCode::ALL {
+                x.add(
+                    &m::TENANT_ERRORS,
+                    &[name, code.as_str()],
+                    stats.errors.get(code),
                 );
-                let mut response = route(&req, ctx, &mut obs);
-                // Every response — success, error, or shed — echoes the id.
-                response.request_id = Some(obs.id.clone());
-                let status = response.status;
-                let mut out = &stream;
-                let t0 = Instant::now();
-                let write_result = response.write_to(&mut out, close);
-                obs.record(Stage::Serialize, t0.elapsed());
-                finish_request(ctx, obs, status, &req.deadline);
-                if write_result.is_err() || close {
-                    return;
-                }
-                idle_deadline = Instant::now() + ctx.config.read_timeout;
-            }
-            Err(HttpError::ConnectionClosed) => return,
-            Err(HttpError::Io(_)) => return, // timeout or reset: reap
-            Err(e) => {
-                let err = match e {
-                    HttpError::Timeout => ServeError::request_timeout(e.to_string()),
-                    HttpError::TooLarge(_) => {
-                        ServeError::new(ErrorCode::PayloadTooLarge, e.to_string())
-                    }
-                    _ => ServeError::bad_request(e.to_string()),
-                };
-                // The request never parsed, so no client id is available;
-                // the failure still gets a record under a generated id.
-                let mut obs = ObsCtx::new(gen_request_id(), "(read)");
-                let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
-                let response = err_response(ctx, &mut obs, err);
-                let status = response.status;
-                let mut out = &stream;
-                let t0 = Instant::now();
-                let _ = response.write_to(&mut out, true);
-                obs.record(Stage::Serialize, t0.elapsed());
-                finish_request(ctx, obs, status, &Deadline::unbounded());
-                return;
             }
         }
-    }
-}
-
-fn render(v: &Value) -> String {
-    serde_json::to_string(v).unwrap_or_else(|_| "{}".into())
-}
-
-fn obj(fields: Vec<(&str, Value)>) -> Value {
-    Value::Obj(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
-
-/// Counts and renders one classified error (the only path non-200
-/// responses leave the server through, so the legacy aggregate counters,
-/// the per-code counters, and the per-tenant counters stay consistent).
-/// The error body and response header both carry the request id.
-fn err_response(ctx: &ServerCtx, obs: &mut ObsCtx, err: ServeError) -> Response {
-    let status = err.code.status();
-    ctx.metrics.errors.record(err.code);
-    obs.code = Some(err.code.as_str());
-    // Attribute to the tenant only when one was already resolved — error
-    // paths never mint tenant entries.
-    if let Some(tenant) = obs.tenant.as_deref() {
-        if let Some(stats) = ctx.tenants.get(tenant) {
-            stats.errors.record(err.code);
+        for (name, stats) in &tenants {
+            x.add(&m::TENANT_PREDICT_LATENCY, &[name], &stats.predict_latency);
         }
     }
-    if status == 503 {
-        ctx.metrics.shed.fetch_add(1, Ordering::Relaxed);
-    } else if status >= 500 {
-        ctx.metrics.server_errors.fetch_add(1, Ordering::Relaxed);
-    } else {
-        ctx.metrics.client_errors.fetch_add(1, Ordering::Relaxed);
+
+    fn background(&self) -> Option<Background<Self>> {
+        (self.preload > 0).then_some(("preload", preload))
     }
-    err.to_response_with_id(&obs.id)
 }
 
-/// Build-info fields shared by `/healthz`, `/readyz`, and `/metrics`:
-/// server version, active SIMD tier, and the distance-kernel contract
-/// version — fleet tooling uses the pair (kernel, contract) to detect
-/// tier drift across replicas before it becomes result drift.
+/// Reads one per-tenant counter.
+type TenantCounter = fn(&TenantStats) -> &AtomicU64;
+
+/// Warm-ahead, off the request path: the listener is already accepting,
+/// cold tenants stay servable throughout (a concurrent request simply
+/// coalesces onto the same single-flight reload), and the thread exits
+/// when done.
+fn preload(ctx: &ServerCtx) {
+    let warmed = ctx.registry.preload_recent(ctx.preload);
+    if warmed > 0 {
+        eprintln!("gb-serve: preloaded {warmed} tenant(s)");
+    }
+}
+
+/// Build-info fields shared by `/healthz` and `/readyz`: server version,
+/// active SIMD tier, and the distance-kernel contract version — fleet
+/// tooling uses the pair (kernel, contract) to detect tier drift across
+/// replicas before it becomes result drift.
 fn build_info_fields() -> Vec<(&'static str, Value)> {
     vec![
         ("version", Value::Str(SERVER_VERSION.into())),
@@ -517,88 +307,16 @@ fn build_info_fields() -> Vec<(&'static str, Value)> {
     ]
 }
 
-/// Routes one parsed request. `obs` is the request's observability
-/// context: endpoints record stage spans and tenant attribution into it.
-fn route(req: &crate::http::Request, ctx: &ServerCtx, obs: &mut ObsCtx) -> Response {
-    match (req.method.as_str(), req.path.as_str()) {
-        ("GET", "/healthz") => {
-            ctx.metrics.health_requests.fetch_add(1, Ordering::Relaxed);
-            let mut fields = vec![
-                ("status", Value::Str("ok".into())),
-                ("models", Value::Num(ctx.registry.len() as f64)),
-                ("uptime_s", Value::Num(ctx.started.elapsed().as_secs_f64())),
-            ];
-            fields.extend(build_info_fields());
-            Response::json(200, render(&obj(fields)))
-        }
-        ("GET", "/readyz") => readyz_endpoint(ctx),
-        ("GET", "/metrics") => metrics_endpoint(req, ctx),
-        ("GET", "/debug/requests") => debug_requests_endpoint(ctx),
-        ("GET", "/models") => models_endpoint(ctx),
-        ("GET", "/model") => model_endpoint(req, ctx, obs),
-        ("POST", "/predict") => predict_endpoint(req, ctx, obs),
-        ("POST", "/sample") => sample_endpoint(req, ctx, obs),
-        ("POST", path)
-            if path
-                .strip_prefix("/models/")
-                .is_some_and(|rest| rest.ends_with("/rows")) =>
-        {
-            ingest_endpoint(req, ctx, obs)
-        }
-        ("POST", path)
-            if path
-                .strip_prefix("/models/")
-                .is_some_and(|rest| rest.ends_with("/rollback")) =>
-        {
-            rollback_endpoint(req, ctx, obs)
-        }
-        ("POST", path) if path.starts_with("/models/") => reload_endpoint(req, ctx, obs),
-        ("DELETE", path) if path.starts_with("/models/") => delete_endpoint(req, ctx, obs),
-        ("GET", path) if path.starts_with("/models/") => version_endpoint(req, ctx, obs),
-        (
-            _,
-            "/healthz" | "/readyz" | "/metrics" | "/debug/requests" | "/models" | "/model"
-            | "/predict" | "/sample",
-        ) => err_response(
-            ctx,
-            obs,
-            ServeError::new(
-                ErrorCode::MethodNotAllowed,
-                format!("method {} not allowed here", req.method),
-            ),
-        ),
-        (_, path) if path.starts_with("/models/") => err_response(
-            ctx,
-            obs,
-            ServeError::new(
-                ErrorCode::MethodNotAllowed,
-                format!("method {} not allowed here", req.method),
-            ),
-        ),
-        _ => err_response(
-            ctx,
-            obs,
-            ServeError::not_found(format!("no route for {}", req.path)),
-        ),
-    }
-}
-
-/// `GET /debug/requests`: the bounded in-memory ring of the N slowest and
-/// N most recent errored requests, each with its full stage breakdown —
-/// the "why was *this* request slow" endpoint.
-fn debug_requests_endpoint(ctx: &ServerCtx) -> Response {
-    let (slowest, errored) = ctx.ring.snapshot();
-    let join = |records: &[gb_obs::RequestRecord]| {
-        let items: Vec<String> = records.iter().map(gb_obs::RequestRecord::to_json).collect();
-        format!("[{}]", items.join(","))
-    };
-    let body = format!(
-        "{{\"capacity\":{},\"slowest\":{},\"errored\":{}}}",
-        ctx.ring.capacity(),
-        join(&slowest),
-        join(&errored)
-    );
-    Response::json(200, body)
+/// `GET /healthz`: liveness, model count and build info.
+fn healthz_endpoint(ctx: &ServerCtx, _: &Request, _: &mut ObsCtx) -> Reply {
+    ctx.metrics.health_requests.fetch_add(1, Ordering::Relaxed);
+    let mut fields = vec![
+        ("status", Value::Str("ok".into())),
+        ("models", Value::Num(ctx.registry.len() as f64)),
+        ("uptime_s", Value::Num(ctx.shell.uptime_s())),
+    ];
+    fields.extend(build_info_fields());
+    Ok(Response::json(200, render(&obj(fields))))
 }
 
 /// `GET /readyz`: readiness (vs `/healthz` liveness). Reports 200 only
@@ -606,9 +324,9 @@ fn debug_requests_endpoint(ctx: &ServerCtx) -> Response {
 /// shutdown begins so a router can drain this backend. The body carries
 /// the boot-scan verdict (`boot_quarantined`) so an operator can tell a
 /// clean boot from one that sidelined corrupt tenants.
-fn readyz_endpoint(ctx: &ServerCtx) -> Response {
+fn readyz_endpoint(ctx: &ServerCtx, _: &Request, _: &mut ObsCtx) -> Reply {
     ctx.metrics.health_requests.fetch_add(1, Ordering::Relaxed);
-    let draining = ctx.stop.load(Ordering::SeqCst);
+    let draining = ctx.shell.stopping();
     let mut fields = vec![
         ("ready", Value::Bool(!draining)),
         ("draining", Value::Bool(draining)),
@@ -617,16 +335,16 @@ fn readyz_endpoint(ctx: &ServerCtx) -> Response {
             "boot_quarantined",
             Value::Num(ctx.registry.boot_quarantined() as f64),
         ),
-        ("uptime_s", Value::Num(ctx.started.elapsed().as_secs_f64())),
+        ("uptime_s", Value::Num(ctx.shell.uptime_s())),
     ];
     fields.extend(build_info_fields());
-    let body = obj(fields);
-    Response::json(if draining { 503 } else { 200 }, render(&body))
+    let status = if draining { 503 } else { 200 };
+    Ok(Response::json(status, render(&obj(fields))))
 }
 
 /// `GET /models`: every tenant with its residency state, plus the cache
 /// totals and counters an operator needs to size `--model-mem-budget`.
-fn models_endpoint(ctx: &ServerCtx) -> Response {
+fn models_endpoint(ctx: &ServerCtx, _: &Request, _: &mut ObsCtx) -> Reply {
     ctx.metrics.model_requests.fetch_add(1, Ordering::Relaxed);
     let registry = &ctx.registry;
     let snap = registry.snapshot();
@@ -649,7 +367,8 @@ fn models_endpoint(ctx: &ServerCtx) -> Response {
             ])
         })
         .collect::<Vec<_>>();
-    Response::json(
+    let count = |c: &AtomicU64| Value::Num(c.load(Ordering::Relaxed) as f64);
+    Ok(Response::json(
         200,
         render(&obj(vec![
             ("models", Value::Arr(models)),
@@ -661,436 +380,25 @@ fn models_endpoint(ctx: &ServerCtx) -> Response {
                 snap.budget_bytes
                     .map_or(Value::Null, |b| Value::Num(b as f64)),
             ),
-            (
-                "hits",
-                Value::Num(stats.hits.load(Ordering::Relaxed) as f64),
-            ),
-            (
-                "cold_reloads",
-                Value::Num(stats.cold_reloads.load(Ordering::Relaxed) as f64),
-            ),
-            (
-                "evictions",
-                Value::Num(stats.evictions.load(Ordering::Relaxed) as f64),
-            ),
+            ("hits", count(&stats.hits)),
+            ("cold_reloads", count(&stats.cold_reloads)),
+            ("evictions", count(&stats.evictions)),
         ])),
-    )
+    ))
 }
 
 /// `DELETE /models/{name}`: drops the tenant from memory, the catalog, and
 /// the store file. In-flight requests holding the model finish unaffected.
-fn delete_endpoint(req: &crate::http::Request, ctx: &ServerCtx, obs: &mut ObsCtx) -> Response {
-    let name = req.path.trim_start_matches("/models/");
-    if name.is_empty() || name.contains('/') {
-        return err_response(
-            ctx,
-            obs,
-            ServeError::bad_request("model name must be a single path segment"),
-        );
+fn delete_endpoint(ctx: &ServerCtx, req: &Request, obs: &mut ObsCtx) -> Reply {
+    let name = model_name(&req.path, "")?;
+    let removed = obs.time(Stage::StoreIo, || ctx.registry.remove(name));
+    if !removed.map_err(ServeError::store_io)? {
+        return Err(no_model(name));
     }
-    match obs.time(Stage::StoreIo, || ctx.registry.remove(name)) {
-        Ok(true) => {
-            ctx.metrics.deletes.fetch_add(1, Ordering::Relaxed);
-            obs.tenant = Some(name.to_string());
-            Response::json(
-                200,
-                render(&obj(vec![("deleted", Value::Str(name.to_string()))])),
-            )
-        }
-        Ok(false) => err_response(
-            ctx,
-            obs,
-            ServeError::not_found(format!("no model named '{name}'")),
-        ),
-        Err(e) => err_response(ctx, obs, ServeError::store_io(e)),
-    }
-}
-
-fn metrics_endpoint(req: &crate::http::Request, ctx: &ServerCtx) -> Response {
-    if req.query_param("format") == Some("prometheus") {
-        return Response::text(200, prometheus_metrics(ctx), "text/plain; version=0.0.4");
-    }
-    let m = &ctx.metrics;
-    let tenants = obj(ctx
-        .tenants
-        .snapshot()
-        .iter()
-        .map(|(name, stats)| (name.as_str(), stats.to_value()))
-        .collect::<Vec<_>>());
-    let body = obj(vec![
-        ("uptime_s", Value::Num(ctx.started.elapsed().as_secs_f64())),
-        ("build", obj(build_info_fields())),
-        (
-            "requests",
-            obj(vec![
-                (
-                    "predict",
-                    Value::Num(m.predict_requests.load(Ordering::Relaxed) as f64),
-                ),
-                (
-                    "sample",
-                    Value::Num(m.sample_requests.load(Ordering::Relaxed) as f64),
-                ),
-                (
-                    "model",
-                    Value::Num(m.model_requests.load(Ordering::Relaxed) as f64),
-                ),
-                (
-                    "healthz",
-                    Value::Num(m.health_requests.load(Ordering::Relaxed) as f64),
-                ),
-                (
-                    "reload",
-                    Value::Num(m.reloads.load(Ordering::Relaxed) as f64),
-                ),
-                (
-                    "delete",
-                    Value::Num(m.deletes.load(Ordering::Relaxed) as f64),
-                ),
-                (
-                    "append",
-                    Value::Num(m.appends.load(Ordering::Relaxed) as f64),
-                ),
-                (
-                    "rollback",
-                    Value::Num(m.rollbacks.load(Ordering::Relaxed) as f64),
-                ),
-            ]),
-        ),
-        (
-            "predict_rows",
-            Value::Num(m.predict_rows.load(Ordering::Relaxed) as f64),
-        ),
-        (
-            "append_rows",
-            Value::Num(m.append_rows.load(Ordering::Relaxed) as f64),
-        ),
-        (
-            "client_errors",
-            Value::Num(m.client_errors.load(Ordering::Relaxed) as f64),
-        ),
-        (
-            "server_errors",
-            Value::Num(m.server_errors.load(Ordering::Relaxed) as f64),
-        ),
-        ("shed", Value::Num(m.shed.load(Ordering::Relaxed) as f64)),
-        ("errors_by_code", m.errors.to_value()),
-        ("registry", {
-            let snap = ctx.registry.snapshot();
-            let r = &ctx.registry.stats;
-            obj(vec![
-                ("resident_models", Value::Num(snap.resident as f64)),
-                ("cold_models", Value::Num(snap.cold as f64)),
-                ("resident_bytes", Value::Num(snap.resident_bytes as f64)),
-                (
-                    "budget_bytes",
-                    snap.budget_bytes
-                        .map_or(Value::Null, |b| Value::Num(b as f64)),
-                ),
-                ("hits", Value::Num(r.hits.load(Ordering::Relaxed) as f64)),
-                (
-                    "cold_reloads",
-                    Value::Num(r.cold_reloads.load(Ordering::Relaxed) as f64),
-                ),
-                (
-                    "evictions",
-                    Value::Num(r.evictions.load(Ordering::Relaxed) as f64),
-                ),
-                ("reload_latency_us", r.reload_latency.to_value()),
-            ])
-        }),
-        ("predict_latency_us", m.predict_latency.to_value()),
-        ("tenants", tenants),
-    ]);
-    Response::json(200, render(&body))
-}
-
-/// Emits one latency histogram family in Prometheus exposition format:
-/// cumulative `_bucket` series over the log2 µs buckets plus `+Inf`,
-/// `_sum`, and `_count`.
-pub(crate) fn prom_histogram(
-    p: &mut PromText,
-    name: &str,
-    help: &str,
-    labels: &[(&str, &str)],
-    h: &LatencyHistogram,
-) {
-    p.metric(name, "histogram", help);
-    let bucket_name = format!("{name}_bucket");
-    let mut cumulative = 0u64;
-    for i in 0..LATENCY_BUCKETS {
-        cumulative += h.bucket(i);
-        let le = (1u64 << (i + 1)).to_string();
-        let mut ls: Vec<(&str, &str)> = labels.to_vec();
-        ls.push(("le", le.as_str()));
-        p.sample(&bucket_name, &ls, cumulative as f64);
-    }
-    let mut ls: Vec<(&str, &str)> = labels.to_vec();
-    ls.push(("le", "+Inf"));
-    p.sample(&bucket_name, &ls, h.count() as f64);
-    p.sample(&format!("{name}_sum"), labels, h.total_us() as f64);
-    p.sample(&format!("{name}_count"), labels, h.count() as f64);
-}
-
-/// Renders the whole metrics registry — global counters, registry
-/// stats, latency histograms, and per-tenant series — in
-/// Prometheus text exposition format (`GET /metrics?format=prometheus`).
-#[allow(clippy::too_many_lines)]
-fn prometheus_metrics(ctx: &ServerCtx) -> String {
-    let m = &ctx.metrics;
-    let mut p = PromText::new();
-
-    p.metric(
-        "gb_build_info",
-        "gauge",
-        "Build version, active SIMD kernel, and kernel contract version \
-         (value is always 1)",
-    );
-    let contract = gb_dataset::CONTRACT_VERSION.to_string();
-    p.sample(
-        "gb_build_info",
-        &[
-            ("version", SERVER_VERSION),
-            ("kernel", gb_dataset::active_kernel().name()),
-            ("kernel_contract", contract.as_str()),
-        ],
-        1.0,
-    );
-    p.metric("gb_uptime_seconds", "gauge", "Seconds since server start");
-    p.sample(
-        "gb_uptime_seconds",
-        &[],
-        ctx.started.elapsed().as_secs_f64(),
-    );
-
-    p.metric(
-        "gb_requests_total",
-        "counter",
-        "Completed requests by endpoint",
-    );
-    for (endpoint, counter) in [
-        ("predict", &m.predict_requests),
-        ("sample", &m.sample_requests),
-        ("model", &m.model_requests),
-        ("healthz", &m.health_requests),
-        ("reload", &m.reloads),
-        ("delete", &m.deletes),
-        ("append", &m.appends),
-        ("rollback", &m.rollbacks),
-    ] {
-        p.sample(
-            "gb_requests_total",
-            &[("endpoint", endpoint)],
-            counter.load(Ordering::Relaxed) as f64,
-        );
-    }
-    p.metric("gb_predict_rows_total", "counter", "Rows predicted");
-    p.sample(
-        "gb_predict_rows_total",
-        &[],
-        m.predict_rows.load(Ordering::Relaxed) as f64,
-    );
-    p.metric(
-        "gb_append_rows_total",
-        "counter",
-        "Labelled rows ingested through online maintenance",
-    );
-    p.sample(
-        "gb_append_rows_total",
-        &[],
-        m.append_rows.load(Ordering::Relaxed) as f64,
-    );
-    p.metric("gb_errors_total", "counter", "Errors by taxonomy code");
-    for code in ErrorCode::ALL {
-        p.sample(
-            "gb_errors_total",
-            &[("code", code.as_str())],
-            m.errors.get(code) as f64,
-        );
-    }
-    p.metric(
-        "gb_shed_total",
-        "counter",
-        "503 responses from the admission gates",
-    );
-    p.sample("gb_shed_total", &[], m.shed.load(Ordering::Relaxed) as f64);
-    p.metric("gb_client_errors_total", "counter", "4xx responses");
-    p.sample(
-        "gb_client_errors_total",
-        &[],
-        m.client_errors.load(Ordering::Relaxed) as f64,
-    );
-    p.metric(
-        "gb_server_errors_total",
-        "counter",
-        "Non-shed 5xx responses",
-    );
-    p.sample(
-        "gb_server_errors_total",
-        &[],
-        m.server_errors.load(Ordering::Relaxed) as f64,
-    );
-
-    let snap = ctx.registry.snapshot();
-    let r = &ctx.registry.stats;
-    p.metric(
-        "gb_registry_resident_models",
-        "gauge",
-        "Models resident in memory",
-    );
-    p.sample("gb_registry_resident_models", &[], snap.resident as f64);
-    p.metric(
-        "gb_registry_resident_bytes",
-        "gauge",
-        "Bytes of resident models",
-    );
-    p.sample(
-        "gb_registry_resident_bytes",
-        &[],
-        snap.resident_bytes as f64,
-    );
-    p.metric(
-        "gb_registry_hits_total",
-        "counter",
-        "Warm registry acquisitions",
-    );
-    p.sample(
-        "gb_registry_hits_total",
-        &[],
-        r.hits.load(Ordering::Relaxed) as f64,
-    );
-    p.metric(
-        "gb_registry_cold_reloads_total",
-        "counter",
-        "Cold reloads from the model store",
-    );
-    p.sample(
-        "gb_registry_cold_reloads_total",
-        &[],
-        r.cold_reloads.load(Ordering::Relaxed) as f64,
-    );
-    p.metric("gb_registry_evictions_total", "counter", "LRU evictions");
-    p.sample(
-        "gb_registry_evictions_total",
-        &[],
-        r.evictions.load(Ordering::Relaxed) as f64,
-    );
-
-    prom_histogram(
-        &mut p,
-        "gb_predict_latency_us",
-        "End-to-end /predict handling latency (µs)",
-        &[],
-        &m.predict_latency,
-    );
-    prom_histogram(
-        &mut p,
-        "gb_reload_latency_us",
-        "Cold-reload latency (µs)",
-        &[],
-        &r.reload_latency,
-    );
-
-    let tenants = ctx.tenants.snapshot();
-    if !tenants.is_empty() {
-        p.metric("gb_tenant_requests_total", "counter", "Requests by tenant");
-        p.metric(
-            "gb_tenant_rows_total",
-            "counter",
-            "Predicted rows by tenant",
-        );
-        p.metric(
-            "gb_tenant_reloads_total",
-            "counter",
-            "Hot reloads by tenant",
-        );
-        p.metric(
-            "gb_tenant_appends_total",
-            "counter",
-            "Accepted row appends by tenant",
-        );
-        p.metric(
-            "gb_tenant_append_rows_total",
-            "counter",
-            "Ingested rows by tenant",
-        );
-        p.metric(
-            "gb_tenant_rollbacks_total",
-            "counter",
-            "Accepted rollbacks by tenant",
-        );
-        p.metric(
-            "gb_tenant_errors_total",
-            "counter",
-            "Errors by tenant and code",
-        );
-        p.metric(
-            "gb_tenant_predict_latency_us",
-            "summary",
-            "Per-tenant predict latency quantiles (µs, histogram-interpolated)",
-        );
-        for (name, stats) in &tenants {
-            let tenant = name.as_str();
-            p.sample(
-                "gb_tenant_requests_total",
-                &[("tenant", tenant)],
-                stats.requests.load(Ordering::Relaxed) as f64,
-            );
-            p.sample(
-                "gb_tenant_rows_total",
-                &[("tenant", tenant)],
-                stats.rows.load(Ordering::Relaxed) as f64,
-            );
-            p.sample(
-                "gb_tenant_reloads_total",
-                &[("tenant", tenant)],
-                stats.reloads.load(Ordering::Relaxed) as f64,
-            );
-            p.sample(
-                "gb_tenant_appends_total",
-                &[("tenant", tenant)],
-                stats.appends.load(Ordering::Relaxed) as f64,
-            );
-            p.sample(
-                "gb_tenant_append_rows_total",
-                &[("tenant", tenant)],
-                stats.append_rows.load(Ordering::Relaxed) as f64,
-            );
-            p.sample(
-                "gb_tenant_rollbacks_total",
-                &[("tenant", tenant)],
-                stats.rollbacks.load(Ordering::Relaxed) as f64,
-            );
-            // Zero-count codes are skipped: tenant × code is the one label
-            // product here that can sprawl.
-            for (code, count) in TenantRegistry::nonzero_errors(stats) {
-                p.sample(
-                    "gb_tenant_errors_total",
-                    &[("tenant", tenant), ("code", code.as_str())],
-                    count as f64,
-                );
-            }
-            let h = &stats.predict_latency;
-            for (q, label) in [(0.5, "0.5"), (0.9, "0.9"), (0.99, "0.99")] {
-                p.sample(
-                    "gb_tenant_predict_latency_us",
-                    &[("tenant", tenant), ("quantile", label)],
-                    h.percentile_us(q),
-                );
-            }
-            p.sample(
-                "gb_tenant_predict_latency_us_sum",
-                &[("tenant", tenant)],
-                h.total_us() as f64,
-            );
-            p.sample(
-                "gb_tenant_predict_latency_us_count",
-                &[("tenant", tenant)],
-                h.count() as f64,
-            );
-        }
-    }
-    p.finish()
+    ctx.metrics.deletes.fetch_add(1, Ordering::Relaxed);
+    obs.tenant = Some(name.to_string());
+    let body = obj(vec![("deleted", Value::Str(name.to_string()))]);
+    Ok(Response::json(200, render(&body)))
 }
 
 fn model_stats_value(model: &ServingModel) -> Value {
@@ -1113,55 +421,64 @@ fn model_stats_value(model: &ServingModel) -> Value {
     ])
 }
 
-fn model_endpoint(req: &crate::http::Request, ctx: &ServerCtx, obs: &mut ObsCtx) -> Response {
-    ctx.metrics.model_requests.fetch_add(1, Ordering::Relaxed);
-    let name = req.query_param("name").unwrap_or("default");
-    if req.deadline.expired() {
-        return err_response(
-            ctx,
-            obs,
-            ServeError::deadline_exceeded("deadline expired before model lookup"),
-        );
-    }
-    match obs.time(Stage::StoreIo, || ctx.registry.acquire(name)) {
-        Ok(Some(model)) => {
-            obs.tenant = Some(model.name.clone());
-            Response::json(200, render(&model_stats_value(&model)))
-        }
-        Ok(None) => err_response(
-            ctx,
-            obs,
-            ServeError::not_found(format!("no model named '{name}'")),
-        ),
-        Err(e) => err_response(ctx, obs, ServeError::store_io(e)),
-    }
+/// The 404 for a tenant nobody knows.
+fn no_model(name: &str) -> ServeError {
+    ServeError::not_found(format!("no model named '{name}'"))
 }
 
-fn parse_body(req: &crate::http::Request) -> Result<Value, String> {
-    let text = std::str::from_utf8(&req.body).map_err(|_| "body is not UTF-8".to_string())?;
-    serde_json::from_str::<Value>(text).map_err(|e| format!("bad JSON: {e}"))
+/// Resolves tenant `name`, rebuilding a cold (evicted or persisted but not
+/// yet loaded) one from the model store — the `store_io` span (warm hits
+/// cost ~ns, cold reloads dominate tails).
+fn acquire(ctx: &ServerCtx, obs: &mut ObsCtx, name: &str) -> Result<Arc<ServingModel>, ServeError> {
+    let model = obs.time(Stage::StoreIo, || ctx.registry.acquire(name));
+    let model = model
+        .map_err(ServeError::store_io)?
+        .ok_or_else(|| no_model(name))?;
+    obs.tenant = Some(model.name.clone());
+    Ok(model)
+}
+
+fn model_endpoint(ctx: &ServerCtx, req: &Request, obs: &mut ObsCtx) -> Reply {
+    ctx.metrics.model_requests.fetch_add(1, Ordering::Relaxed);
+    req.deadline.check("model lookup")?;
+    let model = acquire(ctx, obs, req.query_param("name").unwrap_or("default"))?;
+    Ok(Response::json(200, render(&model_stats_value(&model))))
+}
+
+/// The JSON body of `req`; a 400 when it is not UTF-8 JSON.
+fn parse_body(req: &Request) -> Result<Value, ServeError> {
+    let text =
+        std::str::from_utf8(&req.body).map_err(|_| ServeError::bad_request("body is not UTF-8"))?;
+    serde_json::from_str::<Value>(text)
+        .map_err(|e| ServeError::bad_request(format!("bad JSON: {e}")))
 }
 
 /// Extracts the query rows from a predict body: either `"rows": [[..]..]`
 /// or `"row": [..]`. Validates width and finiteness.
 fn extract_rows(body: &Value, n_features: usize) -> Result<Vec<f64>, String> {
-    let rows: Vec<&Value> = match (body.get("rows"), body.get("row")) {
-        (Some(Value::Arr(rows)), None) => rows.iter().collect(),
-        (None, Some(row @ Value::Arr(_))) => vec![row],
+    let rows = match (body.get("rows"), body.get("row")) {
+        (Some(Value::Arr(rows)), None) => rows.as_slice(),
+        (None, Some(row @ Value::Arr(_))) => std::slice::from_ref(row),
         (Some(_), Some(_)) => return Err("provide either 'row' or 'rows', not both".into()),
         _ => return Err("missing 'row' (array) or 'rows' (array of arrays)".into()),
     };
     if rows.is_empty() {
         return Err("'rows' is empty".into());
     }
-    let mut flat = Vec::with_capacity(rows.len() * n_features);
+    flatten_rows(rows, n_features, "model expects")
+}
+
+/// Flattens `rows`, each an array of `width` finite numbers; `expected`
+/// says where the width comes from in the error.
+fn flatten_rows(rows: &[Value], width: usize, expected: &str) -> Result<Vec<f64>, String> {
+    let mut flat = Vec::with_capacity(rows.len() * width);
     for (i, row) in rows.iter().enumerate() {
         let Value::Arr(values) = row else {
             return Err(format!("row {i} is not an array"));
         };
-        if values.len() != n_features {
+        if values.len() != width {
             return Err(format!(
-                "row {i} has {} values, model expects {n_features}",
+                "row {i} has {} values, {expected} {width}",
                 values.len()
             ));
         }
@@ -1178,64 +495,26 @@ fn extract_rows(body: &Value, n_features: usize) -> Result<Vec<f64>, String> {
     Ok(flat)
 }
 
-fn predict_endpoint(req: &crate::http::Request, ctx: &ServerCtx, obs: &mut ObsCtx) -> Response {
+fn predict_endpoint(ctx: &ServerCtx, req: &Request, obs: &mut ObsCtx) -> Reply {
     let start = Instant::now();
-    let body = match parse_body(req) {
-        Ok(v) => v,
-        Err(e) => return err_response(ctx, obs, ServeError::bad_request(e)),
-    };
+    let body = parse_body(req)?;
     let name = match body.get("model") {
         Some(Value::Str(s)) => s.as_str(),
         None => "default",
-        Some(_) => {
-            return err_response(
-                ctx,
-                obs,
-                ServeError::bad_request("'model' must be a string"),
-            )
-        }
+        Some(_) => return Err(ServeError::bad_request("'model' must be a string")),
     };
     // Deadline gate before the expensive part: a request whose budget
     // lapsed during read must not trigger a cold reload it can no longer
     // use the result of.
-    if req.deadline.expired() {
-        return err_response(
-            ctx,
-            obs,
-            ServeError::deadline_exceeded("deadline expired before model acquisition"),
-        );
-    }
-    // `acquire` transparently rebuilds a cold (evicted or
-    // persisted-but-not-yet-loaded) tenant from the model store — the
-    // `store_io` span (warm hits cost ~ns, cold reloads dominate tails).
-    let model = match obs.time(Stage::StoreIo, || ctx.registry.acquire(name)) {
-        Ok(Some(model)) => model,
-        Ok(None) => {
-            return err_response(
-                ctx,
-                obs,
-                ServeError::not_found(format!("no model named '{name}'")),
-            )
-        }
-        Err(e) => return err_response(ctx, obs, ServeError::store_io(e)),
-    };
+    req.deadline.check("model acquisition")?;
     // Tenant resolved: from here on, counters attribute to it.
-    obs.tenant = Some(model.name.clone());
+    let model = acquire(ctx, obs, name)?;
     let tenant = ctx.tenants.touch(&model.name);
-    let rows = match extract_rows(&body, model.n_features) {
-        Ok(r) => r,
-        Err(e) => return err_response(ctx, obs, ServeError::bad_request(e)),
-    };
+    let rows = extract_rows(&body, model.n_features).map_err(ServeError::bad_request)?;
     let n_rows = rows.len() / model.n_features;
     obs.rows = n_rows as u64;
     // Second deadline gate: a cold reload may have spent the budget.
-    if req.deadline.expired() {
-        return err_response(
-            ctx,
-            obs,
-            ServeError::deadline_exceeded("deadline expired before predict"),
-        );
-    }
+    req.deadline.check("predict")?;
     // Contain a panicking predict (e.g. a cover whose geometry slipped
     // past validation): this request fails with a 500 naming the model,
     // and the worker goes on serving its connection.
@@ -1244,21 +523,14 @@ fn predict_endpoint(req: &crate::http::Request, ctx: &ServerCtx, obs: &mut ObsCt
             model.predictor.predict_batch(&rows, model.n_features)
         }))
     });
-    let predictions = match predicted {
-        Ok(predictions) => predictions,
-        Err(panic) => {
-            let what = panic
-                .downcast_ref::<&str>()
-                .map(ToString::to_string)
-                .or_else(|| panic.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "prediction panicked".into());
-            return err_response(
-                ctx,
-                obs,
-                ServeError::internal(format!("prediction failed for '{}': {what}", model.name)),
-            );
-        }
-    };
+    let predictions = predicted.map_err(|panic| {
+        let what = panic
+            .downcast_ref::<&str>()
+            .map(ToString::to_string)
+            .or_else(|| panic.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "prediction panicked".into());
+        ServeError::internal(format!("prediction failed for '{}': {what}", model.name))
+    })?;
     ctx.metrics.predict_requests.fetch_add(1, Ordering::Relaxed);
     ctx.metrics
         .predict_rows
@@ -1269,7 +541,7 @@ fn predict_endpoint(req: &crate::http::Request, ctx: &ServerCtx, obs: &mut ObsCt
     tenant.rows.fetch_add(n_rows as u64, Ordering::Relaxed);
     tenant.predict_latency.observe(elapsed);
     let request_id = obs.id.clone();
-    obs.time(Stage::Serialize, || {
+    Ok(obs.time(Stage::Serialize, || {
         let preds = predictions
             .into_iter()
             .map(|p| Value::Num(f64::from(p)))
@@ -1283,7 +555,7 @@ fn predict_endpoint(req: &crate::http::Request, ctx: &ServerCtx, obs: &mut ObsCt
                 ("predictions", Value::Arr(preds)),
             ])),
         )
-    })
+    }))
 }
 
 /// Cap on the `progress` array in `/sample` responses: past this many
@@ -1307,51 +579,20 @@ fn downsample_progress(events: &[ProgressEvent]) -> Vec<&ProgressEvent> {
     kept
 }
 
-fn sample_endpoint(req: &crate::http::Request, ctx: &ServerCtx, obs: &mut ObsCtx) -> Response {
-    let body = match parse_body(req) {
-        Ok(v) => v,
-        Err(e) => return err_response(ctx, obs, ServeError::bad_request(e)),
-    };
+fn sample_endpoint(ctx: &ServerCtx, req: &Request, obs: &mut ObsCtx) -> Reply {
+    let body = parse_body(req)?;
+    let (rho, seed) = sample_params(&body).map_err(ServeError::bad_request)?;
     let Some(Value::Str(csv)) = body.get("csv") else {
-        return err_response(
-            ctx,
-            obs,
-            ServeError::bad_request("missing 'csv' (string: headered CSV, label last)"),
-        );
+        return Err(ServeError::bad_request(
+            "missing 'csv' (string: headered CSV, label last)",
+        ));
     };
-    let rho = match body.get("rho") {
-        Some(Value::Num(n)) => *n as usize,
-        None => 5,
-        Some(_) => {
-            return err_response(ctx, obs, ServeError::bad_request("'rho' must be a number"))
-        }
-    };
-    if rho < 2 {
-        return err_response(
-            ctx,
-            obs,
-            ServeError::bad_request("'rho' must be at least 2"),
-        );
-    }
-    let seed = match body.get("seed") {
-        Some(Value::Num(n)) => *n as u64,
-        None => 42,
-        Some(_) => {
-            return err_response(ctx, obs, ServeError::bad_request("'seed' must be a number"))
-        }
-    };
-    let data = match gb_dataset::io::read_csv_str(csv, &gb_dataset::io::CsvOptions::default()) {
-        Ok(d) => d,
-        Err(e) => return err_response(ctx, obs, ServeError::bad_request(format!("bad CSV: {e}"))),
-    };
+    let data = gb_dataset::io::read_csv_str(csv, &gb_dataset::io::CsvOptions::default())
+        .map_err(|e| ServeError::bad_request(format!("bad CSV: {e}")))?;
     if data.n_classes() < 2 {
-        return err_response(
-            ctx,
-            obs,
-            ServeError::bad_request(
-                "dataset has a single class; borderline sampling needs at least 2",
-            ),
-        );
+        return Err(ServeError::bad_request(
+            "dataset has a single class; borderline sampling needs at least 2",
+        ));
     }
     obs.rows = data.n_samples() as u64;
     // The granulation loop emits one event per RD-GBG iteration plus a
@@ -1370,7 +611,7 @@ fn sample_endpoint(req: &crate::http::Request, ctx: &ServerCtx, obs: &mut ObsCtx
     });
     ctx.metrics.sample_requests.fetch_add(1, Ordering::Relaxed);
     let request_id = obs.id.clone();
-    obs.time(Stage::Serialize, || {
+    Ok(obs.time(Stage::Serialize, || {
         let n_out = out.sampled_rows.len();
         let kept = out
             .sampled_rows
@@ -1399,121 +640,44 @@ fn sample_endpoint(req: &crate::http::Request, ctx: &ServerCtx, obs: &mut ObsCtx
                 ("progress", Value::Arr(progress)),
             ])),
         )
-    })
+    }))
 }
 
-/// Renders one [`ProgressEvent`] as a serde [`Value`] for `/sample`
-/// responses (field-compatible with [`ProgressEvent::to_json`]).
+/// Renders one [`ProgressEvent`] for a `/sample` response by parsing
+/// [`ProgressEvent::to_json`], the rendering `gbabs sample --progress`
+/// prints.
 fn progress_event_value(event: &ProgressEvent) -> Value {
-    match *event {
-        ProgressEvent::Granulate {
-            iteration,
-            balls,
-            conflicts,
-            noise,
-            remaining,
-            knn_queries,
-            het_queries,
-            range_queries,
-            elapsed_us,
-        } => obj(vec![
-            ("phase", Value::Str("granulate".into())),
-            ("iteration", Value::Num(f64::from(iteration))),
-            ("balls", Value::Num(balls as f64)),
-            ("conflicts", Value::Num(conflicts as f64)),
-            ("noise", Value::Num(noise as f64)),
-            ("remaining", Value::Num(remaining as f64)),
-            ("knn_queries", Value::Num(knn_queries as f64)),
-            ("het_queries", Value::Num(het_queries as f64)),
-            ("range_queries", Value::Num(range_queries as f64)),
-            ("elapsed_us", Value::Num(elapsed_us as f64)),
-        ]),
-        ProgressEvent::Borderline {
-            balls,
-            borderline,
-            sampled,
-            elapsed_us,
-        } => obj(vec![
-            ("phase", Value::Str("borderline".into())),
-            ("balls", Value::Num(balls as f64)),
-            ("borderline", Value::Num(borderline as f64)),
-            ("sampled", Value::Num(sampled as f64)),
-            ("elapsed_us", Value::Num(elapsed_us as f64)),
-        ]),
-    }
+    serde_json::from_str(&event.to_json()).unwrap_or(Value::Null)
 }
 
-fn reload_endpoint(req: &crate::http::Request, ctx: &ServerCtx, obs: &mut ObsCtx) -> Response {
-    let name = req.path.trim_start_matches("/models/");
-    if name.is_empty() || name.contains('/') {
-        return err_response(
-            ctx,
-            obs,
-            ServeError::bad_request("model name must be a single path segment"),
-        );
-    }
-    let body = match parse_body(req) {
-        Ok(v) => v,
-        Err(e) => return err_response(ctx, obs, ServeError::bad_request(e)),
-    };
-    if let Err(e) = reject_unknown_keys(&body, &RELOAD_KEYS, "POST /models/{name}") {
-        return err_response(ctx, obs, ServeError::bad_request(e));
-    }
+fn reload_endpoint(ctx: &ServerCtx, req: &Request, obs: &mut ObsCtx) -> Reply {
+    let name = model_name(&req.path, "")?;
+    let body = parse_body(req)?;
+    reject_unknown_keys(&body, &RELOAD_KEYS, "POST /models/{name}")
+        .map_err(ServeError::bad_request)?;
     let Some(model_value) = body.get("model") else {
-        return err_response(
-            ctx,
-            obs,
-            ServeError::bad_request("missing 'model' (RdGbgModel JSON object)"),
-        );
+        return Err(ServeError::bad_request(
+            "missing 'model' (RdGbgModel JSON object)",
+        ));
     };
-    let k = match body.get("k") {
-        Some(Value::Num(n)) if *n >= 1.0 => *n as usize,
-        None => 1,
-        Some(_) => {
-            return err_response(
-                ctx,
-                obs,
-                ServeError::bad_request("'k' must be a positive number"),
-            )
-        }
-    };
-    let rule = match body.get("rule") {
-        Some(Value::Str(s)) if s.eq_ignore_ascii_case("surface") => DistanceRule::Surface,
-        Some(Value::Str(s)) if s.eq_ignore_ascii_case("center") => DistanceRule::Center,
-        None => DistanceRule::Surface,
-        Some(_) => {
-            return err_response(
-                ctx,
-                obs,
-                ServeError::bad_request("'rule' must be 'surface' or 'center'"),
-            )
-        }
-    };
-    let options = LoadOptions {
-        k,
-        rule,
-        ..LoadOptions::default()
-    };
+    let options = load_options(&body).map_err(ServeError::bad_request)?;
     // `publish_value` persists to the model store (when one is attached)
     // before the swap, so an accepted reload survives a restart — the
     // store write is the `store_io` span.
-    match obs.time(Stage::StoreIo, || {
+    let published = obs.time(Stage::StoreIo, || {
         ctx.registry.publish_value(name, model_value, &options)
-    }) {
-        Ok(model) => {
-            ctx.metrics.reloads.fetch_add(1, Ordering::Relaxed);
-            obs.tenant = Some(model.name.clone());
-            ctx.tenants
-                .touch(&model.name)
-                .reloads
-                .fetch_add(1, Ordering::Relaxed);
-            Response::json(200, render(&model_stats_value(&model)))
-        }
-        Err(PublishError::Rejected(e)) => err_response(ctx, obs, ServeError::bad_request(e)),
-        Err(e @ PublishError::Store(_)) => {
-            err_response(ctx, obs, ServeError::store_io(e.to_string()))
-        }
-    }
+    });
+    let model = published.map_err(|e| match e {
+        PublishError::Rejected(e) => ServeError::bad_request(e),
+        e @ PublishError::Store(_) => ServeError::store_io(e.to_string()),
+    })?;
+    ctx.metrics.reloads.fetch_add(1, Ordering::Relaxed);
+    obs.tenant = Some(model.name.clone());
+    ctx.tenants
+        .touch(&model.name)
+        .reloads
+        .fetch_add(1, Ordering::Relaxed);
+    Ok(Response::json(200, render(&model_stats_value(&model))))
 }
 
 /// Maps an [`IngestError`] onto the closed error taxonomy: client-caused
@@ -1527,15 +691,17 @@ fn ingest_error(e: IngestError) -> ServeError {
     }
 }
 
-/// Extracts the tenant name from `/models/{name}/{action}`, rejecting
-/// empty and multi-segment names the same way publish/delete do.
-fn mutation_tenant<'a>(path: &'a str, action: &str) -> Result<&'a str, String> {
+/// Extracts the tenant name from `/models/{name}{action}` (`action` is
+/// `""`, `/rows` or `/rollback`), rejecting empty and multi-segment names.
+fn model_name<'a>(path: &'a str, action: &str) -> Result<&'a str, ServeError> {
     let name = path
         .trim_start_matches("/models/")
         .strip_suffix(action)
         .unwrap_or("");
     if name.is_empty() || name.contains('/') {
-        return Err("model name must be a single path segment".into());
+        return Err(ServeError::bad_request(
+            "model name must be a single path segment",
+        ));
     }
     Ok(name)
 }
@@ -1567,27 +733,7 @@ fn extract_labelled_rows(body: &Value) -> Result<(Vec<f64>, Vec<u32>, usize), St
     if n_features == 0 {
         return Err("row 0 is empty; rows need at least one feature".into());
     }
-    let mut flat = Vec::with_capacity(rows.len() * n_features);
-    for (i, row) in rows.iter().enumerate() {
-        let Value::Arr(values) = row else {
-            return Err(format!("row {i} is not an array"));
-        };
-        if values.len() != n_features {
-            return Err(format!(
-                "row {i} has {} values, row 0 has {n_features}",
-                values.len()
-            ));
-        }
-        for v in values {
-            let Value::Num(x) = v else {
-                return Err(format!("row {i} contains a non-numeric value"));
-            };
-            if !x.is_finite() {
-                return Err(format!("row {i} contains a non-finite value"));
-            }
-            flat.push(*x);
-        }
-    }
+    let flat = flatten_rows(rows, n_features, "row 0 has")?;
     let mut out = Vec::with_capacity(labels.len());
     for (i, label) in labels.iter().enumerate() {
         match label {
@@ -1606,6 +752,8 @@ const INGEST_KEYS: [&str; 6] = ["rows", "labels", "rho", "n_classes", "k", "rule
 const RELOAD_KEYS: [&str; 3] = ["model", "k", "rule"];
 /// Every key a `POST /models/{name}/rollback` body may carry.
 const ROLLBACK_KEYS: [&str; 1] = ["version"];
+/// Every key a `POST /sample` body may carry.
+const SAMPLE_KEYS: [&str; 3] = ["csv", "rho", "seed"];
 
 /// Rejects a body key outside `allowed`, naming the first one, so an
 /// option the endpoint does not support (`"metric"`) or a misspelt one
@@ -1631,35 +779,61 @@ fn reject_unknown_keys(body: &Value, allowed: &[&str], endpoint: &str) -> Result
 /// Rejects keys outside [`INGEST_KEYS`], naming the first one.
 fn extract_create_options(body: &Value) -> Result<CreateOptions, String> {
     reject_unknown_keys(body, &INGEST_KEYS, "/rows")?;
-    let mut create = CreateOptions::default();
-    match body.get("rho") {
-        Some(Value::Num(n)) if *n >= 2.0 && n.fract() == 0.0 => create.rho = *n as usize,
-        None => {}
-        Some(_) => return Err("'rho' must be an integer of at least 2".into()),
+    let mut create = CreateOptions {
+        load: load_options(body)?,
+        n_classes: integer(body, "n_classes", 2)?.map(|n| n as usize),
+        ..CreateOptions::default()
+    };
+    if let Some(rho) = integer(body, "rho", 2)? {
+        create.rho = rho as usize;
     }
-    match body.get("n_classes") {
-        Some(Value::Num(n)) if *n >= 2.0 && n.fract() == 0.0 => {
-            create.n_classes = Some(*n as usize);
-        }
-        None => {}
-        Some(_) => return Err("'n_classes' must be an integer of at least 2".into()),
-    }
-    match body.get("k") {
-        Some(Value::Num(n)) if *n >= 1.0 && n.fract() == 0.0 => create.load.k = *n as usize,
-        None => {}
-        Some(_) => return Err("'k' must be a positive integer".into()),
+    Ok(create)
+}
+
+/// Parses `k` and `rule`, the predictor options of a hot reload and of a
+/// `/rows` batch that creates its tenant.
+fn load_options(body: &Value) -> Result<LoadOptions, String> {
+    let mut options = LoadOptions::default();
+    if let Some(k) = integer(body, "k", 1)? {
+        options.k = k as usize;
     }
     match body.get("rule") {
         Some(Value::Str(s)) if s.eq_ignore_ascii_case("surface") => {
-            create.load.rule = DistanceRule::Surface;
+            options.rule = DistanceRule::Surface;
         }
         Some(Value::Str(s)) if s.eq_ignore_ascii_case("center") => {
-            create.load.rule = DistanceRule::Center;
+            options.rule = DistanceRule::Center;
         }
         None => {}
         Some(_) => return Err("'rule' must be 'surface' or 'center'".into()),
     }
-    Ok(create)
+    Ok(options)
+}
+
+/// Parses `rho` (default 5) and `seed` (default 42) of a `/sample` body,
+/// rejecting keys outside [`SAMPLE_KEYS`].
+fn sample_params(body: &Value) -> Result<(usize, u64), String> {
+    reject_unknown_keys(body, &SAMPLE_KEYS, "/sample")?;
+    let rho = integer(body, "rho", 2)?.unwrap_or(5);
+    let seed = integer(body, "seed", 0)?.unwrap_or(42);
+    Ok((rho as usize, seed))
+}
+
+/// Integers above 2^53 are not exact in a JSON number (an f64), so no body
+/// integer may exceed it.
+const MAX_EXACT_INTEGER: f64 = 9_007_199_254_740_992.0;
+
+/// The integer `key` of `body`, at least `min` and at most 2^53, or `None`
+/// when absent. A fraction, a value out of range or a non-number is an
+/// error naming the key, never a silent cast.
+fn integer(body: &Value, key: &str, min: u64) -> Result<Option<u64>, String> {
+    match body.get(key) {
+        None => Ok(None),
+        Some(Value::Num(n)) if n.fract() == 0.0 && (min as f64..=MAX_EXACT_INTEGER).contains(n) => {
+            Ok(Some(*n as u64))
+        }
+        Some(_) => Err(format!("'{key}' must be an integer from {min} to 2^53")),
+    }
 }
 
 /// Renders an [`AppendStats`] telemetry block for ingest acks.
@@ -1685,40 +859,21 @@ fn append_stats_value(stats: &gbabs::AppendStats) -> Value {
 /// incrementally, persists a new immutable store version, and swaps the
 /// rebuilt predictor in — all under the registry's publish lock, timed as
 /// the `ingest` stage.
-fn ingest_endpoint(req: &crate::http::Request, ctx: &ServerCtx, obs: &mut ObsCtx) -> Response {
-    let name = match mutation_tenant(&req.path, "/rows") {
-        Ok(name) => name,
-        Err(e) => return err_response(ctx, obs, ServeError::bad_request(e)),
-    };
-    let body = match parse_body(req) {
-        Ok(v) => v,
-        Err(e) => return err_response(ctx, obs, ServeError::bad_request(e)),
-    };
-    let (features, labels, n_features) = match extract_labelled_rows(&body) {
-        Ok(batch) => batch,
-        Err(e) => return err_response(ctx, obs, ServeError::bad_request(e)),
-    };
-    let create = match extract_create_options(&body) {
-        Ok(c) => c,
-        Err(e) => return err_response(ctx, obs, ServeError::bad_request(e)),
-    };
+fn ingest_endpoint(ctx: &ServerCtx, req: &Request, obs: &mut ObsCtx) -> Reply {
+    let name = model_name(&req.path, "/rows")?;
+    let body = parse_body(req)?;
+    let (features, labels, n_features) =
+        extract_labelled_rows(&body).map_err(ServeError::bad_request)?;
+    let create = extract_create_options(&body).map_err(ServeError::bad_request)?;
     obs.rows = labels.len() as u64;
     // Same gate as predict: an expired request must not trigger a
     // re-granulation whose result it can no longer read.
-    if req.deadline.expired() {
-        return err_response(
-            ctx,
-            obs,
-            ServeError::deadline_exceeded("deadline expired before ingest"),
-        );
-    }
-    let receipt = match obs.time(Stage::Ingest, || {
+    req.deadline.check("ingest")?;
+    let receipt = obs.time(Stage::Ingest, || {
         ctx.registry
             .append_rows(name, &features, &labels, n_features, &create)
-    }) {
-        Ok(receipt) => receipt,
-        Err(e) => return err_response(ctx, obs, ingest_error(e)),
-    };
+    });
+    let receipt = receipt.map_err(ingest_error)?;
     ctx.metrics.appends.fetch_add(1, Ordering::Relaxed);
     ctx.metrics
         .append_rows
@@ -1730,7 +885,7 @@ fn ingest_endpoint(req: &crate::http::Request, ctx: &ServerCtx, obs: &mut ObsCtx
         .append_rows
         .fetch_add(labels.len() as u64, Ordering::Relaxed);
     let request_id = obs.id.clone();
-    obs.time(Stage::Serialize, || {
+    Ok(obs.time(Stage::Serialize, || {
         let mut fields = vec![
             ("model", Value::Str(name.to_string())),
             ("created", Value::Bool(receipt.created)),
@@ -1745,52 +900,29 @@ fn ingest_endpoint(req: &crate::http::Request, ctx: &ServerCtx, obs: &mut ObsCtx
             fields.push(("incremental", append_stats_value(stats)));
         }
         Response::json(200, render(&obj(fields)))
-    })
+    }))
 }
 
 /// `POST /models/{name}/rollback`: re-activates a retained version by
 /// copying its content forward as a **new** head — the chain stays
 /// append-only, so the rollback itself is auditable and revertible.
-fn rollback_endpoint(req: &crate::http::Request, ctx: &ServerCtx, obs: &mut ObsCtx) -> Response {
-    let name = match mutation_tenant(&req.path, "/rollback") {
-        Ok(name) => name,
-        Err(e) => return err_response(ctx, obs, ServeError::bad_request(e)),
-    };
-    let body = match parse_body(req) {
-        Ok(v) => v,
-        Err(e) => return err_response(ctx, obs, ServeError::bad_request(e)),
-    };
-    if let Err(e) = reject_unknown_keys(&body, &ROLLBACK_KEYS, "/rollback") {
-        return err_response(ctx, obs, ServeError::bad_request(e));
-    }
-    let version = match body.get("version") {
-        Some(Value::Num(n)) if *n >= 0.0 && n.fract() == 0.0 => *n as u64,
-        _ => {
-            return err_response(
-                ctx,
-                obs,
-                ServeError::bad_request("missing 'version' (non-negative integer)"),
-            )
-        }
-    };
-    if req.deadline.expired() {
-        return err_response(
-            ctx,
-            obs,
-            ServeError::deadline_exceeded("deadline expired before rollback"),
-        );
-    }
-    let receipt = match obs.time(Stage::Ingest, || ctx.registry.rollback(name, version)) {
-        Ok(receipt) => receipt,
-        Err(e) => return err_response(ctx, obs, ingest_error(e)),
-    };
+fn rollback_endpoint(ctx: &ServerCtx, req: &Request, obs: &mut ObsCtx) -> Reply {
+    let name = model_name(&req.path, "/rollback")?;
+    let body = parse_body(req)?;
+    reject_unknown_keys(&body, &ROLLBACK_KEYS, "/rollback").map_err(ServeError::bad_request)?;
+    let version = integer(&body, "version", 0)
+        .and_then(|v| v.ok_or_else(|| "missing 'version' (non-negative integer)".to_string()))
+        .map_err(ServeError::bad_request)?;
+    req.deadline.check("rollback")?;
+    let receipt = obs.time(Stage::Ingest, || ctx.registry.rollback(name, version));
+    let receipt = receipt.map_err(ingest_error)?;
     ctx.metrics.rollbacks.fetch_add(1, Ordering::Relaxed);
     obs.tenant = Some(name.to_string());
     ctx.tenants
         .touch(name)
         .rollbacks
         .fetch_add(1, Ordering::Relaxed);
-    Response::json(
+    Ok(Response::json(
         200,
         render(&obj(vec![
             ("model", Value::Str(name.to_string())),
@@ -1799,7 +931,7 @@ fn rollback_endpoint(req: &crate::http::Request, ctx: &ServerCtx, obs: &mut ObsC
             ("version", Value::Num(receipt.serving.version as f64)),
             ("n_balls", Value::Num(receipt.serving.stats.n_balls as f64)),
         ])),
-    )
+    ))
 }
 
 /// Renders one [`VersionInfo`] (`GET /models/{name}[?version=N]`).
@@ -1835,41 +967,20 @@ fn version_info_value(info: &VersionInfo) -> Value {
 /// `GET /models/{name}[?version=N]`: version-chain metadata for one
 /// tenant — the head and retained versions, plus the pinned version's
 /// cover/row counts when `?version=` asks for a specific link.
-fn version_endpoint(req: &crate::http::Request, ctx: &ServerCtx, obs: &mut ObsCtx) -> Response {
-    let name = req.path.trim_start_matches("/models/");
-    if name.is_empty() || name.contains('/') {
-        return err_response(
-            ctx,
-            obs,
-            ServeError::bad_request("model name must be a single path segment"),
-        );
-    }
+fn version_endpoint(ctx: &ServerCtx, req: &Request, obs: &mut ObsCtx) -> Reply {
+    let name = model_name(&req.path, "")?;
     ctx.metrics.model_requests.fetch_add(1, Ordering::Relaxed);
-    let version = match req.query_param("version") {
-        Some(raw) => match raw.parse::<u64>() {
-            Ok(v) => Some(v),
-            Err(_) => {
-                return err_response(
-                    ctx,
-                    obs,
-                    ServeError::bad_request("'version' must be a non-negative integer"),
-                )
-            }
-        },
-        None => None,
-    };
-    match obs.time(Stage::StoreIo, || ctx.registry.version_info(name, version)) {
-        Ok(Some(info)) => {
-            obs.tenant = Some(info.name.clone());
-            Response::json(200, render(&version_info_value(&info)))
-        }
-        Ok(None) => err_response(
-            ctx,
-            obs,
-            ServeError::not_found(format!("no model named '{name}'")),
-        ),
-        Err(e) => err_response(ctx, obs, ingest_error(e)),
-    }
+    let version = req
+        .query_param("version")
+        .map(|raw| {
+            raw.parse::<u64>()
+                .map_err(|_| ServeError::bad_request("'version' must be a non-negative integer"))
+        })
+        .transpose()?;
+    let info = obs.time(Stage::StoreIo, || ctx.registry.version_info(name, version));
+    let info = info.map_err(ingest_error)?.ok_or_else(|| no_model(name))?;
+    obs.tenant = Some(info.name.clone());
+    Ok(Response::json(200, render(&version_info_value(&info))))
 }
 
 #[cfg(test)]

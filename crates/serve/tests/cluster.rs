@@ -202,6 +202,64 @@ fn request_id_propagates_through_the_hop() {
 }
 
 #[test]
+fn router_shed_503_echoes_client_request_id_and_logs_its_path() {
+    let (_, model) = fixture();
+    let backend = boot_backend(&model, &["default"]);
+    let router = Router::bind(RouterConfig {
+        backends: vec![backend.addr().to_string()],
+        workers: 1,
+        backlog: 1,
+        ..RouterConfig::default()
+    })
+    .expect("bind router");
+    router.warm_up();
+    let handle = router.start().expect("start router");
+    let connect = || HttpClient::connect(handle.addr(), Duration::from_secs(20)).unwrap();
+
+    // A occupies the single worker; B fills the single backlog slot.
+    let mut a = connect();
+    assert_eq!(a.send("GET", "/healthz", None, &[]).unwrap().status, 200);
+    let _b = connect();
+
+    // C is over capacity: shed with a 503 that still carries its id.
+    let mut c = connect();
+    let headers = [("X-Request-Id", "router-shed-7".to_string())];
+    let resp = c.send("GET", "/cluster", None, &headers).unwrap();
+    assert_eq!(resp.status, 503, "{}", resp.body);
+    assert_eq!(resp.request_id.as_deref(), Some("router-shed-7"));
+    let v: Value = serde_json::from_str(&resp.body).unwrap();
+    assert_eq!(
+        v.get("request_id"),
+        Some(&Value::Str("router-shed-7".into()))
+    );
+    assert_eq!(v.get("code"), Some(&Value::Str("overloaded".into())));
+
+    // The shed lands in the router's ring under its id and real path.
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    loop {
+        let ring = a.send("GET", "/debug/requests", None, &[]).unwrap();
+        let v: Value = serde_json::from_str(&ring.body).unwrap();
+        let Some(Value::Arr(errored)) = v.get("errored") else {
+            panic!("no errored list in {}", ring.body);
+        };
+        let shed = errored
+            .iter()
+            .find(|r| r.get("id") == Some(&Value::Str("router-shed-7".into())));
+        if let Some(shed) = shed {
+            assert_eq!(shed.get("endpoint"), Some(&Value::Str("/cluster".into())));
+            assert_eq!(shed.get("status"), Some(&Value::Num(503.0)));
+            break;
+        }
+        assert!(std::time::Instant::now() < deadline, "{}", ring.body);
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    drop(c);
+    drop(a);
+    handle.stop();
+    backend.stop();
+}
+
+#[test]
 fn publish_with_a_down_replica_is_a_retryable_store_io_503() {
     let (_data, model) = fixture();
     let a = boot_backend(&model, &[]);

@@ -363,6 +363,61 @@ fn reload_rejects_unknown_body_keys() {
 }
 
 #[test]
+fn body_numbers_must_be_exact_integers_in_range() {
+    let (handle, _, _) = boot(ServeConfig::default());
+    let mut c = client(&handle);
+    let (_, model) = fixture();
+    let model_json = serde_json::to_string(&model).unwrap();
+    let csv = "\"csv\":\"f0,label\\n1.0,0\\n2.0,1\\n\"";
+    let batch = "\"rows\":[[0.0,0.0],[5.0,5.0]],\"labels\":[0,1]";
+    // Each value was cast or ignored before: a fraction truncated, a
+    // negative seed saturated to 0, a huge one to u64::MAX.
+    for (path, body, key) in [
+        ("/sample", format!("{{{csv},\"rho\":2.5}}"), "rho"),
+        ("/sample", format!("{{{csv},\"seed\":-1}}"), "seed"),
+        ("/sample", format!("{{{csv},\"seed\":1e30}}"), "seed"),
+        (
+            "/sample",
+            format!("{{{csv},\"metric\":\"cosine\"}}"),
+            "metric",
+        ),
+        (
+            "/models/default",
+            format!("{{\"model\":{model_json},\"k\":2.5}}"),
+            "k",
+        ),
+        ("/models/fresh/rows", format!("{{{batch},\"k\":2.5}}"), "k"),
+        (
+            "/models/fresh/rows",
+            format!("{{{batch},\"rho\":2.5}}"),
+            "rho",
+        ),
+        (
+            "/models/fresh/rows",
+            format!("{{{batch},\"n_classes\":1e30}}"),
+            "n_classes",
+        ),
+        (
+            "/models/default/rollback",
+            "{\"version\":0.5}".into(),
+            "version",
+        ),
+    ] {
+        let (status, reply) = c.request("POST", path, Some(&body)).unwrap();
+        assert_eq!(status, 400, "{path} {body}: {reply}");
+        assert!(
+            reply.contains(&format!("'{key}'")),
+            "{path} {body}: {reply}"
+        );
+    }
+    // Integers at the edge of the range are taken as they are.
+    let body = format!("{{{csv},\"rho\":2,\"seed\":9007199254740992}}");
+    let (status, reply) = c.request("POST", "/sample", Some(&body)).unwrap();
+    assert_eq!(status, 200, "{reply}");
+    handle.stop();
+}
+
+#[test]
 fn poisoned_reload_is_rejected_and_serving_continues() {
     let (handle, data, offline) = boot(ServeConfig::default());
     let mut c = client(&handle);
