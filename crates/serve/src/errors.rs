@@ -242,6 +242,18 @@ impl ErrorStats {
     pub fn get(&self, code: ErrorCode) -> u64 {
         self.counters[code.index()].load(Ordering::Relaxed)
     }
+
+    /// JSON object with one field per code (all codes, including zeros, so
+    /// dashboards see a stable schema).
+    #[must_use]
+    pub fn to_value(&self) -> Value {
+        Value::Obj(
+            ErrorCode::ALL
+                .iter()
+                .map(|c| (c.as_str().to_string(), Value::Num(self.get(*c) as f64)))
+                .collect(),
+        )
+    }
 }
 
 #[cfg(test)]
@@ -296,5 +308,7 @@ mod tests {
         assert_eq!(stats.get(ErrorCode::Overloaded), 2);
         assert_eq!(stats.get(ErrorCode::Internal), 1);
         assert_eq!(stats.get(ErrorCode::BadRequest), 0);
+        let rendered = serde_json::to_string(&stats.to_value()).unwrap();
+        assert!(rendered.contains("\"overloaded\":2"), "{rendered}");
     }
 }

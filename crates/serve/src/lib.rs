@@ -22,16 +22,12 @@
 //!
 //! ## One request path
 //!
-//! `gbabs serve` ([`server`]) and `gbabs router` ([`router`]) run the same
-//! shell (the private `service` module): the listener and accept loop
-//! with the admission gate, the worker pool, the keep-alive connection
-//! loop with deadline-sliced reads, the access log, `/debug/requests`,
-//! `/metrics`, and the 405/404 answers. Each process supplies only a
-//! route table whose handlers return `Result<Response, ServeError>`, its
-//! error counting, its metric samples, and one extra thread (preload for
-//! the server, the health probe for the router). Every `/metrics` family
-//! is declared once in [`metrics`] (Prometheus name, type, help, labels,
-//! JSON place), and both formats render from the same samples.
+//! `gbabs serve` ([`server`]) and `gbabs router` ([`router`]) run one
+//! shell (`service.rs`): accept loop and admission gate, worker pool,
+//! keep-alive loop, access log, `/debug/requests`, `/metrics`, and the
+//! 405/404 answers. Each supplies only its routes, its error counting,
+//! its metric samples, and one extra thread. Every `/metrics` family is
+//! declared once in [`metrics`]; both formats render from it.
 //!
 //! ## Observability
 //!

@@ -46,15 +46,9 @@ pub struct Metrics {
     pub append_rows: AtomicU64,
     /// Accepted `/models/{name}/rollback` requests.
     pub rollbacks: AtomicU64,
-    /// 4xx responses (bad JSON, unknown model, bad shapes).
-    pub client_errors: AtomicU64,
-    /// 5xx responses other than shed 503s (contained predict failures).
-    pub server_errors: AtomicU64,
-    /// 503 responses from the admission gates.
-    pub shed: AtomicU64,
     /// Per-[`crate::errors::ErrorCode`] counters (`errors_by_code` in
-    /// `GET /metrics`) — the structured view the aggregate
-    /// `client_errors`/`server_errors`/`shed` counters roll up.
+    /// `GET /metrics`); the `client_errors`, `server_errors` and `shed`
+    /// totals are their sums by HTTP status.
     pub errors: ErrorStats,
     /// Log2 µs histogram of end-to-end `/predict` handling latency.
     pub predict_latency: LatencyHistogram,
@@ -420,12 +414,6 @@ impl From<f64> for Reading<'_> {
     }
 }
 
-impl From<u64> for Reading<'_> {
-    fn from(v: u64) -> Self {
-        Reading::Num(v as f64)
-    }
-}
-
 impl From<&AtomicU64> for Reading<'_> {
     fn from(v: &AtomicU64) -> Self {
         Reading::Num(v.load(Ordering::Relaxed) as f64)
@@ -435,12 +423,6 @@ impl From<&AtomicU64> for Reading<'_> {
 impl From<bool> for Reading<'_> {
     fn from(v: bool) -> Self {
         Reading::Flag(v)
-    }
-}
-
-impl From<Option<f64>> for Reading<'_> {
-    fn from(v: Option<f64>) -> Self {
-        v.map_or(Reading::Absent, Reading::Num)
     }
 }
 

@@ -419,7 +419,7 @@ impl Service for RouterCtx {
             x.add(
                 &m::ROUTER_ERRORS,
                 &[code.as_str()],
-                metrics.errors.get(code),
+                metrics.errors.get(code) as f64,
             );
         }
         x.add(&m::ROUTER_HOP_LATENCY, &[], &metrics.hop_latency);
@@ -707,31 +707,22 @@ fn sample_endpoint(ctx: &RouterCtx, req: &Request, obs: &mut ObsCtx) -> Reply {
 fn models_endpoint(ctx: &RouterCtx, req: &Request, obs: &mut ObsCtx) -> Reply {
     let mut shards = Vec::new();
     for backend in &ctx.backends {
-        if !backend.healthy.load(Ordering::SeqCst) {
-            shards.push(obj(vec![
-                ("backend", Value::Str(backend.addr.clone())),
-                ("reachable", Value::Bool(false)),
-            ]));
-            continue;
-        }
-        let entry = match forward_once(ctx, obs, backend, &req.deadline, "GET", "/models", None) {
-            Ok(resp) if resp.status == 200 => {
-                let parsed: Value = std::str::from_utf8(&resp.body)
-                    .ok()
-                    .and_then(|s| serde_json::from_str(s).ok())
-                    .unwrap_or(Value::Null);
-                obj(vec![
-                    ("backend", Value::Str(backend.addr.clone())),
-                    ("reachable", Value::Bool(true)),
-                    ("models", parsed),
-                ])
-            }
-            _ => obj(vec![
-                ("backend", Value::Str(backend.addr.clone())),
-                ("reachable", Value::Bool(false)),
-            ]),
+        let reply = if backend.healthy.load(Ordering::SeqCst) {
+            forward_once(ctx, obs, backend, &req.deadline, "GET", "/models", None).ok()
+        } else {
+            None
         };
-        shards.push(entry);
+        let models = reply.filter(|r| r.status == 200).map(|r| {
+            let text = std::str::from_utf8(&r.body).ok();
+            text.and_then(|s| serde_json::from_str(s).ok())
+                .unwrap_or(Value::Null)
+        });
+        let mut fields = vec![
+            ("backend", Value::Str(backend.addr.clone())),
+            ("reachable", Value::Bool(models.is_some())),
+        ];
+        fields.extend(models.map(|m| ("models", m)));
+        shards.push(obj(fields));
     }
     let body = obj(vec![("shards", Value::Arr(shards))]);
     Ok(Response::json(200, render(&body)))

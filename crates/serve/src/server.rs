@@ -6,7 +6,7 @@
 
 use crate::errors::{ErrorCode, ServeError};
 use crate::http::{Request, Response};
-use crate::metrics::{self as m, Exposition, Metrics, TenantRegistry, TenantStats};
+use crate::metrics::{self as m, Exposition, Metrics, Reading, TenantRegistry, TenantStats};
 use crate::registry::{
     CreateOptions, IngestError, LoadOptions, ModelRegistry, PublishError, ServingModel, VersionInfo,
 };
@@ -189,20 +189,13 @@ impl Service for ServerCtx {
         &self.shell
     }
 
-    /// Keeps the aggregate counters, the per-code counters, and the
-    /// per-tenant counters consistent. Error paths never mint tenant
-    /// entries: only an already-resolved tenant is attributed.
+    /// Error paths never mint tenant entries: only an already-resolved
+    /// tenant is attributed.
     fn count_error(&self, tenant: Option<&str>, code: ErrorCode) {
         self.metrics.errors.record(code);
         if let Some(stats) = tenant.and_then(|t| self.tenants.get(t)) {
             stats.errors.record(code);
         }
-        let counter = match code.status() {
-            503 => &self.metrics.shed,
-            500.. => &self.metrics.server_errors,
-            _ => &self.metrics.client_errors,
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
     }
 
     fn observe(&self, x: &mut Exposition) {
@@ -225,18 +218,24 @@ impl Service for ServerCtx {
         }
         x.add(&m::PREDICT_ROWS, &[], &metrics.predict_rows);
         x.add(&m::APPEND_ROWS, &[], &metrics.append_rows);
-        x.add(&m::CLIENT_ERRORS, &[], &metrics.client_errors);
-        x.add(&m::SERVER_ERRORS, &[], &metrics.server_errors);
-        x.add(&m::SHED, &[], &metrics.shed);
+        let errors = &metrics.errors;
+        let total = |keep: fn(u16) -> bool| {
+            let codes = ErrorCode::ALL.into_iter().filter(|c| keep(c.status()));
+            codes.map(|c| errors.get(c)).sum::<u64>() as f64
+        };
+        x.add(&m::CLIENT_ERRORS, &[], total(|s| s < 500));
+        x.add(&m::SERVER_ERRORS, &[], total(|s| s >= 500 && s != 503));
+        x.add(&m::SHED, &[], total(|s| s == 503));
         for code in ErrorCode::ALL {
-            x.add(&m::ERRORS, &[code.as_str()], metrics.errors.get(code));
+            x.add(&m::ERRORS, &[code.as_str()], errors.get(code) as f64);
         }
         let snap = self.registry.snapshot();
         let r = &self.registry.stats;
         x.add(&m::RESIDENT_MODELS, &[], snap.resident as f64);
         x.add(&m::COLD_MODELS, &[], snap.cold as f64);
         x.add(&m::RESIDENT_BYTES, &[], snap.resident_bytes as f64);
-        x.add(&m::BUDGET_BYTES, &[], snap.budget_bytes.map(|b| b as f64));
+        let budget = snap.budget_bytes.map(|b| Reading::Num(b as f64));
+        x.add(&m::BUDGET_BYTES, &[], budget.unwrap_or(Reading::Absent));
         x.add(&m::HITS, &[], &r.hits);
         x.add(&m::COLD_RELOADS, &[], &r.cold_reloads);
         x.add(&m::EVICTIONS, &[], &r.evictions);
@@ -261,7 +260,7 @@ impl Service for ServerCtx {
                 x.add(
                     &m::TENANT_ERRORS,
                     &[name, code.as_str()],
-                    stats.errors.get(code),
+                    stats.errors.get(code) as f64,
                 );
             }
         }

@@ -121,6 +121,9 @@ pub(crate) trait Service: Send + Sync + Sized + 'static {
     }
 }
 
+/// The `(path, request id)` a bounded peek at a shed request found.
+type PeekedHead = (Option<String>, Option<String>);
+
 /// An extra thread's name and body.
 pub(crate) type Background<S> = (&'static str, fn(&S));
 
@@ -297,8 +300,8 @@ fn shed<S: Service>(svc: &Arc<S>, stream: TcpStream) {
         let spawned = spawn(format!("gb-{}-shed", S::NAME), move || {
             let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
             let deadline = Deadline::after(SHED_PEEK_BUDGET);
-            let (path, id) = peek_head(&mut BufReader::new(&stream), &deadline);
-            write_shed(&*peeker, stream, path, id);
+            let head = peek_head(&mut BufReader::new(&stream), &deadline);
+            write_shed(&*peeker, stream, head);
             peeker.shell().shed_peeks.fetch_sub(1, Ordering::SeqCst);
         });
         // A failed spawn dropped the stream with the closure.
@@ -308,17 +311,12 @@ fn shed<S: Service>(svc: &Arc<S>, stream: TcpStream) {
         return;
     }
     shell.shed_peeks.fetch_sub(1, Ordering::SeqCst);
-    write_shed(&**svc, stream, None, None);
+    write_shed(&**svc, stream, (None, None));
 }
 
-/// Writes the shed 503 and records it under the peeked path and id, when
+/// Writes the shed 503 and records it under the peeked `(path, id)`, when
 /// the peek found them.
-fn write_shed<S: Service>(
-    svc: &S,
-    mut stream: TcpStream,
-    path: Option<String>,
-    id: Option<String>,
-) {
+fn write_shed<S: Service>(svc: &S, mut stream: TcpStream, (path, id): PeekedHead) {
     let mut obs = ObsCtx::new(
         id.unwrap_or_else(gen_request_id),
         path.unwrap_or_else(|| "(shed)".into()),

@@ -1,7 +1,8 @@
 //! Both `/metrics` formats carry the same series, for the server and the
 //! router: after traffic on every endpoint, each Prometheus counter and
-//! gauge sample equals the JSON value at its family's declared place, and
-//! every counter or gauge in the JSON body belongs to a declared family.
+//! gauge sample equals the JSON value at its family's declared place,
+//! every declared family has a sample, and every counter or gauge in the
+//! JSON body belongs to a declared family.
 
 use gb_dataset::catalog::DatasetId;
 use gb_serve::metrics::{Family, Kind, ROUTER_FAMILIES, SERVER_FAMILIES};
@@ -17,65 +18,51 @@ use std::time::Duration;
 type Sample = (String, Vec<(String, String)>, f64);
 
 fn parse_prometheus(text: &str) -> Vec<Sample> {
-    let mut samples = Vec::new();
-    for line in text
+    let lines = text
         .lines()
-        .filter(|l| !l.is_empty() && !l.starts_with('#'))
-    {
-        let (series, value) = line.rsplit_once(' ').expect("sample value");
-        let value = match value {
-            "+Inf" => f64::INFINITY,
-            v => v.parse().unwrap_or_else(|_| panic!("bad value: {line}")),
-        };
-        let (name, labels) = match series.split_once('{') {
-            Some((name, rest)) => {
-                let body = rest.strip_suffix('}').expect("closing brace");
-                let labels = body
-                    .split("\",")
-                    .map(|kv| {
-                        let (k, v) = kv.split_once("=\"").expect("label pair");
-                        (k.to_string(), v.trim_end_matches('"').to_string())
-                    })
-                    .collect();
-                (name, labels)
-            }
-            None => (series, Vec::new()),
-        };
-        samples.push((name.to_string(), labels, value));
-    }
-    samples
+        .filter(|l| !l.is_empty() && !l.starts_with('#'));
+    lines
+        .map(|line| {
+            let (series, value) = line.rsplit_once(' ').expect("sample value");
+            let value = if value == "+Inf" {
+                f64::INFINITY
+            } else {
+                value.parse().expect("numeric sample")
+            };
+            let (name, labels) = series.split_once('{').unwrap_or((series, "}"));
+            let labels = labels.strip_suffix('}').expect("closing brace");
+            let labels = labels.split("\",").filter(|kv| !kv.is_empty()).map(|kv| {
+                let (k, v) = kv.split_once("=\"").expect("label pair");
+                (k.to_string(), v.trim_end_matches('"').to_string())
+            });
+            (name.to_string(), labels.collect(), value)
+        })
+        .collect()
 }
 
-/// The declared family a sample belongs to, and the sample's suffix
-/// (`""`, `_bucket`, `_sum`, `_count`).
+/// The declared family a sample belongs to, and the sample's suffix.
 fn family_of<'f>(families: &[&'f Family], name: &str) -> Option<(&'f Family, &'static str)> {
     families.iter().find_map(|f| {
-        ["", "_bucket", "_sum", "_count"]
-            .into_iter()
-            .find(|suffix| name.strip_suffix(suffix) == Some(f.name))
-            .map(|suffix| (*f, suffix))
+        let suffixes = ["", "_bucket", "_sum", "_count"].into_iter();
+        let mut found = suffixes.filter(|s| name.strip_suffix(s) == Some(f.name));
+        found.next().map(|suffix| (*f, suffix))
     })
 }
 
-/// The JSON value at `family`'s place, with `{label}` steps taken from
-/// the sample's labels.
+/// The JSON value at `family`'s place, `{label}` steps taken from
+/// `labels`.
 fn json_at<'v>(body: &'v Value, family: &Family, labels: &[(String, String)]) -> Option<&'v Value> {
-    let label = |name: &str| {
-        labels
-            .iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| v.as_str())
-    };
+    let label = |name: &str| labels.iter().find(|(k, _)| k == name).map(|(_, v)| v);
     let mut node = body;
     for step in family.json.split('.') {
         node = if let Some(name) = step.strip_prefix('{').and_then(|s| s.strip_suffix('}')) {
             node.get(label(name)?)?
         } else if let Some((key, item)) = step.split_once('[') {
             let (field, name) = item.strip_suffix("}]")?.split_once("={")?;
-            let id = Value::Str(label(name)?.to_string());
             let Value::Arr(items) = node.get(key)? else {
                 return None;
             };
+            let id = Value::Str(label(name)?.clone());
             items.iter().find(|v| v.get(field) == Some(&id))?
         } else {
             node.get(step)?
@@ -84,67 +71,52 @@ fn json_at<'v>(body: &'v Value, family: &Family, labels: &[(String, String)]) ->
     Some(node)
 }
 
-/// True when `path` (object keys, and `[]` for an array element) lies at
-/// `family`'s place, or inside it for an info family.
+/// True when `path` (object keys, `[]` for an array element) is
+/// `family`'s place, or lies inside it for an info family.
 fn place_covers(family: &Family, path: &[String]) -> bool {
-    let mut rest = path;
+    let mut want = Vec::new();
     for step in family.json.split('.') {
-        let want: &[&str] = match step.split_once('[') {
-            Some((key, _)) => &[key, "[]"],
-            None => &[step],
-        };
-        for w in want {
-            let Some((first, tail)) = rest.split_first() else {
-                return false;
-            };
-            let label_step = w.starts_with('{');
-            if !label_step && first != w {
-                return false;
-            }
-            rest = tail;
+        match step.split_once('[') {
+            Some((key, _)) => want.extend([key, "[]"]),
+            None => want.push(step),
         }
     }
-    rest.is_empty() || family.kind == Kind::Info
+    let matches = want
+        .iter()
+        .zip(path)
+        .all(|(w, p)| w.starts_with('{') || w == p);
+    matches && (want.len() == path.len() || family.kind == Kind::Info && want.len() < path.len())
 }
 
 /// Every number or boolean leaf of `v` outside a latency-histogram object.
 fn leaves(v: &Value, path: &mut Vec<String>, out: &mut Vec<Vec<String>>) {
-    match v {
-        Value::Num(_) | Value::Bool(_) => out.push(path.clone()),
+    let children: Vec<(String, &Value)> = match v {
+        Value::Num(_) | Value::Bool(_) => return out.push(path.clone()),
         Value::Obj(fields) if v.get("p50_us").is_none() => {
-            for (k, child) in fields {
-                path.push(k.clone());
-                leaves(child, path, out);
-                path.pop();
-            }
+            fields.iter().map(|(k, c)| (k.clone(), c)).collect()
         }
-        Value::Arr(items) => {
-            for item in items {
-                path.push("[]".into());
-                leaves(item, path, out);
-                path.pop();
-            }
-        }
-        _ => {}
+        Value::Arr(items) => items.iter().map(|c| ("[]".to_string(), c)).collect(),
+        _ => return,
+    };
+    for (key, child) in children {
+        path.push(key);
+        leaves(child, path, out);
+        path.pop();
     }
 }
 
 /// Scrapes both formats (JSON first) and checks them against each other
 /// and the declarations. `drift` bounds how far a series may move between
-/// the two scrapes (uptime; a router counts the scrape itself).
+/// the two scrapes (uptime; the router counts the scrape itself).
 fn assert_parity(c: &mut HttpClient, families: &[&Family], drift: impl Fn(&str) -> f64) {
-    let (status, json) = c.request("GET", "/metrics", None).unwrap();
-    assert_eq!(status, 200, "{json}");
+    let (_, json) = c.request("GET", "/metrics", None).unwrap();
     let body: Value = serde_json::from_str(&json).unwrap();
-    let (status, text) = c
+    let (_, text) = c
         .request("GET", "/metrics?format=prometheus", None)
         .unwrap();
-    assert_eq!(status, 200, "{text}");
     let samples = parse_prometheus(&text);
-    assert!(!samples.is_empty(), "{text}");
     for (name, labels, value) in &samples {
-        let (family, suffix) =
-            family_of(families, name).unwrap_or_else(|| panic!("{name} is not declared"));
+        let (family, suffix) = family_of(families, name).expect("declared family");
         let at = json_at(&body, family, labels)
             .unwrap_or_else(|| panic!("{name}{labels:?}: nothing at '{}' in {json}", family.json));
         let want = match (family.kind, suffix, at) {
@@ -168,17 +140,20 @@ fn assert_parity(c: &mut HttpClient, families: &[&Family], drift: impl Fn(&str) 
             (_, _, Value::Bool(b)) => f64::from(u8::from(*b)),
             (_, _, other) => panic!("{name}{labels:?}: JSON holds {other:?}"),
         };
-        assert!(
-            want <= *value && *value <= want + drift(name),
-            "{name}{labels:?}: Prometheus {value}, JSON {want}"
-        );
+        let ok = want <= *value && *value <= want + drift(name);
+        assert!(ok, "{name}{labels:?}: Prometheus {value}, JSON {want}");
+    }
+    for family in families {
+        let sampled =
+            |(name, _, _): &Sample| family_of(families, name).unwrap().0.name == family.name;
+        assert!(samples.iter().any(sampled), "{} has no sample", family.name);
     }
     let mut paths = Vec::new();
     leaves(&body, &mut Vec::new(), &mut paths);
-    assert!(!paths.is_empty());
     for path in paths {
+        let covered = families.iter().any(|f| place_covers(f, &path));
         assert!(
-            families.iter().any(|f| place_covers(f, &path)),
+            covered,
             "JSON series {} has no Prometheus family",
             path.join(".")
         );
@@ -193,70 +168,67 @@ fn uptime_drift(name: &str) -> f64 {
     }
 }
 
+/// Boots a server over `registry` with the S5 model as `default`; returns
+/// it, a client, and a `/predict` body for one training row.
+fn boot(
+    registry: ModelRegistry,
+) -> (
+    gb_serve::ServerHandle,
+    HttpClient,
+    gbabs::RdGbgModel,
+    String,
+) {
+    let data = DatasetId::S5.generate(0.05, 1);
+    let model = rd_gbg(&data, &RdGbgConfig::default());
+    registry
+        .load("default", &model, &LoadOptions::default())
+        .unwrap();
+    let config = ServeConfig::default();
+    let handle = Server::bind(config, Arc::new(registry))
+        .unwrap()
+        .start()
+        .unwrap();
+    let c = HttpClient::connect(handle.addr(), Duration::from_secs(20)).unwrap();
+    let row = format!("{{\"row\":[{},{}]}}", data.row(0)[0], data.row(0)[1]);
+    (handle, c, model, row)
+}
+
 #[test]
 fn server_formats_carry_the_same_series() {
     let dir = std::env::temp_dir().join(format!("gb_exposition_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let store = ModelStore::open(&dir).expect("open store");
     let (registry, _) = ModelRegistry::with_store(store, Some(1 << 30)).expect("scan store");
-    let data = DatasetId::S5.generate(0.05, 1);
-    let model = rd_gbg(&data, &RdGbgConfig::default());
-    registry
-        .load("default", &model, &LoadOptions::default())
-        .expect("load model");
-    let handle = Server::bind(ServeConfig::default(), Arc::new(registry))
-        .unwrap()
-        .start()
-        .unwrap();
-    let mut c = HttpClient::connect(handle.addr(), Duration::from_secs(20)).unwrap();
-    let row = format!("{{\"row\":[{},{}]}}", data.row(0)[0], data.row(0)[1]);
-    let model_json = serde_json::to_string(&model).unwrap();
+    let (handle, mut c, model, row) = boot(registry);
+    let reload = format!("{{\"model\":{}}}", serde_json::to_string(&model).unwrap());
     let mut csv = String::from("f0,f1,label\\n");
     for i in 0..40 {
         let _ = write!(csv, "{}.{},{},{}\\n", i / 10, i % 10, i % 3, i % 2);
     }
-    let batch = "\"rows\":[[0.0,0.0],[0.1,0.0],[5.0,5.0],[5.1,5.0]],\"labels\":[0,0,1,1]";
+    let sample = format!("{{\"csv\":\"{csv}\",\"rho\":3}}");
+    let rows = "{\"rows\":[[0.0,0.0],[0.1,0.0],[5.0,5.0],[5.1,5.0]],\"labels\":[0,0,1,1]}";
     for (method, path, body, status) in [
-        ("GET", "/healthz", String::new(), 200),
-        ("GET", "/readyz", String::new(), 200),
-        ("GET", "/models", String::new(), 200),
-        ("GET", "/model?name=default", String::new(), 200),
-        ("POST", "/predict", row.clone(), 200),
-        ("POST", "/predict", "{\"rows\":1}".into(), 400),
-        (
-            "POST",
-            "/predict",
-            "{\"model\":\"ghost\",\"row\":[0]}".into(),
-            404,
-        ),
-        (
-            "POST",
-            "/sample",
-            format!("{{\"csv\":\"{csv}\",\"rho\":3}}"),
-            200,
-        ),
-        (
-            "POST",
-            "/models/second",
-            format!("{{\"model\":{model_json}}}"),
-            200,
-        ),
-        ("POST", "/models/kept/rows", format!("{{{batch}}}"), 200),
-        ("POST", "/models/kept/rows", format!("{{{batch}}}"), 200),
-        (
-            "POST",
-            "/models/kept/rollback",
-            "{\"version\":1}".into(),
-            200,
-        ),
-        ("GET", "/models/kept", String::new(), 200),
-        ("DELETE", "/models/second", String::new(), 200),
-        ("GET", "/debug/requests", String::new(), 200),
-        ("GET", "/nowhere", String::new(), 404),
-        ("DELETE", "/predict", String::new(), 405),
+        ("GET", "/healthz", "", 200),
+        ("GET", "/readyz", "", 200),
+        ("GET", "/models", "", 200),
+        ("GET", "/model?name=default", "", 200),
+        ("POST", "/predict", &row, 200),
+        ("POST", "/predict", "{\"rows\":1}", 400),
+        ("POST", "/predict", "{\"model\":\"ghost\",\"row\":[0]}", 404),
+        ("POST", "/sample", &sample, 200),
+        ("POST", "/models/second", &reload, 200),
+        ("POST", "/models/kept/rows", rows, 200),
+        ("POST", "/models/kept/rows", rows, 200),
+        ("POST", "/models/kept/rollback", "{\"version\":1}", 200),
+        ("GET", "/models/kept", "", 200),
+        ("DELETE", "/models/second", "", 200),
+        ("GET", "/debug/requests", "", 200),
+        ("GET", "/nowhere", "", 404),
+        ("DELETE", "/predict", "", 405),
     ] {
-        let body = (!body.is_empty()).then_some(body.as_str());
-        let (got, reply) = c.request(method, path, body).unwrap();
+        let (got, reply) = c
+            .request(method, path, (!body.is_empty()).then_some(body))
+            .unwrap();
         assert_eq!(got, status, "{method} {path}: {reply}");
     }
     assert_parity(&mut c, SERVER_FAMILIES, uptime_drift);
@@ -266,16 +238,7 @@ fn server_formats_carry_the_same_series() {
 
 #[test]
 fn router_formats_carry_the_same_series() {
-    let data = DatasetId::S5.generate(0.05, 1);
-    let model = rd_gbg(&data, &RdGbgConfig::default());
-    let registry = Arc::new(ModelRegistry::new());
-    registry
-        .load("default", &model, &LoadOptions::default())
-        .expect("load model");
-    let backend = Server::bind(ServeConfig::default(), registry)
-        .unwrap()
-        .start()
-        .unwrap();
+    let (backend, _, _, row) = boot(ModelRegistry::new());
     let router = Router::bind(RouterConfig {
         // The second backend never answers: a down shard's series too.
         backends: vec![backend.addr().to_string(), "127.0.0.1:9".into()],
@@ -286,21 +249,20 @@ fn router_formats_carry_the_same_series() {
     router.warm_up();
     let handle = router.start().unwrap();
     let mut c = HttpClient::connect(handle.addr(), Duration::from_secs(20)).unwrap();
-    let row = format!("{{\"row\":[{},{}]}}", data.row(0)[0], data.row(0)[1]);
     for (method, path, body) in [
-        ("GET", "/healthz", String::new()),
-        ("GET", "/readyz", String::new()),
-        ("GET", "/cluster?tenant=default", String::new()),
-        ("POST", "/predict", row),
-        ("GET", "/model?name=default", String::new()),
-        ("GET", "/models", String::new()),
-        ("GET", "/models/default", String::new()),
-        ("DELETE", "/models/ghost", String::new()),
-        ("GET", "/debug/requests", String::new()),
-        ("GET", "/nowhere", String::new()),
+        ("GET", "/healthz", ""),
+        ("GET", "/readyz", ""),
+        ("GET", "/cluster?tenant=default", ""),
+        ("POST", "/predict", &row),
+        ("GET", "/model?name=default", ""),
+        ("GET", "/models", ""),
+        ("GET", "/models/default", ""),
+        ("DELETE", "/models/ghost", ""),
+        ("GET", "/debug/requests", ""),
+        ("GET", "/nowhere", ""),
     ] {
-        let body = (!body.is_empty()).then_some(body.as_str());
-        c.request(method, path, body).unwrap();
+        c.request(method, path, (!body.is_empty()).then_some(body))
+            .unwrap();
     }
     assert_parity(&mut c, ROUTER_FAMILIES, |name| match name {
         "gb_router_requests_total" => 1.0,
