@@ -1,4 +1,4 @@
-//! Incremental max-radius KD-tree over finished balls.
+//! Incremental max-radius KD-trees over finished balls.
 //!
 //! Three queries run against the ball set:
 //!
@@ -10,20 +10,29 @@
 //!   by GBABS borderline detection
 //!   ([`BallConflictIndex::for_each_heterogeneous_adjacent`]).
 //!
-//! Structure: an arena KD-tree over the centers of the balls inserted so
-//! far, with each split node carrying the **maximum radius of its subtree**
-//! so a whole branch prunes once the axis gap minus `r_max` already decides
-//! the query. New balls land in a linear `recent` buffer (scanned brute per
-//! query) and the tree is rebuilt once the buffer outgrows the indexed part
-//! — LSM-style, so insertion stays O(1) amortized-ish and both queries run
-//! in O(log m) in practice instead of O(m) / O(m²).
+//! Structure: the logarithmic method (Bentley & Saxe, decomposable
+//! searching problems) over static max-radius KD-trees. New balls land in
+//! a buffer of [`CONFLICT_BUFFER`] balls, scanned brute per query. When it
+//! fills, it merges with every trailing tree no larger than the run merged
+//! so far into one median-split KD-tree over a contiguous range of
+//! insertion ids, each split node carrying the **maximum radius of its
+//! subtree** so a whole branch prunes once the axis gap minus `r_max`
+//! already decides the query. Tree sizes are distinct powers of two times
+//! the buffer, like the bits of a binary counter.
+//!
+//! Cost: with `m` balls there are at most `log₂(m / 64) + 1` trees, so a
+//! query scans at most 64 buffered balls plus one pruned descent per tree,
+//! and each ball is rebuilt into a larger tree at most `log₂(m / 64) + 1`
+//! times — `O(m log² m)` build work over a whole granulation instead of a
+//! brute buffer that grows with `m`.
 //!
 //! Exactness: leaf-level predicates evaluate the same floating-point
 //! expressions as the naive loops (`euclidean − r` for the gap,
 //! `GranularBall::overlaps`'s `dist < r_a + r_b − eps` for overlap), pruning
 //! bounds are relaxed by `1 − 1e−12` so `sqrt` rounding can only cause
 //! extra visits, and `min`/counting are order-independent — results are
-//! bit-identical to the brute scans.
+//! bit-identical to the brute scans, however the balls are split between
+//! the buffer and the trees.
 //!
 //! Metric: distances here are **rank-space** center distances under the
 //! granulation's [`Metric`] — Euclidean for squared-Euclidean (and for
@@ -41,11 +50,17 @@ pub(crate) struct BallConflictIndex {
     n_features: usize,
     /// Rank-space metric for center distances.
     metric: Metric,
+    /// Static trees over consecutive runs of insertion ids, oldest (and
+    /// largest) first; the balls after the last run are the buffer.
+    trees: Vec<ConflictTree>,
+}
+
+/// One static max-radius KD-tree over the insertion ids `start..end`,
+/// rooted at `nodes[0]`.
+struct ConflictTree {
+    start: usize,
+    end: usize,
     nodes: Vec<ConflictNode>,
-    root: u32,
-    /// Balls `0..indexed` live in the tree; `indexed..len` are the brute
-    /// buffer.
-    indexed: usize,
 }
 
 enum ConflictNode {
@@ -62,7 +77,8 @@ enum ConflictNode {
     },
 }
 
-const NO_NODE: u32 = u32::MAX;
+/// Balls the buffer holds before it is merged into a tree.
+const CONFLICT_BUFFER: usize = 64;
 const CONFLICT_LEAF: usize = 16;
 const CONFLICT_PRUNE_SLACK: f64 = 1.0 - 1e-12;
 
@@ -80,19 +96,14 @@ impl BallConflictIndex {
             radii: Vec::new(),
             n_features,
             metric,
-            nodes: Vec::new(),
-            root: NO_NODE,
-            indexed: 0,
+            trees: Vec::new(),
         }
     }
 
     /// Bulk-loads a finished cover (the borderline-detection entry point):
-    /// all centers land in one flat arena, skipping the incremental LSM
-    /// rebuilds of the push path. The KD-tree is **not** built — the
+    /// all centers land in one flat arena and no tree is built — the
     /// adjacency query sorts the arena directly, and the conflict/overlap
-    /// queries answer correctly from the linear buffer (call
-    /// [`BallConflictIndex::rebuild`] first when a bulk-loaded index will
-    /// serve many of those).
+    /// queries answer correctly, by brute scan, from the buffer.
     pub(crate) fn from_cover<'a>(
         balls: impl Iterator<Item = &'a crate::ball::GranularBall>,
         n_features: usize,
@@ -156,31 +167,46 @@ impl BallConflictIndex {
         &self.centers[i * self.n_features..(i + 1) * self.n_features]
     }
 
+    /// Balls `0..indexed()` live in the trees; the rest are the buffer.
+    fn indexed(&self) -> usize {
+        self.trees.last().map_or(0, |t| t.end)
+    }
+
     pub(crate) fn push(&mut self, center: &[f64], radius: f64) {
         debug_assert_eq!(center.len(), self.n_features);
         self.centers.extend_from_slice(center);
         self.radii.push(radius);
-        // Rebuild once the linear buffer outgrows the indexed portion.
-        if self.len() - self.indexed > 64.max(self.indexed) {
-            self.rebuild();
+        // A full buffer merges with every trailing tree no larger than the
+        // run merged so far: tree sizes stay distinct powers of two times
+        // the buffer, like the bits of a binary counter.
+        let mut start = self.indexed();
+        if self.len() - start < CONFLICT_BUFFER {
+            return;
         }
+        while let Some(t) = self.trees.last() {
+            if t.end - t.start > self.len() - start {
+                break;
+            }
+            start = t.start;
+            self.trees.pop();
+        }
+        let mut balls: Vec<u32> = (start as u32..self.len() as u32).collect();
+        let mut nodes = Vec::new();
+        self.build_rec(&mut nodes, &mut balls);
+        self.trees.push(ConflictTree {
+            start,
+            end: self.len(),
+            nodes,
+        });
     }
 
-    fn rebuild(&mut self) {
-        self.nodes.clear();
-        self.indexed = self.len();
-        let mut balls: Vec<u32> = (0..self.len() as u32).collect();
-        self.root = self.build_rec(&mut balls);
-    }
-
-    /// Median-split build; each split memoizes its subtree's max radius.
-    fn build_rec(&mut self, balls: &mut [u32]) -> u32 {
-        if balls.is_empty() {
-            return NO_NODE;
-        }
+    /// Median-split build of a non-empty ball set into `nodes`; each split
+    /// memoizes its subtree's max radius.
+    fn build_rec(&self, nodes: &mut Vec<ConflictNode>, balls: &mut [u32]) -> u32 {
+        debug_assert!(!balls.is_empty());
+        let id = nodes.len() as u32;
         if balls.len() <= CONFLICT_LEAF {
-            let id = self.nodes.len() as u32;
-            self.nodes.push(ConflictNode::Leaf {
+            nodes.push(ConflictNode::Leaf {
                 balls: balls.to_vec(),
             });
             return id;
@@ -202,8 +228,7 @@ impl BallConflictIndex {
             }
         }
         if best_spread <= 0.0 {
-            let id = self.nodes.len() as u32;
-            self.nodes.push(ConflictNode::Leaf {
+            nodes.push(ConflictNode::Leaf {
                 balls: balls.to_vec(),
             });
             return id;
@@ -227,8 +252,7 @@ impl BallConflictIndex {
         if left.is_empty() || right.is_empty() {
             // All coords equal to the median on this axis despite spread —
             // fall back to an (oversized) leaf rather than recurse forever.
-            let id = self.nodes.len() as u32;
-            self.nodes.push(ConflictNode::Leaf {
+            nodes.push(ConflictNode::Leaf {
                 balls: balls.to_vec(),
             });
             return id;
@@ -237,11 +261,10 @@ impl BallConflictIndex {
             .iter()
             .map(|&b| self.radii[b as usize])
             .fold(0.0f64, f64::max);
-        let id = self.nodes.len() as u32;
-        self.nodes.push(ConflictNode::Leaf { balls: Vec::new() }); // placeholder
-        let l = self.build_rec(&mut left);
-        let r = self.build_rec(&mut right);
-        self.nodes[id as usize] = ConflictNode::Split {
+        nodes.push(ConflictNode::Leaf { balls: Vec::new() }); // placeholder
+        let l = self.build_rec(nodes, &mut left);
+        let r = self.build_rec(nodes, &mut right);
+        nodes[id as usize] = ConflictNode::Split {
             dim: best_dim,
             value,
             r_max,
@@ -262,39 +285,51 @@ impl BallConflictIndex {
         (dist(self.center(ball), c) - self.radii[ball as usize]).max(0.0)
     }
 
-    /// `min_b (‖center_b − c‖ − r_b)⁺`, or `+inf` with no balls.
-    pub(crate) fn conflict_radius(&self, c: &[f64]) -> f64 {
+    /// `min_b (‖center_b − c‖ − r_b)⁺`, or `+inf` with no balls. Adds the
+    /// number of balls whose gap it evaluated to `visits`.
+    pub(crate) fn conflict_radius(&self, c: &[f64], visits: &mut usize) -> f64 {
         // Branch on the metric once per query, not per ball visit.
         match self.metric {
-            Metric::SqEuclidean | Metric::Cosine => self.conflict_radius_with(c, euclidean),
-            Metric::Manhattan => self.conflict_radius_with(c, gb_dataset::distance::manhattan),
+            Metric::SqEuclidean | Metric::Cosine => self.conflict_radius_with(c, visits, euclidean),
+            Metric::Manhattan => {
+                self.conflict_radius_with(c, visits, gb_dataset::distance::manhattan)
+            }
         }
     }
 
-    fn conflict_radius_with(&self, c: &[f64], dist: impl Fn(&[f64], &[f64]) -> f64 + Copy) -> f64 {
+    fn conflict_radius_with(
+        &self,
+        c: &[f64],
+        visits: &mut usize,
+        dist: impl Fn(&[f64], &[f64]) -> f64 + Copy,
+    ) -> f64 {
         let mut best = f64::INFINITY;
-        // Brute buffer first (most recent balls are usually nearby).
-        for b in self.indexed as u32..self.len() as u32 {
+        // Buffer first (most recent balls are usually nearby).
+        for b in self.indexed() as u32..self.len() as u32 {
             best = best.min(self.gap_with(b, c, dist));
         }
-        if self.root != NO_NODE {
-            self.query_rec(self.root, c, &mut best, dist);
+        *visits += self.len() - self.indexed();
+        for tree in &self.trees {
+            self.query_rec(&tree.nodes, 0, c, &mut best, visits, dist);
         }
         best
     }
 
     fn query_rec(
         &self,
+        nodes: &[ConflictNode],
         node: u32,
         c: &[f64],
         best: &mut f64,
+        visits: &mut usize,
         dist: impl Fn(&[f64], &[f64]) -> f64 + Copy,
     ) {
-        match &self.nodes[node as usize] {
+        match &nodes[node as usize] {
             ConflictNode::Leaf { balls } => {
                 for &b in balls {
                     *best = best.min(self.gap_with(b, c, dist));
                 }
+                *visits += balls.len();
             }
             ConflictNode::Split {
                 dim,
@@ -309,11 +344,11 @@ impl BallConflictIndex {
                 } else {
                     (*right, *left)
                 };
-                self.query_rec(near, c, best, dist);
+                self.query_rec(nodes, near, c, best, visits, dist);
                 // Any ball on the far side is at least |diff| away from c
                 // on this axis, so its gap is ≥ |diff| − r_max.
                 if (diff.abs() - r_max) * CONFLICT_PRUNE_SLACK <= *best {
-                    self.query_rec(far, c, best, dist);
+                    self.query_rec(nodes, far, c, best, visits, dist);
                 }
             }
         }
@@ -340,35 +375,31 @@ impl BallConflictIndex {
         eps: f64,
         dist: impl Fn(&[f64], &[f64]) -> f64 + Copy,
     ) -> usize {
-        let mut count = 0;
-        for b in self.indexed as u32..self.len() as u32 {
-            if dist(self.center(b), c) < self.radii[b as usize] + radius - eps {
-                count += 1;
-            }
-        }
-        if self.root != NO_NODE {
-            self.count_rec(self.root, c, radius, eps, &mut count, dist);
-        }
-        count
+        let buffer = (self.indexed() as u32..self.len() as u32)
+            .filter(|&b| dist(self.center(b), c) < self.radii[b as usize] + radius - eps)
+            .count();
+        let trees: usize = self
+            .trees
+            .iter()
+            .map(|tree| self.count_rec(&tree.nodes, 0, c, radius, eps, dist))
+            .sum();
+        buffer + trees
     }
 
     fn count_rec(
         &self,
+        nodes: &[ConflictNode],
         node: u32,
         c: &[f64],
         radius: f64,
         eps: f64,
-        count: &mut usize,
         dist: impl Fn(&[f64], &[f64]) -> f64 + Copy,
-    ) {
-        match &self.nodes[node as usize] {
-            ConflictNode::Leaf { balls } => {
-                for &b in balls {
-                    if dist(self.center(b), c) < self.radii[b as usize] + radius - eps {
-                        *count += 1;
-                    }
-                }
-            }
+    ) -> usize {
+        match &nodes[node as usize] {
+            ConflictNode::Leaf { balls } => balls
+                .iter()
+                .filter(|&&b| dist(self.center(b), c) < self.radii[b as usize] + radius - eps)
+                .count(),
             ConflictNode::Split {
                 dim,
                 value,
@@ -382,13 +413,14 @@ impl BallConflictIndex {
                 } else {
                     (*right, *left)
                 };
-                self.count_rec(near, c, radius, eps, count, dist);
+                let mut count = self.count_rec(nodes, near, c, radius, eps, dist);
                 // A far-side ball is ≥ |diff| from c, so it overlaps only if
                 // |diff| < r_max + radius − eps. Relaxed so rounding can
                 // only cause extra visits, never a miss.
                 if diff.abs() * CONFLICT_PRUNE_SLACK < r_max + radius - eps {
-                    self.count_rec(far, c, radius, eps, count, dist);
+                    count += self.count_rec(nodes, far, c, radius, eps, dist);
                 }
+                count
             }
         }
     }
@@ -397,10 +429,14 @@ impl BallConflictIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gb_dataset::distance::manhattan;
     use gb_dataset::rng::rng_from_seed;
     use rand::Rng;
 
-    fn random_balls(n: usize, d: usize, seed: u64) -> Vec<(Vec<f64>, f64)> {
+    /// Inserted balls: `(center, radius)`.
+    type Balls = Vec<(Vec<f64>, f64)>;
+
+    fn random_balls(n: usize, d: usize, seed: u64) -> Balls {
         let mut rng = rng_from_seed(seed);
         (0..n)
             .map(|_| {
@@ -411,39 +447,109 @@ mod tests {
             .collect()
     }
 
+    /// The insertion sequences the brute checks run over: uniform centers;
+    /// centers sorted along axis 0 (what the canonical sweep inserts from a
+    /// sorted CSV); 40 distinct centers repeated with varied radii; every
+    /// other radius zero; and 2,000 balls, so the index crosses several
+    /// merges (every other set crosses at least three).
+    fn ball_sets(d: usize, seed: u64) -> Vec<(&'static str, Balls)> {
+        let mut sorted = random_balls(700, d, seed + 1);
+        sorted.sort_by(|a, b| a.0[0].total_cmp(&b.0[0]));
+        let distinct = random_balls(40, d, seed + 2);
+        let duplicates = (0..600)
+            .map(|i| {
+                let (c, r) = &distinct[i % distinct.len()];
+                (c.clone(), r * (i % 3) as f64)
+            })
+            .collect();
+        let zero_radii = random_balls(600, d, seed + 3)
+            .into_iter()
+            .enumerate()
+            .map(|(i, (c, r))| (c, if i % 2 == 0 { 0.0 } else { r }))
+            .collect();
+        vec![
+            ("uniform", random_balls(500, d, seed)),
+            ("sorted", sorted),
+            ("duplicates", duplicates),
+            ("zero radii", zero_radii),
+            ("large", random_balls(2_000, d, seed + 4)),
+        ]
+    }
+
     #[test]
     fn conflict_radius_matches_brute_min() {
-        let balls = random_balls(500, 3, 1);
-        let mut idx = BallConflictIndex::new(3);
-        let mut rng = rng_from_seed(2);
-        for (c, r) in &balls {
-            let q: Vec<f64> = (0..3).map(|_| rng.gen_range(0.0..10.0)).collect();
-            let brute = (0..idx.len() as u32)
-                .map(|b| (euclidean(idx.center(b), &q) - idx.radii[b as usize]).max(0.0))
-                .fold(f64::INFINITY, f64::min);
-            assert_eq!(idx.conflict_radius(&q), brute);
-            idx.push(c, *r);
+        for (metric, dist) in [
+            (Metric::SqEuclidean, euclidean as fn(&[f64], &[f64]) -> f64),
+            (Metric::Manhattan, manhattan),
+        ] {
+            for (name, balls) in ball_sets(3, 1) {
+                let mut idx = BallConflictIndex::new_with(3, metric);
+                let mut rng = rng_from_seed(2);
+                let mut visits = 0;
+                for (i, (c, r)) in balls.iter().enumerate() {
+                    // Every third query sits on an inserted center: zero gaps.
+                    let q: Vec<f64> = if i % 3 == 0 && i > 0 {
+                        balls[rng.gen_range(0..i)].0.clone()
+                    } else {
+                        (0..3).map(|_| rng.gen_range(0.0..10.0)).collect()
+                    };
+                    let brute = balls[..i]
+                        .iter()
+                        .map(|(bc, br)| (dist(bc, &q) - br).max(0.0))
+                        .fold(f64::INFINITY, f64::min);
+                    let got = idx.conflict_radius(&q, &mut visits);
+                    assert_eq!(got.to_bits(), brute.to_bits(), "{metric}/{name} ball {i}");
+                    idx.push(c, *r);
+                }
+                assert!(visits > 0, "{metric}/{name}");
+            }
         }
     }
 
     #[test]
     fn overlap_count_matches_brute_scan() {
-        let balls = random_balls(800, 2, 3);
+        for (name, balls) in ball_sets(2, 3) {
+            let mut idx = BallConflictIndex::new(2);
+            for (i, (c, r)) in balls.iter().enumerate() {
+                let brute = balls[..i]
+                    .iter()
+                    .filter(|(bc, br)| euclidean(bc, c) < br + r - 1e-9)
+                    .count();
+                assert_eq!(idx.count_overlapping(c, *r, 1e-9), brute, "{name} ball {i}");
+                idx.push(c, *r);
+            }
+        }
+    }
+
+    #[test]
+    fn trees_follow_the_binary_counter() {
         let mut idx = BallConflictIndex::new(2);
-        for (i, (c, r)) in balls.iter().enumerate() {
-            let brute = balls[..i]
-                .iter()
-                .filter(|(bc, br)| euclidean(bc, c) < br + r - 1e-9)
-                .count();
-            assert_eq!(idx.count_overlapping(c, *r, 1e-9), brute, "ball {i}");
+        for (i, (c, r)) in random_balls(3_000, 2, 5).iter().enumerate() {
             idx.push(c, *r);
+            let n = i + 1;
+            // One tree per set bit of the number of full buffers, largest
+            // first, over contiguous runs that end where the buffer starts.
+            let full = n / CONFLICT_BUFFER;
+            let sizes: Vec<usize> = idx.trees.iter().map(|t| t.end - t.start).collect();
+            let expected: Vec<usize> = (0..usize::BITS)
+                .rev()
+                .map(|bit| 1 << bit)
+                .filter(|&b| full & b != 0)
+                .map(|b| b * CONFLICT_BUFFER)
+                .collect();
+            assert_eq!(sizes, expected, "after {n} pushes");
+            assert!(idx.trees.windows(2).all(|w| w[0].end == w[1].start));
+            assert_eq!(idx.trees.first().map_or(0, |t| t.start), 0);
+            assert_eq!(idx.len() - idx.indexed(), n % CONFLICT_BUFFER);
         }
     }
 
     #[test]
     fn empty_index_answers() {
         let idx = BallConflictIndex::new(4);
-        assert_eq!(idx.conflict_radius(&[0.0; 4]), f64::INFINITY);
+        let mut visits = 0;
+        assert_eq!(idx.conflict_radius(&[0.0; 4], &mut visits), f64::INFINITY);
+        assert_eq!(visits, 0);
         assert_eq!(idx.count_overlapping(&[0.0; 4], 1.0, 1e-9), 0);
     }
 }

@@ -400,6 +400,7 @@ pub fn rd_gbg_with_progress(
                 knn_queries: granulator.queries.knn,
                 het_queries: granulator.queries.het,
                 range_queries: granulator.queries.range,
+                conflict_visits: granulator.queries.conflict_visits,
                 elapsed_us: u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX),
             });
         }
@@ -719,6 +720,40 @@ mod tests {
     fn rejects_empty() {
         let data = Dataset::from_parts(Vec::new(), Vec::new(), 1, 1);
         let _ = rd_gbg(&data, &RdGbgConfig::default());
+    }
+
+    #[test]
+    fn conflict_radius_visits_few_balls_per_query() {
+        // A guard, not a correctness property (the conflict index's brute
+        // checks are): each conflict-radius query must stay a scan of a
+        // small buffer plus pruned descents of a few trees. On this input
+        // the logarithmic method visits ~87 balls per k-NN query; a brute
+        // buffer that grows with the ball count visits ~450.
+        use gb_dataset::noise::inject_class_noise;
+        use gb_dataset::synth::banana::BananaSpec;
+        let clean = BananaSpec {
+            n_samples: 20_000,
+            scatter: 0.05,
+            ..BananaSpec::default()
+        }
+        .generate(7);
+        let data = inject_class_noise(&clean, 0.10, 1).0;
+        let mut last = None;
+        let mut sink = |e: &ProgressEvent| last = Some(e.clone());
+        let model = rd_gbg_with_progress(&data, &RdGbgConfig::default(), Some(&mut sink));
+        let Some(ProgressEvent::Granulate {
+            knn_queries,
+            conflict_visits,
+            ..
+        }) = last
+        else {
+            panic!("no granulate event");
+        };
+        assert!(model.balls.len() > 5_000, "{} balls", model.balls.len());
+        assert!(
+            conflict_visits < 200 * knn_queries,
+            "{conflict_visits} conflict visits for {knn_queries} k-NN queries"
+        );
     }
 
     #[test]

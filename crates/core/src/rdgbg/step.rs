@@ -23,6 +23,8 @@ pub(crate) struct QueryCounts {
     pub(crate) het: usize,
     /// Range queries the hood could not answer.
     pub(crate) range: usize,
+    /// Balls whose gap the conflict index evaluated for the conflict radius.
+    pub(crate) conflict_visits: usize,
 }
 
 /// How a candidate is vetted before diffusion.
@@ -270,11 +272,10 @@ impl<'d> Granulator<'d> {
     /// The conflict radius (Eq. 4) in kernel space, `+∞` under the overlap
     /// ablation. `plane_gap` maps the rank-space radius into the kernel
     /// space the index answers in (square for L2/chord, identity for L1).
-    fn conflict_bound(&self, c: &[f64]) -> f64 {
-        let rconf = self
-            .conflicts
-            .as_ref()
-            .map_or(f64::INFINITY, |conflicts| conflicts.conflict_radius(c));
+    fn conflict_bound(&mut self, c: &[f64]) -> f64 {
+        let rconf = self.conflicts.as_ref().map_or(f64::INFINITY, |conflicts| {
+            conflicts.conflict_radius(c, &mut self.queries.conflict_visits)
+        });
         self.metric.plane_gap(rconf)
     }
 

@@ -53,6 +53,10 @@ pub enum ProgressEvent {
         /// Range index queries so far: the steps whose density hood could
         /// not prove the ball's members.
         range_queries: usize,
+        /// Balls whose gap the conflict index evaluated so far, summed
+        /// over every conflict-radius query (Eq. 4): the cost of the
+        /// overlap restriction.
+        conflict_visits: usize,
         /// Elapsed µs since granulation started.
         elapsed_us: u64,
     },
@@ -95,6 +99,7 @@ impl ProgressEvent {
                 knn_queries,
                 het_queries,
                 range_queries,
+                conflict_visits,
                 elapsed_us,
             } => {
                 o.num_u64("iteration", u64::from(iteration))
@@ -105,6 +110,7 @@ impl ProgressEvent {
                     .num_u64("knn_queries", knn_queries as u64)
                     .num_u64("het_queries", het_queries as u64)
                     .num_u64("range_queries", range_queries as u64)
+                    .num_u64("conflict_visits", conflict_visits as u64)
                     .num_u64("elapsed_us", elapsed_us);
             }
             ProgressEvent::Borderline {
@@ -135,12 +141,14 @@ impl std::fmt::Display for ProgressEvent {
                 knn_queries,
                 het_queries,
                 range_queries,
+                conflict_visits,
                 elapsed_us,
             } => write!(
                 f,
                 "[granulate] iter {iteration}: {balls} balls ({conflicts} conflict-bounded), \
                  {noise} noise, {remaining} rows remaining, queries {knn_queries} knn + \
-                 {het_queries} het + {range_queries} range, {:.1} ms",
+                 {het_queries} het + {range_queries} range, {conflict_visits} conflict visits, \
+                 {:.1} ms",
                 elapsed_us as f64 / 1000.0
             ),
             ProgressEvent::Borderline {
@@ -173,6 +181,7 @@ mod tests {
             knn_queries: 60,
             het_queries: 7,
             range_queries: 8,
+            conflict_visits: 900,
             elapsed_us: 1500,
         };
         let j = e.to_json();
@@ -185,11 +194,13 @@ mod tests {
             "\"knn_queries\":60",
             "\"het_queries\":7",
             "\"range_queries\":8",
+            "\"conflict_visits\":900",
         ] {
             assert!(j.contains(needle), "{needle} missing in {j}");
         }
         assert!(e.to_string().contains("iter 3"));
         assert!(e.to_string().contains("queries 60 knn + 7 het + 8 range"));
+        assert!(e.to_string().contains("900 conflict visits"));
 
         let b = ProgressEvent::Borderline {
             balls: 42,

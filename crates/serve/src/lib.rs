@@ -128,7 +128,9 @@ pub use client::{ClientResponse, HttpClient, RetryPolicy, RetryingClient};
 pub use deadline::Deadline;
 pub use errors::{ErrorCode, ServeError};
 pub use metrics::{LatencyHistogram, TenantRegistry, TenantStats};
-pub use registry::{LoadOptions, ModelRegistry, ModelStats, PublishError, ServingModel};
+pub use registry::{
+    LoadOptions, ModelRegistry, ModelStats, PublishError, ServingModel, MAX_CLASSES,
+};
 pub use router::{HashRing, Router, RouterConfig, RouterHandle};
 pub use server::{ServeConfig, Server, ServerHandle, SERVER_VERSION};
 #[cfg(feature = "fault-inject")]

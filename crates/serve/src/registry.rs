@@ -116,6 +116,14 @@ fn estimate_resident_bytes(model: &RdGbgModel) -> u64 {
     (model.balls.len() * per_ball) as u64
 }
 
+/// Most classes a served model may vote over: the larger of its
+/// `n_classes` option and its largest ball label + 1. GB-kNN allocates one
+/// vote counter per class for every predicted row, and an allocation
+/// failure aborts the whole process (no `catch_unwind` can contain it), so
+/// [`ModelRegistry`] rejects a larger count on every path that builds a
+/// predictor: publish, hot reload, store reload, rollback and `/rows`.
+pub const MAX_CLASSES: usize = 65_536;
+
 /// A model as served: predictor + metadata, immutable once loaded.
 pub struct ServingModel {
     /// Registry name.
@@ -470,6 +478,13 @@ impl ModelRegistry {
         if n_features == 0 {
             return Err("ball centers have zero dimensions".into());
         }
+        let n_classes = Self::class_count(model, options);
+        if n_classes > MAX_CLASSES {
+            return Err(format!(
+                "the model votes over {n_classes} classes (the larger of n_classes and \
+                 the largest ball label + 1); at most {MAX_CLASSES} are served"
+            ));
+        }
         for (i, b) in model.balls.iter().enumerate() {
             if b.center.len() != n_features {
                 return Err(format!(
@@ -494,16 +509,22 @@ impl ModelRegistry {
         Ok(Self::build_unchecked(model, options))
     }
 
-    /// [`Self::build`] without the validation — the predictor is built
-    /// from whatever geometry `model` holds.
-    fn build_unchecked(model: &RdGbgModel, options: &LoadOptions) -> Built {
+    /// The classes the predictor votes over: `options.n_classes`, raised
+    /// to the largest ball label + 1.
+    fn class_count(model: &RdGbgModel, options: &LoadOptions) -> usize {
         let derived = model
             .balls
             .iter()
             .map(|b| b.label as usize + 1)
             .max()
             .unwrap_or(1);
-        let n_classes = options.n_classes.unwrap_or(derived).max(derived);
+        options.n_classes.unwrap_or(derived).max(derived)
+    }
+
+    /// [`Self::build`] without the validation — the predictor is built
+    /// from whatever geometry `model` holds.
+    fn build_unchecked(model: &RdGbgModel, options: &LoadOptions) -> Built {
+        let n_classes = Self::class_count(model, options);
         let mut predictor = GbKnn::from_model(model, n_classes, options.k);
         predictor.set_rule(options.rule);
         Built {
@@ -1485,6 +1506,35 @@ mod tests {
         // Second acquire is a plain hit.
         assert!(reg.acquire("tenant").unwrap().is_some());
         assert_eq!(reg.stats.hits.load(Ordering::Relaxed), 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn store_reload_refuses_a_class_count_above_the_bound() {
+        // Envelopes written before the bound existed may carry any count;
+        // a cold reload must refuse them rather than build a predictor
+        // whose first vote cannot be allocated.
+        let dir = tempdir("classes");
+        let data = DatasetId::S5.generate(0.05, 4);
+        let model = rd_gbg(&data, &RdGbgConfig::default());
+        let store = ModelStore::open(&dir).unwrap();
+        for (name, n_classes) in [("at", MAX_CLASSES), ("above", MAX_CLASSES + 1)] {
+            let options = LoadOptions {
+                n_classes: Some(n_classes),
+                ..LoadOptions::default()
+            };
+            store.save(name, &model, &options, n_classes).unwrap();
+        }
+        let (reg, _) = ModelRegistry::with_store(store, None).unwrap();
+        let at = reg.acquire("at").unwrap().expect("cold reload");
+        assert_eq!(at.n_classes, MAX_CLASSES);
+        assert_eq!(
+            at.predictor.predict(&data),
+            GbKnn::from_model(&model, data.n_classes(), 1).predict(&data)
+        );
+        let err = reg.acquire("above").unwrap_err();
+        assert!(err.contains("65537 classes"), "{err}");
+        assert!(reg.get("above").is_none());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -8,7 +8,8 @@ use crate::errors::{ErrorCode, ServeError};
 use crate::http::{Request, Response};
 use crate::metrics::{self as m, Exposition, Metrics, Reading, TenantRegistry, TenantStats};
 use crate::registry::{
-    CreateOptions, IngestError, LoadOptions, ModelRegistry, PublishError, ServingModel, VersionInfo,
+    CreateOptions, IngestError, LoadOptions, ModelRegistry, PublishError, ServingModel,
+    VersionInfo, MAX_CLASSES,
 };
 use crate::service::{
     obj, render, Background, Bound, Limits, Reply, Route, Running, Service, Shell,
@@ -778,9 +779,17 @@ fn reject_unknown_keys(body: &Value, allowed: &[&str], endpoint: &str) -> Result
 /// Rejects keys outside [`INGEST_KEYS`], naming the first one.
 fn extract_create_options(body: &Value) -> Result<CreateOptions, String> {
     reject_unknown_keys(body, &INGEST_KEYS, "/rows")?;
+    let n_classes = integer(body, "n_classes", 2)?.map(|n| n as usize);
+    // Refused here, before the sweep; the registry refuses it again for
+    // every other path that builds a predictor.
+    if n_classes.is_some_and(|n| n > MAX_CLASSES) {
+        return Err(format!(
+            "'n_classes' must be an integer from 2 to {MAX_CLASSES}"
+        ));
+    }
     let mut create = CreateOptions {
         load: load_options(body)?,
-        n_classes: integer(body, "n_classes", 2)?.map(|n| n as usize),
+        n_classes,
         ..CreateOptions::default()
     };
     if let Some(rho) = integer(body, "rho", 2)? {
@@ -1062,6 +1071,7 @@ mod tests {
                 knn_queries: 60,
                 het_queries: 7,
                 range_queries: 8,
+                conflict_visits: 900,
                 elapsed_us: 1500,
             },
             ProgressEvent::Borderline {

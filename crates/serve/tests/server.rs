@@ -418,6 +418,100 @@ fn body_numbers_must_be_exact_integers_in_range() {
 }
 
 #[test]
+fn class_count_is_bounded_on_rows_and_reload() {
+    // GB-kNN allocates a vote counter per class for every predicted row. A
+    // class count above the bound was accepted before, and the tenant's
+    // first /predict then aborted the whole process.
+    let (handle, data, offline) = boot(ServeConfig::default());
+    let mut c = client(&handle);
+    let max = gb_serve::MAX_CLASSES;
+    let predict = |c: &mut HttpClient, model: &str, row: &str| {
+        let body = format!("{{\"model\":\"{model}\",\"row\":{row}}}");
+        let (status, reply) = c.request("POST", "/predict", Some(&body)).unwrap();
+        assert_eq!(status, 200, "{model}: {reply}");
+        predictions_of(&reply)
+    };
+    let batch = |label: usize| {
+        format!(
+            "\"rows\":[[0.0,0.0],[0.1,0.0],[5.0,5.0],[5.1,5.0]],\"labels\":[0,0,{label},{label}]"
+        )
+    };
+    let reload = |label: u64| {
+        format!(
+            "{{\"model\":{{\"balls\":[\
+             {{\"center\":[0.0,0.0],\"radius\":1.0,\"label\":0,\"members\":[0],\
+             \"center_row\":null,\"purity\":1.0}},\
+             {{\"center\":[5.0,5.0],\"radius\":1.0,\"label\":{label},\"members\":[1],\
+             \"center_row\":null,\"purity\":1.0}}],\
+             \"noise\":[],\"orphan_count\":0,\"iterations\":1}}}}"
+        )
+    };
+
+    // At the bound: `n_classes` on /rows, a label on /rows and a label in
+    // a reloaded model each create a tenant that predicts.
+    for (path, body) in [
+        (
+            "/models/n-at/rows",
+            format!("{{{},\"n_classes\":{max}}}", batch(1)),
+        ),
+        ("/models/label-at/rows", format!("{{{}}}", batch(max - 1))),
+        ("/models/reload-at", reload(max as u64 - 1)),
+    ] {
+        let (status, reply) = c.request("POST", path, Some(&body)).unwrap();
+        assert_eq!(status, 200, "{path}: {reply}");
+    }
+    assert_eq!(predict(&mut c, "n-at", "[0.05,0.0]"), vec![0]);
+    assert_eq!(predict(&mut c, "n-at", "[5.05,5.0]"), vec![1]);
+    let top = max as u32 - 1;
+    assert_eq!(predict(&mut c, "label-at", "[5.05,5.0]"), vec![top]);
+    assert_eq!(predict(&mut c, "reload-at", "[5.0,5.0]"), vec![top]);
+
+    // One above it, and the values that aborted the process: 400s that
+    // create nothing. `/rows` refuses `n_classes` by name before the sweep.
+    for (path, body, needle) in [
+        (
+            "/models/n-above/rows",
+            format!("{{{},\"n_classes\":{}}}", batch(1), max + 1),
+            "'n_classes'",
+        ),
+        (
+            "/models/n-above/rows",
+            format!("{{{},\"n_classes\":9007199254740992}}", batch(1)),
+            "'n_classes'",
+        ),
+        (
+            "/models/label-above/rows",
+            format!("{{{}}}", batch(max)),
+            "65537 classes",
+        ),
+        ("/models/reload-above", reload(max as u64), "65537 classes"),
+        (
+            "/models/reload-above",
+            reload(u64::from(u32::MAX)),
+            "4294967296 classes",
+        ),
+    ] {
+        let (status, reply) = c.request("POST", path, Some(&body)).unwrap();
+        assert_eq!(status, 400, "{path}: {reply}");
+        assert!(reply.contains(needle), "{path}: {reply}");
+    }
+    for name in ["n-above", "label-above", "reload-above"] {
+        let body = format!("{{\"model\":\"{name}\",\"row\":[0.0,0.0]}}");
+        let (status, reply) = c.request("POST", "/predict", Some(&body)).unwrap();
+        assert_eq!(status, 404, "{name}: {reply}");
+    }
+
+    // The server kept serving, the boot model bit-identically.
+    let (status, reply) = c
+        .request("POST", "/predict", Some(&rows_json(&data, &[0, 1, 2])))
+        .unwrap();
+    assert_eq!(status, 200, "{reply}");
+    assert_eq!(predictions_of(&reply), offline.predict(&data)[..3].to_vec());
+    assert_eq!(predict(&mut c, "label-at", "[0.05,0.0]"), vec![0]);
+    handle.stop();
+}
+
+#[test]
 fn poisoned_reload_is_rejected_and_serving_continues() {
     let (handle, data, offline) = boot(ServeConfig::default());
     let mut c = client(&handle);
