@@ -179,25 +179,17 @@ impl BallConflictIndex {
         // A full buffer merges with every trailing tree no larger than the
         // run merged so far: tree sizes stay distinct powers of two times
         // the buffer, like the bits of a binary counter.
-        let mut start = self.indexed();
-        if self.len() - start < CONFLICT_BUFFER {
+        let (mut start, end) = (self.indexed(), self.len());
+        if end - start < CONFLICT_BUFFER {
             return;
         }
-        while let Some(t) = self.trees.last() {
-            if t.end - t.start > self.len() - start {
-                break;
-            }
+        while let Some(t) = self.trees.pop_if(|t| t.end - t.start <= end - start) {
             start = t.start;
-            self.trees.pop();
         }
-        let mut balls: Vec<u32> = (start as u32..self.len() as u32).collect();
+        let mut balls: Vec<u32> = (start as u32..end as u32).collect();
         let mut nodes = Vec::new();
         self.build_rec(&mut nodes, &mut balls);
-        self.trees.push(ConflictTree {
-            start,
-            end: self.len(),
-            nodes,
-        });
+        self.trees.push(ConflictTree { start, end, nodes });
     }
 
     /// Median-split build of a non-empty ball set into `nodes`; each split
@@ -227,12 +219,6 @@ impl BallConflictIndex {
                 best_dim = d;
             }
         }
-        if best_spread <= 0.0 {
-            nodes.push(ConflictNode::Leaf {
-                balls: balls.to_vec(),
-            });
-            return id;
-        }
         let mid = balls.len() / 2;
         balls.select_nth_unstable_by(mid, |&a, &b| {
             self.center(a)[best_dim]
@@ -241,29 +227,16 @@ impl BallConflictIndex {
                 .then_with(|| a.cmp(&b))
         });
         let value = self.center(balls[mid])[best_dim];
-        let (mut left, mut right): (Vec<u32>, Vec<u32>) = (Vec::new(), Vec::new());
-        for &b in balls.iter() {
-            if self.center(b)[best_dim] <= value {
-                left.push(b);
-            } else {
-                right.push(b);
-            }
-        }
-        if left.is_empty() || right.is_empty() {
-            // All coords equal to the median on this axis despite spread —
-            // fall back to an (oversized) leaf rather than recurse forever.
-            nodes.push(ConflictNode::Leaf {
-                balls: balls.to_vec(),
-            });
-            return id;
-        }
         let r_max = balls
             .iter()
             .map(|&b| self.radii[b as usize])
             .fold(0.0f64, f64::max);
+        // The selection left every ball before `mid` at or below `value`
+        // on this axis and every ball from `mid` on at or above it.
+        let (left, right) = balls.split_at_mut(mid);
         nodes.push(ConflictNode::Leaf { balls: Vec::new() }); // placeholder
-        let l = self.build_rec(nodes, &mut left);
-        let r = self.build_rec(nodes, &mut right);
+        let l = self.build_rec(nodes, left);
+        let r = self.build_rec(nodes, right);
         nodes[id as usize] = ConflictNode::Split {
             dim: best_dim,
             value,

@@ -81,12 +81,12 @@ pub fn cover_stats(data: &Dataset, balls: &[GranularBall]) -> CoverStats {
 /// The paper's key structural complaint about classic GBG; RD-GBG covers
 /// must return 0.
 ///
-/// Runs on the same max-radius KD-tree that answers RD-GBG's Eq.-4
+/// Runs on the same max-radius KD-trees that answer RD-GBG's Eq.-4
 /// conflict-radius query (the private `conflict` module): balls are
-/// inserted one by
-/// one and each counts its overlaps against the balls already indexed, so
-/// the scan is O(m·log m) in practice instead of the O(m²) pairwise loop —
-/// with bit-identical counts (the leaf predicate is exactly
+/// inserted one by one and each counts its overlaps against the balls
+/// already indexed — a small buffer plus a pruned descent of each of the
+/// `O(log m)` trees — instead of the O(m²) pairwise loop, with
+/// bit-identical counts (the leaf predicate is exactly
 /// [`GranularBall::overlaps`]; see `count_overlaps_pairwise`-vs-indexed
 /// tests below).
 #[must_use]

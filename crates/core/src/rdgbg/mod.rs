@@ -727,7 +727,7 @@ mod tests {
         // A guard, not a correctness property (the conflict index's brute
         // checks are): each conflict-radius query must stay a scan of a
         // small buffer plus pruned descents of a few trees. On this input
-        // the logarithmic method visits ~87 balls per k-NN query; a brute
+        // the logarithmic method visits ~97 balls per k-NN query; a brute
         // buffer that grows with the ball count visits ~450.
         use gb_dataset::noise::inject_class_noise;
         use gb_dataset::synth::banana::BananaSpec;

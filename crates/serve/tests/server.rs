@@ -419,9 +419,9 @@ fn body_numbers_must_be_exact_integers_in_range() {
 
 #[test]
 fn class_count_is_bounded_on_rows_and_reload() {
-    // GB-kNN allocates a vote counter per class for every predicted row. A
-    // class count above the bound was accepted before, and the tenant's
-    // first /predict then aborted the whole process.
+    // GB-kNN allocates a vote counter per class for every predicted row,
+    // so a tenant voting over too many classes would abort the whole
+    // process on its first /predict: it must be refused at creation.
     let (handle, data, offline) = boot(ServeConfig::default());
     let mut c = client(&handle);
     let max = gb_serve::MAX_CLASSES;
