@@ -11,21 +11,19 @@
 //! dimension — are the approximate borderline samples. The union over all
 //! dimensions (without duplicates) is the sampled set `S ⊆ D`.
 //!
-//! The per-dimension adjacency relation is answered by the shared
-//! `BallConflictIndex` (the private `conflict` module — the same
-//! structure that backs RD-GBG's Eq.-4 conflict radius and the overlap
-//! diagnostics) via its heterogeneous-adjacency query (ascending
-//! `(center[dim], ball id)` order, one flat center arena for all `p`
-//! walks). Only the
-//! facing-extreme-member selection touches the dataset. A cover whose
-//! balls all share one label short-circuits: no heterogeneous adjacency
-//! can exist on any dimension.
+//! The walk: for each dimension, the balls are sorted by the decorated key
+//! `(center[dim], ball id)` — the workspace's canonical coordinate
+//! tie-break, a total order, so the pair sequence is a pure function of
+//! the cover, whatever its build history, backend or thread count — and
+//! each adjacent pair is compared by label. One key buffer serves all `p`
+//! walks. Only the facing-extreme-member selection touches the dataset. A
+//! cover whose balls all share one label short-circuits: no heterogeneous
+//! adjacency can exist on any dimension.
 //!
 //! Total cost is `O(t·q·N + p·m·log m)` with `m` balls — the linearity the
 //! paper claims in §IV-C.
 
 use crate::ball::GranularBall;
-use crate::conflict::BallConflictIndex;
 use crate::rdgbg::{rd_gbg_with_progress, ProgressSink, RdGbgConfig, RdGbgModel};
 use gb_dataset::Dataset;
 use gb_obs::ProgressEvent;
@@ -71,10 +69,26 @@ pub fn borderline_from_model(data: &Dataset, model: &RdGbgModel) -> (Vec<usize>,
     // adjacency on any dimension — skip the p ordered walks entirely.
     let heterogeneous = labels.windows(2).any(|w| w[0] != w[1]);
     if heterogeneous {
-        let index = BallConflictIndex::from_cover(model.balls.iter(), p);
-        let mut order = Vec::with_capacity(m);
+        // One decorated `(center[dim], ball id)` buffer serves all p walks:
+        // one key load per comparison.
+        let mut order: Vec<(f64, u32)> = Vec::with_capacity(m);
         for dim in 0..p {
-            index.for_each_heterogeneous_adjacent(dim, &labels, &mut order, |left, right| {
+            order.clear();
+            order.extend(
+                (0u32..)
+                    .zip(&model.balls)
+                    .map(|(b, ball)| (ball.center[dim], b)),
+            );
+            order.sort_unstable_by(|a, b| {
+                a.0.partial_cmp(&b.0)
+                    .expect("finite centers")
+                    .then_with(|| a.1.cmp(&b.1))
+            });
+            for w in order.windows(2) {
+                let (left, right) = (w[0].1 as usize, w[1].1 as usize);
+                if labels[left] == labels[right] {
+                    continue;
+                }
                 is_borderline[left] = true;
                 is_borderline[right] = true;
                 // Facing extreme samples along this dimension.
@@ -84,7 +98,7 @@ pub fn borderline_from_model(data: &Dataset, model: &RdGbgModel) -> (Vec<usize>,
                 if let Some(row) = model.balls[right].extreme_member(data, dim, false) {
                     sampled[row] = true;
                 }
-            });
+            }
         }
     }
 

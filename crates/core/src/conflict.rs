@@ -1,14 +1,11 @@
 //! Incremental max-radius KD-trees over finished balls.
 //!
-//! Three queries run against the ball set:
+//! Two queries run against the ball set:
 //!
 //! * the Eq.-4 **conflict radius** `min_b (‖center_b − c‖ − r_b)⁺` used by
-//!   RD-GBG while growing a new ball,
+//!   RD-GBG while growing a new ball, and
 //! * the **overlap count** `|{b : ‖center_b − c‖ < r_b + r − eps}|` used by
-//!   [`crate::diagnostics::count_overlaps`] to audit a cover, and
-//! * the **heterogeneous adjacency** walk over one feature dimension used
-//!   by GBABS borderline detection
-//!   ([`BallConflictIndex::for_each_heterogeneous_adjacent`]).
+//!   [`crate::diagnostics::count_overlaps`] to audit a cover.
 //!
 //! Structure: the logarithmic method (Bentley & Saxe, decomposable
 //! searching problems) over static max-radius KD-trees. New balls land in
@@ -100,65 +97,7 @@ impl BallConflictIndex {
         }
     }
 
-    /// Bulk-loads a finished cover (the borderline-detection entry point):
-    /// all centers land in one flat arena and no tree is built — the
-    /// adjacency query sorts the arena directly, and the conflict/overlap
-    /// queries answer correctly, by brute scan, from the buffer.
-    pub(crate) fn from_cover<'a>(
-        balls: impl Iterator<Item = &'a crate::ball::GranularBall>,
-        n_features: usize,
-    ) -> Self {
-        let mut index = Self::new(n_features);
-        for b in balls {
-            debug_assert_eq!(b.center.len(), n_features);
-            index.centers.extend_from_slice(&b.center);
-            index.radii.push(b.radius);
-        }
-        index
-    }
-
-    /// Heterogeneous-adjacency query along feature dimension `dim`: walks
-    /// the indexed balls in ascending `(center[dim], ball id)` order — the
-    /// workspace's canonical coordinate tie-break — and invokes
-    /// `on_pair(left, right)` for every *adjacent* pair whose labels
-    /// differ. This is the per-dimension adjacency relation of GBABS
-    /// Algorithm 2; `order` is caller-owned scratch so one allocation
-    /// serves all `p` dimensions.
-    ///
-    /// Determinism: the order is a total order (ties broken by insertion
-    /// id), so the pair sequence is a pure function of the cover —
-    /// independent of build history, backend, and thread count.
-    ///
-    /// # Panics
-    /// Debug-asserts one label per indexed ball and `dim < n_features`.
-    pub(crate) fn for_each_heterogeneous_adjacent(
-        &self,
-        dim: usize,
-        labels: &[u32],
-        order: &mut Vec<(f64, u32)>,
-        mut on_pair: impl FnMut(usize, usize),
-    ) {
-        debug_assert_eq!(labels.len(), self.len());
-        debug_assert!(dim < self.n_features || self.len() == 0);
-        order.clear();
-        order.extend((0..self.len() as u32).map(|b| (self.center(b)[dim], b)));
-        // Decorated sort over the flat arena: one key load per comparison
-        // instead of the double pointer-chase of sorting ball ids through
-        // the cover.
-        order.sort_unstable_by(|a, b| {
-            a.0.partial_cmp(&b.0)
-                .expect("finite centers")
-                .then_with(|| a.1.cmp(&b.1))
-        });
-        for w in order.windows(2) {
-            let (left, right) = (w[0].1 as usize, w[1].1 as usize);
-            if labels[left] != labels[right] {
-                on_pair(left, right);
-            }
-        }
-    }
-
-    pub(crate) fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.radii.len()
     }
 

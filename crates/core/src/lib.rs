@@ -42,10 +42,11 @@
 //! `crates/bench/benches/granulation.rs` and BENCH_GRANULATION.json: ≈38×
 //! at n = 50 000 with 10% class noise). Three further ingredients keep the
 //! indexed path lean regardless of backend: squared distances everywhere
-//! (one `sqrt` per finalized ball), a Fenwick rank-select pool per class
-//! that replaces the per-iteration O(n) candidate sweep, and a max-radius
-//! KD-tree over finished balls that answers the Eq.-4 conflict-radius
-//! query in O(log m).
+//! (one `sqrt` per finalized ball); a Fenwick rank-select pool per class,
+//! over that class's rows only, that replaces the per-iteration O(n)
+//! candidate sweep and keeps memory linear in the rows whatever the class
+//! count; and max-radius KD-trees over finished balls that answer the
+//! Eq.-4 conflict-radius query in O(log² m).
 //!
 //! ```
 //! use gb_dataset::catalog::DatasetId;

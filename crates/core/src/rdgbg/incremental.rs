@@ -9,11 +9,12 @@
 //! perturbs every subsequent draw — no incremental scheme can reproduce
 //! the stochastic trace without redoing it. The maintenance engine
 //! therefore fixes the candidate order to a **canonical sweep**: rows are
-//! considered in ascending row id, each exactly once, through the same
-//! per-candidate step as the stochastic engine (Eq. 2 density verdicts,
-//! Eq. 3 heterogeneous stop, Eq. 4–6 conflict restriction, the members —
-//! answered from the density hood where it proves them, see
-//! [`super`]'s "Indexed hot path").
+//! considered in ascending row id, each exactly once, by the same engine
+//! as the stochastic one — `step.rs`'s `Granulator` (Eq. 2 density
+//! verdicts, Eq. 3 heterogeneous stop, Eq. 4–6 conflict restriction, the
+//! members — answered from the density hood where it proves them, see
+//! [`super`]'s "Indexed hot path" — and the orphan phase). This module
+//! keeps only the order, the decision trace and the influence radius.
 //! Every cover invariant of the stochastic algorithm holds unchanged —
 //! purity 1.0, pairwise non-overlap, exact partition into
 //! balls ∪ noise — and the output is a *pure function of the row
@@ -44,32 +45,24 @@
 //! ball contains any appended row (`d² ≤ influence²`, conservative), **replays**
 //! every decision before it verbatim — tombstone deletions, conflict-ball
 //! pushes, low-density marks, noise removals, no index queries — and
-//! resumes the live sweep from the following row. The always-available
+//! resumes the live sweep from the following row. The trace holds no
+//! balls: the k-th ball decision's ball is the k-th diffusion ball of the
+//! cover, and replay moves the reused balls out of the previous cover, so
+//! a maintained model holds each ball once. The always-available
 //! oracle is [`canonical_rd_gbg`] on the union dataset; the equivalence is
 //! property-tested ball-for-ball across all exact backends in
 //! `tests/ingest_oracle.rs`.
 
-use super::step::{Granulator, Outcome, Vetting};
+use super::step::{DecisionKind, Granulator, Vetting};
 use crate::ball::GranularBall;
 use crate::rdgbg::RdGbgModel;
 use gb_dataset::distance::{sq_euclidean, Metric};
 use gb_dataset::index::GranulationBackend;
 use gb_dataset::Dataset;
 
-/// What one canonical-sweep candidate decision did (the replayable part).
-#[derive(Debug, Clone)]
-enum DecisionKind {
-    /// Candidate grew a diffusion ball (members were tombstoned, the ball
-    /// joined the conflict index).
-    Ball(GranularBall),
-    /// Candidate was routed to the low-density set `L` (still absorbable
-    /// by later balls, orphaned at the end if never absorbed).
-    LowDensity,
-    /// Candidate itself was detected as class noise and removed.
-    CandidateNoise,
-}
-
-/// One replayable decision of the canonical sweep.
+/// One replayable decision of the canonical sweep. The k-th `Ball`
+/// decision's ball is the k-th diffusion ball of the cover, so the trace
+/// holds no ball of its own.
 #[derive(Debug, Clone)]
 struct Decision {
     /// Candidate row id (decisions are strictly ascending in `row`).
@@ -83,147 +76,64 @@ struct Decision {
     kind: DecisionKind,
 }
 
-/// Mutable sweep state shared by replay and the live sweep.
-struct SweepState<'d> {
-    granulator: Granulator<'d>,
-    low_density: Vec<bool>,
-    noise: Vec<usize>,
-}
-
-/// Re-applies a prefix of decisions without any index queries: the exact
-/// tombstone deletions, conflict pushes, low-density marks, and noise
-/// removals the live sweep performed when the decisions were first made.
-fn replay(state: &mut SweepState<'_>, prefix: &[Decision]) {
-    for d in prefix {
-        if let Some(bad) = d.noisy_neighbor {
-            state.granulator.remove(bad);
-            state.noise.push(bad);
-        }
-        match &d.kind {
-            DecisionKind::Ball(ball) => state.granulator.absorb(ball),
-            DecisionKind::LowDensity => state.low_density[d.row] = true,
-            DecisionKind::CandidateNoise => {
-                state.granulator.remove(d.row);
-                state.noise.push(d.row);
-            }
-        }
-    }
-}
-
-/// The live canonical sweep from `start_row` (inclusive), appending one
-/// decision per alive, non-low-density row.
-fn live_sweep(
-    state: &mut SweepState<'_>,
-    data: &Dataset,
-    start_row: usize,
-    trace: &mut Vec<Decision>,
-) {
-    for row in start_row..data.n_samples() {
-        if !state.granulator.is_alive(row) || state.low_density[row] {
-            continue;
-        }
-        // The same per-candidate step as the stochastic engine. Its reach
-        // (the ρ-hood radius, `∞` when the hood was not full: any appended
-        // row could then join it) and the diffusion bound are everything
-        // the decision looked at.
-        let step = state.granulator.step(row);
-        let (noisy_neighbor, kind, influence_sq) = match step.outcome {
-            Outcome::CandidateIsNoise => {
-                state.noise.push(row);
-                (None, DecisionKind::CandidateNoise, step.reach)
-            }
-            Outcome::LowDensity => {
-                state.low_density[row] = true;
-                (None, DecisionKind::LowDensity, step.reach)
-            }
-            Outcome::Accepted {
-                noisy_neighbor,
-                bound,
-                ball,
-                ..
-            } => {
-                if let Some(bad) = noisy_neighbor {
-                    state.noise.push(bad);
-                }
-                let kind = match ball {
-                    Some(ball) => DecisionKind::Ball(ball),
-                    None => {
-                        state.low_density[row] = true;
-                        DecisionKind::LowDensity
-                    }
-                };
-                (noisy_neighbor, kind, step.reach.max(bound))
-            }
-        };
-        trace.push(Decision {
-            row,
-            influence_sq,
-            noisy_neighbor,
-            kind,
-        });
-    }
-}
-
-/// Runs replay + live sweep + orphan phase and assembles the model.
+/// The canonical sweep over `data`. It first replays `trace` — the clean
+/// prefix of a previous trace — with no index queries: each decision's
+/// noise removals, `L` mark or ball, a `Ball` decision taking the next of
+/// `reused`, the previous cover's balls in order. The live sweep then
+/// resumes after the prefix, one decision per candidate row, and the
+/// granulator finishes the cover. Returns the cover and the full trace.
 fn sweep(
     data: &Dataset,
     rho: usize,
     backend: GranulationBackend,
-    prefix: &[Decision],
+    mut trace: Vec<Decision>,
+    reused: Vec<GranularBall>,
 ) -> (RdGbgModel, Vec<Decision>) {
     assert!(rho >= 2, "density tolerance must be at least 2");
     assert!(data.n_samples() > 0, "cannot granulate an empty dataset");
-    let mut state = SweepState {
-        // The maintenance engine granulates in the paper's metric only —
-        // its influence-radius algebra is squared-Euclidean.
-        granulator: Granulator::new(
-            data,
-            backend,
-            Metric::SqEuclidean,
-            Vetting::Density(rho),
-            true,
-        ),
-        low_density: vec![false; data.n_samples()],
-        noise: Vec::new(),
-    };
-    let mut trace: Vec<Decision> = prefix.to_vec();
-    replay(&mut state, prefix);
-    let start_row = prefix.last().map_or(0, |d| d.row + 1);
-    live_sweep(&mut state, data, start_row, &mut trace);
-
-    // Orphan phase: surviving rows (all low-density or unreachable)
-    // become radius-0 balls, recomputed fresh on every build — they are
-    // not part of the trace because later appends can legitimately absorb
-    // them into new diffusion balls.
-    let mut balls: Vec<GranularBall> = trace
-        .iter()
-        .filter_map(|d| match &d.kind {
-            DecisionKind::Ball(b) => Some(b.clone()),
-            _ => None,
-        })
-        .collect();
-    let mut orphan_count = 0usize;
-    for row in (0..data.n_samples()).filter(|&r| state.granulator.is_alive(r)) {
-        balls.push(GranularBall {
-            center: data.row(row).to_vec(),
-            radius: 0.0,
-            label: data.label(row),
-            members: vec![row],
-            center_row: Some(row),
-            purity: 1.0,
-        });
-        orphan_count += 1;
+    // The maintenance engine granulates in the paper's metric only — its
+    // influence-radius algebra is squared-Euclidean.
+    let mut granulator = Granulator::new(
+        data,
+        backend,
+        Metric::SqEuclidean,
+        Vetting::Density(rho),
+        true,
+    );
+    let mut reused = reused.into_iter();
+    for d in &trace {
+        if let Some(bad) = d.noisy_neighbor {
+            granulator.discard(bad);
+        }
+        match d.kind {
+            DecisionKind::Ball => {
+                granulator.absorb(reused.next().expect("one reused ball per Ball decision"));
+            }
+            DecisionKind::LowDensity => granulator.defer(d.row),
+            DecisionKind::CandidateNoise => granulator.discard(d.row),
+        }
     }
-    let model = RdGbgModel {
-        balls,
-        noise: state.noise,
-        orphan_count,
-        // The canonical engine is a single deterministic pass; the field
-        // is kept for envelope compatibility with the stochastic engine.
-        iterations: 1,
-        metric: Metric::SqEuclidean,
-    };
-    (model, trace)
+    let start_row = trace.last().map_or(0, |d| d.row + 1);
+    for row in start_row..data.n_samples() {
+        if !granulator.is_candidate(row) {
+            continue;
+        }
+        // The step's reach (the ρ-hood radius, `∞` when the hood was not
+        // full: any appended row could then join it) and its diffusion
+        // bound are everything the decision looked at.
+        let step = granulator.step(row);
+        trace.push(Decision {
+            row,
+            influence_sq: step.bound.map_or(step.reach, |b| step.reach.max(b)),
+            noisy_neighbor: step.noisy_neighbor,
+            kind: step.kind,
+        });
+    }
+    // Orphans are not part of the trace (a later append can absorb them),
+    // so `finish` recomputes them on every build. The canonical engine is a
+    // single deterministic pass; `iterations` is kept for envelope
+    // compatibility with the seeded engine.
+    (granulator.finish(1, Metric::SqEuclidean), trace)
 }
 
 /// Canonical-order RD-GBG over `data`: the **full-rebuild oracle** of the
@@ -236,7 +146,7 @@ fn sweep(
 /// Panics when `rho < 2` or the dataset is empty.
 #[must_use]
 pub fn canonical_rd_gbg(data: &Dataset, rho: usize, backend: GranulationBackend) -> RdGbgModel {
-    sweep(data, rho, backend, &[]).0
+    sweep(data, rho, backend, Vec::new(), Vec::new()).0
 }
 
 /// Telemetry of one [`MaintainedModel::append`].
@@ -280,7 +190,7 @@ impl MaintainedModel {
     /// Panics when `rho < 2` or the dataset is empty.
     #[must_use]
     pub fn build(data: Dataset, rho: usize, backend: GranulationBackend) -> Self {
-        let (model, trace) = sweep(&data, rho, backend, &[]);
+        let (model, trace) = sweep(&data, rho, backend, Vec::new(), Vec::new());
         Self {
             data,
             rho,
@@ -363,20 +273,22 @@ impl MaintainedModel {
 
         let reused_balls = self.trace[..cut]
             .iter()
-            .filter(|d| matches!(d.kind, DecisionKind::Ball(_)))
+            .filter(|d| d.kind == DecisionKind::Ball)
             .count();
-        let (model, trace) = sweep(&self.data, self.rho, self.backend, &self.trace[..cut]);
-        let stats = AppendStats {
+        // Replay moves the clean prefix's balls out of the old cover.
+        let mut prefix = std::mem::take(&mut self.trace);
+        prefix.truncate(cut);
+        let mut reused = std::mem::take(&mut self.model.balls);
+        reused.truncate(reused_balls);
+        (self.model, self.trace) = sweep(&self.data, self.rho, self.backend, prefix, reused);
+        AppendStats {
             appended: labels.len(),
             reused_decisions: cut,
-            recomputed_decisions: trace.len() - cut,
+            recomputed_decisions: self.trace.len() - cut,
             reused_balls,
-            rebuilt_balls: model.balls.len() - model.orphan_count - reused_balls,
+            rebuilt_balls: self.model.balls.len() - self.model.orphan_count - reused_balls,
             full_rebuild: cut == 0,
-        };
-        self.model = model;
-        self.trace = trace;
-        stats
+        }
     }
 }
 
@@ -491,18 +403,19 @@ mod tests {
 
     #[test]
     fn far_outlier_reuses_the_whole_prefix() {
-        let data = DatasetId::S5.generate(0.05, 4);
-        let mut maintained = MaintainedModel::build(data, 5, GranulationBackend::Auto);
+        let base = DatasetId::S5.generate(0.05, 4);
+        let mut maintained = MaintainedModel::build(base.clone(), 5, GranulationBackend::Auto);
         let n_decisions = maintained.trace.len();
         // Far from every influence ball with a finite radius.
-        let stats = maintained.append(&[1e6, 1e6], &[0]);
-        assert!(
-            stats.reused_decisions > 0,
-            "a far outlier should reuse some prefix (got {stats:?})"
+        let (feats, labels) = ([1e6, 1e6], [0]);
+        let stats = maintained.append(&feats, &labels);
+        assert_eq!(
+            (stats.reused_decisions, stats.rebuilt_balls),
+            (n_decisions, 0),
+            "a far outlier should replay every decision and ball ({stats:?})"
         );
-        assert!(stats.reused_decisions <= n_decisions);
-        let oracle_rho_guard = maintained.model();
-        assert!(oracle_rho_guard.balls.iter().any(|b| b.radius == 0.0));
+        let oracle = canonical_rd_gbg(&union(&base, &feats, &labels), 5, GranulationBackend::Auto);
+        assert_models_equal(maintained.model(), &oracle, "far outlier");
     }
 
     #[test]

@@ -46,9 +46,18 @@
 //! ones the skipped queries would have returned and the covers are the
 //! same bit for bit (pinned by `tests/rdgbg_golden.rs`; a test oracle that
 //! always runs both queries agrees with the step on every candidate of
-//! tie-heavy inputs). The step lives in `step.rs` and is shared with the
-//! canonical maintenance sweep ([`incremental`]); the per-iteration
-//! [`ProgressEvent::Granulate`] reports how many queries of each kind ran.
+//! tie-heavy inputs). The per-iteration [`ProgressEvent::Granulate`]
+//! reports how many queries of each kind ran.
+//!
+//! # One engine, two candidate orders
+//!
+//! The engine is `step.rs`'s `Granulator`: it holds `U`, `L`, the noise
+//! list and the diffusion balls, applies every step's decision itself and
+//! runs the orphan phase. This module supplies the paper's seeded order —
+//! per-class candidate pools, the RNG draws, the conflict-bounded count
+//! and the progress events; [`incremental`] supplies the canonical order
+//! (ascending row id), whose decision trace lets an append replay a clean
+//! prefix with the previous cover's balls.
 //!
 //! Properties guaranteed by construction (and property-tested):
 //! * every ball is pure (purity 1.0),
@@ -67,7 +76,7 @@ use gb_dataset::Dataset;
 use gb_obs::ProgressEvent;
 use rand::Rng;
 use std::time::Instant;
-use step::{Granulator, Outcome, Vetting};
+use step::{DecisionKind, Granulator, Vetting};
 
 /// Optional per-iteration progress sink (see [`rd_gbg_with_progress`]).
 pub type ProgressSink<'a> = &'a mut dyn FnMut(&ProgressEvent);
@@ -176,65 +185,106 @@ impl RdGbgModel {
     }
 }
 
-/// Per-class candidate pool: the rows of one class still in `T = U − L`,
-/// stored as a Fenwick (binary indexed) tree over row ids so that
-///
-/// * `select(k)` — the k-th remaining row in **ascending row order** (the
-///   exact element `groups[class][k]` of the naive per-iteration grouping
-///   pass would produce) — and
-/// * `remove(row)`
-///
-/// are both `O(log n)`. This replaces the O(n) full-dataset sweep the
-/// naive implementation performed at the top of *every* global iteration,
-/// without disturbing a single RNG draw: the candidate index `k` maps to
-/// the same row as before, so models are unchanged.
+/// `T = U − L` as one rank-select pool per class, each over that class's
+/// rows only (rows only ever leave). `draw` picks one candidate per class
+/// still in `T`, larger classes first: the k-th remaining row of the class
+/// in **ascending row order** for a uniform `k` — the element
+/// `groups[class][k]` a naive per-iteration grouping pass would produce,
+/// so the RNG draws and the covers are that pass's. A removal costs
+/// `O(log n)`, a draw `O(log n)` per class still in `T`, and the pools
+/// take `O(n)` memory whatever the class count.
+struct CandidatePools<'d> {
+    labels: &'d [u32],
+    pools: Vec<ClassPool>,
+    /// Each row's position in its class's pool; `GONE` once it left `T`.
+    slot: Vec<u32>,
+    /// Classes whose pool was non-empty at the last draw, in draw order.
+    live: Vec<usize>,
+}
+
+/// One class's rows (ascending) and a 1-based Fenwick tree of 0/1
+/// membership counts over their positions.
+#[derive(Default)]
 struct ClassPool {
-    /// 1-based Fenwick tree of 0/1 membership counts per row.
+    rows: Vec<u32>,
     fen: Vec<u32>,
-    member: Vec<bool>,
     count: usize,
 }
 
-impl ClassPool {
-    fn build(n: usize, rows: impl Iterator<Item = usize>) -> Self {
-        let mut pool = Self {
-            fen: vec![0; n + 1],
-            member: vec![false; n],
-            count: 0,
-        };
-        for row in rows {
-            pool.member[row] = true;
-            pool.count += 1;
-            let mut i = row + 1;
-            while i <= n {
-                pool.fen[i] += 1;
-                i += i & i.wrapping_neg();
-            }
+const GONE: u32 = u32::MAX;
+
+impl<'d> CandidatePools<'d> {
+    /// Every row in `T`, grouped by label in one pass.
+    fn new(labels: &'d [u32], n_classes: usize) -> Self {
+        let mut pools: Vec<ClassPool> = (0..n_classes).map(|_| ClassPool::default()).collect();
+        let slot = labels
+            .iter()
+            .enumerate()
+            .map(|(row, &c)| {
+                let pool = &mut pools[c as usize];
+                pool.rows.push(row as u32);
+                (pool.rows.len() - 1) as u32
+            })
+            .collect();
+        for pool in &mut pools {
+            pool.count = pool.rows.len();
+            // With every position present, node i counts its whole range:
+            // its lowest set bit.
+            pool.fen = (0..=pool.count)
+                .map(|i| (i & i.wrapping_neg()) as u32)
+                .collect();
         }
-        pool
+        let live = (0..n_classes).filter(|&c| pools[c].count > 0).collect();
+        Self {
+            labels,
+            pools,
+            slot,
+            live,
+        }
     }
 
+    /// Rows still in `T`.
+    fn len(&self) -> usize {
+        self.live.iter().map(|&c| self.pools[c].count).sum()
+    }
+
+    /// One random candidate per class still in `T`, larger classes first
+    /// (ties by class id); empty once `T` is (`U ⊆ L`).
+    fn draw(&mut self, rng: &mut impl Rng) -> Vec<usize> {
+        let pools = &self.pools;
+        self.live.retain(|&c| pools[c].count > 0);
+        self.live
+            .sort_unstable_by_key(|&c| (std::cmp::Reverse(pools[c].count), c));
+        self.live
+            .iter()
+            .map(|&c| pools[c].select(rng.gen_range(0..pools[c].count)))
+            .collect()
+    }
+
+    /// Takes `row` out of `T` (a no-op when it already left).
     fn remove(&mut self, row: usize) {
-        if !self.member[row] {
+        let slot = std::mem::replace(&mut self.slot[row], GONE);
+        if slot == GONE {
             return;
         }
-        self.member[row] = false;
-        self.count -= 1;
-        let n = self.fen.len() - 1;
-        let mut i = row + 1;
-        while i <= n {
-            self.fen[i] -= 1;
+        let pool = &mut self.pools[self.labels[row] as usize];
+        pool.count -= 1;
+        let mut i = slot as usize + 1;
+        while i < pool.fen.len() {
+            pool.fen[i] -= 1;
             i += i & i.wrapping_neg();
         }
     }
+}
 
+impl ClassPool {
     /// The k-th (0-based) remaining row in ascending row order.
     ///
     /// # Panics
     /// Debug-asserts `k < count`.
     fn select(&self, k: usize) -> usize {
         debug_assert!(k < self.count);
-        let n = self.fen.len() - 1;
+        let n = self.rows.len();
         let mut pos = 0usize;
         let mut remaining = (k + 1) as u32;
         let mut step = n.next_power_of_two();
@@ -247,8 +297,8 @@ impl ClassPool {
             step >>= 1;
         }
         // `pos` is the largest 1-based prefix whose count is still < k+1,
-        // so the answer is the 1-based position `pos + 1`, i.e. row `pos`.
-        pos
+        // so the answer is the 1-based position `pos + 1`, i.e. slot `pos`.
+        self.rows[pos] as usize
     }
 }
 
@@ -305,9 +355,6 @@ pub fn rd_gbg_with_progress(
         (data, config.metric)
     };
 
-    let n = data.n_samples();
-    // `U` lives inside the index as its alive set; `L` stays separate
-    // (low-density rows remain in `U` and can still be absorbed by balls).
     let vetting = if config.detect_noise {
         Vetting::Density(config.density_tolerance)
     } else {
@@ -320,83 +367,46 @@ pub fn rd_gbg_with_progress(
         vetting,
         config.restrict_overlap,
     );
-    let mut low_density = vec![false; n];
-    let mut balls: Vec<GranularBall> = Vec::new();
-    let mut noise: Vec<usize> = Vec::new();
+    let mut pools = CandidatePools::new(data.labels(), data.n_classes());
     let mut rng = rng_from_seed(config.seed);
     let mut iterations = 0usize;
     let mut conflict_bounded = 0usize;
 
-    // T = U − L, one rank-select pool per class (rows only ever leave).
-    let mut pools: Vec<ClassPool> = (0..data.n_classes())
-        .map(|c| ClassPool::build(n, (0..n).filter(|&r| data.label(r) as usize == c)))
-        .collect();
-
     loop {
-        // One random candidate per non-empty class, larger classes first.
-        let mut order: Vec<usize> = (0..data.n_classes())
-            .filter(|&c| pools[c].count > 0)
-            .collect();
-        if order.is_empty() {
+        let candidates = pools.draw(&mut rng);
+        if candidates.is_empty() {
             break; // U ⊆ L
         }
-        order.sort_by_key(|&c| std::cmp::Reverse(pools[c].count));
-        let candidates: Vec<usize> = order
-            .iter()
-            .map(|&c| pools[c].select(rng.gen_range(0..pools[c].count)))
-            .collect();
         iterations += 1;
 
         for center_row in candidates {
             // A ball built earlier in this iteration may have absorbed the
             // candidate, or detection may have deleted it.
-            if !granulator.is_alive(center_row) || low_density[center_row] {
+            if !granulator.is_candidate(center_row) {
                 continue;
             }
-            let pool = data.label(center_row) as usize;
-            match granulator.step(center_row).outcome {
-                Outcome::CandidateIsNoise => {
-                    pools[pool].remove(center_row);
-                    noise.push(center_row);
-                }
-                Outcome::LowDensity => {
-                    low_density[center_row] = true;
-                    pools[pool].remove(center_row);
-                }
-                Outcome::Accepted {
-                    noisy_neighbor,
-                    conflict_bounded: bounded,
-                    ball,
-                    ..
-                } => {
-                    if let Some(bad) = noisy_neighbor {
-                        pools[data.label(bad) as usize].remove(bad);
-                        noise.push(bad);
-                    }
-                    if let Some(ball) = ball {
-                        for &m in &ball.members {
-                            pools[pool].remove(m);
-                        }
-                        conflict_bounded += usize::from(bounded);
-                        balls.push(ball);
-                    } else {
-                        // Center sits on the edge of U; defer to a later
-                        // iteration or the orphan phase.
-                        low_density[center_row] = true;
-                        pools[pool].remove(center_row);
-                    }
+            let step = granulator.step(center_row);
+            if let Some(bad) = step.noisy_neighbor {
+                pools.remove(bad);
+            }
+            if step.kind == DecisionKind::Ball {
+                conflict_bounded += usize::from(step.conflict_bounded);
+                let ball = granulator.balls().last().expect("the step's ball");
+                for &m in &ball.members {
+                    pools.remove(m);
                 }
             }
+            // Whatever the step decided, the candidate left `T`.
+            pools.remove(center_row);
         }
 
         if let Some(sink) = progress.as_mut() {
-            let remaining: usize = pools.iter().map(|p| p.count).sum();
             sink(&ProgressEvent::Granulate {
                 iteration: u32::try_from(iterations).unwrap_or(u32::MAX),
-                balls: balls.len(),
+                balls: granulator.balls().len(),
                 conflicts: conflict_bounded,
-                noise: noise.len(),
-                remaining,
+                noise: granulator.noise().len(),
+                remaining: pools.len(),
                 knn_queries: granulator.queries.knn,
                 het_queries: granulator.queries.het,
                 range_queries: granulator.queries.range,
@@ -405,29 +415,7 @@ pub fn rd_gbg_with_progress(
             });
         }
     }
-
-    // Orphan phase: every remaining undivided (all low-density) sample
-    // becomes its own radius-0 ball, honouring the completeness criterion.
-    let mut orphan_count = 0usize;
-    for row in (0..n).filter(|&r| granulator.is_alive(r)) {
-        balls.push(GranularBall {
-            center: data.row(row).to_vec(),
-            radius: 0.0,
-            label: data.label(row),
-            members: vec![row],
-            center_row: Some(row),
-            purity: 1.0,
-        });
-        orphan_count += 1;
-    }
-
-    RdGbgModel {
-        balls,
-        noise,
-        orphan_count,
-        iterations,
-        metric: config.metric,
-    }
+    granulator.finish(iterations, config.metric)
 }
 
 #[cfg(test)]
@@ -487,6 +475,54 @@ mod tests {
                 assert!(!a.overlaps(b, 1e-9), "balls overlap");
             }
         }
+    }
+
+    #[test]
+    fn pools_select_the_kth_remaining_row_of_each_class() {
+        let mut rng = rng_from_seed(3);
+        let labels: Vec<u32> = (0..300).map(|_| rng.gen_range(0..4)).collect();
+        // Class 4 has no rows.
+        let mut pools = CandidatePools::new(&labels, 5);
+        let mut in_t = vec![true; labels.len()];
+        for _ in 0..400 {
+            let row = rng.gen_range(0..labels.len());
+            pools.remove(row);
+            in_t[row] = false;
+            for c in 0..4 {
+                let naive: Vec<usize> = (0..labels.len())
+                    .filter(|&r| in_t[r] && labels[r] == c)
+                    .collect();
+                let pool = &pools.pools[c as usize];
+                assert_eq!(pool.count, naive.len());
+                for (k, &r) in naive.iter().enumerate() {
+                    assert_eq!(pool.select(k), r, "class {c}, k = {k}");
+                }
+            }
+        }
+        assert_eq!(pools.len(), in_t.iter().filter(|&&t| t).count());
+    }
+
+    #[test]
+    fn pools_are_linear_in_rows_with_one_class_per_row() {
+        // A pool per class over all n rows would take n² slots here.
+        let n = 20_000;
+        let labels: Vec<u32> = (0..n as u32).collect();
+        let mut pools = CandidatePools::new(&labels, n);
+        let slots = pools.slot.len()
+            + pools
+                .pools
+                .iter()
+                .map(|p| p.rows.len() + p.fen.len())
+                .sum::<usize>();
+        assert!(slots <= 4 * n, "{slots} slots for {n} rows");
+        // Equal counts draw in class order, each class's only row.
+        let drawn = pools.draw(&mut rng_from_seed(0));
+        assert!(drawn.iter().copied().eq(0..n));
+        for row in 0..n {
+            pools.remove(row);
+        }
+        assert_eq!(pools.len(), 0);
+        assert!(pools.draw(&mut rng_from_seed(0)).is_empty());
     }
 
     #[test]

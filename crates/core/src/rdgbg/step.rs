@@ -1,13 +1,25 @@
-//! The per-candidate step of RD-GBG, shared by the seeded engine
-//! ([`super::rd_gbg_with_progress`]) and the canonical sweep
-//! ([`super::incremental`]): the local-density verdict (Eq. 2), the
-//! heterogeneous stop (Eq. 3), the conflict restriction (Eqs. 4–6), and
-//! the diffusion members. The stop and the members come from the density
-//! hood wherever the two rules in the parent module's "Indexed hot path"
-//! docs prove them, and from the index otherwise. The three-query step the
-//! rules replaced is kept below as the test oracle they are checked
-//! against, candidate by candidate.
+//! The one RD-GBG engine (Algorithm 1 of the paper). A [`Granulator`]
+//! holds the whole state of a granulation — the undivided set `U` (its
+//! index's alive rows), the low-density set `L`, the noise list and the
+//! diffusion balls — and [`Granulator::step`] runs one candidate through
+//! the local-density verdict (Eq. 2), the heterogeneous stop (Eq. 3), the
+//! conflict restriction (Eqs. 4–6) and the diffusion members, applying
+//! what it decided before it returns. [`Granulator::finish`] runs the
+//! orphan phase and assembles the [`RdGbgModel`].
+//!
+//! The two entry points differ only in the order they offer candidates:
+//! the seeded engine ([`super::rd_gbg_with_progress`]) draws one random
+//! candidate per class per iteration, the canonical sweep
+//! ([`super::incremental`]) takes rows in ascending id and first replays a
+//! clean prefix of its previous decisions with the previous cover's balls.
+//!
+//! The stop and the members come from the density hood wherever the two
+//! rules in the parent module's "Indexed hot path" docs prove them, and
+//! from the index otherwise. The three-query step the rules replaced is
+//! kept below as the test oracle they are checked against, candidate by
+//! candidate.
 
+use super::RdGbgModel;
 use crate::ball::GranularBall;
 use crate::conflict::BallConflictIndex;
 use gb_dataset::distance::Metric;
@@ -37,42 +49,59 @@ pub(crate) enum Vetting {
     NearestOnly,
 }
 
-/// What one candidate step decided. Its index and conflict-index updates
-/// are already applied when it returns.
+/// What a candidate step decided. Every kind takes the candidate out of
+/// `T = U − L`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum DecisionKind {
+    /// The candidate grew the newest diffusion ball: its members left `U`
+    /// and the ball joined the conflict index.
+    Ball,
+    /// The candidate moved to `L`: `1 < h < ρ`, no other row is alive,
+    /// (under the ablation) the nearest row is heterogeneous, or nothing
+    /// lay inside the bound at a positive distance (the candidate sits on
+    /// the edge of `U`). It stays in `U`, absorbable by later balls and
+    /// orphaned at the end if none absorbs it.
+    LowDensity,
+    /// `h == ρ`: the candidate itself is class noise and left `U`.
+    CandidateNoise,
+}
+
+/// What one candidate step decided. The granulator has applied it when
+/// the step returns.
 #[derive(Debug)]
 pub(crate) struct Step {
+    pub(crate) kind: DecisionKind,
     /// Kernel distance at or beyond which every alive row the hood did not
     /// hold lies: the hood's last distance, `+∞` when the hood held every
     /// other alive row.
     pub(crate) reach: f64,
-    pub(crate) outcome: Outcome,
+    /// The `h == 1` noisy nearest neighbour, which left `U` before
+    /// diffusion.
+    pub(crate) noisy_neighbor: Option<usize>,
+    /// The kernel-space diffusion bound, when the candidate passed the
+    /// verdict.
+    pub(crate) bound: Option<f64>,
+    /// The conflict radius (Eq. 4), not the heterogeneous stop, set the
+    /// bound.
+    pub(crate) conflict_bounded: bool,
 }
 
-#[derive(Debug)]
-pub(crate) enum Outcome {
-    /// `h == ρ`: the candidate itself is class noise and left `U`.
-    CandidateIsNoise,
-    /// `1 < h < ρ`, no other row is alive, or (under the ablation) the
-    /// nearest row is heterogeneous: the candidate moves to `L`.
-    LowDensity,
-    /// The candidate passed the verdict (its `h == 1` noisy nearest
-    /// neighbour left `U` first) and diffused up to the kernel-space
-    /// `bound`. `ball` is `None` when nothing lay inside the bound at a
-    /// positive distance: the candidate sits on the edge of `U` and moves
-    /// to `L`.
-    Accepted {
-        noisy_neighbor: Option<usize>,
-        bound: f64,
-        /// The conflict radius (Eq. 4), not the heterogeneous stop, set
-        /// the bound.
-        conflict_bounded: bool,
-        ball: Option<GranularBall>,
-    },
+impl Step {
+    /// A step that ended at the verdict, before diffusion.
+    fn rejected(kind: DecisionKind, reach: f64) -> Self {
+        Self {
+            kind,
+            reach,
+            noisy_neighbor: None,
+            bound: None,
+            conflict_bounded: false,
+        }
+    }
 }
 
-/// The index-side state of one granulation: the undivided set `U` (the
-/// index's alive rows), the finished balls' conflict index, and the query
-/// counts.
+/// The state of one granulation: `U` (the index's alive rows), `L`, the
+/// noise list, the diffusion balls with their conflict index, and the
+/// query counts.
 pub(crate) struct Granulator<'d> {
     data: &'d Dataset,
     index: Box<dyn NeighborIndex>,
@@ -82,6 +111,12 @@ pub(crate) struct Granulator<'d> {
     /// over normalized rows).
     metric: Metric,
     vetting: Vetting,
+    /// `L`: deferred rows. They stay in `U`.
+    low_density: Vec<bool>,
+    /// Rows removed as class noise, in removal order.
+    noise: Vec<usize>,
+    /// Diffusion balls, in creation order.
+    balls: Vec<GranularBall>,
     pub(crate) queries: QueryCounts,
 }
 
@@ -100,23 +135,47 @@ impl<'d> Granulator<'d> {
                 .then(|| BallConflictIndex::new_with(data.n_features(), metric)),
             metric,
             vetting,
+            low_density: vec![false; data.n_samples()],
+            noise: Vec::new(),
+            balls: Vec::new(),
             queries: QueryCounts::default(),
         }
     }
 
     /// Whether `row` is still in `U`.
-    pub(crate) fn is_alive(&self, row: usize) -> bool {
+    fn is_alive(&self, row: usize) -> bool {
         self.index.is_alive(row)
     }
 
-    /// Removes `row` from `U`.
-    pub(crate) fn remove(&mut self, row: usize) {
-        self.index.delete(row);
+    /// Whether `row` is still a candidate: in `T = U − L`.
+    pub(crate) fn is_candidate(&self, row: usize) -> bool {
+        self.is_alive(row) && !self.low_density[row]
     }
 
-    /// Removes a ball's members from `U` and registers it with the
+    /// The diffusion balls so far, in creation order.
+    pub(crate) fn balls(&self) -> &[GranularBall] {
+        &self.balls
+    }
+
+    /// The rows removed as class noise so far.
+    pub(crate) fn noise(&self) -> &[usize] {
+        &self.noise
+    }
+
+    /// Moves `row` from `U` to the noise list.
+    pub(crate) fn discard(&mut self, row: usize) {
+        self.index.delete(row);
+        self.noise.push(row);
+    }
+
+    /// Moves `row` to `L`.
+    pub(crate) fn defer(&mut self, row: usize) {
+        self.low_density[row] = true;
+    }
+
+    /// Adds a diffusion ball: its members leave `U` and it joins the
     /// conflict index.
-    pub(crate) fn absorb(&mut self, ball: &GranularBall) {
+    pub(crate) fn absorb(&mut self, ball: GranularBall) {
         for &m in &ball.members {
             debug_assert!(self.index.is_alive(m));
             debug_assert_eq!(
@@ -129,6 +188,7 @@ impl<'d> Granulator<'d> {
         if let Some(conflicts) = &mut self.conflicts {
             conflicts.push(&ball.center, ball.radius);
         }
+        self.balls.push(ball);
     }
 
     /// Runs one candidate through the verdict and diffusion, answering the
@@ -166,10 +226,8 @@ impl<'d> Granulator<'d> {
         // tie-break. With no other undivided sample there is nothing to
         // diffuse into; the orphan phase picks the candidate up.
         let Some(&nn) = hood.first() else {
-            return Step {
-                reach,
-                outcome: Outcome::LowDensity,
-            };
+            self.defer(row);
+            return Step::rejected(DecisionKind::LowDensity, reach);
         };
         let mut noisy_neighbor = None;
         if data.label(nn.row) != label {
@@ -178,53 +236,47 @@ impl<'d> Granulator<'d> {
             let h = hood.iter().filter(|n| data.label(n.row) != label).count();
             match self.vetting {
                 Vetting::Density(_) if h == hood.len() => {
-                    self.index.delete(row);
-                    return Step {
-                        reach,
-                        outcome: Outcome::CandidateIsNoise,
-                    };
+                    self.discard(row);
+                    return Step::rejected(DecisionKind::CandidateNoise, reach);
                 }
                 Vetting::Density(_) if h == 1 => {
-                    self.index.delete(nn.row);
+                    self.discard(nn.row);
                     noisy_neighbor = Some(nn.row);
                 }
                 _ => {
-                    return Step {
-                        reach,
-                        outcome: Outcome::LowDensity,
-                    }
+                    self.defer(row);
+                    return Step::rejected(DecisionKind::LowDensity, reach);
                 }
             }
         }
         // The noisy neighbour is the hood's first row.
         let rest = &hood[usize::from(noisy_neighbor.is_some())..];
-        let (bound, kind, hits) = diffusion(self, rest, reach);
+        let (bound, range_bound, hits) = diffusion(self, rest, reach);
         let r_k = hits.iter().fold(0.0f64, |m, h| m.max(h.sq_dist));
         let radius = self.metric.rank_of(r_k);
-        let ball = (radius > 0.0).then(|| {
+        let kind = if radius > 0.0 {
             let mut members: Vec<usize> = hits.iter().map(|h| h.row).collect();
             members.push(row);
             members.sort_unstable();
-            GranularBall {
+            self.absorb(GranularBall {
                 center: data.row(row).to_vec(),
                 radius,
                 label,
                 members,
                 center_row: Some(row),
                 purity: 1.0,
-            }
-        });
-        if let Some(ball) = &ball {
-            self.absorb(ball);
-        }
+            });
+            DecisionKind::Ball
+        } else {
+            self.defer(row);
+            DecisionKind::LowDensity
+        };
         Step {
+            kind,
             reach,
-            outcome: Outcome::Accepted {
-                noisy_neighbor,
-                bound,
-                conflict_bounded: kind == RangeBound::Inclusive,
-                ball,
-            },
+            noisy_neighbor,
+            bound: Some(bound),
+            conflict_bounded: range_bound == RangeBound::Inclusive,
         }
     }
 
@@ -285,6 +337,35 @@ impl<'d> Granulator<'d> {
         self.index
             .nearest_heterogeneous_sq(data.row(row), data.label(row), Some(row))
             .map_or(f64::INFINITY, |h| h.sq_dist)
+    }
+
+    /// The orphan phase and the model: every row still in `U` (the part of
+    /// `L` no ball absorbed) becomes its own radius-0 ball, honouring the
+    /// completeness criterion. `metric` is the metric the caller
+    /// granulated under (cosine, not the kernel's squared Euclidean).
+    pub(crate) fn finish(self, iterations: usize, metric: Metric) -> RdGbgModel {
+        let data = self.data;
+        let mut balls = self.balls;
+        let diffusion = balls.len();
+        balls.extend(
+            (0..data.n_samples())
+                .filter(|&r| self.index.is_alive(r))
+                .map(|row| GranularBall {
+                    center: data.row(row).to_vec(),
+                    radius: 0.0,
+                    label: data.label(row),
+                    members: vec![row],
+                    center_row: Some(row),
+                    purity: 1.0,
+                }),
+        );
+        RdGbgModel {
+            orphan_count: balls.len() - diffusion,
+            balls,
+            noise: self.noise,
+            iterations,
+            metric,
+        }
     }
 }
 
@@ -353,7 +434,8 @@ mod tests {
 
     /// Sweeps every candidate of `order` (twice, so later passes meet a
     /// shrunken `U` and a populated conflict index) through the hood step
-    /// and the oracle on twin granulators, requiring identical steps.
+    /// and the oracle on twin granulators, requiring identical steps and,
+    /// at the end, identical balls, noise, `U` and `L`.
     fn sweep_against_oracle(
         data: &Dataset,
         order: &[usize],
@@ -365,40 +447,31 @@ mod tests {
     ) {
         let mut hood = Granulator::new(data, backend, metric, vetting, restrict_overlap);
         let mut oracle = Granulator::new(data, backend, metric, vetting, restrict_overlap);
-        let mut low_density = vec![false; data.n_samples()];
         let mut accepted = 0;
         for &row in order.iter().chain(order) {
-            if !hood.is_alive(row) || low_density[row] {
+            if !hood.is_candidate(row) {
                 continue;
             }
             let a = hood.step(row);
             let b = oracle.oracle_step(row);
             assert!(same(&a, &b), "row {row}: hood {a:?} vs oracle {b:?}");
-            match &a.outcome {
-                Outcome::Accepted {
-                    bound,
-                    conflict_bounded,
-                    ball,
-                    ..
-                } => {
-                    accepted += 1;
-                    edges.complete += usize::from(a.reach == f64::INFINITY);
-                    edges.zero_reach += usize::from(a.reach == 0.0);
-                    if *bound == a.reach && a.reach.is_finite() {
-                        if *conflict_bounded {
-                            edges.inclusive_ties += 1;
-                        } else {
-                            edges.strict_ties += 1;
-                        }
-                    }
-                    if ball.is_none() {
-                        low_density[row] = true;
+            if let Some(bound) = a.bound {
+                accepted += 1;
+                edges.complete += usize::from(a.reach == f64::INFINITY);
+                edges.zero_reach += usize::from(a.reach == 0.0);
+                if bound == a.reach && a.reach.is_finite() {
+                    if a.conflict_bounded {
+                        edges.inclusive_ties += 1;
+                    } else {
+                        edges.strict_ties += 1;
                     }
                 }
-                Outcome::LowDensity => low_density[row] = true,
-                Outcome::CandidateIsNoise => {}
             }
         }
+        // `Debug` again, for bit-level radii and centers.
+        assert_eq!(format!("{:?}", hood.balls), format!("{:?}", oracle.balls));
+        assert_eq!(hood.noise, oracle.noise);
+        assert_eq!(hood.low_density, oracle.low_density);
         for row in 0..data.n_samples() {
             assert_eq!(hood.is_alive(row), oracle.is_alive(row), "row {row}");
         }

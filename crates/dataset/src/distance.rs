@@ -18,13 +18,12 @@
 //! | tier               | selected when                                       |
 //! |--------------------|-----------------------------------------------------|
 //! | [`Kernel::Fma`]    | x86_64 with AVX2 + FMA (4 × f64 fused per vector op)|
-//! | [`Kernel::Avx2`]   | compat spelling of the same 256-bit fused tier      |
 //! | [`Kernel::Sse2`]   | x86_64 with FMA but not AVX2 (2 × 128-bit fused)    |
 //! | [`Kernel::Scalar`] | any other host, or forced via `GB_SIMD=scalar`      |
 //!
 //! Set the `GB_SIMD` environment variable before the first distance call to
-//! force a tier: `fma`, `avx2`, `sse2`, `scalar` (aliases `off`, `0`), or
-//! `auto`/unset for detection. A *known but unsupported* tier degrades to the
+//! force a tier: `fma` (alias `avx2`), `sse2`, `scalar` (aliases `off`,
+//! `0`), or `auto`/unset for detection. A *known but unsupported* tier degrades to the
 //! best available one (results are unaffected — all tiers are bit-identical);
 //! an **unknown value is an error** ([`validate_simd_env`] at CLI/server
 //! startup, a panic from [`active_kernel`] as the backstop). CI runs the test
@@ -53,7 +52,7 @@
 //! bit-identity contract to (width, contract-version) and moves **all width
 //! classes of every tier to the fused tree together** — the contract bump is
 //! deliberate, and the CI perf gate is re-baselined against it. On x86_64
-//! without hardware FMA every tier (including a forced `sse2`/`avx2`/`fma`)
+//! without hardware FMA every tier (including a forced `sse2`/`fma`)
 //! resolves to the scalar `mul_add` tree, which libm evaluates with the same
 //! correct rounding — slow, but still bit-identical.
 //!
@@ -136,10 +135,8 @@ pub const CONTRACT_VERSION: u32 = 2;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Kernel {
     /// AVX2 + FMA: 4 × f64 lanes fused in one 256-bit accumulator.
+    /// `GB_SIMD=avx2`, the v1 name, selects it too.
     Fma,
-    /// Compat spelling of the 256-bit fused tier (v1 name). Same codepath
-    /// as [`Kernel::Fma`].
-    Avx2,
     /// SSE2 + FMA: 2 × f64 lanes fused in each of two 128-bit accumulators.
     Sse2,
     /// Portable scalar tier: the same fused 4-lane tree via [`f64::mul_add`].
@@ -152,7 +149,6 @@ impl Kernel {
     pub fn name(self) -> &'static str {
         match self {
             Kernel::Fma => "fma",
-            Kernel::Avx2 => "avx2",
             Kernel::Sse2 => "sse2",
             Kernel::Scalar => "scalar",
         }
@@ -163,13 +159,12 @@ impl Kernel {
     /// FMA (the fused step is the contract); hosts without it run scalar.
     #[must_use]
     pub fn available() -> Vec<Kernel> {
-        let mut tiers = Vec::with_capacity(4);
+        let mut tiers = Vec::with_capacity(3);
         #[cfg(target_arch = "x86_64")]
         {
             if is_x86_feature_detected!("fma") {
                 if is_x86_feature_detected!("avx2") {
                     tiers.push(Kernel::Fma);
-                    tiers.push(Kernel::Avx2);
                 }
                 tiers.push(Kernel::Sse2);
             }
@@ -187,8 +182,8 @@ impl Kernel {
         {
             let fma = is_x86_feature_detected!("fma");
             match self {
-                Kernel::Fma | Kernel::Avx2 if fma && is_x86_feature_detected!("avx2") => self,
-                Kernel::Fma | Kernel::Avx2 | Kernel::Sse2 if fma => Kernel::Sse2,
+                Kernel::Fma if fma && is_x86_feature_detected!("avx2") => self,
+                Kernel::Fma | Kernel::Sse2 if fma => Kernel::Sse2,
                 _ => Kernel::Scalar,
             }
         }
@@ -223,13 +218,12 @@ impl Kernel {
 pub fn kernel_from_env(raw: &str) -> Result<Option<Kernel>, String> {
     match raw.trim().to_ascii_lowercase().as_str() {
         "" | "auto" => Ok(None),
-        "fma" => Ok(Some(Kernel::Fma)),
-        "avx2" => Ok(Some(Kernel::Avx2)),
+        "fma" | "avx2" => Ok(Some(Kernel::Fma)),
         "sse2" => Ok(Some(Kernel::Sse2)),
         "scalar" | "off" | "0" => Ok(Some(Kernel::Scalar)),
         other => Err(format!(
             "GB_SIMD={other:?} is not a recognized kernel tier; valid values: \
-             fma, avx2, sse2, scalar (aliases: off, 0), auto (or unset)"
+             fma (alias: avx2), sse2, scalar (aliases: off, 0), auto (or unset)"
         )),
     }
 }
@@ -328,12 +322,12 @@ pub fn sq_euclidean_with(kernel: Kernel, a: &[f64], b: &[f64]) -> f64 {
         // bit-identical) tier chain, so results are unaffected.
         #[cfg(target_arch = "x86_64")]
         // SAFETY: AVX2 + FMA verified on this host; slices are equal-length.
-        Kernel::Fma | Kernel::Avx2
-            if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") =>
-        unsafe { x86::sq_euclidean_fma256(a, b) },
+        Kernel::Fma if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") => unsafe {
+            x86::sq_euclidean_fma256(a, b)
+        },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: FMA verified (SSE2 is part of the x86_64 baseline).
-        Kernel::Fma | Kernel::Avx2 | Kernel::Sse2 if is_x86_feature_detected!("fma") => unsafe {
+        Kernel::Fma | Kernel::Sse2 if is_x86_feature_detected!("fma") => unsafe {
             x86::sq_euclidean_fma128(a, b)
         },
         _ => sq_euclidean_scalar(a, b),
@@ -395,12 +389,12 @@ pub fn sq_euclidean_one_to_many_with(
         #[cfg(target_arch = "x86_64")]
         // SAFETY: AVX2 + FMA verified on this host; the stride assertion
         // above guarantees in-bounds row slices.
-        Kernel::Fma | Kernel::Avx2
-            if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") =>
-        unsafe { x86::one_to_many_fma256(query, block, out) },
+        Kernel::Fma if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") => unsafe {
+            x86::one_to_many_fma256(query, block, out)
+        },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: FMA verified (SSE2 is part of the x86_64 baseline).
-        Kernel::Fma | Kernel::Avx2 | Kernel::Sse2 if is_x86_feature_detected!("fma") => unsafe {
+        Kernel::Fma | Kernel::Sse2 if is_x86_feature_detected!("fma") => unsafe {
             x86::one_to_many_fma128(query, block, out)
         },
         _ => {
@@ -462,9 +456,9 @@ pub fn sq_dist_block_with(
         #[cfg(target_arch = "x86_64")]
         // SAFETY: AVX2 + FMA verified on this host; shapes asserted by
         // `check_block_shape`.
-        Kernel::Fma | Kernel::Avx2
-            if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") =>
-        unsafe { x86::dist_block_fma256(queries, block, p, nr, out) },
+        Kernel::Fma if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") => unsafe {
+            x86::dist_block_fma256(queries, block, p, nr, out)
+        },
         _ => {
             for (q, orow) in queries.chunks_exact(p).zip(out.chunks_exact_mut(nr)) {
                 sq_euclidean_one_to_many_with(kernel, q, block, orow);
@@ -601,7 +595,7 @@ pub fn manhattan_dispatched(a: &[f64], b: &[f64]) -> f64 {
 }
 
 /// [`manhattan`] via an explicit kernel tier (the 4-lane tree; see module
-/// docs). The L1 vector paths need no FMA — `Fma`/`Avx2` key on AVX2 alone.
+/// docs). The L1 vector paths need no FMA — `Fma` keys on AVX2 alone.
 ///
 /// # Panics
 /// Same contract as [`sq_euclidean`].
@@ -613,12 +607,10 @@ pub fn manhattan_with(kernel: Kernel, a: &[f64], b: &[f64]) -> f64 {
     match kernel {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: AVX2 verified on this host; slices are equal-length.
-        Kernel::Fma | Kernel::Avx2 if is_x86_feature_detected!("avx2") => unsafe {
-            x86::manhattan_avx2(a, b)
-        },
+        Kernel::Fma if is_x86_feature_detected!("avx2") => unsafe { x86::manhattan_avx2(a, b) },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: SSE2 is part of the x86_64 baseline.
-        Kernel::Fma | Kernel::Avx2 | Kernel::Sse2 => unsafe { x86::manhattan_sse2(a, b) },
+        Kernel::Fma | Kernel::Sse2 => unsafe { x86::manhattan_sse2(a, b) },
         _ => manhattan_scalar(a, b),
     }
 }
@@ -687,14 +679,12 @@ pub fn manhattan_one_to_many_with(kernel: Kernel, query: &[f64], block: &[f64], 
         #[cfg(target_arch = "x86_64")]
         // SAFETY: AVX2 verified; the stride assertion guarantees in-bounds
         // row slices.
-        Kernel::Fma | Kernel::Avx2 if is_x86_feature_detected!("avx2") => unsafe {
+        Kernel::Fma if is_x86_feature_detected!("avx2") => unsafe {
             x86::manhattan_one_to_many_avx2(query, block, out)
         },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: SSE2 is part of the x86_64 baseline.
-        Kernel::Fma | Kernel::Avx2 | Kernel::Sse2 => unsafe {
-            x86::manhattan_one_to_many_sse2(query, block, out)
-        },
+        Kernel::Fma | Kernel::Sse2 => unsafe { x86::manhattan_one_to_many_sse2(query, block, out) },
         _ => {
             for (row, d) in block.chunks_exact(p).zip(out.iter_mut()) {
                 *d = manhattan_scalar(query, row);
@@ -1541,7 +1531,7 @@ mod tests {
         assert_eq!(kernel_from_env(""), Ok(None));
         assert_eq!(kernel_from_env("auto"), Ok(None));
         assert_eq!(kernel_from_env("FMA"), Ok(Some(Kernel::Fma)));
-        assert_eq!(kernel_from_env("avx2"), Ok(Some(Kernel::Avx2)));
+        assert_eq!(kernel_from_env("avx2"), Ok(Some(Kernel::Fma)));
         assert_eq!(kernel_from_env("sse2"), Ok(Some(Kernel::Sse2)));
         for alias in ["scalar", "off", "0"] {
             assert_eq!(kernel_from_env(alias), Ok(Some(Kernel::Scalar)));
@@ -1553,7 +1543,7 @@ mod tests {
 
     #[test]
     fn resolve_lands_on_an_available_tier() {
-        for tier in [Kernel::Fma, Kernel::Avx2, Kernel::Sse2, Kernel::Scalar] {
+        for tier in [Kernel::Fma, Kernel::Sse2, Kernel::Scalar] {
             assert!(Kernel::available().contains(&tier.resolve()), "{tier:?}");
         }
     }

@@ -378,9 +378,8 @@ proptest! {
     }
 }
 
-/// Hosts with AVX2 + FMA must expose the `fma` tier (and resolve it as
-/// distinct from `avx2` in name only — results are bit-identical, which
-/// `all_tiers_bit_identical` already drives).
+/// Hosts with AVX2 + FMA must expose the `fma` tier (`GB_SIMD=avx2` names
+/// it too).
 #[cfg(target_arch = "x86_64")]
 #[test]
 fn fma_tier_listed_when_supported() {
