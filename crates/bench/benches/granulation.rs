@@ -104,8 +104,10 @@ fn bench_granulation_usps(c: &mut Criterion) {
     group.warm_up_time(std::time::Duration::from_millis(300));
     group.measurement_time(std::time::Duration::from_secs(2));
     let data = usps_sample();
-    // `auto` (the gated cell) is what `gbabs sample` runs; the concrete
-    // backends fill in the README's backend table at this width.
+    // `auto` (the gated cell) is what `gbabs sample` runs: brute force
+    // with each iteration's density hoods fetched in one blocked sweep.
+    // The VP-tree cell, `auto`'s pick before that, is the reference of
+    // the ratio gate in ci/bench-thresholds.json.
     let backends = std::iter::once(GranulationBackend::Auto).chain(GranulationBackend::CONCRETE);
     for backend in backends {
         let cfg = RdGbgConfig {

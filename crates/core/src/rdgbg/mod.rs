@@ -49,6 +49,19 @@
 //! tie-heavy inputs). The per-iteration [`ProgressEvent::Granulate`]
 //! reports how many queries of each kind ran.
 //!
+//! On a brute index over rows of at least four features (the kernel lane
+//! width), the hoods of an iteration's candidates — one per class — are
+//! fetched **in one batched call** before the first step, so the alive
+//! rows stream through the blocked many-to-many kernel once per
+//! iteration instead of once per candidate. A step uses its fetched hood
+//! only while every row in it is still alive, and otherwise queries the
+//! index as usual. That is exact: rows only ever leave `U`, so if none of
+//! the hood's rows has left, they are still the first `k` alive rows in
+//! `(dist, row)` order, and a hood shorter than `k` still holds every
+//! other alive row. What an iteration fetched is dropped with it. Trees
+//! (whose queries prune) and sub-lane rows keep one query per step, and
+//! so does the canonical order.
+//!
 //! # One engine, two candidate orders
 //!
 //! The engine is `step.rs`'s `Granulator`: it holds `U`, `L`, the noise
@@ -379,13 +392,16 @@ pub fn rd_gbg_with_progress(
         }
         iterations += 1;
 
-        for center_row in candidates {
+        // One batched query for the iteration's hoods where that pays;
+        // empty otherwise. What is left of it drops with the iteration.
+        let mut hoods = granulator.fetch_hoods(&candidates);
+        for (i, center_row) in candidates.into_iter().enumerate() {
             // A ball built earlier in this iteration may have absorbed the
             // candidate, or detection may have deleted it.
             if !granulator.is_candidate(center_row) {
                 continue;
             }
-            let step = granulator.step(center_row);
+            let step = granulator.step(center_row, hoods.get_mut(i).map(std::mem::take));
             if let Some(bad) = step.noisy_neighbor {
                 pools.remove(bad);
             }

@@ -22,7 +22,7 @@
 use super::RdGbgModel;
 use crate::ball::GranularBall;
 use crate::conflict::BallConflictIndex;
-use gb_dataset::distance::Metric;
+use gb_dataset::distance::{Metric, LANE_WIDTH};
 use gb_dataset::index::{GranulationBackend, NeighborIndex, RangeBound, SqNeighbor};
 use gb_dataset::Dataset;
 
@@ -117,6 +117,9 @@ pub(crate) struct Granulator<'d> {
     noise: Vec<usize>,
     /// Diffusion balls, in creation order.
     balls: Vec<GranularBall>,
+    /// Whether [`Granulator::fetch_hoods`] batches: a brute index over
+    /// rows of at least [`LANE_WIDTH`] features.
+    batch_hoods: bool,
     pub(crate) queries: QueryCounts,
 }
 
@@ -128,6 +131,9 @@ impl<'d> Granulator<'d> {
         vetting: Vetting,
         restrict_overlap: bool,
     ) -> Self {
+        let batch_hoods = backend.resolve(data.n_samples(), data.n_features())
+            == GranulationBackend::Brute
+            && data.n_features() >= LANE_WIDTH;
         Self {
             data,
             index: backend.build_with(data, metric),
@@ -138,8 +144,33 @@ impl<'d> Granulator<'d> {
             low_density: vec![false; data.n_samples()],
             noise: Vec::new(),
             balls: Vec::new(),
+            batch_hoods,
             queries: QueryCounts::default(),
         }
+    }
+
+    /// `k` of a density hood: ρ, or 1 under the noise-detection ablation.
+    fn hood_size(&self) -> usize {
+        match self.vetting {
+            Vetting::Density(rho) => rho,
+            Vetting::NearestOnly => 1,
+        }
+    }
+
+    /// The density hoods of `rows`, in order, fetched in one batched index
+    /// call, for [`Granulator::step`] to use while they are fresh. Empty,
+    /// with no query made, where batching does not pay: on trees, whose
+    /// queries prune, and on sub-lane rows, which have no vector work to
+    /// share between queries.
+    pub(crate) fn fetch_hoods(&mut self, rows: &[usize]) -> Vec<Vec<SqNeighbor>> {
+        if !self.batch_hoods {
+            return Vec::new();
+        }
+        let queries: Vec<&[f64]> = rows.iter().map(|&row| self.data.row(row)).collect();
+        let skips: Vec<Option<usize>> = rows.iter().map(|&row| Some(row)).collect();
+        self.queries.knn += rows.len();
+        self.index
+            .k_nearest_sq_many(&queries, self.hood_size(), &skips)
     }
 
     /// Whether `row` is still in `U`.
@@ -193,30 +224,38 @@ impl<'d> Granulator<'d> {
 
     /// Runs one candidate through the verdict and diffusion, answering the
     /// heterogeneous stop and the members from the density hood wherever
-    /// the parent module's rules prove them.
-    pub(crate) fn step(&mut self, row: usize) -> Step {
-        self.vet_then_diffuse(row, |g, hood, reach| {
+    /// the parent module's rules prove them. `fetched` is the candidate's
+    /// hood from [`Granulator::fetch_hoods`], if one was fetched.
+    pub(crate) fn step(&mut self, row: usize, fetched: Option<Vec<SqNeighbor>>) -> Step {
+        self.vet_then_diffuse(row, fetched, |g, hood, reach| {
             g.diffusion_from_hood(row, hood, reach)
         })
     }
 
-    /// Fetches the candidate's hood and applies the Eq.-2 verdict. An
-    /// accepted candidate's noisy neighbour leaves `U`, and `diffusion`,
-    /// given the hood without it and the hood's reach, returns the bound
-    /// and the rows inside it, from which the ball is built.
+    /// Takes the candidate's hood — the fetched one while every row in it
+    /// is still alive, a fresh query otherwise — and applies the Eq.-2
+    /// verdict. An accepted candidate's noisy neighbour leaves `U`, and
+    /// `diffusion`, given the hood without it and the hood's reach, returns
+    /// the bound and the rows inside it, from which the ball is built.
     fn vet_then_diffuse(
         &mut self,
         row: usize,
+        fetched: Option<Vec<SqNeighbor>>,
         diffusion: impl FnOnce(&mut Self, &[SqNeighbor], f64) -> (f64, RangeBound, Vec<SqNeighbor>),
     ) -> Step {
         let data = self.data;
         let label = data.label(row);
-        let k = match self.vetting {
-            Vetting::Density(rho) => rho,
-            Vetting::NearestOnly => 1,
+        let k = self.hood_size();
+        // Rows only ever leave `U`: while every row of a fetched hood is
+        // alive, they are still the first `k` alive rows in `(dist, row)`
+        // order, and a hood shorter than `k` still holds every other row.
+        let hood = match fetched {
+            Some(hood) if hood.iter().all(|n| self.index.is_alive(n.row)) => hood,
+            _ => {
+                self.queries.knn += 1;
+                self.index.k_nearest_sq(data.row(row), k, Some(row))
+            }
         };
-        let hood = self.index.k_nearest_sq(data.row(row), k, Some(row));
-        self.queries.knn += 1;
         let reach = if hood.len() < k {
             f64::INFINITY
         } else {
@@ -399,7 +438,7 @@ mod tests {
         /// it always asks the index for the nearest heterogeneous row and
         /// for the members. Kept only as the oracle of the rules.
         fn oracle_step(&mut self, row: usize) -> Step {
-            self.vet_then_diffuse(row, |g, _, _| {
+            self.vet_then_diffuse(row, None, |g, _, _| {
                 let c = g.data.row(row);
                 let d_het = g.nearest_heterogeneous(row);
                 let (bound, kind) = diffusion_bound(g.conflict_bound(c), d_het);
@@ -430,15 +469,24 @@ mod tests {
         /// Inclusive (conflict) bound exactly at a finite reach: a row
         /// outside the hood may tie, so only the index can answer.
         inclusive_ties: usize,
+        /// Fetched hoods a step used as they were.
+        fresh_hoods: usize,
+        /// Fetched hoods a step replaced with a query: a row had left `U`.
+        stale_hoods: usize,
     }
 
     /// Sweeps every candidate of `order` (twice, so later passes meet a
     /// shrunken `U` and a populated conflict index) through the hood step
     /// and the oracle on twin granulators, requiring identical steps and,
-    /// at the end, identical balls, noise, `U` and `L`.
+    /// at the end, identical balls, noise, `U` and `L`. With `window > 0`
+    /// the hood side fetches the hoods of each `window` candidates of the
+    /// order in one batched call first, as the seeded engine does per
+    /// iteration, whatever the backend and width.
+    #[allow(clippy::too_many_arguments)]
     fn sweep_against_oracle(
         data: &Dataset,
         order: &[usize],
+        window: usize,
         backend: GranulationBackend,
         metric: Metric,
         vetting: Vetting,
@@ -447,23 +495,45 @@ mod tests {
     ) {
         let mut hood = Granulator::new(data, backend, metric, vetting, restrict_overlap);
         let mut oracle = Granulator::new(data, backend, metric, vetting, restrict_overlap);
+        hood.batch_hoods = window > 0;
         let mut accepted = 0;
-        for &row in order.iter().chain(order) {
-            if !hood.is_candidate(row) {
-                continue;
-            }
-            let a = hood.step(row);
-            let b = oracle.oracle_step(row);
-            assert!(same(&a, &b), "row {row}: hood {a:?} vs oracle {b:?}");
-            if let Some(bound) = a.bound {
-                accepted += 1;
-                edges.complete += usize::from(a.reach == f64::INFINITY);
-                edges.zero_reach += usize::from(a.reach == 0.0);
-                if bound == a.reach && a.reach.is_finite() {
-                    if a.conflict_bounded {
-                        edges.inclusive_ties += 1;
-                    } else {
-                        edges.strict_ties += 1;
+        let mut unused_hoods = 0;
+        for pass in [order, order] {
+            for window_rows in pass.chunks(window.max(1)) {
+                let candidates: Vec<usize> = window_rows
+                    .iter()
+                    .copied()
+                    .filter(|&row| hood.is_candidate(row))
+                    .collect();
+                let mut hoods = hood.fetch_hoods(&candidates);
+                unused_hoods += hoods.len();
+                for (i, &row) in candidates.iter().enumerate() {
+                    if !hood.is_candidate(row) {
+                        continue;
+                    }
+                    let fetched = hoods.get_mut(i).map(std::mem::take);
+                    let had_hood = fetched.is_some();
+                    let queried = hood.queries.knn;
+                    let a = hood.step(row, fetched);
+                    if had_hood {
+                        let stale = hood.queries.knn - queried;
+                        edges.stale_hoods += stale;
+                        edges.fresh_hoods += 1 - stale;
+                        unused_hoods -= 1 - stale;
+                    }
+                    let b = oracle.oracle_step(row);
+                    assert!(same(&a, &b), "row {row}: hood {a:?} vs oracle {b:?}");
+                    if let Some(bound) = a.bound {
+                        accepted += 1;
+                        edges.complete += usize::from(a.reach == f64::INFINITY);
+                        edges.zero_reach += usize::from(a.reach == 0.0);
+                        if bound == a.reach && a.reach.is_finite() {
+                            if a.conflict_bounded {
+                                edges.inclusive_ties += 1;
+                            } else {
+                                edges.strict_ties += 1;
+                            }
+                        }
                     }
                 }
             }
@@ -475,7 +545,9 @@ mod tests {
         for row in 0..data.n_samples() {
             assert_eq!(hood.is_alive(row), oracle.is_alive(row), "row {row}");
         }
-        assert_eq!(hood.queries.knn, oracle.queries.knn);
+        // Every step asked for one hood; the hood side also fetched the
+        // ones no step used as they were.
+        assert_eq!(hood.queries.knn, oracle.queries.knn + unused_hoods);
         assert_eq!(oracle.queries.het, accepted);
         edges.accepted += accepted;
         edges.het_answered += accepted - hood.queries.het;
@@ -510,11 +582,13 @@ mod tests {
         })
     }
 
-    #[test]
-    fn hood_step_matches_the_three_query_oracle() {
+    /// Runs `cases` cases of [`arb_case`] through [`sweep_against_oracle`]
+    /// under every metric, cycling backends and vetting modes, fetching
+    /// hoods in windows of `window(case)` candidates.
+    fn oracle_sweeps(name: &str, cases: u32, window: impl Fn(u32) -> usize) -> Edges {
         let mut edges = Edges::default();
-        for case in 0..1000 {
-            let mut rng = proptest::test_rng("hood_step_oracle", case);
+        for case in 0..cases {
+            let mut rng = proptest::test_rng(name, case);
             let (data, order, rho) = arb_case().generate(&mut rng);
             let backend = GranulationBackend::CONCRETE[case as usize % 3];
             let (vetting, restrict) = match case / 3 % 3 {
@@ -539,10 +613,23 @@ mod tests {
                     (data.clone(), metric)
                 };
                 sweep_against_oracle(
-                    &rows, &order, backend, kernel, vetting, restrict, &mut edges,
+                    &rows,
+                    &order,
+                    window(case),
+                    backend,
+                    kernel,
+                    vetting,
+                    restrict,
+                    &mut edges,
                 );
             }
         }
+        edges
+    }
+
+    #[test]
+    fn hood_step_matches_the_three_query_oracle() {
+        let edges = oracle_sweeps("hood_step_oracle", 1000, |_| 0);
         // The inputs must actually reach the edges the rules are about.
         assert!(edges.complete >= 200, "{edges:?}");
         assert!(edges.zero_reach >= 200, "{edges:?}");
@@ -552,6 +639,16 @@ mod tests {
             edges.het_answered > 0 && edges.range_answered > 0,
             "{edges:?}"
         );
+    }
+
+    #[test]
+    fn prefetched_hoods_match_the_three_query_oracle() {
+        // Windows of 2..=7 candidates: the seeded engine fetches one hood
+        // per class still in `T` per iteration.
+        let edges = oracle_sweeps("prefetch_oracle", 300, |case| 2 + case as usize % 6);
+        // Both sides of the staleness rule must be met.
+        assert!(edges.fresh_hoods >= 1000, "{edges:?}");
+        assert!(edges.stale_hoods >= 100, "{edges:?}");
     }
 
     #[test]
@@ -565,6 +662,7 @@ mod tests {
         sweep_against_oracle(
             &data,
             &order,
+            0,
             GranulationBackend::KdTree,
             Metric::SqEuclidean,
             Vetting::Density(5),

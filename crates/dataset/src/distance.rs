@@ -116,8 +116,7 @@
 //! `out.len() == n_queries * n_rows` — ragged inputs panic instead of
 //! silently truncating.
 
-use std::collections::HashMap;
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 
 /// f64 lanes per vector op (256-bit register width). Rows narrower than this
 /// have no vector work at all — scan loops use it to pick the inline
@@ -969,104 +968,33 @@ pub fn l2_normalize_rows(data: &mut [f64], p: usize) {
 }
 
 // ---------------------------------------------------------------------------
-// Kernel-aware leaf sizing
+// Leaf sizing
 // ---------------------------------------------------------------------------
 
-/// Default KD/VP leaf size — the pre-v2 hardcoded bucket, kept as the
-/// sub-lane and fallback answer.
+/// KD/VP leaf size of rows narrower than [`LANE_WIDTH`] — the pre-v2
+/// hardcoded bucket.
 pub const DEFAULT_LEAF_SIZE: usize = 16;
 
-const LEAF_CANDIDATES: [usize; 5] = [8, 16, 32, 64, 128];
-/// Rows scanned per candidate during the calibration sweep; small enough to
-/// keep a build's calibration cost in the tens of microseconds per width.
-const LEAF_SWEEP_ROWS: usize = 4096;
+/// KD/VP leaf size of rows of [`LANE_WIDTH`] features or more: the
+/// fastest bucket of 8, 16, 32 and 64 for the KD-tree granulating the
+/// clean S8 training set (12,250 × 16) on a 2-vCPU AVX2+FMA host
+/// (BENCH_GRANULATION.json entry 7).
+const WIDE_LEAF_SIZE: usize = 32;
 
-/// KD/VP leaf size for rows of width `p`, chosen by a one-off calibration
-/// sweep against the active kernel tier (cached per width for the process).
-///
-/// Bigger leaves amortize per-call dispatch across more rows of
-/// [`sq_euclidean_one_to_many`] but weaken tree pruning; the sweet spot
-/// moved when the kernels got faster, so v2 measures instead of hardcoding:
-/// the sweep times the batched kernel at each candidate bucket size and
-/// picks the **smallest** candidate within 10% of the best per-row
-/// throughput. Leaf size changes traversal granularity only — query
-/// results are exact and bit-identical regardless (KBest/range sets are
-/// order-independent), so timing noise here can never affect output, only
-/// speed.
-///
-/// `GB_LEAF_SIZE` overrides the sweep with a fixed bucket (2..=512) for
-/// benchmarking and regression hunts.
-///
-/// # Panics
-/// On an unparsable or out-of-range `GB_LEAF_SIZE`.
+/// KD/VP leaf size for rows of width `p`: a measured constant per width
+/// class. Sub-lane rows run the inline per-pair kernel, so their leaves
+/// stay at [`DEFAULT_LEAF_SIZE`]; wider rows scan each leaf through the
+/// batched one-to-many kernel, whose per-call cost bigger leaves amortize
+/// at the price of weaker pruning, and take 32 rows, the fastest leaf
+/// measured on the S8 set. Leaf size changes traversal granularity only:
+/// query results are exact and bit-identical at every leaf size.
 #[must_use]
 pub fn calibrated_leaf_size(p: usize) -> usize {
-    if let Some(forced) = leaf_size_from_env() {
-        return forced;
-    }
     if p < LANE_WIDTH {
-        // Sub-lane rows use the inline per-pair kernel — no batched call to
-        // amortize, nothing to calibrate.
-        return DEFAULT_LEAF_SIZE;
+        DEFAULT_LEAF_SIZE
+    } else {
+        WIDE_LEAF_SIZE
     }
-    static CACHE: OnceLock<Mutex<HashMap<usize, usize>>> = OnceLock::new();
-    let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-    if let Some(&hit) = cache.lock().expect("leaf cache poisoned").get(&p) {
-        return hit;
-    }
-    let chosen = sweep_leaf_size(p);
-    cache.lock().expect("leaf cache poisoned").insert(p, chosen);
-    chosen
-}
-
-fn leaf_size_from_env() -> Option<usize> {
-    let raw = std::env::var("GB_LEAF_SIZE").ok()?;
-    let trimmed = raw.trim();
-    if trimmed.is_empty() {
-        return None;
-    }
-    let parsed: usize = trimmed
-        .parse()
-        .unwrap_or_else(|_| panic!("GB_LEAF_SIZE={trimmed:?} is not a positive integer"));
-    assert!(
-        (2..=512).contains(&parsed),
-        "GB_LEAF_SIZE={parsed} out of range (valid: 2..=512)"
-    );
-    Some(parsed)
-}
-
-/// Times the batched kernel at each candidate bucket size over synthetic
-/// data and returns the smallest bucket within 10% of the best per-row
-/// cost.
-fn sweep_leaf_size(p: usize) -> usize {
-    let max_leaf = *LEAF_CANDIDATES.last().expect("non-empty candidates");
-    // Deterministic synthetic rows; the values are irrelevant (no
-    // data-dependent branches in the kernels), only the shape matters.
-    let block: Vec<f64> = (0..max_leaf * p).map(|i| (i % 251) as f64 * 0.17).collect();
-    let query: Vec<f64> = (0..p).map(|i| (i % 17) as f64 * 0.71).collect();
-    let mut out = vec![0.0f64; max_leaf];
-    // Warm the dispatch (OnceLock) and the cache lines outside the timers.
-    sq_euclidean_one_to_many(&query, &block, &mut out);
-
-    let mut costs = [0.0f64; LEAF_CANDIDATES.len()];
-    for (cost, &cand) in costs.iter_mut().zip(LEAF_CANDIDATES.iter()) {
-        let reps = LEAF_SWEEP_ROWS / cand;
-        let start = std::time::Instant::now();
-        for _ in 0..reps {
-            sq_euclidean_one_to_many(&query, &block[..cand * p], &mut out[..cand]);
-        }
-        let rows = (reps * cand) as f64;
-        *cost = start.elapsed().as_nanos() as f64 / rows;
-        // Keep the optimizer honest about the output buffer.
-        std::hint::black_box(&out);
-    }
-    let best = costs.iter().copied().fold(f64::INFINITY, f64::min);
-    for (&cost, &cand) in costs.iter().zip(LEAF_CANDIDATES.iter()) {
-        if cost <= best * 1.10 {
-            return cand;
-        }
-    }
-    DEFAULT_LEAF_SIZE
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -1583,11 +1511,13 @@ mod tests {
     }
 
     #[test]
-    fn calibrated_leaf_size_is_cached_and_in_range() {
-        let first = calibrated_leaf_size(16);
-        assert!(LEAF_CANDIDATES.contains(&first), "{first}");
-        assert_eq!(calibrated_leaf_size(16), first);
-        assert_eq!(calibrated_leaf_size(2), DEFAULT_LEAF_SIZE);
+    fn calibrated_leaf_size_is_fixed_per_width_class() {
+        for p in 1..LANE_WIDTH {
+            assert_eq!(calibrated_leaf_size(p), DEFAULT_LEAF_SIZE, "p = {p}");
+        }
+        for p in [LANE_WIDTH, 16, 85, 256] {
+            assert_eq!(calibrated_leaf_size(p), WIDE_LEAF_SIZE, "p = {p}");
+        }
     }
 
     #[test]

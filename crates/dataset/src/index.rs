@@ -28,12 +28,20 @@
 //! |----------------------|--------|-----------------|----------------------------|
 //! | build                | O(n)   | O(n log n)      | O(n log n)                 |
 //! | k-NN query           | O(n)   | O(log n + k)    | O(log n + k)               |
+//! | `q` k-NN queries     | one O(q·n) sweep | q queries | q queries              |
 //! | range query          | O(n)   | O(log n + out)  | O(log n + out)             |
 //! | delete               | O(1)   | O(1)            | O(1)                       |
 //!
+//! [`NeighborIndex::k_nearest_sq_many`] answers several k-NN queries at
+//! once, each answer equal to its single query's bit for bit: the brute
+//! backend streams its alive rows once for all of them through the
+//! blocked many-to-many kernel ([`Metric::dist_block`]), so each row is
+//! read once per batch instead of once per query; the trees loop. RD-GBG
+//! fetches each iteration's density hoods this way on the brute backend.
+//!
 //! Tree queries degrade toward O(n) as the (intrinsic) dimensionality
-//! grows; [`GranulationBackend::Auto`] picks a sensible backend per
-//! dataset shape.
+//! grows; [`GranulationBackend::Auto`] picks the KD-tree up to 24
+//! features and the brute backend beyond.
 
 use crate::dataset::Dataset;
 use crate::distance::{calibrated_leaf_size, manhattan, sq_euclidean, Metric, LANE_WIDTH};
@@ -393,6 +401,27 @@ pub trait NeighborIndex: Send + Sync {
     /// ascending by `(sq_dist, row)`.
     fn k_nearest_sq(&self, query: &[f64], k: usize, skip: Option<usize>) -> Vec<SqNeighbor>;
 
+    /// [`NeighborIndex::k_nearest_sq`] for several queries at once: entry
+    /// `i` equals `k_nearest_sq(queries[i], k, skips[i])` bit for bit. The
+    /// default implementation loops over the queries; [`BruteIndex`]
+    /// answers them all in one blocked sweep of its alive rows.
+    ///
+    /// # Panics
+    /// When `queries` and `skips` differ in length.
+    fn k_nearest_sq_many(
+        &self,
+        queries: &[&[f64]],
+        k: usize,
+        skips: &[Option<usize>],
+    ) -> Vec<Vec<SqNeighbor>> {
+        assert_eq!(queries.len(), skips.len(), "one skip per query");
+        queries
+            .iter()
+            .zip(skips)
+            .map(|(query, &skip)| self.k_nearest_sq(query, k, skip))
+            .collect()
+    }
+
     /// The single nearest alive row, or `None` when nothing (else) is alive.
     fn nearest_sq(&self, query: &[f64], skip: Option<usize>) -> Option<SqNeighbor> {
         self.k_nearest_sq(query, 1, skip).first().copied()
@@ -538,6 +567,10 @@ const GONE: u32 = u32::MAX;
 /// Rows per batched-kernel call in the brute scans.
 const SCAN_BLOCK: usize = 128;
 
+/// Rows per blocked-kernel call in the many-query brute sweep: at
+/// p = 256 a block is 64 KiB, re-read once per query pair of the tile.
+const MANY_BLOCK: usize = 32;
+
 /// Row filter for the brute sweeps — see [`BruteIndex`]'s `scan_blocked`.
 #[derive(Clone, Copy)]
 enum ScanFilter<'a> {
@@ -629,6 +662,33 @@ impl NeighborIndex for BruteIndex {
             .into_sorted()
     }
 
+    fn k_nearest_sq_many(
+        &self,
+        queries: &[&[f64]],
+        k: usize,
+        skips: &[Option<usize>],
+    ) -> Vec<Vec<SqNeighbor>> {
+        assert_eq!(queries.len(), skips.len(), "one skip per query");
+        if k == 0 || queries.is_empty() {
+            return vec![Vec::new(); queries.len()];
+        }
+        let mut tile = Vec::with_capacity(queries.len() * self.n_features);
+        for query in queries {
+            tile.extend_from_slice(&self.metric.prepare_query(query));
+        }
+        let skip_slots: Vec<usize> = skips.iter().map(|&skip| self.skip_slot(skip)).collect();
+        let mut parts = self
+            .scan_parts(|lo, hi| self.scan_best_many(lo, hi, &tile, k, &skip_slots))
+            .into_iter();
+        let mut best = parts.next().expect("at least one part");
+        for part in parts {
+            for (merged, kb) in best.iter_mut().zip(&part) {
+                merged.merge(kb);
+            }
+        }
+        best.into_iter().map(KBest::into_sorted).collect()
+    }
+
     fn nearest_heterogeneous_sq(
         &self,
         query: &[f64],
@@ -652,9 +712,8 @@ impl NeighborIndex for BruteIndex {
     ) -> Vec<SqNeighbor> {
         let query = self.metric.prepare_query(query);
         let query = &*query;
-        let chunks = self.scan_chunks();
         let filter = self.skip_filter(skip);
-        let scan_one = |slot_lo: usize, slot_hi: usize| {
+        let mut parts = self.scan_parts(|slot_lo, slot_hi| {
             let mut out = Vec::new();
             self.scan_blocked(slot_lo, slot_hi, query, filter, |row, d| {
                 if bound.admits(d, sq_bound) {
@@ -665,20 +724,10 @@ impl NeighborIndex for BruteIndex {
                 }
             });
             out
-        };
-        if chunks <= 1 {
-            return scan_one(0, self.alive_rows.len());
+        });
+        if parts.len() == 1 {
+            return parts.pop().expect("one part");
         }
-        use rayon::prelude::*;
-        let chunk_len = self.alive_rows.len().div_ceil(chunks);
-        let parts: Vec<Vec<SqNeighbor>> = (0..chunks)
-            .into_par_iter()
-            .map(|c| {
-                let lo = c * chunk_len;
-                let hi = ((c + 1) * chunk_len).min(self.alive_rows.len());
-                scan_one(lo, hi)
-            })
-            .collect();
         parts.concat()
     }
 }
@@ -699,14 +748,36 @@ impl BruteIndex {
         }
     }
 
+    /// Runs `scan` over the alive slots in [`Self::scan_chunks`]
+    /// contiguous ranges, in parallel when there is more than one, and
+    /// returns each range's result in slot order.
+    fn scan_parts<T: Send>(&self, scan: impl Fn(usize, usize) -> T + Sync) -> Vec<T> {
+        let n = self.alive_rows.len();
+        let chunks = self.scan_chunks();
+        if chunks <= 1 {
+            return vec![scan(0, n)];
+        }
+        use rayon::prelude::*;
+        let chunk_len = n.div_ceil(chunks);
+        (0..chunks)
+            .into_par_iter()
+            .map(|c| scan(c * chunk_len, ((c + 1) * chunk_len).min(n)))
+            .collect()
+    }
+
+    /// The current slot of a skipped row, `usize::MAX` for none (no skip,
+    /// or a row already deleted).
+    fn skip_slot(&self, skip: Option<usize>) -> usize {
+        match skip {
+            Some(row) if self.position[row] != GONE => self.position[row] as usize,
+            _ => usize::MAX,
+        }
+    }
+
     /// The filter for a skip-only query: resolves the skipped row to its
     /// current slot so the sweep stays fully batched.
     fn skip_filter(&self, skip: Option<usize>) -> ScanFilter<'_> {
-        let slot = match skip {
-            Some(row) if self.position[row] != GONE => self.position[row] as usize,
-            _ => usize::MAX,
-        };
-        ScanFilter::SkipSlot(slot)
+        ScanFilter::SkipSlot(self.skip_slot(skip))
     }
 
     /// Blocked sweep over the packed alive buffer. A [`ScanFilter::SkipSlot`]
@@ -825,40 +896,71 @@ impl BruteIndex {
     /// applies the same `(sq_dist, row)` total order as a serial scan, so
     /// the result is independent of chunking and thread count.
     fn scan_best(&self, query: &[f64], k: usize, filter: ScanFilter<'_>) -> KBest {
-        let chunks = self.scan_chunks();
-        let scan_one = |slot_lo: usize, slot_hi: usize| {
-            let mut best = KBest::new(k);
-            self.scan_blocked(slot_lo, slot_hi, query, filter, |row, d| {
-                best.insert(d, row as usize);
-            });
-            best
-        };
-        if chunks <= 1 {
-            return scan_one(0, self.alive_rows.len());
-        }
-        use rayon::prelude::*;
-        let chunk_len = self.alive_rows.len().div_ceil(chunks);
-        let parts: Vec<KBest> = (0..chunks)
-            .into_par_iter()
-            .map(|c| {
-                let lo = c * chunk_len;
-                let hi = ((c + 1) * chunk_len).min(self.alive_rows.len());
-                scan_one(lo, hi)
+        let mut parts = self
+            .scan_parts(|slot_lo, slot_hi| {
+                let mut best = KBest::new(k);
+                self.scan_blocked(slot_lo, slot_hi, query, filter, |row, d| {
+                    best.insert(d, row as usize);
+                });
+                best
             })
-            .collect();
-        let mut merged = KBest::new(k);
-        for part in &parts {
-            merged.merge(part);
+            .into_iter();
+        let mut merged = parts.next().expect("at least one part");
+        for part in parts {
+            merged.merge(&part);
         }
         merged
+    }
+
+    /// Best-`k` sweep of slots `slot_lo..slot_hi` for a tile of prepared
+    /// queries (row-major, one `n_features`-wide row per query), one
+    /// [`KBest`] per query, skipping each query's `skip_slots` entry.
+    /// Blocks of [`MANY_BLOCK`] rows go through [`Metric::dist_block`],
+    /// which is bit-identical to the `one_to_many` kernel of the single
+    /// scan, and a `KBest` keeps the same entries in whatever order they
+    /// arrive, so each query's result is its single scan's.
+    fn scan_best_many(
+        &self,
+        slot_lo: usize,
+        slot_hi: usize,
+        tile: &[f64],
+        k: usize,
+        skip_slots: &[usize],
+    ) -> Vec<KBest> {
+        let p = self.n_features;
+        let nq = skip_slots.len();
+        let mut best: Vec<KBest> = (0..nq).map(|_| KBest::new(k)).collect();
+        let mut dists = vec![0.0f64; nq * MANY_BLOCK];
+        let mut lo = slot_lo;
+        while lo < slot_hi {
+            let hi = (lo + MANY_BLOCK).min(slot_hi);
+            let rows = hi - lo;
+            let dists = &mut dists[..nq * rows];
+            self.metric
+                .dist_block(tile, &self.alive_points[lo * p..hi * p], p, dists);
+            for ((kb, &skip), row_dists) in best
+                .iter_mut()
+                .zip(skip_slots)
+                .zip(dists.chunks_exact(rows))
+            {
+                for (s, &d) in (lo..hi).zip(row_dists) {
+                    if s != skip {
+                        kb.insert(d, self.alive_rows[s] as usize);
+                    }
+                }
+            }
+            lo = hi;
+        }
+        best
     }
 }
 
 /// Which index implementation backs the granulation / neighbour queries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum GranulationBackend {
-    /// Choose per dataset shape: KD-tree up to moderate dimensionality,
-    /// VP-tree beyond (axis-aligned splits stop pruning in high `p`).
+    /// Choose per dataset shape: brute force below 256 rows, the KD-tree
+    /// up to 24 features, brute force beyond (see
+    /// [`GranulationBackend::resolve`]).
     #[default]
     Auto,
     /// Linear scan over alive rows. Exact reference; best for tiny data
@@ -867,7 +969,7 @@ pub enum GranulationBackend {
     /// Median-split KD-tree. Best at low/medium `p`.
     KdTree,
     /// Vantage-point tree. Best when intrinsic dimensionality is low even
-    /// if ambient `p` is large.
+    /// if ambient `p` is large; `Auto` never picks it.
     VpTree,
 }
 
@@ -902,7 +1004,14 @@ impl GranulationBackend {
         }
     }
 
-    /// Resolves `Auto` to a concrete backend for a dataset shape.
+    /// Resolves `Auto` to a concrete backend for a dataset shape: brute
+    /// force under 256 rows (a tree's build outweighs its pruning), the
+    /// KD-tree up to 24 features, and brute force for wider rows, where
+    /// neither tree prunes enough to beat RD-GBG's batched scan, which
+    /// streams the alive rows once per iteration for all of its
+    /// candidates. Measured on catalog samples and gaussian probes at
+    /// p = 32 to 256 (BENCH_GRANULATION.json entry 7), brute force was the
+    /// fastest backend in every cell wider than 24 features.
     #[must_use]
     pub fn resolve(self, n_samples: usize, n_features: usize) -> Self {
         match self {
@@ -913,7 +1022,10 @@ impl GranulationBackend {
                 } else if n_features <= 24 {
                     GranulationBackend::KdTree
                 } else {
-                    GranulationBackend::VpTree
+                    // Wide rows: trees prune too little to beat one blocked
+                    // sweep per RD-GBG iteration (BENCH_GRANULATION.json
+                    // entry 7).
+                    GranulationBackend::Brute
                 }
             }
             concrete => concrete,
@@ -1004,6 +1116,90 @@ mod tests {
         });
         all.truncate(k);
         all
+    }
+
+    /// Rows and distance bits of a result, for bit-level comparison.
+    fn bits(hits: &[SqNeighbor]) -> Vec<(usize, u64)> {
+        hits.iter().map(|h| (h.row, h.sq_dist.to_bits())).collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn k_nearest_many_equals_repeated_single_queries(
+            width in 0usize..7,
+            n in 1usize..90,
+            metric in 0usize..3,
+            k_pick in 0usize..4,
+            nq_pick in 0usize..5,
+            seed in 0u64..u64::MAX,
+        ) {
+            let p = [1, 2, 3, 4, 5, 17, 256][width];
+            let metric = Metric::ALL[metric];
+            let nq = [0, 1, 2, 3, 7][nq_pick];
+            let mut rng = rng_from_seed(seed);
+            // A small integer grid: duplicate rows and distance ties are
+            // common, so the tie-break is exercised.
+            let feats: Vec<f64> = (0..n * p).map(|_| f64::from(rng.gen_range(0..4u32)) - 1.5).collect();
+            let labels: Vec<u32> = (0..n).map(|_| rng.gen_range(0..2)).collect();
+            let data = Dataset::from_parts(feats, labels, p, 2);
+            let mut idx: Vec<(&str, Box<dyn NeighborIndex>)> = GranulationBackend::CONCRETE
+                .iter()
+                .map(|b| (b.name(), b.build_with(&data, metric)))
+                .collect();
+            let mut alive = vec![true; n];
+            for (row, a) in alive.iter_mut().enumerate() {
+                if rng.gen_bool(0.3) {
+                    *a = false;
+                    for (_, ix) in idx.iter_mut() {
+                        ix.delete(row);
+                    }
+                }
+            }
+            let n_alive = alive.iter().filter(|&&a| a).count();
+            let k = [0, 1, 5, n_alive + 1][k_pick];
+            let queries: Vec<Vec<f64>> = (0..nq)
+                .map(|_| {
+                    if rng.gen_bool(0.5) {
+                        data.row(rng.gen_range(0..n)).to_vec()
+                    } else {
+                        (0..p).map(|_| rng.gen_range(-2.0..2.0)).collect()
+                    }
+                })
+                .collect();
+            // Skips: none, an alive row, or a deleted one.
+            let skips: Vec<Option<usize>> = (0..nq)
+                .map(|_| match rng.gen_range(0..3) {
+                    0 => None,
+                    1 => (0..n).find(|&r| alive[r] && rng.gen_bool(0.3)),
+                    _ => (0..n).find(|&r| !alive[r]),
+                })
+                .collect();
+            let refs: Vec<&[f64]> = queries.iter().map(Vec::as_slice).collect();
+            for (name, ix) in &idx {
+                let many = ix.k_nearest_sq_many(&refs, k, &skips);
+                proptest::prop_assert_eq!(many.len(), nq, "{}", name);
+                for ((query, &skip), got) in queries.iter().zip(&skips).zip(&many) {
+                    let want = ix.k_nearest_sq(query, k, skip);
+                    proptest::prop_assert_eq!(bits(got), bits(&want), "{} p={} {}", name, p, metric);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn k_nearest_many_is_exact_when_the_scan_splits_across_threads() {
+        // Past 16,384 alive rows brute scans split into chunks; the
+        // batched sweep splits the same way and merges per query.
+        let data = random_data(16_500, 4, 2, 23);
+        let ix = BruteIndex::build(&data);
+        let queries: Vec<&[f64]> = [3, 700, 16_000].iter().map(|&r| data.row(r)).collect();
+        let skips = [Some(3), None, Some(16_000)];
+        let many = ix.k_nearest_sq_many(&queries, 6, &skips);
+        for ((query, &skip), got) in queries.iter().zip(&skips).zip(&many) {
+            assert_eq!(bits(got), bits(&ix.k_nearest_sq(query, 6, skip)));
+        }
     }
 
     #[test]
@@ -1280,8 +1476,16 @@ mod tests {
             GranulationBackend::KdTree
         );
         assert_eq!(
+            GranulationBackend::Auto.resolve(10_000, 24),
+            GranulationBackend::KdTree
+        );
+        assert_eq!(
+            GranulationBackend::Auto.resolve(10_000, 25),
+            GranulationBackend::Brute
+        );
+        assert_eq!(
             GranulationBackend::Auto.resolve(10_000, 128),
-            GranulationBackend::VpTree
+            GranulationBackend::Brute
         );
         assert_eq!(
             GranulationBackend::Brute.resolve(10_000, 128),

@@ -62,12 +62,12 @@ pub enum CsvError {
     },
     /// The label column selector does not resolve.
     BadLabelColumn(String),
-    /// A numeric field failed to parse and the column was already committed
-    /// as numeric.
-    BadNumber {
+    /// A field of a numeric column parsed to a value that is not finite
+    /// (`nan`, `inf`, or a literal beyond `f64` such as `1e400`).
+    NonFinite {
         /// 1-based line number.
         line: usize,
-        /// Column index.
+        /// Zero-based column index.
         column: usize,
         /// Offending text.
         text: String,
@@ -85,8 +85,11 @@ impl fmt::Display for CsvError {
                 expected,
             } => write!(f, "line {line}: {found} fields, expected {expected}"),
             CsvError::BadLabelColumn(s) => write!(f, "label column not found: {s}"),
-            CsvError::BadNumber { line, column, text } => {
-                write!(f, "line {line}, column {column}: cannot parse {text:?}")
+            CsvError::NonFinite { line, column, text } => {
+                write!(
+                    f,
+                    "line {line}, column {column}: {text:?} is not a finite number"
+                )
             }
         }
     }
@@ -109,8 +112,9 @@ fn fields(line: &str, sep: char) -> impl Iterator<Item = &str> {
 ///
 /// Column typing: a feature column whose every value parses as `f64` is
 /// numeric; otherwise it is categorical and its distinct strings are mapped
-/// to integer codes in first-appearance order. Labels (numeric or string)
-/// are densified to `0..q` in sorted order of their text form.
+/// to integer codes in first-appearance order. A numeric column must hold
+/// finite values only. Labels (numeric or string) are densified to `0..q`
+/// in sorted order of their text form.
 ///
 /// # Errors
 /// See [`CsvError`].
@@ -138,7 +142,8 @@ pub fn read_csv(path: &Path, options: &CsvOptions) -> Result<Dataset, CsvError> 
 ///
 /// # Errors
 /// See [`CsvError`]. With several faults the first applies: no data rows,
-/// then the first ragged row, then an unresolvable label column.
+/// then the first ragged row, then an unresolvable label column, then the
+/// first non-finite value of a column that stayed numeric.
 pub fn read_csv_str(content: &str, options: &CsvOptions) -> Result<Dataset, CsvError> {
     let sep = options.separator;
     let mut lines = content
@@ -179,7 +184,7 @@ pub fn read_csv_str(content: &str, options: &CsvOptions) -> Result<Dataset, CsvE
     for (line, text) in lines {
         table.push_row(line, text)?;
     }
-    Ok(table.finish())
+    table.finish()
 }
 
 fn label_column(
@@ -209,6 +214,9 @@ struct Table<'a> {
     features: Vec<f64>,
     /// Per column: whether some value failed to parse as a number.
     categorical: Vec<bool>,
+    /// Per column: the first value that parsed to a non-finite number, an
+    /// error unless the column turns categorical.
+    non_finite: Vec<Option<(usize, &'a str)>>,
     /// The rows read so far, for [`Table::finish`] to code the
     /// categorical columns from.
     rows: Vec<&'a str>,
@@ -227,6 +235,7 @@ impl<'a> Table<'a> {
             sep,
             features: Vec::new(),
             categorical: vec![false; width],
+            non_finite: vec![None; width],
             rows: Vec::new(),
             labels: Vec::new(),
             label_ids: HashMap::new(),
@@ -254,6 +263,9 @@ impl<'a> Table<'a> {
             let value = if self.categorical[c] {
                 f64::NAN
             } else if let Ok(v) = field.parse::<f64>() {
+                if !v.is_finite() && self.non_finite[c].is_none() {
+                    self.non_finite[c] = Some((line, field));
+                }
                 v
             } else {
                 self.categorical[c] = true;
@@ -272,7 +284,18 @@ impl<'a> Table<'a> {
         Ok(())
     }
 
-    fn finish(mut self) -> Dataset {
+    fn finish(mut self) -> Result<Dataset, CsvError> {
+        let first_non_finite = (0..self.width)
+            .filter(|&c| !self.categorical[c])
+            .filter_map(|c| self.non_finite[c].map(|(line, text)| (line, c, text)))
+            .min();
+        if let Some((line, column, text)) = first_non_finite {
+            return Err(CsvError::NonFinite {
+                line,
+                column,
+                text: text.to_owned(),
+            });
+        }
         let n_features = self.width - 1;
         if self.categorical.contains(&true) {
             // Split each row once more and code every categorical column.
@@ -305,8 +328,10 @@ impl<'a> Table<'a> {
                 }
             })
             .collect();
-        Dataset::from_parts(self.features, labels, n_features, self.label_texts.len())
-            .with_kinds(kinds)
+        Ok(
+            Dataset::from_parts(self.features, labels, n_features, self.label_texts.len())
+                .with_kinds(kinds),
+        )
     }
 }
 
@@ -642,6 +667,37 @@ a,b,color,class
         write_csv(&d, &path).unwrap();
         assert_eq!(std::fs::read_to_string(&path).unwrap(), expected);
         std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn non_finite_numbers_are_errors_naming_the_field() {
+        for text in ["nan", "inf", "1e400", "-inf", "NaN", "infinity"] {
+            let csv = format!("a,b,label\n1.0,2.0,x\n3.0,{text},y\n");
+            match read_csv_str(&csv, &CsvOptions::default()) {
+                Err(CsvError::NonFinite {
+                    line,
+                    column,
+                    text: got,
+                }) => {
+                    assert_eq!((line, column, got.as_str()), (3, 1, text));
+                }
+                other => panic!("{text}: {other:?}"),
+            }
+        }
+        let err = read_csv_str("a,label\ninf,x\n", &CsvOptions::default()).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "line 2, column 0: \"inf\" is not a finite number"
+        );
+    }
+
+    #[test]
+    fn non_finite_text_in_a_categorical_column_is_a_category() {
+        // `inf` is then just another category, coded in first-appearance
+        // order like `red`.
+        let d = read_csv_str("a,label\ninf,x\nred,y\ninf,y\n", &CsvOptions::default()).unwrap();
+        assert_eq!(d.feature_kinds(), &[FeatureKind::Categorical]);
+        assert_eq!(d.features(), &[0.0, 1.0, 0.0]);
     }
 
     mod roundtrip_props {

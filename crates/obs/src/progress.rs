@@ -44,8 +44,11 @@ pub enum ProgressEvent {
         noise: usize,
         /// Unassigned rows remaining across all class pools.
         remaining: usize,
-        /// k-NN (density-hood) index queries so far: one per candidate
-        /// step.
+        /// Density hoods (k-NN answers) fetched so far, batched or not:
+        /// one per candidate step, plus, where a brute index fetches an
+        /// iteration's hoods in one batched call, each fetched hood no
+        /// step could use as it was (a row of it left `U` first, or its
+        /// candidate left before its turn).
         knn_queries: usize,
         /// Nearest-heterogeneous index queries so far: the steps whose
         /// density hood could not prove the heterogeneous stop.

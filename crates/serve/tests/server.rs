@@ -593,6 +593,30 @@ fn sample_endpoint_matches_offline_gbabs() {
 }
 
 #[test]
+fn non_finite_sample_csv_is_a_400_and_the_worker_lives() {
+    // One worker: a request that took its thread down would leave nothing
+    // to serve the `/predict` that follows.
+    let (handle, data, offline) = boot(ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    });
+    let mut c = client(&handle);
+    for text in ["nan", "inf", "1e400"] {
+        let body = format!("{{\"csv\":\"f0,label\\n1.0,0\\n{text},1\\n2.0,1\\n\"}}");
+        let (status, resp) = c.request("POST", "/sample", Some(&body)).unwrap();
+        assert_eq!(status, 400, "{text}: {resp}");
+        assert!(resp.contains("bad_request"), "{text}: {resp}");
+        assert!(resp.contains("line 3, column 0"), "{text}: {resp}");
+    }
+    let (status, body) = c
+        .request("POST", "/predict", Some(&rows_json(&data, &[0, 1])))
+        .unwrap();
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(predictions_of(&body), offline.predict(&data)[..2].to_vec());
+    handle.stop();
+}
+
+#[test]
 fn health_model_and_models_endpoints_report() {
     let (handle, data, offline) = boot(ServeConfig::default());
     let mut c = client(&handle);
