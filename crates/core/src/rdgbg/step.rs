@@ -118,7 +118,9 @@ pub(crate) struct Granulator<'d> {
     /// Diffusion balls, in creation order.
     balls: Vec<GranularBall>,
     /// Whether [`Granulator::fetch_hoods`] batches: a brute index over
-    /// rows of at least [`LANE_WIDTH`] features.
+    /// rows of at least [`LANE_WIDTH`] features. Batching tied or won
+    /// there from p = 4 up and lost at three of four banana sizes at
+    /// p = 2 (BENCH_GRANULATION.json entry 7).
     batch_hoods: bool,
     pub(crate) queries: QueryCounts,
 }

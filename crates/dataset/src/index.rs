@@ -564,12 +564,8 @@ pub struct BruteIndex {
 
 const GONE: u32 = u32::MAX;
 
-/// Rows per batched-kernel call in the brute scans.
+/// Rows per batched-kernel call in the brute scans, single or batched.
 const SCAN_BLOCK: usize = 128;
-
-/// Rows per blocked-kernel call in the many-query brute sweep: at
-/// p = 256 a block is 64 KiB, re-read once per query pair of the tile.
-const MANY_BLOCK: usize = 32;
 
 /// Row filter for the brute sweeps — see [`BruteIndex`]'s `scan_blocked`.
 #[derive(Clone, Copy)]
@@ -668,25 +664,7 @@ impl NeighborIndex for BruteIndex {
         k: usize,
         skips: &[Option<usize>],
     ) -> Vec<Vec<SqNeighbor>> {
-        assert_eq!(queries.len(), skips.len(), "one skip per query");
-        if k == 0 || queries.is_empty() {
-            return vec![Vec::new(); queries.len()];
-        }
-        let mut tile = Vec::with_capacity(queries.len() * self.n_features);
-        for query in queries {
-            tile.extend_from_slice(&self.metric.prepare_query(query));
-        }
-        let skip_slots: Vec<usize> = skips.iter().map(|&skip| self.skip_slot(skip)).collect();
-        let mut parts = self
-            .scan_parts(|lo, hi| self.scan_best_many(lo, hi, &tile, k, &skip_slots))
-            .into_iter();
-        let mut best = parts.next().expect("at least one part");
-        for part in parts {
-            for (merged, kb) in best.iter_mut().zip(&part) {
-                merged.merge(kb);
-            }
-        }
-        best.into_iter().map(KBest::into_sorted).collect()
+        self.k_nearest_many_in(self.scan_chunks(), queries, k, skips)
     }
 
     fn nearest_heterogeneous_sq(
@@ -713,7 +691,7 @@ impl NeighborIndex for BruteIndex {
         let query = self.metric.prepare_query(query);
         let query = &*query;
         let filter = self.skip_filter(skip);
-        let mut parts = self.scan_parts(|slot_lo, slot_hi| {
+        let mut parts = self.scan_parts(self.scan_chunks(), |slot_lo, slot_hi| {
             let mut out = Vec::new();
             self.scan_blocked(slot_lo, slot_hi, query, filter, |row, d| {
                 if bound.admits(d, sq_bound) {
@@ -748,12 +726,15 @@ impl BruteIndex {
         }
     }
 
-    /// Runs `scan` over the alive slots in [`Self::scan_chunks`]
-    /// contiguous ranges, in parallel when there is more than one, and
-    /// returns each range's result in slot order.
-    fn scan_parts<T: Send>(&self, scan: impl Fn(usize, usize) -> T + Sync) -> Vec<T> {
+    /// Runs `scan` over the alive slots in `chunks` contiguous ranges
+    /// (callers pass [`Self::scan_chunks`]), in parallel when there is
+    /// more than one, and returns each range's result in slot order.
+    fn scan_parts<T: Send>(
+        &self,
+        chunks: usize,
+        scan: impl Fn(usize, usize) -> T + Sync,
+    ) -> Vec<T> {
         let n = self.alive_rows.len();
-        let chunks = self.scan_chunks();
         if chunks <= 1 {
             return vec![scan(0, n)];
         }
@@ -897,7 +878,7 @@ impl BruteIndex {
     /// the result is independent of chunking and thread count.
     fn scan_best(&self, query: &[f64], k: usize, filter: ScanFilter<'_>) -> KBest {
         let mut parts = self
-            .scan_parts(|slot_lo, slot_hi| {
+            .scan_parts(self.scan_chunks(), |slot_lo, slot_hi| {
                 let mut best = KBest::new(k);
                 self.scan_blocked(slot_lo, slot_hi, query, filter, |row, d| {
                     best.insert(d, row as usize);
@@ -912,10 +893,42 @@ impl BruteIndex {
         merged
     }
 
+    /// [`NeighborIndex::k_nearest_sq_many`] with the alive slots split into
+    /// `chunks` ranges, one [`KBest`] per query and range, merged per query.
+    fn k_nearest_many_in(
+        &self,
+        chunks: usize,
+        queries: &[&[f64]],
+        k: usize,
+        skips: &[Option<usize>],
+    ) -> Vec<Vec<SqNeighbor>> {
+        assert_eq!(queries.len(), skips.len(), "one skip per query");
+        if k == 0 || queries.is_empty() {
+            return vec![Vec::new(); queries.len()];
+        }
+        let mut tile = Vec::with_capacity(queries.len() * self.n_features);
+        for query in queries {
+            tile.extend_from_slice(&self.metric.prepare_query(query));
+        }
+        let skip_slots: Vec<usize> = skips.iter().map(|&skip| self.skip_slot(skip)).collect();
+        let mut parts = self
+            .scan_parts(chunks, |lo, hi| {
+                self.scan_best_many(lo, hi, &tile, k, &skip_slots)
+            })
+            .into_iter();
+        let mut best = parts.next().expect("at least one part");
+        for part in parts {
+            for (merged, kb) in best.iter_mut().zip(&part) {
+                merged.merge(kb);
+            }
+        }
+        best.into_iter().map(KBest::into_sorted).collect()
+    }
+
     /// Best-`k` sweep of slots `slot_lo..slot_hi` for a tile of prepared
     /// queries (row-major, one `n_features`-wide row per query), one
     /// [`KBest`] per query, skipping each query's `skip_slots` entry.
-    /// Blocks of [`MANY_BLOCK`] rows go through [`Metric::dist_block`],
+    /// Blocks of [`SCAN_BLOCK`] rows go through [`Metric::dist_block`],
     /// which is bit-identical to the `one_to_many` kernel of the single
     /// scan, and a `KBest` keeps the same entries in whatever order they
     /// arrive, so each query's result is its single scan's.
@@ -930,10 +943,10 @@ impl BruteIndex {
         let p = self.n_features;
         let nq = skip_slots.len();
         let mut best: Vec<KBest> = (0..nq).map(|_| KBest::new(k)).collect();
-        let mut dists = vec![0.0f64; nq * MANY_BLOCK];
+        let mut dists = vec![0.0f64; nq * SCAN_BLOCK];
         let mut lo = slot_lo;
         while lo < slot_hi {
-            let hi = (lo + MANY_BLOCK).min(slot_hi);
+            let hi = (lo + SCAN_BLOCK).min(slot_hi);
             let rows = hi - lo;
             let dists = &mut dists[..nq * rows];
             self.metric
@@ -1011,7 +1024,9 @@ impl GranulationBackend {
     /// streams the alive rows once per iteration for all of its
     /// candidates. Measured on catalog samples and gaussian probes at
     /// p = 32 to 256 (BENCH_GRANULATION.json entry 7), brute force was the
-    /// fastest backend in every cell wider than 24 features.
+    /// fastest backend in every cell wider than 24 features, for RD-GBG
+    /// and for GBG++'s attention peel, the other granulator whose cost the
+    /// backend sets.
     #[must_use]
     pub fn resolve(self, n_samples: usize, n_features: usize) -> Self {
         match self {
@@ -1042,9 +1057,9 @@ impl GranulationBackend {
     }
 
     /// Builds an index over every row of `data` under `metric`. Tree
-    /// backends take their bucket size from the kernel-aware calibration
-    /// sweep ([`calibrated_leaf_size`]) instead of the pre-v2 hardcoded 16
-    /// — leaf size changes traversal granularity only, never results.
+    /// backends take their bucket size from [`calibrated_leaf_size`], one
+    /// measured leaf per width class — leaf size changes traversal
+    /// granularity only, never results.
     ///
     /// # Panics
     /// Panics on an empty dataset.
@@ -1189,16 +1204,29 @@ mod tests {
     }
 
     #[test]
-    fn k_nearest_many_is_exact_when_the_scan_splits_across_threads() {
-        // Past 16,384 alive rows brute scans split into chunks; the
-        // batched sweep splits the same way and merges per query.
-        let data = random_data(16_500, 4, 2, 23);
-        let ix = BruteIndex::build(&data);
-        let queries: Vec<&[f64]> = [3, 700, 16_000].iter().map(|&r| data.row(r)).collect();
-        let skips = [Some(3), None, Some(16_000)];
-        let many = ix.k_nearest_sq_many(&queries, 6, &skips);
-        for ((query, &skip), got) in queries.iter().zip(&skips).zip(&many) {
-            assert_eq!(bits(got), bits(&ix.k_nearest_sq(query, 6, skip)));
+    fn k_nearest_many_is_exact_however_the_scan_splits() {
+        // Past 16,384 alive rows brute scans split into one range per
+        // thread; the batched sweep keeps one `KBest` per query and range
+        // and merges them. Forcing the split covers the merge on any
+        // number of CPUs.
+        for p in [2, 4] {
+            let data = random_data(2_000, p, 2, 23);
+            let mut ix = BruteIndex::build(&data);
+            for row in (0..2_000).step_by(7) {
+                ix.delete(row);
+            }
+            let queries: Vec<&[f64]> = [3, 700, 1_999].iter().map(|&r| data.row(r)).collect();
+            let skips = [Some(3), Some(700), None];
+            for chunks in [1, 2, 3, 8] {
+                let many = ix.k_nearest_many_in(chunks, &queries, 6, &skips);
+                for ((query, &skip), got) in queries.iter().zip(&skips).zip(&many) {
+                    assert_eq!(
+                        bits(got),
+                        bits(&ix.k_nearest_sq(query, 6, skip)),
+                        "p={p} chunks={chunks}"
+                    );
+                }
+            }
         }
     }
 

@@ -6,7 +6,7 @@
 //! categorical columns and densifying string labels — and writes datasets
 //! back out.
 
-use crate::dataset::{Dataset, FeatureKind};
+use crate::dataset::{Dataset, DatasetError, FeatureKind};
 use std::collections::HashMap;
 use std::fmt;
 use std::fs;
@@ -214,12 +214,9 @@ struct Table<'a> {
     features: Vec<f64>,
     /// Per column: whether some value failed to parse as a number.
     categorical: Vec<bool>,
-    /// Per column: the first value that parsed to a non-finite number, an
-    /// error unless the column turns categorical.
-    non_finite: Vec<Option<(usize, &'a str)>>,
-    /// The rows read so far, for [`Table::finish`] to code the
-    /// categorical columns from.
-    rows: Vec<&'a str>,
+    /// The rows read so far with their line numbers, for [`Table::finish`]
+    /// to code the categorical columns from and to name a bad field.
+    rows: Vec<(usize, &'a str)>,
     /// Each row's label as an index into `label_texts`.
     labels: Vec<u32>,
     label_ids: HashMap<&'a str, u32>,
@@ -235,7 +232,6 @@ impl<'a> Table<'a> {
             sep,
             features: Vec::new(),
             categorical: vec![false; width],
-            non_finite: vec![None; width],
             rows: Vec::new(),
             labels: Vec::new(),
             label_ids: HashMap::new(),
@@ -263,9 +259,6 @@ impl<'a> Table<'a> {
             let value = if self.categorical[c] {
                 f64::NAN
             } else if let Ok(v) = field.parse::<f64>() {
-                if !v.is_finite() && self.non_finite[c].is_none() {
-                    self.non_finite[c] = Some((line, field));
-                }
                 v
             } else {
                 self.categorical[c] = true;
@@ -280,27 +273,16 @@ impl<'a> Table<'a> {
                 expected: self.width,
             });
         }
-        self.rows.push(text);
+        self.rows.push((line, text));
         Ok(())
     }
 
     fn finish(mut self) -> Result<Dataset, CsvError> {
-        let first_non_finite = (0..self.width)
-            .filter(|&c| !self.categorical[c])
-            .filter_map(|c| self.non_finite[c].map(|(line, text)| (line, c, text)))
-            .min();
-        if let Some((line, column, text)) = first_non_finite {
-            return Err(CsvError::NonFinite {
-                line,
-                column,
-                text: text.to_owned(),
-            });
-        }
         let n_features = self.width - 1;
         if self.categorical.contains(&true) {
             // Split each row once more and code every categorical column.
             let mut codes: Vec<HashMap<&str, f64>> = vec![HashMap::new(); self.width];
-            for (r, &row) in self.rows.iter().enumerate() {
+            for (r, &(_, row)) in self.rows.iter().enumerate() {
                 let cells = &mut self.features[r * n_features..][..n_features];
                 for (c, field) in fields(row, self.sep).enumerate() {
                     if self.categorical[c] {
@@ -328,10 +310,22 @@ impl<'a> Table<'a> {
                 }
             })
             .collect();
-        Ok(
-            Dataset::from_parts(self.features, labels, n_features, self.label_texts.len())
-                .with_kinds(kinds),
-        )
+        // `parse::<f64>` accepts `nan`, `inf` and overflowing literals;
+        // the dataset refuses them, and the error names the field.
+        match Dataset::new(self.features, labels, n_features, self.label_texts.len()) {
+            Ok(data) => Ok(data.with_kinds(kinds)),
+            Err(DatasetError::NonFinite { row, col }) => {
+                let (line, text) = self.rows[row];
+                let column = col + usize::from(col >= self.label_idx);
+                let text = fields(text, self.sep).nth(column).expect("a full row");
+                Err(CsvError::NonFinite {
+                    line,
+                    column,
+                    text: text.to_owned(),
+                })
+            }
+            Err(other) => unreachable!("the reader builds a well-formed table: {other}"),
+        }
     }
 }
 

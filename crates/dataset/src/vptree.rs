@@ -21,7 +21,7 @@
 //! missed exact neighbour.
 //!
 //! Partitions of at most the build-time bucket size (default
-//! [`VP_LEAF_SIZE`] = 16, calibrated per width by
+//! [`VP_LEAF_SIZE`] = 16, set per width class by
 //! [`crate::distance::calibrated_leaf_size`]) stop splitting and become
 //! bucket leaves, shrinking the arena. For rows of a lane width or more the
 //! leaves keep their coordinates in a **leaf-contiguous** buffer so a
