@@ -683,6 +683,16 @@ a,b,color,class
             err.to_string(),
             "line 2, column 0: \"inf\" is not a finite number"
         );
+        // The column is the field's place in the line, label included.
+        let label_first = CsvOptions {
+            label: LabelColumn::Index(0),
+            ..CsvOptions::default()
+        };
+        let err = read_csv_str("label,a,b\nx,1,2\n\ny,3,-inf\n", &label_first).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "line 4, column 2: \"-inf\" is not a finite number"
+        );
     }
 
     #[test]
