@@ -1,18 +1,17 @@
-//! Nearest-neighbour index throughput: brute force vs KD-tree vs VP-tree.
+//! Nearest-neighbour index throughput: brute force vs KD-tree vs VP-tree,
+//! each answering `NeighborIndex::k_nearest_sq` through the shared scan.
 //!
 //! The paper's conclusion flags high-dimensional cost as GBABS's open
 //! problem; this bench quantifies the candidate fixes. The KD-tree wins
 //! at p = 2 and degrades toward brute force as p grows; the VP-tree prunes
 //! only when the data's *intrinsic* dimensionality is low — on the
 //! isotropic S12 surrogate (high intrinsic dimension) no exact index beats
-//! the cache-friendly linear scan, which is itself a finding worth
-//! recording (see EXPERIMENTS.md, B4).
+//! the cache-friendly linear scan, which is why `GranulationBackend::Auto`
+//! picks brute force above 24 features (BENCH_GRANULATION.json entry 7).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gb_dataset::catalog::DatasetId;
-use gb_dataset::kdtree::KdTree;
-use gb_dataset::neighbors::k_nearest;
-use gb_dataset::vptree::VpTree;
+use gb_dataset::GranulationBackend;
 use std::hint::black_box;
 
 fn bench_knn_indexes(c: &mut Criterion) {
@@ -32,32 +31,17 @@ fn bench_knn_indexes(c: &mut Criterion) {
             data.n_samples(),
             data.n_features()
         );
-        let queries: Vec<Vec<f64>> = (0..64)
-            .map(|i| data.row(i % data.n_samples()).to_vec())
-            .collect();
-        group.bench_with_input(BenchmarkId::new("brute", &label), &data, |b, d| {
-            b.iter(|| {
-                for q in &queries {
-                    black_box(k_nearest(d, q, 5, None));
-                }
+        let queries: Vec<&[f64]> = (0..64).map(|i| data.row(i % data.n_samples())).collect();
+        for backend in GranulationBackend::CONCRETE {
+            let index = backend.build(&data);
+            group.bench_with_input(BenchmarkId::new(backend.name(), &label), &index, |b, ix| {
+                b.iter(|| {
+                    for q in &queries {
+                        black_box(ix.k_nearest_sq(q, 5, None));
+                    }
+                });
             });
-        });
-        let kd = KdTree::build(&data, 16);
-        group.bench_with_input(BenchmarkId::new("kdtree", &label), &kd, |b, t| {
-            b.iter(|| {
-                for q in &queries {
-                    black_box(t.k_nearest(q, 5, None));
-                }
-            });
-        });
-        let vp = VpTree::build(&data);
-        group.bench_with_input(BenchmarkId::new("vptree", &label), &vp, |b, t| {
-            b.iter(|| {
-                for q in &queries {
-                    black_box(t.k_nearest(q, 5, None));
-                }
-            });
-        });
+        }
     }
     group.finish();
 }

@@ -4,7 +4,7 @@
 //! datasets) is available behind `--full`; the default profile shrinks
 //! datasets and booster budgets so the whole table/figure suite regenerates
 //! in minutes on a laptop. Scaling down changes absolute numbers, not the
-//! qualitative orderings the reproduction targets (see EXPERIMENTS.md).
+//! qualitative orderings the reproduction targets.
 
 use gb_dataset::index::GranulationBackend;
 use std::path::PathBuf;

@@ -1,8 +1,7 @@
 //! One runner per paper artifact (Tables I–IV, Figs. 5–11).
 //!
 //! Every runner prints the paper-style rows and writes CSV artifacts under
-//! `cfg.out_dir`. The per-experiment index in `DESIGN.md` maps artifact →
-//! runner; `EXPERIMENTS.md` records paper-vs-measured values.
+//! `cfg.out_dir`, where the measured values are recorded.
 
 use crate::config::HarnessConfig;
 use crate::eval::{evaluate, summarize};
@@ -762,7 +761,7 @@ pub fn scaling_study(cfg: &HarnessConfig) {
 /// **Extension study** — SVM acceleration (the paper's §I motivation,
 /// refs \[24\]–\[26\]): linear-SVM accuracy and fit time on the full
 /// training fold vs the GBABS borderline sample, on clean and 20 %-noise
-/// data. Not a paper artifact; recorded in EXPERIMENTS.md as E2.
+/// data. Not a paper artifact.
 pub fn svm_study(cfg: &HarnessConfig) {
     use gb_classifiers::svm::{LinearSvm, SvmConfig};
     use gb_classifiers::Classifier as _;

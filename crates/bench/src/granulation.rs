@@ -63,11 +63,9 @@ impl Generator {
     }
 
     /// Generates a ball cover of `data`. `backend` selects the neighbour
-    /// index of every generator in the lineage (output-invariant across
-    /// backends, property-tested): it changes the asymptotics of RD-GBG's
-    /// diffusion queries and GBG++'s attention peel; the k-division/2-means
-    /// Lloyd steps run the dense batched assignment query, identical on
-    /// every backend.
+    /// index of RD-GBG's diffusion queries and GBG++'s attention peel
+    /// (output-invariant across backends, property-tested); k-division and
+    /// 2-means build no index, so it does not reach them.
     #[must_use]
     pub fn generate(
         self,
@@ -91,7 +89,6 @@ impl Generator {
                 data,
                 &KDivConfig {
                     seed,
-                    backend,
                     ..KDivConfig::default()
                 },
             ),
@@ -99,7 +96,6 @@ impl Generator {
                 data,
                 &KMeansGbgConfig {
                     seed,
-                    backend,
                     ..KMeansGbgConfig::default()
                 },
             ),

@@ -76,9 +76,8 @@ impl SamplerKind {
     /// Runs the method on a training fold. `srs_ratio` is the ratio SRS
     /// should match (the paper ties it to GBABS's ratio on that dataset);
     /// `gbabs_rho` is GBABS's density tolerance (the Fig. 10/11 sweep
-    /// variable). `backend` reaches every granulation-based method (GBABS,
-    /// GGBS, IGBS) through its config — always output-invariant — and is
-    /// ignored by the index-free samplers.
+    /// variable). `backend` is GBABS's neighbour index (output-invariant);
+    /// the other methods take no backend.
     #[must_use]
     pub fn sample_with_rho(
         self,
@@ -95,20 +94,8 @@ impl SamplerKind {
                 metric: Metric::SqEuclidean,
             }
             .sample(train, seed),
-            SamplerKind::Ggbs => Ggbs {
-                config: gb_sampling::ggbs::GgbsConfig {
-                    backend,
-                    ..Default::default()
-                },
-            }
-            .sample(train, seed),
-            SamplerKind::Igbs => Igbs {
-                config: gb_sampling::igbs::IgbsConfig {
-                    backend,
-                    ..Default::default()
-                },
-            }
-            .sample(train, seed),
+            SamplerKind::Ggbs => Ggbs::default().sample(train, seed),
+            SamplerKind::Igbs => Igbs::default().sample(train, seed),
             SamplerKind::Smnc => SmoteNc::default().sample(train, seed),
             SamplerKind::Tomek => TomekLinks::default().sample(train, seed),
             SamplerKind::Sm => Smote::default().sample(train, seed),

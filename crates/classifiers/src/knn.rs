@@ -5,7 +5,7 @@
 //! small enough that tree indices don't pay off).
 
 use crate::common::{majority_label, Classifier};
-use gb_dataset::neighbors::k_nearest;
+use gb_dataset::index::{BruteIndex, NeighborIndex};
 use gb_dataset::Dataset;
 
 /// kNN hyper-parameters.
@@ -24,12 +24,15 @@ impl Default for KnnConfig {
 /// A fitted (memorized) kNN model.
 #[derive(Debug, Clone)]
 pub struct KnnClassifier {
-    train: Dataset,
+    /// Brute-force index over the training rows.
+    index: BruteIndex,
+    labels: Vec<u32>,
+    n_classes: usize,
     k: usize,
 }
 
 impl KnnClassifier {
-    /// "Fits" by storing the training set.
+    /// "Fits" by indexing the training set.
     ///
     /// # Panics
     /// Panics if `k == 0` or the training set is empty.
@@ -38,7 +41,9 @@ impl KnnClassifier {
         assert!(config.k > 0, "k must be positive");
         assert!(train.n_samples() > 0, "empty training set");
         Self {
-            train: train.clone(),
+            index: BruteIndex::build(train),
+            labels: train.labels().to_vec(),
+            n_classes: train.n_classes(),
             k: config.k,
         }
     }
@@ -46,17 +51,14 @@ impl KnnClassifier {
     /// The effective neighbourhood size (min of `k` and train size).
     #[must_use]
     pub fn effective_k(&self) -> usize {
-        self.k.min(self.train.n_samples())
+        self.k.min(self.labels.len())
     }
 }
 
 impl Classifier for KnnClassifier {
     fn predict_row(&self, row: &[f64]) -> u32 {
-        let hits = k_nearest(&self.train, row, self.effective_k(), None);
-        majority_label(
-            hits.iter().map(|h| self.train.label(h.index)),
-            self.train.n_classes(),
-        )
+        let hood = self.index.k_nearest_sq(row, self.effective_k(), None);
+        majority_label(hood.iter().map(|h| self.labels[h.row]), self.n_classes)
     }
 }
 

@@ -66,12 +66,37 @@ impl Method {
             .map(|&(_, m)| m)
     }
 
+    /// The CLI spelling.
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        Method::ALL
+            .iter()
+            .find(|&&(_, m)| m == self)
+            .map(|&(name, _)| name)
+            .expect("every method has a spelling")
+    }
+
     /// True when the method needs an explicit `--ratio`.
     #[must_use]
     pub fn needs_ratio(self) -> bool {
         matches!(self, Method::Srs | Method::Stratified | Method::Systematic)
     }
+
+    /// Whether `gbabs sample` with this method reads `flag`, one of
+    /// [`METHOD_FLAGS`].
+    fn reads(self, flag: &str) -> bool {
+        if flag == "--ratio" {
+            self.needs_ratio()
+        } else {
+            self == Method::Gbabs
+        }
+    }
 }
+
+/// The `sample` flags only some methods read: `--ratio` for the
+/// ratio-based methods, the rest for gbabs. The parser refuses them for
+/// any other method instead of ignoring them.
+pub const METHOD_FLAGS: [&str; 5] = ["--rho", "--ratio", "--backend", "--metric", "--progress"];
 
 /// A parsed command line.
 #[derive(Debug, Clone, PartialEq)]
@@ -90,10 +115,9 @@ pub struct Cli {
     pub ratio: Option<f64>,
     /// Seed for all randomness.
     pub seed: u64,
-    /// Neighbour-index backend for every granulation the command runs
-    /// (RD-GBG for gbabs/inspect/serve, the k-division GBG stage of
-    /// ggbs/igbs). All backends produce identical output; this only
-    /// selects the query asymptotics.
+    /// Neighbour-index backend of the RD-GBG granulation (`sample` with
+    /// the gbabs method, `inspect`, `serve`). All backends produce
+    /// identical output; this only selects the query asymptotics.
     pub backend: GranulationBackend,
     /// Distance metric for granulation and prediction (GBABS method and
     /// `inspect`/`serve`): squared-Euclidean (default, the paper's
@@ -133,7 +157,7 @@ pub struct Cli {
     /// `stderr`/`-` for standard error. `None` disables access logging.
     pub access_log: Option<String>,
     /// Emit per-iteration granulation progress events to stderr
-    /// (`sample` only; GBABS method).
+    /// (`sample` with the gbabs method only).
     pub progress: bool,
     /// Backend gb-serve addresses the router shards tenants over
     /// (`router` only; `--backend`, repeatable, or `--backends` comma
@@ -219,6 +243,14 @@ pub enum ParseError {
     PreloadWithoutDir,
     /// `router` without any `--backend`/`--backends`.
     MissingBackends,
+    /// `sample` with a flag of [`METHOD_FLAGS`] the chosen method does not
+    /// read.
+    FlagNotForMethod {
+        /// The refused flag.
+        flag: &'static str,
+        /// The method that would have ignored it.
+        method: Method,
+    },
 }
 
 impl fmt::Display for ParseError {
@@ -291,6 +323,18 @@ impl fmt::Display for ParseError {
                     "router requires at least one --backend HOST:PORT (or --backends a,b,c)"
                 )
             }
+            ParseError::FlagNotForMethod { flag, method } => {
+                let readers = if *flag == "--ratio" {
+                    "srs, stratified and systematic"
+                } else {
+                    "gbabs"
+                };
+                write!(
+                    f,
+                    "{flag} does not apply to --method {} (only {readers} read it)",
+                    method.name()
+                )
+            }
         }
     }
 }
@@ -315,13 +359,15 @@ usage:
 methods: gbabs (default), ggbs, igbs, srs, stratified, systematic,
          smote, borderline-smote, adasyn, tomek, cnn, enn,
          smote-tomek, smote-enn
-         (srs/stratified/systematic require --ratio)
+         (srs/stratified/systematic require --ratio; sample refuses
+         --rho, --backend, --metric and --progress for any method but
+         gbabs, and --ratio for any but srs/stratified/systematic)
 
 options:
   -o, --output PATH   output CSV (sample)
   --method M          sampling method (default gbabs)
   --rho N             RD-GBG density tolerance (default 5, minimum 2)
-  --ratio R           keep ratio in (0,1] for the general samplers
+  --ratio R           keep ratio in (0,1] (srs/stratified/systematic)
   --seed S            RNG seed (default 42)
   --backend B         granulation index: auto (default), brute, kdtree,
                       vptree — output-identical, speed differs
@@ -404,7 +450,12 @@ pub fn parse(args: &[String]) -> Result<Cli, ParseError> {
         health_interval_ms: 500,
     };
     let mut have_input = false;
+    // The method-specific flags given, to refuse them for other methods.
+    let mut given: Vec<&'static str> = Vec::new();
     while let Some(arg) = it.next() {
+        if let Some(&flag) = METHOD_FLAGS.iter().find(|&&f| f == arg) {
+            given.push(flag);
+        }
         let mut value = |flag: &str| {
             it.next()
                 .cloned()
@@ -562,6 +613,14 @@ pub fn parse(args: &[String]) -> Result<Cli, ParseError> {
     }
     if cli.command == Command::Sample && cli.output.is_none() {
         return Err(ParseError::MissingOutput);
+    }
+    if cli.command == Command::Sample {
+        if let Some(flag) = given.into_iter().find(|f| !cli.method.reads(f)) {
+            return Err(ParseError::FlagNotForMethod {
+                flag,
+                method: cli.method,
+            });
+        }
     }
     if cli.method.needs_ratio() && !cli.ratio.is_some_and(|r| r > 0.0 && r <= 1.0) {
         return Err(ParseError::BadRatio);
@@ -911,6 +970,39 @@ mod tests {
         assert_eq!(parse_bytes("0"), None, "a zero budget is a typo");
         assert_eq!(parse_bytes("-5M"), None);
         assert_eq!(parse_bytes("lots"), None);
+    }
+
+    #[test]
+    fn sample_refuses_flags_its_method_ignores() {
+        for (line, flag, method) in [
+            ("--method smote --metric cosine", "--metric", Method::Smote),
+            ("--method ggbs --backend vptree", "--backend", Method::Ggbs),
+            ("--method igbs --backend kdtree", "--backend", Method::Igbs),
+            ("--method tomek --rho 3", "--rho", Method::Tomek),
+            ("--method enn --progress", "--progress", Method::Enn),
+            ("--method srs --ratio 0.5 --rho 3", "--rho", Method::Srs),
+            ("--method adasyn --ratio 0.5", "--ratio", Method::Adasyn),
+            ("--ratio 0.5", "--ratio", Method::Gbabs),
+        ] {
+            let err = parse(&argv(&format!("sample in.csv -o o.csv {line}"))).unwrap_err();
+            assert_eq!(err, ParseError::FlagNotForMethod { flag, method }, "{line}");
+            let message = err.to_string();
+            assert!(message.contains(flag), "{message}");
+            assert!(message.contains(method.name()), "{message}");
+        }
+    }
+
+    #[test]
+    fn gbabs_and_ratio_method_flags_still_parse() {
+        for line in [
+            "sample in.csv -o o.csv --rho 3 --backend kdtree --metric cosine --progress",
+            "sample in.csv -o o.csv --method gbabs --backend vptree --metric l1",
+            "sample in.csv -o o.csv --method stratified --ratio 0.25",
+            "inspect in.csv --rho 3 --backend brute --metric manhattan",
+            "serve in.csv --rho 4 --backend vptree --metric cosine",
+        ] {
+            assert!(parse(&argv(line)).is_ok(), "{line}");
+        }
     }
 
     #[test]

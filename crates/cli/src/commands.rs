@@ -11,11 +11,9 @@ use gbabs::{gbabs, GbabsSampler, RdGbgConfig, Sampler};
 use std::fmt::Write as _;
 
 /// Builds the requested sampler. `ratio` must be validated by the parser
-/// for the ratio-based methods; `backend` selects the neighbour index of
-/// every granulation-based method (GBABS, GGBS, IGBS) — output-invariant,
-/// speed only — and is ignored by the index-free samplers. `metric`
-/// selects the distance metric of the GBABS granulation (the baselines
-/// stay squared-Euclidean, matching their papers).
+/// for the ratio-based methods. `backend` (the neighbour index:
+/// output-invariant, speed only) and `metric` reach the GBABS granulation
+/// only; the parser refuses them for every other method.
 #[must_use]
 pub fn build_sampler(
     method: Method,
@@ -30,18 +28,8 @@ pub fn build_sampler(
             backend,
             metric,
         }),
-        Method::Ggbs => Box::new(Ggbs {
-            config: gb_sampling::ggbs::GgbsConfig {
-                backend,
-                ..Default::default()
-            },
-        }),
-        Method::Igbs => Box::new(Igbs {
-            config: gb_sampling::igbs::IgbsConfig {
-                backend,
-                ..Default::default()
-            },
-        }),
+        Method::Ggbs => Box::new(Ggbs::default()),
+        Method::Igbs => Box::new(Igbs::default()),
         Method::Srs => Box::new(Srs::new(ratio.expect("parser enforces ratio"))),
         Method::Stratified => Box::new(Stratified::new(ratio.expect("parser enforces ratio"))),
         Method::Systematic => Box::new(Systematic::new(ratio.expect("parser enforces ratio"))),
@@ -89,10 +77,11 @@ fn sample(cli: &Cli, data: &Dataset) -> Result<String, String> {
         ));
     }
     let sampler = build_sampler(cli.method, cli.rho, cli.ratio, cli.backend, cli.metric);
-    let out = if cli.progress && cli.method == Method::Gbabs {
-        // Instrumented path: same algorithm, with per-iteration progress
-        // events printed to stderr. The sink only observes — the sampled
-        // output is bit-identical to the uninstrumented run.
+    let out = if cli.progress {
+        // Instrumented path (the parser admits --progress for gbabs only):
+        // same algorithm, with per-iteration progress events printed to
+        // stderr. The sink only observes — the sampled output is
+        // bit-identical to the uninstrumented run.
         let cfg = RdGbgConfig {
             density_tolerance: cli.rho,
             seed: cli.seed,
@@ -107,13 +96,6 @@ fn sample(cli: &Cli, data: &Dataset) -> Result<String, String> {
             kept_rows: Some(res.sampled_rows),
         }
     } else {
-        if cli.progress {
-            eprintln!(
-                "note: --progress is instrumented for the gbabs method only; \
-                 running {} without progress events",
-                sampler.name()
-            );
-        }
         sampler.sample(data, cli.seed)
     };
     if out.dataset.n_samples() == 0 {

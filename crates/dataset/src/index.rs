@@ -1,5 +1,5 @@
 //! The `NeighborIndex` abstraction: one API over the brute-force scan
-//! ([`crate::neighbors`]), the KD-tree ([`crate::kdtree`]) and the VP-tree
+//! ([`BruteIndex`]), the KD-tree ([`crate::kdtree`]) and the VP-tree
 //! ([`crate::vptree`]), with **tombstone deletion** so RD-GBG can remove
 //! covered rows from the undivided set without rebuilding from scratch.
 //!
@@ -20,9 +20,12 @@
 //!   through the same scalar helper, so normalized coordinates — and hence
 //!   all results — are bit-identical across backends and kernel tiers.
 //!
-//! Because every backend is exact and applies the identical tie-break, the
-//! RD-GBG models built on top of them are **bit-identical** across
-//! backends; the backend only changes the asymptotics:
+//! Every backend computes its distances in one scan, `scan_rows`: the
+//! brute sweep runs it over the packed alive rows, the trees over each
+//! visited leaf's packed bucket. Because that scan is exact and every
+//! backend applies the identical tie-break, the RD-GBG models built on
+//! top of them are **bit-identical** across backends; the backend only
+//! changes the asymptotics:
 //!
 //! | operation            | Brute  | KdTree (low p)  | VpTree (low intrinsic dim) |
 //! |----------------------|--------|-----------------|----------------------------|
@@ -37,14 +40,18 @@
 //! backend streams its alive rows once for all of them through the
 //! blocked many-to-many kernel ([`Metric::dist_block`]), so each row is
 //! read once per batch instead of once per query; the trees loop. RD-GBG
-//! fetches each iteration's density hoods this way on the brute backend.
+//! fetches each iteration's density hoods this way on the brute backend,
+//! and the neighbour-based samplers fetch their hoods through
+//! [`BruteIndex::k_nearest_sq_par`].
 //!
 //! Tree queries degrade toward O(n) as the (intrinsic) dimensionality
 //! grows; [`GranulationBackend::Auto`] picks the KD-tree up to 24
 //! features and the brute backend beyond.
 
 use crate::dataset::Dataset;
-use crate::distance::{calibrated_leaf_size, manhattan, sq_euclidean, Metric, LANE_WIDTH};
+use crate::distance::{
+    calibrated_leaf_size, manhattan, sq_dist_block, sq_euclidean, Metric, LANE_WIDTH,
+};
 use crate::kdtree::KdTree;
 use crate::vptree::VpTree;
 use std::fmt;
@@ -273,13 +280,12 @@ const ASSIGN_BLOCK: usize = 128;
 /// k-division / 2-means granulation lineage, routed through the blocked
 /// many-to-many kernel with the **centroids as the query tile**. For every
 /// row of the row-major `points` block (each `n_features` wide), writes the
-/// index of its nearest centroid in the row-major `centroids` block into
-/// `out`; ties break toward the **smaller centroid index**, so callers
-/// that gather centroids in ascending row order inherit the workspace's
-/// smaller-row tie-break.
+/// index of its nearest centroid (squared Euclidean) in the row-major
+/// `centroids` block into `out`; ties break toward the **smaller centroid
+/// index**, so callers that gather centroids in ascending row order
+/// inherit the workspace's smaller-row tie-break.
 ///
-/// Determinism: distances come from
-/// [`sq_dist_block`](crate::distance::sq_dist_block), which is
+/// Determinism: distances come from [`sq_dist_block`], which is
 /// bit-identical to the per-pair kernels per the width-keyed contract (and
 /// `(a-b)²` is bitwise symmetric), and the argmin still walks centroids in
 /// ascending index with strict `<` — so routing through the register tile
@@ -289,41 +295,6 @@ const ASSIGN_BLOCK: usize = 128;
 /// Panics unless `points.len()` and `centroids.len()` are multiples of
 /// `n_features` (`n_features > 0`) and `out` holds one slot per point row.
 pub fn assign_to_nearest(points: &[f64], centroids: &[f64], n_features: usize, out: &mut [u32]) {
-    assign_prepared(Metric::SqEuclidean, points, centroids, n_features, out);
-}
-
-/// [`assign_to_nearest`] under an explicit metric. Cosine normalizes
-/// copies of both blocks first (the Lloyd callers pass raw means); the
-/// other metrics run zero-copy.
-///
-/// # Panics
-/// Same shape contract as [`assign_to_nearest`].
-pub fn assign_to_nearest_with(
-    metric: Metric,
-    points: &[f64],
-    centroids: &[f64],
-    n_features: usize,
-    out: &mut [u32],
-) {
-    if metric.normalizes() {
-        let mut pts = points.to_vec();
-        let mut cents = centroids.to_vec();
-        metric.prepare_rows(&mut pts, n_features);
-        metric.prepare_rows(&mut cents, n_features);
-        assign_prepared(metric, &pts, &cents, n_features, out);
-    } else {
-        assign_prepared(metric, points, centroids, n_features, out);
-    }
-}
-
-/// Shared argmin sweep over kernel-ready blocks.
-fn assign_prepared(
-    metric: Metric,
-    points: &[f64],
-    centroids: &[f64],
-    n_features: usize,
-    out: &mut [u32],
-) {
     assert!(n_features > 0, "assign_to_nearest needs n_features > 0");
     assert_eq!(
         points.len(),
@@ -355,7 +326,7 @@ fn assign_prepared(
         // Parity with the per-pair loops: centroid 0 wins when no distance
         // compares below +inf (all-NaN rows included).
         out[lo..hi].fill(0);
-        metric.dist_block(
+        sq_dist_block(
             centroids,
             block,
             n_features,
@@ -465,27 +436,6 @@ pub trait NeighborIndex: Send + Sync {
     ) -> Box<dyn Iterator<Item = SqNeighbor> + 'a> {
         Box::new(DistanceOrdered::new(self, query))
     }
-
-    /// Bulk assign-to-nearest-centroid over caller-supplied row-major
-    /// blocks — the Lloyd-step query of the k-division / 2-means lineage.
-    /// The default implementation is the dense blocked-kernel sweep
-    /// [`assign_to_nearest_with`] under [`NeighborIndex::metric`]
-    /// (backend-independent by construction: every backend runs the
-    /// identical SIMD path, so outputs cannot differ); it lives on the
-    /// trait so a future centroid-indexed backend can override it for
-    /// large centroid sets without touching callers.
-    ///
-    /// # Panics
-    /// Same block-shape contract as [`assign_to_nearest`].
-    fn assign_to_centroids(
-        &self,
-        points: &[f64],
-        centroids: &[f64],
-        n_features: usize,
-        out: &mut [u32],
-    ) {
-        assign_to_nearest_with(self.metric(), points, centroids, n_features, out);
-    }
 }
 
 /// Shared tombstone state for the tree indexes: the alive bitmap plus the
@@ -540,13 +490,192 @@ impl Tombstones {
     }
 }
 
+/// Rows per batched-kernel call in the brute sweeps, single or batched.
+const SCAN_BLOCK: usize = 128;
+
+/// Rows per batched-kernel call in a tree leaf scan: the wide-row leaf size
+/// of [`calibrated_leaf_size`], so a full leaf of wide rows is one kernel
+/// call (a degenerate leaf of identical rows, which cannot split, runs
+/// longer and chunks). Small on purpose: the scan's distance buffer is
+/// zeroed on every leaf visit.
+const LEAF_BLOCK: usize = 32;
+
+/// Which rows of a [`scan_rows`] sweep reach its `hit` callback.
+#[derive(Clone, Copy)]
+pub(crate) enum ScanFilter<K> {
+    /// Every slot but one (`usize::MAX` = none). Wide blocks stay fully
+    /// batched: the one slot's distance is computed and dropped.
+    SkipSlot(usize),
+    /// The rows whose id `K` admits. A fully admitted block of wide rows is
+    /// batched; in a filtered block only the kept rows pay a per-pair
+    /// kernel call, so rejected distances are never computed.
+    Keep(K),
+}
+
+/// The filter type of a skip-only scan (no predicate).
+type NoKeep = fn(u32) -> bool;
+
+/// The one neighbour scan under every backend. `points` packs `ids.len()`
+/// metric-prepared rows of `query.len()` features, slot `s` holding row
+/// `ids[s]`; `hit(ids[s], value)` receives the kernel value of every slot
+/// `filter` admits, in slot order.
+///
+/// Sub-lane rows (`p < LANE_WIDTH`) have no vector work to batch: they take
+/// one fused loop of the inline per-pair kernel, with the metric branch
+/// hoisted out of it. Wider rows go in blocks of `BLOCK`: a fully admitted
+/// block is one [`Metric::one_to_many`] call over its contiguous slab, a
+/// filtered block pays [`Metric::pair`] for its kept rows only. Every path
+/// computes a row's value with the same width-keyed lane tree (kernel
+/// contract v2), so the value is bit-identical whichever path the row
+/// takes — and across the backends, whose blocks differ.
+pub(crate) fn scan_rows<const BLOCK: usize, K: Fn(u32) -> bool>(
+    metric: Metric,
+    query: &[f64],
+    points: &[f64],
+    ids: &[u32],
+    filter: ScanFilter<K>,
+    mut hit: impl FnMut(u32, f64),
+) {
+    let p = query.len();
+    debug_assert_eq!(points.len(), ids.len() * p, "one packed row per id");
+    if p < LANE_WIDTH {
+        // Cosine shares the squared-Euclidean loop: its rows and query
+        // come normalized.
+        if metric == Metric::Manhattan {
+            scan_pairs(manhattan, query, points, ids, filter, hit);
+        } else {
+            scan_pairs(sq_euclidean, query, points, ids, filter, hit);
+        }
+        return;
+    }
+    let mut dists = [0.0f64; BLOCK];
+    for (b, block) in ids.chunks(BLOCK).enumerate() {
+        let lo = b * BLOCK;
+        let rows = &points[lo * p..(lo + block.len()) * p];
+        let dists = &mut dists[..block.len()];
+        match &filter {
+            ScanFilter::SkipSlot(skip) => {
+                metric.one_to_many(query, rows, dists);
+                for (s, (&id, &d)) in block.iter().zip(dists.iter()).enumerate() {
+                    if lo + s != *skip {
+                        hit(id, d);
+                    }
+                }
+            }
+            ScanFilter::Keep(keep) => {
+                let mut admitted = [false; BLOCK];
+                let mut kept = 0usize;
+                for (a, &id) in admitted.iter_mut().zip(block) {
+                    *a = keep(id);
+                    kept += usize::from(*a);
+                }
+                if kept == block.len() {
+                    metric.one_to_many(query, rows, dists);
+                    for (&id, &d) in block.iter().zip(dists.iter()) {
+                        hit(id, d);
+                    }
+                } else if kept > 0 {
+                    for ((&id, &a), row) in block.iter().zip(&admitted).zip(rows.chunks_exact(p)) {
+                        if a {
+                            hit(id, metric.pair(query, row));
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// [`scan_rows`]'s sub-lane loop for one inline kernel, the filter's
+/// branch hoisted out of it too.
+#[inline(always)]
+fn scan_pairs<K: Fn(u32) -> bool>(
+    kernel: impl Fn(&[f64], &[f64]) -> f64,
+    query: &[f64],
+    points: &[f64],
+    ids: &[u32],
+    filter: ScanFilter<K>,
+    mut hit: impl FnMut(u32, f64),
+) {
+    let p = query.len();
+    let slots = ids.iter().enumerate();
+    match filter {
+        ScanFilter::SkipSlot(skip) => {
+            for (s, &id) in slots.filter(|&(s, _)| s != skip) {
+                hit(id, kernel(query, &points[s * p..(s + 1) * p]));
+            }
+        }
+        ScanFilter::Keep(keep) => {
+            for (s, &id) in slots.filter(|&(_, &id)| keep(id)) {
+                hit(id, kernel(query, &points[s * p..(s + 1) * p]));
+            }
+        }
+    }
+}
+
+/// The leaf buckets of a tree index: every leaf's row ids and a copy of
+/// their coordinates, packed leaf after leaf, so a leaf visit is one
+/// [`scan_rows`] over a gap-free slab. Rebuilt with the tree's arena.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Leaves {
+    ids: Vec<u32>,
+    points: Vec<f64>,
+}
+
+impl Leaves {
+    pub(crate) fn with_capacity(rows: usize, p: usize) -> Self {
+        Self {
+            ids: Vec::with_capacity(rows),
+            points: Vec::with_capacity(rows * p),
+        }
+    }
+
+    pub(crate) fn clear(&mut self) {
+        self.ids.clear();
+        self.points.clear();
+    }
+
+    /// Appends a leaf over `rows`, copying their coordinates out of the
+    /// row-major `points` (`p` wide); returns the leaf's slot range.
+    pub(crate) fn push(&mut self, rows: &[u32], points: &[f64], p: usize) -> (usize, usize) {
+        let start = self.ids.len();
+        self.ids.extend_from_slice(rows);
+        for &r in rows {
+            let base = r as usize * p;
+            self.points.extend_from_slice(&points[base..base + p]);
+        }
+        (start, self.ids.len())
+    }
+
+    /// Scans the leaf at slots `start..end` for `query`, passing every row
+    /// `keep` admits to `hit` with its kernel value.
+    pub(crate) fn scan(
+        &self,
+        (start, end): (usize, usize),
+        metric: Metric,
+        query: &[f64],
+        keep: impl Fn(u32) -> bool,
+        hit: impl FnMut(u32, f64),
+    ) {
+        let p = query.len();
+        scan_rows::<LEAF_BLOCK, _>(
+            metric,
+            query,
+            &self.points[start * p..end * p],
+            &self.ids[start..end],
+            ScanFilter::Keep(keep),
+            hit,
+        );
+    }
+}
+
 /// Brute-force [`NeighborIndex`]: alive rows kept **densely packed** in a
 /// contiguous row-major buffer, scanned in blocks through the batched
-/// [`crate::distance::sq_euclidean_one_to_many`] kernel. `delete` is O(p)
-/// via a block swap-remove; scans touch only alive rows no matter how many
-/// tombstones have accumulated, so late RD-GBG iterations stay cheap — and
-/// because the buffer compacts itself on every delete, the SIMD kernel
-/// always streams a gap-free slab.
+/// [`Metric::one_to_many`] kernel. `delete` is O(p) via a block
+/// swap-remove; scans touch only alive rows no matter how many tombstones
+/// have accumulated, so late RD-GBG iterations stay cheap — and because
+/// the buffer compacts itself on every delete, the SIMD kernel always
+/// streams a gap-free slab.
 #[derive(Debug, Clone)]
 pub struct BruteIndex {
     labels: Vec<u32>,
@@ -564,19 +693,9 @@ pub struct BruteIndex {
 
 const GONE: u32 = u32::MAX;
 
-/// Rows per batched-kernel call in the brute scans, single or batched.
-const SCAN_BLOCK: usize = 128;
-
-/// Row filter for the brute sweeps — see [`BruteIndex`]'s `scan_blocked`.
-#[derive(Clone, Copy)]
-enum ScanFilter<'a> {
-    /// Exclude at most one alive *slot* (`usize::MAX` = none); the sweep
-    /// stays fully batched.
-    SkipSlot(usize),
-    /// Arbitrary predicate over original row ids; engages the hybrid
-    /// dense/sparse path.
-    Keep(&'a (dyn Fn(u32) -> bool + Sync)),
-}
+/// Queries per tile in [`BruteIndex::k_nearest_sq_par`]: each tile is one
+/// blocked sweep that loads every alive row once for all of its queries.
+const QUERY_TILE: usize = 16;
 
 impl BruteIndex {
     /// Builds the index over every row of `data` (squared Euclidean).
@@ -607,6 +726,41 @@ impl BruteIndex {
             alive_points,
             position: (0..n as u32).collect(),
         }
+    }
+
+    /// Answers a long list of k-NN queries in parallel. Rows of a lane
+    /// width or more go in tiles of 16 queries, each tile one
+    /// [`NeighborIndex::k_nearest_sq_many`] sweep that reads every alive
+    /// row once for the whole tile; sub-lane rows, where the blocked kernel
+    /// has no vector work, take one [`NeighborIndex::k_nearest_sq`] per
+    /// query. Entry `i` equals `k_nearest_sq(queries[i], k, skips[i])` bit
+    /// for bit, for any thread count.
+    ///
+    /// # Panics
+    /// When `queries` and `skips` differ in length.
+    #[must_use]
+    pub fn k_nearest_sq_par(
+        &self,
+        queries: &[&[f64]],
+        k: usize,
+        skips: &[Option<usize>],
+    ) -> Vec<Vec<SqNeighbor>> {
+        use rayon::prelude::*;
+        assert_eq!(queries.len(), skips.len(), "one skip per query");
+        if self.n_features < LANE_WIDTH {
+            return (0..queries.len())
+                .into_par_iter()
+                .map(|i| self.k_nearest_sq(queries[i], k, skips[i]))
+                .collect();
+        }
+        let tiles: Vec<Vec<Vec<SqNeighbor>>> = (0..queries.len().div_ceil(QUERY_TILE))
+            .into_par_iter()
+            .map(|t| {
+                let tile = t * QUERY_TILE..((t + 1) * QUERY_TILE).min(queries.len());
+                self.k_nearest_sq_many(&queries[tile.clone()], k, &skips[tile])
+            })
+            .collect();
+        tiles.into_iter().flatten().collect()
     }
 }
 
@@ -650,6 +804,7 @@ impl NeighborIndex for BruteIndex {
     }
 
     fn k_nearest_sq(&self, query: &[f64], k: usize, skip: Option<usize>) -> Vec<SqNeighbor> {
+        assert_eq!(query.len(), self.n_features, "query width mismatch");
         if k == 0 {
             return Vec::new();
         }
@@ -675,7 +830,7 @@ impl NeighborIndex for BruteIndex {
     ) -> Option<SqNeighbor> {
         let query = self.metric.prepare_query(query);
         let keep = move |row: u32| Some(row as usize) != skip && self.labels[row as usize] != label;
-        self.scan_best(&query, 1, ScanFilter::Keep(&keep))
+        self.scan_best(&query, 1, ScanFilter::Keep(keep))
             .into_sorted()
             .first()
             .copied()
@@ -693,7 +848,7 @@ impl NeighborIndex for BruteIndex {
         let filter = self.skip_filter(skip);
         let mut parts = self.scan_parts(self.scan_chunks(), |slot_lo, slot_hi| {
             let mut out = Vec::new();
-            self.scan_blocked(slot_lo, slot_hi, query, filter, |row, d| {
+            self.scan_slots(slot_lo, slot_hi, query, filter, |row, d| {
                 if bound.admits(d, sq_bound) {
                     out.push(SqNeighbor {
                         row: row as usize,
@@ -757,130 +912,50 @@ impl BruteIndex {
 
     /// The filter for a skip-only query: resolves the skipped row to its
     /// current slot so the sweep stays fully batched.
-    fn skip_filter(&self, skip: Option<usize>) -> ScanFilter<'_> {
+    fn skip_filter(&self, skip: Option<usize>) -> ScanFilter<NoKeep> {
         ScanFilter::SkipSlot(self.skip_slot(skip))
     }
 
-    /// Blocked sweep over the packed alive buffer. A [`ScanFilter::SkipSlot`]
-    /// query batches every block through the one-to-many kernel (the one
-    /// excluded slot's distance is computed and discarded); an arbitrary
-    /// [`ScanFilter::Keep`] predicate engages the hybrid path — a fully
-    /// admitted block is batched, a filtered block (heterogeneous-label
-    /// queries) pays per-pair calls for kept rows only, so rejected
-    /// distances are never computed. Every path uses the same kernel tier
-    /// → bit-identical distances.
-    fn scan_blocked(
+    /// [`scan_rows`] over the alive slots `slot_lo..slot_hi`.
+    fn scan_slots<K: Fn(u32) -> bool>(
         &self,
         slot_lo: usize,
         slot_hi: usize,
         query: &[f64],
-        filter: ScanFilter<'_>,
-        mut hit: impl FnMut(u32, f64),
+        filter: ScanFilter<K>,
+        hit: impl FnMut(u32, f64),
     ) {
         let p = self.n_features;
-        let mut dists = [0.0f64; SCAN_BLOCK];
-        let mut lo = slot_lo;
-        match filter {
-            ScanFilter::SkipSlot(skip_slot) if p >= LANE_WIDTH => {
-                while lo < slot_hi {
-                    let hi = (lo + SCAN_BLOCK).min(slot_hi);
-                    self.metric.one_to_many(
-                        query,
-                        &self.alive_points[lo * p..hi * p],
-                        &mut dists[..hi - lo],
-                    );
-                    for s in lo..hi {
-                        if s != skip_slot {
-                            hit(self.alive_rows[s], dists[s - lo]);
-                        }
-                    }
-                    lo = hi;
-                }
+        let filter = match filter {
+            ScanFilter::SkipSlot(skip) => {
+                ScanFilter::SkipSlot(skip.checked_sub(slot_lo).unwrap_or(usize::MAX))
             }
-            ScanFilter::SkipSlot(skip_slot) if self.metric == Metric::Manhattan => {
-                // Sub-lane L1 rows: same bare-loop shape as the Euclidean
-                // arm below, with the L1 inline kernel.
-                for s in slot_lo..slot_hi {
-                    if s != skip_slot {
-                        let d = manhattan(query, &self.alive_points[s * p..(s + 1) * p]);
-                        hit(self.alive_rows[s], d);
-                    }
-                }
-            }
-            ScanFilter::SkipSlot(skip_slot) => {
-                // Sub-lane rows: no vector work to batch — one tight loop
-                // of the inline per-pair kernel over the packed buffer.
-                // (Cosine shares it: its kernel value is squared Euclidean
-                // on the pre-normalized buffer/query.)
-                for s in slot_lo..slot_hi {
-                    if s != skip_slot {
-                        let d = sq_euclidean(query, &self.alive_points[s * p..(s + 1) * p]);
-                        hit(self.alive_rows[s], d);
-                    }
-                }
-            }
-            ScanFilter::Keep(keep) if p < LANE_WIDTH => {
-                // Sub-lane rows: fused filter + inline per-pair kernel,
-                // one metric branch hoisted out of the loop.
-                if self.metric == Metric::Manhattan {
-                    for s in slot_lo..slot_hi {
-                        if keep(self.alive_rows[s]) {
-                            let d = manhattan(query, &self.alive_points[s * p..(s + 1) * p]);
-                            hit(self.alive_rows[s], d);
-                        }
-                    }
-                } else {
-                    for s in slot_lo..slot_hi {
-                        if keep(self.alive_rows[s]) {
-                            let d = sq_euclidean(query, &self.alive_points[s * p..(s + 1) * p]);
-                            hit(self.alive_rows[s], d);
-                        }
-                    }
-                }
-            }
-            ScanFilter::Keep(keep) => {
-                let mut admitted = [false; SCAN_BLOCK];
-                while lo < slot_hi {
-                    let hi = (lo + SCAN_BLOCK).min(slot_hi);
-                    let mut kept = 0usize;
-                    for s in lo..hi {
-                        admitted[s - lo] = keep(self.alive_rows[s]);
-                        kept += usize::from(admitted[s - lo]);
-                    }
-                    if kept == hi - lo {
-                        self.metric.one_to_many(
-                            query,
-                            &self.alive_points[lo * p..hi * p],
-                            &mut dists[..hi - lo],
-                        );
-                        for s in lo..hi {
-                            hit(self.alive_rows[s], dists[s - lo]);
-                        }
-                    } else if kept > 0 {
-                        for s in lo..hi {
-                            if admitted[s - lo] {
-                                let d = self
-                                    .metric
-                                    .pair(query, &self.alive_points[s * p..(s + 1) * p]);
-                                hit(self.alive_rows[s], d);
-                            }
-                        }
-                    }
-                    lo = hi;
-                }
-            }
-        }
+            keep => keep,
+        };
+        scan_rows::<SCAN_BLOCK, _>(
+            self.metric,
+            query,
+            &self.alive_points[slot_lo * p..slot_hi * p],
+            &self.alive_rows[slot_lo..slot_hi],
+            filter,
+            hit,
+        );
     }
 
-    /// Best-`k` scan over the packed alive buffer, blocked through the
-    /// batched kernel and chunked across threads when large. The merge
-    /// applies the same `(sq_dist, row)` total order as a serial scan, so
-    /// the result is independent of chunking and thread count.
-    fn scan_best(&self, query: &[f64], k: usize, filter: ScanFilter<'_>) -> KBest {
+    /// Best-`k` scan over the packed alive buffer, chunked across threads
+    /// when large. The merge applies the same `(sq_dist, row)` total order
+    /// as a serial scan, so the result is independent of chunking and
+    /// thread count.
+    fn scan_best<K: Fn(u32) -> bool + Copy + Sync>(
+        &self,
+        query: &[f64],
+        k: usize,
+        filter: ScanFilter<K>,
+    ) -> KBest {
         let mut parts = self
             .scan_parts(self.scan_chunks(), |slot_lo, slot_hi| {
                 let mut best = KBest::new(k);
-                self.scan_blocked(slot_lo, slot_hi, query, filter, |row, d| {
+                self.scan_slots(slot_lo, slot_hi, query, filter, |row, d| {
                     best.insert(d, row as usize);
                 });
                 best
@@ -908,6 +983,7 @@ impl BruteIndex {
         }
         let mut tile = Vec::with_capacity(queries.len() * self.n_features);
         for query in queries {
+            assert_eq!(query.len(), self.n_features, "query width mismatch");
             tile.extend_from_slice(&self.metric.prepare_query(query));
         }
         let skip_slots: Vec<usize> = skips.iter().map(|&skip| self.skip_slot(skip)).collect();
@@ -1265,8 +1341,21 @@ mod tests {
 
     #[test]
     fn all_backends_agree_with_reference_under_deletions() {
-        for (n, p) in [(120usize, 2usize), (150, 7), (90, 40)] {
-            let data = random_data(n, p, 3, n as u64);
+        // The last input is a 1-d line of repeated integer points, where
+        // every query meets exact duplicates and equidistant rows.
+        let line = Dataset::from_parts(
+            (0..60).map(|i| f64::from(i % 7)).collect(),
+            vec![0; 60],
+            1,
+            1,
+        );
+        for data in [
+            random_data(120, 2, 3, 120),
+            random_data(150, 7, 3, 150),
+            random_data(90, 40, 3, 90),
+            line,
+        ] {
+            let (n, p) = (data.n_samples(), data.n_features());
             let mut alive = vec![true; n];
             let mut idx = backends(&data);
             let mut rng = rng_from_seed(17);
@@ -1459,11 +1548,6 @@ mod tests {
                 }
                 assert_eq!(got as usize, best, "p={p} row {r}");
             }
-            // Trait-default routing is the same function.
-            let ix = GranulationBackend::VpTree.build(&data);
-            let mut via_trait = vec![u32::MAX; 300];
-            ix.assign_to_centroids(data.features(), cents.features(), p, &mut via_trait);
-            assert_eq!(out, via_trait, "p={p}");
         }
     }
 

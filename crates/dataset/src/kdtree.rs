@@ -1,6 +1,6 @@
 //! KD-tree exact nearest-neighbour index.
 //!
-//! The brute-force search in [`crate::neighbors`] is the reference
+//! The brute-force scan ([`crate::index::BruteIndex`]) is the reference
 //! implementation; this median-split KD-tree gives the same exact results
 //! with `O(log n)`-ish queries on low/medium-dimensional data (the regime of
 //! most catalog datasets). High-dimensional data (S12, S13) degrades toward
@@ -15,15 +15,14 @@
 //! original `n`. Results are unaffected (rebuilds only change traversal
 //! order, and queries are exact).
 //!
-//! For rows of a lane width or more, leaf buckets keep a
-//! **leaf-contiguous** copy of their rows' coordinates so a fully-admitted
-//! leaf scan is one batched [`Metric::one_to_many`] call — the SIMD
-//! kernel streams a gap-free block instead of chasing row indices — while
-//! filtered leaves pay per-pair [`Metric::pair`] calls for admitted rows
-//! only (same lane tree → same bits). Sub-lane datasets skip the copy and
-//! scan per-pair with the inline sequential kernel, which is both the
-//! fastest and the canonical order at those widths. Cross-backend
-//! bit-identity is preserved in every case.
+//! Leaf buckets keep a **leaf-contiguous** copy of their rows'
+//! coordinates, and a leaf visit runs the index module's shared scan over
+//! it — the same scan the brute backend and the VP-tree run: for rows of
+//! a lane width or more a fully-admitted leaf is one batched
+//! [`Metric::one_to_many`] call over a gap-free block, a filtered leaf
+//! pays per-pair [`Metric::pair`] calls for admitted rows only, and
+//! sub-lane rows go per-pair through the inline sequential kernel.
+//! Cross-backend bit-identity is preserved in every case.
 //!
 //! Splitting-plane pruning is metric-aware: the gap to a splitting plane is
 //! `diff²` in squared-Euclidean kernel space, `|diff|` in Manhattan, and
@@ -34,20 +33,14 @@
 //! Euclidean over unit vectors.
 
 use crate::dataset::Dataset;
-use crate::distance::{manhattan, sq_euclidean, Metric, LANE_WIDTH};
-use crate::index::{KBest, NeighborIndex, RangeBound, SqNeighbor, Tombstones};
-use crate::neighbors::Neighbor;
+use crate::distance::Metric;
+use crate::index::{KBest, Leaves, NeighborIndex, RangeBound, SqNeighbor, Tombstones};
 
 /// A node of the tree (arena-allocated).
 #[derive(Debug, Clone)]
 enum Node {
-    Leaf {
-        /// Row indices stored at this leaf.
-        rows: Vec<u32>,
-        /// First slot of this leaf's contiguous block in `leaf_points`
-        /// (slot `start + i` holds the coordinates of `rows[i]`).
-        start: usize,
-    },
+    /// A bucket: the slot range `start..end` of the tree's [`Leaves`].
+    Leaf((usize, usize)),
     Split {
         /// Splitting dimension.
         dim: usize,
@@ -58,12 +51,6 @@ enum Node {
     },
 }
 
-/// Rows per batched-kernel call when scanning a leaf block (degenerate
-/// leaves can exceed `leaf_size`, so leaf scans chunk). Matches the default
-/// `leaf_size`: the scratch buffers live on the stack and are re-zeroed per
-/// leaf visit, so oversizing them costs more than the chunking saves.
-const LEAF_BLOCK: usize = 16;
-
 /// An immutable KD-tree over the rows of a dataset snapshot.
 #[derive(Debug, Clone)]
 pub struct KdTree {
@@ -71,10 +58,9 @@ pub struct KdTree {
     /// Flattened copy of the indexed points (row-major, original row order;
     /// used when (re)building).
     points: Vec<f64>,
-    /// Leaf-contiguous copy of the points: every leaf's rows occupy one
-    /// gap-free row-major block, so leaf scans run through the batched
-    /// one-to-many kernel instead of per-pair calls. Rebuilt with the arena.
-    leaf_points: Vec<f64>,
+    /// The leaf buckets' rows and packed coordinates. Rebuilt with the
+    /// arena.
+    leaves: Leaves,
     /// Copied labels (for heterogeneous queries).
     labels: Vec<u32>,
     n_features: usize,
@@ -112,7 +98,7 @@ impl KdTree {
         let mut tree = Self {
             nodes: Vec::new(),
             points,
-            leaf_points: Vec::with_capacity(data.features().len()),
+            leaves: Leaves::with_capacity(n, data.n_features()),
             labels: data.labels().to_vec(),
             n_features: data.n_features(),
             n_rows: n,
@@ -128,7 +114,7 @@ impl KdTree {
     /// Rebuilds the node arena over the currently alive rows.
     fn rebuild(&mut self) {
         self.nodes.clear();
-        self.leaf_points.clear();
+        self.leaves.clear();
         let mut rows = self.tombstones.begin_rebuild();
         if rows.is_empty() {
             self.push_leaf(&[]);
@@ -141,27 +127,11 @@ impl KdTree {
         self.points[row as usize * self.n_features + dim]
     }
 
-    /// Appends a leaf node, copying its rows' coordinates into the
-    /// leaf-contiguous buffer. Sub-lane datasets skip the copy entirely:
-    /// their leaf scans go per-pair over `points` (the batched kernel has
-    /// no vector work below one lane width), so the second buffer would be
-    /// pure cache pressure.
+    /// Appends a leaf node over `rows`.
     fn push_leaf(&mut self, rows: &[u32]) -> usize {
-        let p = self.n_features;
-        let start = self.leaf_points.len() / p.max(1);
-        if p >= LANE_WIDTH {
-            for &r in rows {
-                let base = r as usize * p;
-                self.leaf_points
-                    .extend_from_slice(&self.points[base..base + p]);
-            }
-        }
-        let idx = self.nodes.len();
-        self.nodes.push(Node::Leaf {
-            rows: rows.to_vec(),
-            start,
-        });
-        idx
+        let slots = self.leaves.push(rows, &self.points, self.n_features);
+        self.nodes.push(Node::Leaf(slots));
+        self.nodes.len() - 1
     }
 
     fn build_node(&mut self, rows: &mut [u32]) -> usize {
@@ -228,11 +198,8 @@ impl KdTree {
         }
         debug_assert!(!left_rows.is_empty() && !right_rows.is_empty());
         let idx = self.nodes.len();
-        // placeholder, replaced with the Split below (no leaf_points copy)
-        self.nodes.push(Node::Leaf {
-            rows: Vec::new(),
-            start: 0,
-        });
+        // placeholder, replaced with the Split below
+        self.nodes.push(Node::Leaf((0, 0)));
         let left = self.build_node(&mut left_rows);
         let right = self.build_node(&mut right_rows);
         self.nodes[idx] = Node::Split {
@@ -256,96 +223,6 @@ impl KdTree {
         self.n_rows == 0
     }
 
-    /// Exact `k` nearest neighbours of `query`, sorted ascending by
-    /// `(distance, row)`; `skip` excludes one row (the query's own).
-    /// Tombstoned rows are excluded.
-    #[must_use]
-    pub fn k_nearest(&self, query: &[f64], k: usize, skip: Option<usize>) -> Vec<Neighbor> {
-        self.k_nearest_sq(query, k, skip)
-            .into_iter()
-            .map(|h| Neighbor {
-                index: h.row,
-                distance: self.metric.rank_of(h.sq_dist),
-            })
-            .collect()
-    }
-
-    /// Scans one leaf, invoking `hit` with `(row, sq_dist)` for every row
-    /// admitted by `pass`. Hybrid: when a whole chunk passes the filter
-    /// (the common case — fully-alive leaf, unfiltered query) the distances
-    /// come from one batched kernel sweep over the contiguous block; when
-    /// the filter rejects rows (tombstones, heterogeneous-label queries)
-    /// only admitted rows pay a per-pair kernel call, so filtered scans
-    /// never compute distances they will throw away. Both paths use the
-    /// same kernel tier, so distances are bit-identical either way.
-    fn scan_leaf(
-        &self,
-        rows: &[u32],
-        start: usize,
-        query: &[f64],
-        pass: impl Fn(u32) -> bool,
-        mut hit: impl FnMut(u32, f64),
-    ) {
-        let p = self.n_features;
-        if p < LANE_WIDTH {
-            // Sub-lane rows have no vector work to batch: one fused loop
-            // of the inline per-pair kernel over `points`, exactly the
-            // pre-SIMD shape (no leaf_points copy exists at these widths).
-            // The metric branch is hoisted so the hot loop stays tight
-            // (cosine shares the squared-Euclidean loop: rows and query
-            // are already normalized).
-            if self.metric == Metric::Manhattan {
-                for &r in rows {
-                    if pass(r) {
-                        let base = r as usize * p;
-                        hit(r, manhattan(query, &self.points[base..base + p]));
-                    }
-                }
-            } else {
-                for &r in rows {
-                    if pass(r) {
-                        let base = r as usize * p;
-                        hit(r, sq_euclidean(query, &self.points[base..base + p]));
-                    }
-                }
-            }
-            return;
-        }
-        let mut dists = [0.0f64; LEAF_BLOCK];
-        let mut admitted = [false; LEAF_BLOCK];
-        let mut lo = 0;
-        while lo < rows.len() {
-            let hi = (lo + LEAF_BLOCK).min(rows.len());
-            let block = &rows[lo..hi];
-            let mut kept = 0usize;
-            for (i, &r) in block.iter().enumerate() {
-                admitted[i] = pass(r);
-                kept += usize::from(admitted[i]);
-            }
-            if kept == block.len() {
-                self.metric.one_to_many(
-                    query,
-                    &self.leaf_points[(start + lo) * p..(start + hi) * p],
-                    &mut dists[..block.len()],
-                );
-                for (i, &r) in block.iter().enumerate() {
-                    hit(r, dists[i]);
-                }
-            } else if kept > 0 {
-                for (i, &r) in block.iter().enumerate() {
-                    if admitted[i] {
-                        let base = (start + lo + i) * p;
-                        hit(
-                            r,
-                            self.metric.pair(query, &self.leaf_points[base..base + p]),
-                        );
-                    }
-                }
-            }
-            lo = hi;
-        }
-    }
-
     /// Shared leaf/split traversal for best-k queries with a row filter.
     ///
     /// `gap` is the metric's splitting-plane bound (`Metric::plane_gap`)
@@ -364,10 +241,10 @@ impl KdTree {
         best: &mut KBest,
     ) {
         match &self.nodes[node] {
-            Node::Leaf { rows, start } => {
-                self.scan_leaf(
-                    rows,
-                    *start,
+            Node::Leaf(slots) => {
+                self.leaves.scan(
+                    *slots,
+                    self.metric,
                     query,
                     |r| self.tombstones.is_alive(r as usize) && Some(r as usize) != skip && keep(r),
                     |r, d| best.insert(d, r as usize),
@@ -407,10 +284,10 @@ impl KdTree {
         out: &mut Vec<SqNeighbor>,
     ) {
         match &self.nodes[node] {
-            Node::Leaf { rows, start } => {
-                self.scan_leaf(
-                    rows,
-                    *start,
+            Node::Leaf(slots) => {
+                self.leaves.scan(
+                    *slots,
+                    self.metric,
                     query,
                     |r| self.tombstones.is_alive(r as usize) && Some(r as usize) != skip,
                     |r, d| {
@@ -552,7 +429,7 @@ impl NeighborIndex for KdTree {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::neighbors::k_nearest as brute_k_nearest;
+    use crate::index::BruteIndex;
     use crate::rng::rng_from_seed;
     use rand::Rng;
 
@@ -562,68 +439,36 @@ mod tests {
         Dataset::from_parts(feats, vec![0; n], p, 1)
     }
 
+    fn rows(hits: &[SqNeighbor]) -> Vec<usize> {
+        hits.iter().map(|h| h.row).collect()
+    }
+
     #[test]
     fn matches_brute_force_exactly() {
         for (n, p) in [(50usize, 2usize), (200, 3), (300, 8)] {
             let d = random_dataset(n, p, n as u64);
             let tree = KdTree::build(&d, 8);
+            let brute = BruteIndex::build(&d);
             let mut rng = rng_from_seed(99);
             for _ in 0..20 {
                 let q: Vec<f64> = (0..p).map(|_| rng.gen_range(-5.0..5.0)).collect();
-                let brute = brute_k_nearest(&d, &q, 7, None);
-                let fast = tree.k_nearest(&q, 7, None);
                 assert_eq!(
-                    brute.iter().map(|h| h.index).collect::<Vec<_>>(),
-                    fast.iter().map(|h| h.index).collect::<Vec<_>>(),
+                    tree.k_nearest_sq(&q, 7, None),
+                    brute.k_nearest_sq(&q, 7, None),
                     "n={n} p={p}"
                 );
-                for (a, b) in brute.iter().zip(fast.iter()) {
-                    assert!((a.distance - b.distance).abs() < 1e-9);
-                }
             }
         }
-    }
-
-    #[test]
-    fn skip_excludes_row() {
-        let d = random_dataset(60, 2, 1);
-        let tree = KdTree::build(&d, 4);
-        let hits = tree.k_nearest(d.row(10), 3, Some(10));
-        assert!(hits.iter().all(|h| h.index != 10));
-        let brute = brute_k_nearest(&d, d.row(10), 3, Some(10));
-        assert_eq!(
-            hits.iter().map(|h| h.index).collect::<Vec<_>>(),
-            brute.iter().map(|h| h.index).collect::<Vec<_>>()
-        );
     }
 
     #[test]
     fn duplicate_points_handled() {
         let d = Dataset::from_parts(vec![1.0; 40], vec![0; 40], 1, 1);
         let tree = KdTree::build(&d, 4);
-        let hits = tree.k_nearest(&[1.0], 5, None);
-        assert_eq!(hits.len(), 5);
-        assert!(hits.iter().all(|h| h.distance == 0.0));
+        let hits = tree.k_nearest_sq(&[1.0], 5, None);
+        assert!(hits.iter().all(|h| h.sq_dist == 0.0));
         // ties resolved by ascending row
-        assert_eq!(
-            hits.iter().map(|h| h.index).collect::<Vec<_>>(),
-            vec![0, 1, 2, 3, 4]
-        );
-    }
-
-    #[test]
-    fn k_larger_than_data() {
-        let d = random_dataset(5, 2, 3);
-        let tree = KdTree::build(&d, 2);
-        let hits = tree.k_nearest(&[0.0, 0.0], 50, None);
-        assert_eq!(hits.len(), 5);
-    }
-
-    #[test]
-    fn k_zero_empty() {
-        let d = random_dataset(5, 2, 3);
-        let tree = KdTree::build(&d, 2);
-        assert!(tree.k_nearest(&[0.0, 0.0], 0, None).is_empty());
+        assert_eq!(rows(&hits), vec![0, 1, 2, 3, 4]);
     }
 
     #[test]
@@ -642,16 +487,15 @@ mod tests {
             assert!(NeighborIndex::delete(&mut tree, r));
         }
         assert_eq!(tree.n_alive(), 50);
-        let hits = tree.k_nearest(d.row(0), 10, None);
+        let hits = tree.k_nearest_sq(d.row(0), 10, None);
         assert_eq!(hits.len(), 10);
-        assert!(hits.iter().all(|h| h.index >= 350));
+        assert!(hits.iter().all(|h| h.row >= 350));
         // Against a fresh brute scan over the survivors.
-        let survivors: Vec<usize> = (350..400).collect();
-        let sub = d.select(&survivors);
-        let brute = brute_k_nearest(&sub, d.row(0), 10, None);
+        let sub = d.select(&(350..400).collect::<Vec<_>>());
+        let brute = BruteIndex::build(&sub).k_nearest_sq(d.row(0), 10, None);
         assert_eq!(
-            hits.iter().map(|h| h.index - 350).collect::<Vec<_>>(),
-            brute.iter().map(|h| h.index).collect::<Vec<_>>()
+            rows(&hits),
+            rows(&brute).iter().map(|r| r + 350).collect::<Vec<_>>()
         );
     }
 }

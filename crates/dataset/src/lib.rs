@@ -1,10 +1,10 @@
 //! # gb-dataset
 //!
 //! Dataset substrate for the GBABS reproduction (ICDE 2025, arXiv:2506.02366):
-//! a dense labelled [`Dataset`] type, distance kernels, brute-force
-//! neighbour search, stratified splitting, feature scaling, class-noise
-//! injection, and a synthetic catalog standing in for the paper's 13 public
-//! datasets.
+//! a dense labelled [`Dataset`] type, distance kernels, exact neighbour
+//! indexes (brute force, KD-tree, VP-tree), stratified splitting, feature
+//! scaling, class-noise injection, and a synthetic catalog standing in for
+//! the paper's 13 public datasets.
 //!
 //! Everything downstream — the granular-ball algorithms, the baseline
 //! samplers, the classifiers — is written against this crate.
@@ -29,7 +29,6 @@ pub mod encode;
 pub mod index;
 pub mod io;
 pub mod kdtree;
-pub mod neighbors;
 pub mod noise;
 pub mod rng;
 pub mod scale;
@@ -41,4 +40,3 @@ pub mod vptree;
 pub use dataset::{Dataset, DatasetError, FeatureKind};
 pub use distance::{active_kernel, validate_simd_env, Kernel, Metric, CONTRACT_VERSION};
 pub use index::{GranulationBackend, NeighborIndex, SqNeighbor};
-pub use neighbors::Neighbor;

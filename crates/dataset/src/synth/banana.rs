@@ -76,7 +76,7 @@ impl BananaSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::neighbors::k_nearest;
+    use crate::index::{BruteIndex, NeighborIndex};
 
     #[test]
     fn shape_and_imbalance() {
@@ -98,10 +98,11 @@ mod tests {
         }
         .generate(7);
         // 1-NN leave-one-out accuracy should be high on clean moons
+        let index = BruteIndex::build(&d);
         let mut correct = 0;
         for i in 0..d.n_samples() {
-            let nn = k_nearest(&d, d.row(i), 1, Some(i))[0];
-            if d.label(nn.index) == d.label(i) {
+            let nn = index.nearest_sq(d.row(i), Some(i)).unwrap();
+            if d.label(nn.row) == d.label(i) {
                 correct += 1;
             }
         }

@@ -98,7 +98,7 @@ impl DigitsSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::neighbors::k_nearest;
+    use crate::index::{BruteIndex, NeighborIndex};
     use crate::split::stratified_subsample;
 
     #[test]
@@ -116,10 +116,11 @@ mod tests {
         let d = DigitsSpec::usps_like(600).generate(4);
         let keep = stratified_subsample(&d, 300, 0);
         let s = d.select(&keep);
+        let index = BruteIndex::build(&s);
         let mut correct = 0;
         for i in 0..s.n_samples() {
-            let nn = k_nearest(&s, s.row(i), 1, Some(i))[0];
-            if s.label(nn.index) == s.label(i) {
+            let nn = index.nearest_sq(s.row(i), Some(i)).unwrap();
+            if s.label(nn.row) == s.label(i) {
                 correct += 1;
             }
         }

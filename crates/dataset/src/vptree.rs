@@ -10,7 +10,7 @@
 //! surrogates.
 //!
 //! The index is exact: queries return the same neighbours as the
-//! brute-force reference in [`crate::neighbors`] (property-tested), so it
+//! brute-force reference [`crate::index::BruteIndex`] (property-tested), so it
 //! can be swapped under any algorithm in the workspace. Like the KD-tree it
 //! implements [`NeighborIndex`]: squared-distance acceptance (so results
 //! are bit-identical to the other backends), tombstone deletion, and
@@ -23,13 +23,12 @@
 //! Partitions of at most the build-time bucket size (default
 //! [`VP_LEAF_SIZE`] = 16, set per width class by
 //! [`crate::distance::calibrated_leaf_size`]) stop splitting and become
-//! bucket leaves, shrinking the arena. For rows of a lane width or more the
-//! leaves keep their coordinates in a **leaf-contiguous** buffer so a
-//! fully-admitted bucket scan is one batched [`Metric::one_to_many`] call
-//! and vantage distances use the dispatched lane-tree kernel; sub-lane
-//! datasets scan per-pair with the inline sequential kernel (fastest and
-//! canonical at those widths). Bit-identity across backends holds in every
-//! case — see `gb_dataset::distance`'s width-keyed contract.
+//! bucket leaves, shrinking the arena. The leaves keep their coordinates in
+//! a **leaf-contiguous** buffer that a leaf visit scans with the index
+//! module's shared scan (the KD-tree's and the brute backend's too), and
+//! vantage distances use the dispatched lane-tree kernel. Bit-identity
+//! across backends holds in every case — see `gb_dataset::distance`'s
+//! width-keyed contract.
 //!
 //! Metric support: acceptance runs in kernel space (squared Euclidean,
 //! L1, or chord² for cosine over normalized rows); pruning runs in **rank
@@ -40,11 +39,8 @@
 //! comparing against the best-k heap.
 
 use crate::dataset::Dataset;
-use crate::distance::{
-    manhattan, manhattan_dispatched, sq_euclidean, sq_euclidean_dispatched, Metric, LANE_WIDTH,
-};
-use crate::index::{KBest, NeighborIndex, RangeBound, SqNeighbor, Tombstones};
-use crate::neighbors::Neighbor;
+use crate::distance::{manhattan_dispatched, sq_euclidean_dispatched, Metric};
+use crate::index::{KBest, Leaves, NeighborIndex, RangeBound, SqNeighbor, Tombstones};
 use std::cmp::Ordering;
 
 /// A node of the tree (arena-allocated; `u32::MAX` marks "no child").
@@ -61,14 +57,9 @@ enum Node {
         inside: u32,
         outside: u32,
     },
-    /// A bucket of rows scanned in batched-kernel chunks; partitions of
-    /// at most `leaf_size` rows stop splitting.
-    Leaf {
-        /// Row indices stored at this leaf.
-        rows: Vec<u32>,
-        /// First slot of this leaf's block in `leaf_points`.
-        start: usize,
-    },
+    /// A bucket — partitions of at most `leaf_size` rows stop splitting:
+    /// the slot range `start..end` of the tree's [`Leaves`].
+    Leaf((usize, usize)),
 }
 
 const NONE: u32 = u32::MAX;
@@ -79,11 +70,6 @@ const NONE: u32 = u32::MAX;
 /// contiguous SIMD sweep over them. [`VpTree::build_with`] accepts a
 /// calibrated size instead.
 pub const VP_LEAF_SIZE: usize = 16;
-
-/// Rows per batched-kernel call when scanning a leaf block (calibrated
-/// leaf sizes can exceed the stack scratch, so leaf scans chunk — same
-/// shape as the KD-tree's leaf scan).
-const LEAF_BLOCK: usize = 16;
 
 /// Conservative slack on prune bounds: compensates `sqrt` rounding so the
 /// traversal can only over-visit, never over-prune.
@@ -97,10 +83,8 @@ pub struct VpTree {
     /// Flattened copy of the indexed points (row-major, original row
     /// order; used when (re)building).
     points: Vec<f64>,
-    /// Leaf-contiguous copy of the bucketed rows' coordinates, so leaf
-    /// scans run through the batched one-to-many kernel. Rebuilt with the
-    /// arena.
-    leaf_points: Vec<f64>,
+    /// The buckets' rows and packed coordinates. Rebuilt with the arena.
+    leaves: Leaves,
     /// Copied labels (for heterogeneous queries).
     labels: Vec<u32>,
     n_features: usize,
@@ -140,7 +124,7 @@ impl VpTree {
             nodes: Vec::with_capacity(n / leaf_size.max(1) * 2 + 1),
             root: NONE,
             points,
-            leaf_points: Vec::with_capacity(data.features().len()),
+            leaves: Leaves::with_capacity(n, data.n_features()),
             labels: data.labels().to_vec(),
             n_features: data.n_features(),
             n_rows: n,
@@ -156,103 +140,16 @@ impl VpTree {
     /// Rebuilds the node arena over the currently alive rows.
     fn rebuild(&mut self) {
         self.nodes.clear();
-        self.leaf_points.clear();
+        self.leaves.clear();
         let mut rows = self.tombstones.begin_rebuild();
         self.root = self.build_rec(&mut rows);
     }
 
-    /// Appends a bucket leaf, copying its rows' coordinates into the
-    /// leaf-contiguous buffer. Sub-lane datasets skip the copy — their
-    /// leaf scans go per-pair over `points` (see the KD-tree's twin).
+    /// Appends a bucket leaf over `rows`.
     fn push_leaf(&mut self, rows: &[u32]) -> u32 {
-        let p = self.n_features;
-        let start = self.leaf_points.len() / p.max(1);
-        if p >= LANE_WIDTH {
-            for &r in rows {
-                let base = r as usize * p;
-                self.leaf_points
-                    .extend_from_slice(&self.points[base..base + p]);
-            }
-        }
-        let id = self.nodes.len() as u32;
-        self.nodes.push(Node::Leaf {
-            rows: rows.to_vec(),
-            start,
-        });
-        id
-    }
-
-    /// Scans one leaf, invoking `hit` with `(row, sq_dist)` for every row
-    /// admitted by `pass`. Hybrid like the KD-tree's leaf scan: a fully
-    /// admitted bucket takes one batched kernel sweep over its contiguous
-    /// block; a filtered bucket (tombstones, heterogeneous-label queries)
-    /// pays per-pair calls for admitted rows only. Same kernel tier on both
-    /// paths → bit-identical distances.
-    fn scan_leaf(
-        &self,
-        rows: &[u32],
-        start: usize,
-        query: &[f64],
-        pass: impl Fn(u32) -> bool,
-        mut hit: impl FnMut(u32, f64),
-    ) {
-        let p = self.n_features;
-        if p < LANE_WIDTH {
-            // Sub-lane rows have no vector work to batch: one fused loop
-            // of the inline per-pair kernel over `points` (no leaf_points
-            // copy exists at these widths). The metric branch is hoisted;
-            // cosine shares the squared-Euclidean loop over normalized
-            // rows.
-            if self.metric == Metric::Manhattan {
-                for &r in rows {
-                    if pass(r) {
-                        let base = r as usize * p;
-                        hit(r, manhattan(query, &self.points[base..base + p]));
-                    }
-                }
-            } else {
-                for &r in rows {
-                    if pass(r) {
-                        let base = r as usize * p;
-                        hit(r, sq_euclidean(query, &self.points[base..base + p]));
-                    }
-                }
-            }
-            return;
-        }
-        let mut dists = [0.0f64; LEAF_BLOCK];
-        let mut admitted = [false; LEAF_BLOCK];
-        let mut lo = 0;
-        while lo < rows.len() {
-            let hi = (lo + LEAF_BLOCK).min(rows.len());
-            let block = &rows[lo..hi];
-            let mut kept = 0usize;
-            for (i, &r) in block.iter().enumerate() {
-                admitted[i] = pass(r);
-                kept += usize::from(admitted[i]);
-            }
-            if kept == block.len() {
-                self.metric.one_to_many(
-                    query,
-                    &self.leaf_points[(start + lo) * p..(start + hi) * p],
-                    &mut dists[..block.len()],
-                );
-                for (i, &r) in block.iter().enumerate() {
-                    hit(r, dists[i]);
-                }
-            } else if kept > 0 {
-                for (i, &r) in block.iter().enumerate() {
-                    if admitted[i] {
-                        let base = (start + lo + i) * p;
-                        hit(
-                            r,
-                            self.metric.pair(query, &self.leaf_points[base..base + p]),
-                        );
-                    }
-                }
-            }
-            lo = hi;
-        }
+        let slots = self.leaves.push(rows, &self.points, self.n_features);
+        self.nodes.push(Node::Leaf(slots));
+        self.nodes.len() as u32 - 1
     }
 
     fn row(&self, r: u32) -> &[f64] {
@@ -326,21 +223,6 @@ impl VpTree {
         self.n_rows == 0
     }
 
-    /// Returns the `k` nearest indexed rows to `query`, sorted by ascending
-    /// distance (ties by ascending row index), excluding row `skip` when
-    /// given. Exact — identical to the brute-force reference. Tombstoned
-    /// rows are excluded.
-    #[must_use]
-    pub fn k_nearest(&self, query: &[f64], k: usize, skip: Option<usize>) -> Vec<Neighbor> {
-        self.k_nearest_sq(query, k, skip)
-            .into_iter()
-            .map(|h| Neighbor {
-                index: h.row,
-                distance: self.metric.rank_of(h.sq_dist),
-            })
-            .collect()
-    }
-
     /// Shared best-k traversal with a row filter. Acceptance happens in
     /// squared space (exact ties by row); pruning uses real distances with
     /// [`PRUNE_SLACK`].
@@ -365,10 +247,10 @@ impl VpTree {
             return;
         }
         let (vantage, mu, inside, outside) = match &self.nodes[node as usize] {
-            Node::Leaf { rows, start } => {
-                self.scan_leaf(
-                    rows,
-                    *start,
+            Node::Leaf(slots) => {
+                self.leaves.scan(
+                    *slots,
+                    self.metric,
                     query,
                     |r| self.tombstones.is_alive(r as usize) && skip != Some(r as usize) && keep(r),
                     |r, d| best.insert(d, r as usize),
@@ -424,10 +306,10 @@ impl VpTree {
             return;
         }
         let (vantage, mu, inside, outside) = match &self.nodes[node as usize] {
-            Node::Leaf { rows, start } => {
-                self.scan_leaf(
-                    rows,
-                    *start,
+            Node::Leaf(slots) => {
+                self.leaves.scan(
+                    *slots,
+                    self.metric,
                     query,
                     |r| self.tombstones.is_alive(r as usize) && skip != Some(r as usize),
                     |r, d| {
@@ -621,7 +503,7 @@ impl NeighborIndex for VpTree {
 mod tests {
     use super::*;
     use crate::catalog::DatasetId;
-    use crate::neighbors::k_nearest as brute_k_nearest;
+    use crate::index::BruteIndex;
     use crate::rng::rng_from_seed;
     use rand::Rng;
 
@@ -632,25 +514,18 @@ mod tests {
         Dataset::from_parts(feats, labels, p, 3)
     }
 
-    /// Distances must match brute force exactly; indices may differ only
-    /// within equidistant groups.
+    /// Rows and distance bits must match the brute-force scan exactly.
     fn assert_matches_brute(data: &Dataset, tree: &VpTree, k: usize, queries: usize, seed: u64) {
+        let brute = BruteIndex::build(data);
         let mut rng = rng_from_seed(seed);
         for _ in 0..queries {
             let qi = rng.gen_range(0..data.n_samples());
             let skip = if rng.gen_bool(0.5) { Some(qi) } else { None };
-            let query = data.row(qi).to_vec();
-            let got = tree.k_nearest(&query, k, skip);
-            let want = brute_k_nearest(data, &query, k, skip);
-            assert_eq!(got.len(), want.len());
-            for (g, w) in got.iter().zip(want.iter()) {
-                assert!(
-                    (g.distance - w.distance).abs() < 1e-9,
-                    "distance mismatch: {} vs {}",
-                    g.distance,
-                    w.distance
-                );
-            }
+            let query = data.row(qi);
+            assert_eq!(
+                tree.k_nearest_sq(query, k, skip),
+                brute.k_nearest_sq(query, k, skip)
+            );
         }
     }
 
@@ -680,48 +555,19 @@ mod tests {
     #[test]
     fn exact_with_duplicate_points() {
         // heavy ties stress the tie-breaking rules
-        let mut feats = Vec::new();
-        for i in 0..60 {
-            feats.push(f64::from(i % 5));
-        }
+        let feats: Vec<f64> = (0..60).map(|i| f64::from(i % 5)).collect();
         let data = Dataset::from_parts(feats, vec![0; 60], 1, 1);
         let tree = VpTree::build(&data);
         assert_matches_brute(&data, &tree, 8, 30, 7);
     }
 
     #[test]
-    fn k_larger_than_n_returns_all() {
-        let data = random_data(10, 2, 8);
-        let tree = VpTree::build(&data);
-        let hits = tree.k_nearest(data.row(0), 50, None);
-        assert_eq!(hits.len(), 10);
-        let hits_skip = tree.k_nearest(data.row(0), 50, Some(0));
-        assert_eq!(hits_skip.len(), 9);
-        assert!(hits_skip.iter().all(|h| h.index != 0));
-    }
-
-    #[test]
-    fn k_zero_is_empty() {
-        let data = random_data(10, 2, 9);
-        let tree = VpTree::build(&data);
-        assert!(tree.k_nearest(data.row(0), 0, None).is_empty());
-    }
-
-    #[test]
     fn single_row_tree() {
         let data = Dataset::from_parts(vec![1.0, 2.0], vec![0], 2, 1);
         let tree = VpTree::build(&data);
-        let hits = tree.k_nearest(&[0.0, 0.0], 3, None);
+        let hits = tree.k_nearest_sq(&[0.0, 0.0], 3, None);
         assert_eq!(hits.len(), 1);
-        assert_eq!(hits[0].index, 0);
-    }
-
-    #[test]
-    fn results_are_sorted() {
-        let data = random_data(120, 4, 10);
-        let tree = VpTree::build(&data);
-        let hits = tree.k_nearest(&[0.0; 4], 15, None);
-        assert!(hits.windows(2).all(|w| w[0].distance <= w[1].distance));
+        assert_eq!(hits[0].row, 0);
     }
 
     #[test]
@@ -739,14 +585,13 @@ mod tests {
             assert!(NeighborIndex::delete(&mut tree, r));
         }
         assert_eq!(tree.n_alive(), 100);
-        let survivors: Vec<usize> = (300..400).collect();
-        let sub = data.select(&survivors);
+        let sub = BruteIndex::build(&data.select(&(300..400).collect::<Vec<_>>()));
         for qi in [0usize, 37, 399] {
-            let got = tree.k_nearest(data.row(qi), 8, None);
-            let want = brute_k_nearest(&sub, data.row(qi), 8, None);
+            let got = tree.k_nearest_sq(data.row(qi), 8, None);
+            let want = sub.k_nearest_sq(data.row(qi), 8, None);
             assert_eq!(
-                got.iter().map(|h| h.index - 300).collect::<Vec<_>>(),
-                want.iter().map(|h| h.index).collect::<Vec<_>>()
+                got.iter().map(|h| h.row - 300).collect::<Vec<_>>(),
+                want.iter().map(|h| h.row).collect::<Vec<_>>()
             );
         }
     }

@@ -12,7 +12,8 @@
 //! run over the whole dataset, synthesis interpolates between same-class
 //! neighbours.
 
-use gb_dataset::neighbors::{k_nearest, k_nearest_filtered};
+use crate::{class_index, row_hoods};
+use gb_dataset::index::BruteIndex;
 use gb_dataset::rng::rng_from_seed;
 use gb_dataset::Dataset;
 use gbabs::{SampleResult, Sampler};
@@ -74,6 +75,14 @@ impl Sampler for Adasyn {
         let mut out = data.clone();
         let k = self.config.k_neighbors;
         let targets = crate::smote::oversample_targets(data);
+        if targets.iter().all(|&t| t == 0) {
+            // Balanced (or empty) input: nothing to synthesize.
+            return SampleResult {
+                dataset: out,
+                kept_rows: None,
+            };
+        }
+        let index = BruteIndex::build(data);
         let groups = data.class_indices();
         for (class, &n_new) in targets.iter().enumerate() {
             let donors = &groups[class];
@@ -81,43 +90,36 @@ impl Sampler for Adasyn {
                 continue;
             }
             let class = class as u32;
-            use rayon::prelude::*;
             // Difficulty r_i: heterogeneous fraction of the k-NN in D.
-            // Independent per donor — scanned in parallel (each scan a
-            // blocked SIMD-kernel sweep), donor order kept.
-            let weights: Vec<f64> = donors
-                .par_iter()
-                .map(|&d| {
-                    let hits = k_nearest(data, data.row(d), k, Some(d));
-                    if hits.is_empty() {
+            let weights: Vec<f64> = row_hoods(&index, data, donors, k)
+                .iter()
+                .map(|hood| {
+                    if hood.is_empty() {
                         return 0.0;
                     }
-                    let hetero = hits.iter().filter(|h| data.label(h.index) != class).count();
-                    hetero as f64 / hits.len() as f64
+                    let hetero = hood.iter().filter(|h| data.label(h.row) != class).count();
+                    hetero as f64 / hood.len() as f64
                 })
                 .collect();
             let counts = allocate(&weights, n_new);
-            // Same-class partners among each active donor's k-NN; these are
-            // RNG-independent, so the searches parallelize while the
-            // synthesis below keeps consuming the stream sequentially.
-            let partner_lists: Vec<Option<Vec<gb_dataset::Neighbor>>> = (0..donors.len())
-                .into_par_iter()
-                .map(|di| {
-                    let donor = donors[di];
-                    (counts[di] > 0).then(|| {
-                        k_nearest_filtered(data, data.row(donor), k, |i| {
-                            i != donor && data.label(i) == class
-                        })
-                    })
-                })
+            // Same-class partners of each active donor, from an index of
+            // this class's rows only. They are RNG-independent, so they are
+            // all fetched before the synthesis below consumes the stream.
+            let active: Vec<usize> = donors
+                .iter()
+                .zip(&counts)
+                .filter(|&(_, &g)| g > 0)
+                .map(|(&d, _)| d)
                 .collect();
-            for ((&donor, &g), partners) in donors.iter().zip(counts.iter()).zip(&partner_lists) {
+            let mut partner_lists =
+                row_hoods(&class_index(&index, data, class), data, &active, k).into_iter();
+            for (&donor, &g) in donors.iter().zip(counts.iter()) {
                 if g == 0 {
                     continue;
                 }
-                // Empty when the donor is fully surrounded by other
-                // classes — duplicate then.
-                let partners = partners.as_ref().expect("computed for g > 0");
+                // Empty when the donor is its class's only row — duplicate
+                // then.
+                let partners = partner_lists.next().expect("one hood per active donor");
                 for _ in 0..g {
                     if partners.is_empty() {
                         out.push_row(data.row(donor), class);
@@ -128,7 +130,7 @@ impl Sampler for Adasyn {
                     let row: Vec<f64> = data
                         .row(donor)
                         .iter()
-                        .zip(data.row(pick.index).iter())
+                        .zip(data.row(pick.row).iter())
                         .map(|(a, b)| a + gap * (b - a))
                         .collect();
                     out.push_row(&row, class);

@@ -5,8 +5,9 @@
 //! classes — donate synthetic samples; interpolation partners come from the
 //! `k = 5` nearest same-class neighbours, as in plain SMOTE.
 
+use crate::row_hoods;
 use crate::smote::{oversample_targets, synthesize_for_class};
-use gb_dataset::neighbors::k_nearest;
+use gb_dataset::index::{BruteIndex, SqNeighbor};
 use gb_dataset::rng::rng_from_seed;
 use gb_dataset::Dataset;
 use gbabs::{SampleResult, Sampler};
@@ -47,12 +48,12 @@ pub(crate) enum Region {
     Safe,
 }
 
-pub(crate) fn region_of(data: &Dataset, row: usize, m: usize) -> Region {
-    let hits = k_nearest(data, data.row(row), m, Some(row));
-    let m_eff = hits.len().max(1);
-    let het = hits
+/// The region of `row` given `hood`, its `m` nearest other rows.
+pub(crate) fn region_of(data: &Dataset, row: usize, hood: &[SqNeighbor]) -> Region {
+    let m_eff = hood.len().max(1);
+    let het = hood
         .iter()
-        .filter(|h| data.label(h.index) != data.label(row))
+        .filter(|h| data.label(h.row) != data.label(row))
         .count();
     if het == m_eff {
         Region::Noise
@@ -72,27 +73,31 @@ impl Sampler for BorderlineSmote {
         let mut rng = rng_from_seed(seed);
         let mut out = data.clone();
         let targets = oversample_targets(data);
+        if targets.iter().all(|&t| t == 0) {
+            // Balanced (or empty) input: nothing to synthesize.
+            return SampleResult {
+                dataset: out,
+                kept_rows: None,
+            };
+        }
+        let index = BruteIndex::build(data);
         let groups = data.class_indices();
         for (class, &n_new) in targets.iter().enumerate() {
             if n_new == 0 {
                 continue;
             }
-            // Region checks are independent per row: run the m-NN scans in
-            // parallel, keeping donor order (and thus output) unchanged.
-            let danger: Vec<usize> = {
-                use rayon::prelude::*;
-                groups[class]
-                    .par_iter()
-                    .map(|&r| (r, region_of(data, r, self.config.m_neighbors)))
-                    .collect::<Vec<_>>()
-                    .into_iter()
-                    .filter_map(|(r, region)| (region == Region::Danger).then_some(r))
-                    .collect()
-            };
+            let hoods = row_hoods(&index, data, &groups[class], self.config.m_neighbors);
+            let danger: Vec<usize> = groups[class]
+                .iter()
+                .zip(&hoods)
+                .filter(|&(&r, hood)| region_of(data, r, hood) == Region::Danger)
+                .map(|(&r, _)| r)
+                .collect();
             // Han et al.: if no borderline sample exists, nothing is
             // synthesized for the class.
             synthesize_for_class(
                 data,
+                &index,
                 &danger,
                 class as u32,
                 n_new,
@@ -112,6 +117,13 @@ impl Sampler for BorderlineSmote {
 mod tests {
     use super::*;
     use gb_dataset::catalog::DatasetId;
+    use gb_dataset::index::NeighborIndex;
+
+    /// [`region_of`] with the hood searched over every row of `data`.
+    fn region(data: &Dataset, row: usize, m: usize) -> Region {
+        let hood = BruteIndex::build(data).k_nearest_sq(data.row(row), m, Some(row));
+        region_of(data, row, &hood)
+    }
 
     /// Minority cluster on [4.0, 4.4] plus a boundary sample at 4.9 beside
     /// the majority cluster starting at 5.0.
@@ -130,10 +142,10 @@ mod tests {
         let d = boundary_dataset();
         // row 5 (x=4.9) sits beside the majority cluster: half-or-more of
         // its 10-NN are majority, but its minority friends are close -> Danger
-        assert_eq!(region_of(&d, 5, 10), Region::Danger);
+        assert_eq!(region(&d, 5, 10), Region::Danger);
         // row 0 (x=4.0) is inside the minority cluster: its 5-NN are the
         // other minority samples -> Safe
-        assert_eq!(region_of(&d, 0, 5), Region::Safe);
+        assert_eq!(region(&d, 0, 5), Region::Safe);
     }
 
     #[test]
@@ -145,7 +157,7 @@ mod tests {
             labels.push(0);
         }
         let d = Dataset::from_parts(xs, labels, 1, 2);
-        assert_eq!(region_of(&d, 0, 10), Region::Noise);
+        assert_eq!(region(&d, 0, 10), Region::Noise);
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //! classes; [`EnnConfig::edit_all`] switches to Wilson's original
 //! all-classes rule (the variant SMOTE-ENN uses).
 
-use gb_dataset::neighbors::k_nearest;
+use crate::row_hoods;
+use gb_dataset::index::BruteIndex;
 use gb_dataset::Dataset;
 use gbabs::{SampleResult, Sampler};
 
@@ -44,15 +45,15 @@ pub struct EditedNn {
 /// disagrees with their own. `edit_all` controls whether minority-class
 /// rows are eligible.
 ///
-/// Every row's neighbourhood vote is independent, so the k-NN scans run in
-/// parallel; the removal list is assembled in row order, identical to the
-/// sequential loop. Each scan streams the row-major buffer through the
-/// batched SIMD distance kernel (`k_nearest` → `sq_euclidean_one_to_many`)
-/// on wide data; results are deterministic for any kernel tier.
+/// The eligible rows' neighbourhoods come from one parallel pass over a
+/// brute-force index of `data` (see [`BruteIndex::k_nearest_sq_par`]); the
+/// removal list is in row order, and the result is deterministic for any
+/// thread count and kernel tier.
 #[must_use]
 pub fn enn_removals(data: &Dataset, k: usize, edit_all: bool) -> Vec<usize> {
-    use rayon::prelude::*;
-
+    if data.n_samples() == 0 {
+        return Vec::new();
+    }
     let counts = data.class_counts();
     let minority = counts
         .iter()
@@ -61,19 +62,20 @@ pub fn enn_removals(data: &Dataset, k: usize, edit_all: bool) -> Vec<usize> {
         .min_by(|(ia, ca), (ib, cb)| ca.cmp(cb).then_with(|| ia.cmp(ib)))
         .map(|(i, _)| i as u32)
         .unwrap_or(0);
-    let flagged: Vec<bool> = (0..data.n_samples())
-        .into_par_iter()
-        .map(|i| {
-            if !edit_all && data.label(i) == minority {
-                return false;
-            }
-            let hits = k_nearest(data, data.row(i), k, Some(i));
-            if hits.is_empty() {
+    let eligible: Vec<usize> = (0..data.n_samples())
+        .filter(|&i| edit_all || data.label(i) != minority)
+        .collect();
+    let hoods = row_hoods(&BruteIndex::build(data), data, &eligible, k);
+    eligible
+        .into_iter()
+        .zip(hoods)
+        .filter(|(i, hood)| {
+            if hood.is_empty() {
                 return false;
             }
             let mut votes = vec![0usize; data.n_classes()];
-            for h in &hits {
-                votes[data.label(h.index) as usize] += 1;
+            for h in hood {
+                votes[data.label(h.row) as usize] += 1;
             }
             let winner = votes
                 .iter()
@@ -81,13 +83,9 @@ pub fn enn_removals(data: &Dataset, k: usize, edit_all: bool) -> Vec<usize> {
                 .max_by(|(ia, ca), (ib, cb)| ca.cmp(cb).then_with(|| ib.cmp(ia)))
                 .map(|(c, _)| c as u32)
                 .unwrap_or(0);
-            winner != data.label(i)
+            winner != data.label(*i)
         })
-        .collect();
-    flagged
-        .into_iter()
-        .enumerate()
-        .filter_map(|(i, f)| f.then_some(i))
+        .map(|(i, _)| i)
         .collect()
 }
 

@@ -11,7 +11,7 @@
 //! (and our ablation benches measure).
 
 use gb_dataset::distance::euclidean;
-use gb_dataset::index::{assign_to_nearest, GranulationBackend};
+use gb_dataset::index::assign_to_nearest;
 use gb_dataset::rng::rng_from_seed;
 use gb_dataset::Dataset;
 use gbabs::GranularBall;
@@ -27,13 +27,6 @@ pub struct KDivConfig {
     pub lloyd_iters: usize,
     /// Seed (used only to jitter degenerate splits).
     pub seed: u64,
-    /// Granulation backend, threaded for lineage-wide sweeps. The
-    /// k-division substrate has no adjacency queries — its Lloyd step is
-    /// the dense [`assign_to_nearest`] batched-kernel query, which every
-    /// backend executes identically — so this is **output- and
-    /// cost-invariant** here; it exists so one `--backend` knob reaches the
-    /// whole lineage (GBG++ and RD-GBG are where it changes asymptotics).
-    pub backend: GranulationBackend,
 }
 
 impl Default for KDivConfig {
@@ -42,7 +35,6 @@ impl Default for KDivConfig {
             purity_threshold: 1.0,
             lloyd_iters: 3,
             seed: 0,
-            backend: GranulationBackend::Auto,
         }
     }
 }

@@ -13,7 +13,7 @@
 //! `granulation` ablation.
 
 use crate::gbg_kdiv::LloydScratch;
-use gb_dataset::index::{assign_to_nearest, GranulationBackend};
+use gb_dataset::index::assign_to_nearest;
 use gb_dataset::rng::rng_from_seed;
 use gb_dataset::Dataset;
 use gbabs::GranularBall;
@@ -33,11 +33,6 @@ pub struct KMeansGbgConfig {
     pub lloyd_iters: usize,
     /// Seed for the random initial centers.
     pub seed: u64,
-    /// Granulation backend, threaded for lineage-wide sweeps. Like
-    /// k-division (see [`crate::gbg_kdiv::KDivConfig::backend`]), the
-    /// 2-means split is the dense batched assignment query, identical on
-    /// every backend — the field is output- and cost-invariant here.
-    pub backend: GranulationBackend,
 }
 
 impl Default for KMeansGbgConfig {
@@ -47,7 +42,6 @@ impl Default for KMeansGbgConfig {
             min_split_size: 2,
             lloyd_iters: 3,
             seed: 0,
-            backend: GranulationBackend::Auto,
         }
     }
 }

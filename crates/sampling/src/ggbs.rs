@@ -7,7 +7,7 @@
 //! of the two axis-intersection points `c ± r·e_d` (up to `2·p` samples).
 
 use crate::gbg_kdiv::{is_large, k_division_gbg, KDivConfig};
-use gb_dataset::index::{assign_to_nearest, GranulationBackend};
+use gb_dataset::index::assign_to_nearest;
 use gb_dataset::Dataset;
 use gbabs::{GranularBall, SampleResult, Sampler};
 
@@ -17,16 +17,12 @@ pub struct GgbsConfig {
     /// Purity threshold of the GBG stage (paper default: searched; 1.0 here
     /// unless stated otherwise — GBABS's advantage is not needing it).
     pub purity_threshold: f64,
-    /// Granulation backend threaded into the k-division GBG stage
-    /// (output-invariant; see [`KDivConfig::backend`]).
-    pub backend: GranulationBackend,
 }
 
 impl Default for GgbsConfig {
     fn default() -> Self {
         Self {
             purity_threshold: 1.0,
-            backend: GranulationBackend::Auto,
         }
     }
 }
@@ -108,7 +104,6 @@ impl Sampler for Ggbs {
                 purity_threshold: self.config.purity_threshold,
                 lloyd_iters: 3,
                 seed,
-                backend: self.config.backend,
             },
         );
         let rows = ggbs_rule_over_balls(data, &balls);

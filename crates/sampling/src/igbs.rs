@@ -22,17 +22,12 @@ use rand::seq::SliceRandom;
 pub struct IgbsConfig {
     /// Purity threshold of the GBG stage.
     pub purity_threshold: f64,
-    /// Granulation backend threaded into the k-division GBG stage
-    /// (output-invariant; see
-    /// [`crate::gbg_kdiv::KDivConfig::backend`]).
-    pub backend: gb_dataset::index::GranulationBackend,
 }
 
 impl Default for IgbsConfig {
     fn default() -> Self {
         Self {
             purity_threshold: 1.0,
-            backend: gb_dataset::index::GranulationBackend::Auto,
         }
     }
 }
@@ -56,7 +51,6 @@ impl Sampler for Igbs {
                 purity_threshold: self.config.purity_threshold,
                 lloyd_iters: 3,
                 seed,
-                backend: self.config.backend,
             },
         );
         let counts = data.class_counts();

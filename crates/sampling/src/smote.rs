@@ -5,7 +5,8 @@
 //! nearest same-class neighbours (imbalanced-learn's `auto` strategy and
 //! default `k_neighbors`).
 
-use gb_dataset::neighbors::k_nearest_filtered;
+use crate::{class_index, row_hoods};
+use gb_dataset::index::BruteIndex;
 use gb_dataset::rng::rng_from_seed;
 use gb_dataset::Dataset;
 use gbabs::{SampleResult, Sampler};
@@ -44,19 +45,19 @@ pub(crate) fn oversample_targets(data: &Dataset) -> Vec<usize> {
 }
 
 /// Synthesizes `n_new` samples for `class` by SMOTE interpolation from the
-/// donor rows `donors` (all of `class`), appending to `out`.
+/// donor rows `donors` (all of `class`), appending to `out`. `index` holds
+/// every row of `data`.
 ///
-/// Runs in two phases so the expensive part parallelizes without touching
-/// the random stream: all RNG decisions (base donor, neighbour pick,
-/// interpolation gap) are drawn sequentially first — in exactly the order
-/// the naive loop would draw them — then the per-sample k-NN searches and
-/// interpolations execute in parallel and are appended in draw order. The
-/// output is therefore identical to the sequential implementation for any
-/// thread count. Each donor search is a blocked scan through the batched
-/// SIMD distance kernel (`k_nearest_filtered` → `sq_euclidean_one_to_many`)
-/// on wide data; results are deterministic for any kernel tier.
+/// All RNG decisions (base donor, neighbour pick, interpolation gap) are
+/// drawn first, in exactly the order the naive per-sample loop draws them.
+/// Hoods do not depend on the RNG, so each drawn donor's hood is then
+/// fetched once — in one parallel pass over an index of this class's rows
+/// only — however many samples it bases; the output is identical to the
+/// naive loop's for any thread count and kernel tier.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn synthesize_for_class(
     data: &Dataset,
+    index: &BruteIndex,
     donors: &[usize],
     class: u32,
     n_new: usize,
@@ -64,8 +65,6 @@ pub(crate) fn synthesize_for_class(
     rng: &mut impl Rng,
     out: &mut Dataset,
 ) {
-    use rayon::prelude::*;
-
     if donors.is_empty() || n_new == 0 {
         return;
     }
@@ -92,21 +91,18 @@ pub(crate) fn synthesize_for_class(
             (base, pick, gap)
         })
         .collect();
-    let rows: Vec<Vec<f64>> = plans
-        .par_iter()
-        .map(|&(base, pick, gap)| {
-            let hits = k_nearest_filtered(data, data.row(base), k, |i| {
-                i != base && data.label(i) == class
-            });
-            let pick = &hits[pick];
-            data.row(base)
-                .iter()
-                .zip(data.row(pick.index).iter())
-                .map(|(a, b)| a + gap * (b - a))
-                .collect()
-        })
-        .collect();
-    for row in rows {
+    let mut drawn: Vec<usize> = plans.iter().map(|&(base, _, _)| base).collect();
+    drawn.sort_unstable();
+    drawn.dedup();
+    let hoods = row_hoods(&class_index(index, data, class), data, &drawn, k);
+    for (base, pick, gap) in plans {
+        let hood = &hoods[drawn.binary_search(&base).expect("a drawn donor")];
+        let row: Vec<f64> = data
+            .row(base)
+            .iter()
+            .zip(data.row(hood[pick].row))
+            .map(|(a, b)| a + gap * (b - a))
+            .collect();
         out.push_row(&row, class);
     }
 }
@@ -120,10 +116,19 @@ impl Sampler for Smote {
         let mut rng = rng_from_seed(seed);
         let mut out = data.clone();
         let targets = oversample_targets(data);
+        if targets.iter().all(|&t| t == 0) {
+            // Balanced (or empty) input: nothing to synthesize.
+            return SampleResult {
+                dataset: out,
+                kept_rows: None,
+            };
+        }
+        let index = BruteIndex::build(data);
         let groups = data.class_indices();
         for (class, &n_new) in targets.iter().enumerate() {
             synthesize_for_class(
                 data,
+                &index,
                 &groups[class],
                 class as u32,
                 n_new,
@@ -215,7 +220,7 @@ mod tests {
     /// pre-drawn pick index must use the class size.
     #[test]
     fn subset_donors_match_sequential_reference() {
-        use gb_dataset::rng::rng_from_seed;
+        use gb_dataset::index::NeighborIndex;
 
         // class 1: 8 clustered rows; class 0: far away.
         let mut feats = Vec::new();
@@ -232,21 +237,29 @@ mod tests {
         let donors = vec![0usize, 3, 5]; // strict subset of class 1
         let (k, n_new) = (5usize, 40usize);
 
+        let index = BruteIndex::build(&d);
         let mut fast = d.empty_like();
-        synthesize_for_class(&d, &donors, 1, n_new, k, &mut rng_from_seed(11), &mut fast);
+        let mut rng = rng_from_seed(11);
+        synthesize_for_class(&d, &index, &donors, 1, n_new, k, &mut rng, &mut fast);
 
-        // Naive sequential reference (the pre-refactor algorithm).
+        // Naive sequential reference: one same-class search per sample.
         let mut slow = d.empty_like();
         let mut rng = rng_from_seed(11);
         for _ in 0..n_new {
             let base = donors[rng.gen_range(0..donors.len())];
-            let hits = k_nearest_filtered(&d, d.row(base), k, |i| i != base && d.label(i) == 1);
-            let pick = &hits[rng.gen_range(0..hits.len())];
+            let hits: Vec<usize> = BruteIndex::build(&d)
+                .k_nearest_sq(d.row(base), d.n_samples(), Some(base))
+                .into_iter()
+                .map(|h| h.row)
+                .filter(|&i| d.label(i) == 1)
+                .take(k)
+                .collect();
+            let pick = hits[rng.gen_range(0..hits.len())];
             let gap: f64 = rng.gen();
             let row: Vec<f64> = d
                 .row(base)
                 .iter()
-                .zip(d.row(pick.index).iter())
+                .zip(d.row(pick).iter())
                 .map(|(a, b)| a + gap * (b - a))
                 .collect();
             slow.push_row(&row, 1);

@@ -5,7 +5,8 @@
 //! member of each link is removed (removing both is the other classic
 //! variant, available via [`TomekConfig::remove_both`]).
 
-use gb_dataset::neighbors::k_nearest_all_rows;
+use crate::row_hoods;
+use gb_dataset::index::BruteIndex;
 use gb_dataset::Dataset;
 use gbabs::{SampleResult, Sampler};
 
@@ -25,16 +26,20 @@ pub struct TomekLinks {
 
 /// Finds all Tomek links as index pairs `(a, b)` with `a < b`.
 ///
-/// The all-rows nearest-neighbour pass (the O(n²) part) runs in parallel,
-/// each row's scan streaming the row-major buffer through the batched SIMD
-/// distance kernel; the mutual-pair sweep that follows is linear and stays
-/// sequential.
+/// The all-rows nearest-neighbour pass (the O(n²) part) is one parallel
+/// self-join over a brute-force index of `data` (see
+/// [`BruteIndex::k_nearest_sq_par`]); the mutual-pair sweep that follows
+/// is linear and stays sequential.
 #[must_use]
 pub fn find_tomek_links(data: &Dataset) -> Vec<(usize, usize)> {
     let n = data.n_samples();
-    let nn: Vec<Option<usize>> = k_nearest_all_rows(data, 1)
+    if n == 0 {
+        return Vec::new();
+    }
+    let rows: Vec<usize> = (0..n).collect();
+    let nn: Vec<Option<usize>> = row_hoods(&BruteIndex::build(data), data, &rows, 1)
         .into_iter()
-        .map(|hits| hits.first().map(|h| h.index))
+        .map(|hood| hood.first().map(|h| h.row))
         .collect();
     let mut links = Vec::new();
     for a in 0..n {

@@ -41,8 +41,7 @@ fn main() {
         .generate(42);
         let data = inject_class_noise(&clean, 0.10, 1).0;
         for backend in GranulationBackend::CONCRETE {
-            let tag = format!("n{n}/{}", backend.name());
-            let balls = time(&format!("gbg_pp/{tag}"), || {
+            let balls = time(&format!("gbg_pp/n{n}/{}", backend.name()), || {
                 gbg_pp(
                     &data,
                     &GbgPpConfig {
@@ -52,38 +51,19 @@ fn main() {
                 )
             });
             println!("  gbg_pp balls: {}", balls.len());
-            let b = time(&format!("k_division/{tag}"), || {
-                k_division_gbg(
-                    &data,
-                    &KDivConfig {
-                        backend,
-                        ..KDivConfig::default()
-                    },
-                )
-            });
-            println!("  k_division balls: {}", b.len());
-            let b = time(&format!("kmeans/{tag}"), || {
-                kmeans_gbg(
-                    &data,
-                    &KMeansGbgConfig {
-                        backend,
-                        ..KMeansGbgConfig::default()
-                    },
-                )
-            });
-            println!("  kmeans balls: {}", b.len());
-            let s = time(&format!("ggbs/{tag}"), || {
-                let mut g = Ggbs::default();
-                g.config.backend = backend;
-                g.sample(&data, 7)
-            });
-            println!("  ggbs kept: {}", s.dataset.n_samples());
-            let s = time(&format!("igbs/{tag}"), || {
-                let mut g = Igbs::default();
-                g.config.backend = backend;
-                g.sample(&data, 7)
-            });
-            println!("  igbs kept: {}", s.dataset.n_samples());
         }
+        // k-division, 2-means and the samplers on them build no index.
+        let b = time(&format!("k_division/n{n}"), || {
+            k_division_gbg(&data, &KDivConfig::default())
+        });
+        println!("  k_division balls: {}", b.len());
+        let b = time(&format!("kmeans/n{n}"), || {
+            kmeans_gbg(&data, &KMeansGbgConfig::default())
+        });
+        println!("  kmeans balls: {}", b.len());
+        let s = time(&format!("ggbs/n{n}"), || Ggbs::default().sample(&data, 7));
+        println!("  ggbs kept: {}", s.dataset.n_samples());
+        let s = time(&format!("igbs/n{n}"), || Igbs::default().sample(&data, 7));
+        println!("  igbs kept: {}", s.dataset.n_samples());
     }
 }

@@ -47,7 +47,7 @@ proptest! {
 
     #[test]
     fn kdivision_cover_partitions_rows(data in arb_dataset(), seed in 0u64..1000) {
-        let balls = k_division_gbg(&data, &KDivConfig { purity_threshold: 1.0, lloyd_iters: 2, seed, ..Default::default() });
+        let balls = k_division_gbg(&data, &KDivConfig { purity_threshold: 1.0, lloyd_iters: 2, seed });
         let mut seen = vec![0usize; data.n_samples()];
         for b in &balls {
             for &m in &b.members {

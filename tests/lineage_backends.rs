@@ -14,13 +14,8 @@ use gb_dataset::index::GranulationBackend;
 use gb_dataset::noise::inject_class_noise;
 use gb_dataset::rng::rng_from_seed;
 use gb_dataset::Dataset;
-use gb_sampling::gbg_kdiv::{k_division_gbg, KDivConfig};
-use gb_sampling::gbg_kmeans::{kmeans_gbg, KMeansGbgConfig};
 use gb_sampling::gbg_pp::{gbg_pp, GbgPpConfig};
-use gb_sampling::ggbs::GgbsConfig;
-use gb_sampling::igbs::IgbsConfig;
-use gb_sampling::{Ggbs, Igbs};
-use gbabs::{GranularBall, Sampler};
+use gbabs::GranularBall;
 use rand::Rng;
 
 /// The fixture set: shapes that exercise the tree regimes plus the two
@@ -126,96 +121,6 @@ fn gbgpp_is_bit_identical_across_backends() {
                 },
             );
             assert_covers_identical(&name, backend, &cover, &reference);
-        }
-    }
-}
-
-#[test]
-fn kdivision_and_kmeans_are_bit_identical_across_backends() {
-    for (name, data) in fixture_datasets() {
-        for seed in [0u64, 3] {
-            let kd_ref = k_division_gbg(
-                &data,
-                &KDivConfig {
-                    seed,
-                    backend: GranulationBackend::Brute,
-                    ..KDivConfig::default()
-                },
-            );
-            let km_ref = kmeans_gbg(
-                &data,
-                &KMeansGbgConfig {
-                    seed,
-                    backend: GranulationBackend::Brute,
-                    ..KMeansGbgConfig::default()
-                },
-            );
-            for backend in [GranulationBackend::KdTree, GranulationBackend::VpTree] {
-                let kd = k_division_gbg(
-                    &data,
-                    &KDivConfig {
-                        seed,
-                        backend,
-                        ..KDivConfig::default()
-                    },
-                );
-                assert_covers_identical(&name, backend, &kd, &kd_ref);
-                let km = kmeans_gbg(
-                    &data,
-                    &KMeansGbgConfig {
-                        seed,
-                        backend,
-                        ..KMeansGbgConfig::default()
-                    },
-                );
-                assert_covers_identical(&name, backend, &km, &km_ref);
-            }
-        }
-    }
-}
-
-#[test]
-fn igbs_and_ggbs_keep_identical_rows_across_backends() {
-    for (name, data) in fixture_datasets() {
-        for seed in [0u64, 5] {
-            let ggbs_ref = Ggbs {
-                config: GgbsConfig {
-                    backend: GranulationBackend::Brute,
-                    ..GgbsConfig::default()
-                },
-            }
-            .sample(&data, seed);
-            let igbs_ref = Igbs {
-                config: IgbsConfig {
-                    backend: GranulationBackend::Brute,
-                    ..IgbsConfig::default()
-                },
-            }
-            .sample(&data, seed);
-            for backend in [GranulationBackend::KdTree, GranulationBackend::VpTree] {
-                let g = Ggbs {
-                    config: GgbsConfig {
-                        backend,
-                        ..GgbsConfig::default()
-                    },
-                }
-                .sample(&data, seed);
-                assert_eq!(
-                    g.kept_rows, ggbs_ref.kept_rows,
-                    "{name}: GGBS rows differ on {backend} (seed {seed})"
-                );
-                let i = Igbs {
-                    config: IgbsConfig {
-                        backend,
-                        ..IgbsConfig::default()
-                    },
-                }
-                .sample(&data, seed);
-                assert_eq!(
-                    i.kept_rows, igbs_ref.kept_rows,
-                    "{name}: IGBS rows differ on {backend} (seed {seed})"
-                );
-            }
         }
     }
 }
