@@ -493,12 +493,14 @@ impl Tombstones {
 /// Rows per batched-kernel call in the brute sweeps, single or batched.
 const SCAN_BLOCK: usize = 128;
 
-/// Rows per batched-kernel call in a tree leaf scan: the wide-row leaf size
-/// of [`calibrated_leaf_size`], so a full leaf of wide rows is one kernel
-/// call (a degenerate leaf of identical rows, which cannot split, runs
-/// longer and chunks). Small on purpose: the scan's distance buffer is
-/// zeroed on every leaf visit.
-const LEAF_BLOCK: usize = 32;
+/// Rows per batched-kernel call in a tree leaf scan: half the wide-row leaf
+/// size of [`calibrated_leaf_size`]. One tombstoned or filtered-out row
+/// sends its whole block to per-pair calls, and as RD-GBG deletes rows the
+/// 16-row halves stay batched more often: RD-GBG on the S8 serve set
+/// (p = 16, KD-tree) ran faster with 16-row blocks than with whole 32-row
+/// leaves. Small on purpose too: the scan's buffers are zeroed on every
+/// leaf visit.
+const LEAF_BLOCK: usize = 16;
 
 /// Which rows of a [`scan_rows`] sweep reach its `hit` callback.
 #[derive(Clone, Copy)]
