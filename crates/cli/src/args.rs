@@ -331,7 +331,7 @@ impl fmt::Display for ParseError {
                 };
                 write!(
                     f,
-                    "{flag} does not apply to --method {} (only {readers} read it)",
+                    "{flag} does not apply to --method {} (it applies to {readers} only)",
                     method.name()
                 )
             }
