@@ -15,10 +15,17 @@
 //! `(center[dim], ball id)` — the workspace's canonical coordinate
 //! tie-break, a total order, so the pair sequence is a pure function of
 //! the cover, whatever its build history, backend or thread count — and
-//! each adjacent pair is compared by label. One key buffer serves all `p`
-//! walks. Only the facing-extreme-member selection touches the dataset. A
-//! cover whose balls all share one label short-circuits: no heterogeneous
-//! adjacency can exist on any dimension.
+//! each adjacent pair is compared by label. The key is one integer per
+//! ball (`walk_key`): the order bits of `center[dim] + 0.0` above the
+//! ball id, so −0.0 and 0.0 tie as they compare. Only the
+//! facing-extreme-member selection touches the dataset. A cover whose
+//! balls all share one label short-circuits: no heterogeneous adjacency
+//! can exist on any dimension.
+//!
+//! The `p` walks are independent: from 8,192 keys in all
+//! (2 × `PAR_WALK_KEYS`) they run in contiguous dimension ranges on the
+//! thread pool, each range with its own key buffer and flags. The ranges'
+//! flags are OR-merged, and a union does not depend on the split.
 //!
 //! Total cost is `O(t·q·N + p·m·log m)` with `m` balls — the linearity the
 //! paper claims in §IV-C.
@@ -54,43 +61,105 @@ impl GbabsResult {
     }
 }
 
+/// Walk keys (dimensions × balls) per range below which the walks are not
+/// split. A split costs a pool hand-off and the host's thread count (~12
+/// µs each on a 2-vCPU x86-64 container). There two ranges lost at 2 k
+/// keys each (4,096 keys at p = 16: 76 µs in one range, 87 µs in two),
+/// won from 4 k keys each (8,192 keys: 175–303 µs → 133–222 µs) and took
+/// 48–74% of the one-range time at p = 256 over 512–4,096 balls.
+const PAR_WALK_KEYS: usize = 4_096;
+
 /// Detects borderline balls and collects the borderline samples from an
 /// existing ball cover. Exposed separately from [`gbabs`] so callers can
 /// reuse one RD-GBG model across analyses.
+///
+/// # Panics
+/// When a ball center is not finite.
 #[must_use]
 pub fn borderline_from_model(data: &Dataset, model: &RdGbgModel) -> (Vec<usize>, Vec<usize>) {
+    let keys = data.n_features() * model.balls.len();
+    borderline_in(data, model, gb_dataset::par_ranges(keys, PAR_WALK_KEYS))
+}
+
+/// [`borderline_from_model`] with the dimensions split into `ranges`
+/// contiguous walk ranges (at least one, at most one per dimension).
+fn borderline_in(data: &Dataset, model: &RdGbgModel, ranges: usize) -> (Vec<usize>, Vec<usize>) {
+    use rayon::prelude::*;
     let m = model.balls.len();
     let p = data.n_features();
-    let mut is_borderline = vec![false; m];
-    let mut sampled = vec![false; data.n_samples()];
-
+    let n = data.n_samples();
     let labels: Vec<u32> = model.balls.iter().map(|b| b.label).collect();
     // Single-label covers (single-class data) have no heterogeneous
     // adjacency on any dimension — skip the p ordered walks entirely.
     let heterogeneous = labels.windows(2).any(|w| w[0] != w[1]);
-    if heterogeneous {
-        // One decorated `(center[dim], ball id)` buffer serves all p walks:
-        // one key load per comparison.
-        let mut order: Vec<(f64, u32)> = Vec::with_capacity(m);
-        for dim in 0..p {
-            order.clear();
-            order.extend(
-                (0u32..)
+    let ranges = if heterogeneous {
+        ranges.clamp(1, p.max(1))
+    } else {
+        0
+    };
+    // Each range gets its own key buffer, which serves all of its walks,
+    // and its own flags; all are allocated here, on the calling thread.
+    let mut walks: Vec<Walks> = (0..ranges)
+        .map(|r| Walks {
+            dims: p * r / ranges..p * (r + 1) / ranges,
+            keys: Vec::with_capacity(m),
+            borderline: vec![false; m],
+            sampled: vec![false; n],
+        })
+        .collect();
+    walks
+        .par_iter_mut()
+        .for_each(|w| w.run(data, model, &labels));
+    // OR-merge every range's flags into the last one's.
+    let (mut is_borderline, mut sampled) = match walks.pop() {
+        Some(last) => (last.borderline, last.sampled),
+        None => (vec![false; m], vec![false; n]),
+    };
+    for w in &walks {
+        for (any, &mine) in is_borderline.iter_mut().zip(&w.borderline) {
+            *any |= mine;
+        }
+        for (any, &mine) in sampled.iter_mut().zip(&w.sampled) {
+            *any |= mine;
+        }
+    }
+    let set = |flags: &[bool]| -> Vec<usize> { (0..flags.len()).filter(|&i| flags[i]).collect() };
+    (set(&sampled), set(&is_borderline))
+}
+
+/// One contiguous range of per-dimension walks and the flags it set.
+struct Walks {
+    dims: std::ops::Range<usize>,
+    keys: Vec<u128>,
+    /// Per ball: whether it was one side of a heterogeneous adjacency.
+    borderline: Vec<bool>,
+    /// Per row: whether it was a facing extreme member.
+    sampled: Vec<bool>,
+}
+
+impl Walks {
+    fn run(&mut self, data: &Dataset, model: &RdGbgModel, labels: &[u32]) {
+        // Work on locals: the ranges' headers sit side by side in one
+        // vector, and writing them from several threads would share
+        // cache lines.
+        let mut keys = std::mem::take(&mut self.keys);
+        let mut borderline = std::mem::take(&mut self.borderline);
+        let mut sampled = std::mem::take(&mut self.sampled);
+        for dim in self.dims.clone() {
+            keys.clear();
+            keys.extend(
+                (0..)
                     .zip(&model.balls)
-                    .map(|(b, ball)| (ball.center[dim], b)),
+                    .map(|(b, ball)| walk_key(ball.center[dim], b)),
             );
-            order.sort_unstable_by(|a, b| {
-                a.0.partial_cmp(&b.0)
-                    .expect("finite centers")
-                    .then_with(|| a.1.cmp(&b.1))
-            });
-            for w in order.windows(2) {
-                let (left, right) = (w[0].1 as usize, w[1].1 as usize);
+            keys.sort_unstable();
+            for w in keys.windows(2) {
+                let (left, right) = (w[0] as u64 as usize, w[1] as u64 as usize);
                 if labels[left] == labels[right] {
                     continue;
                 }
-                is_borderline[left] = true;
-                is_borderline[right] = true;
+                borderline[left] = true;
+                borderline[right] = true;
                 // Facing extreme samples along this dimension.
                 if let Some(row) = model.balls[left].extreme_member(data, dim, true) {
                     sampled[row] = true;
@@ -100,11 +169,27 @@ pub fn borderline_from_model(data: &Dataset, model: &RdGbgModel) -> (Vec<usize>,
                 }
             }
         }
+        (self.borderline, self.sampled) = (borderline, sampled);
     }
+}
 
-    let rows: Vec<usize> = (0..data.n_samples()).filter(|&r| sampled[r]).collect();
-    let balls: Vec<usize> = (0..m).filter(|&b| is_borderline[b]).collect();
-    (rows, balls)
+/// The walk's sort key of ball `id` at coordinate `x`: the order bits of
+/// `x + 0.0` (so −0.0 and 0.0 tie) above the id. Keys order as the pairs
+/// `(x, id)` do.
+///
+/// # Panics
+/// When `x` is not finite.
+fn walk_key(x: f64, id: u64) -> u128 {
+    assert!(x.is_finite(), "finite centers");
+    let bits = (x + 0.0).to_bits();
+    // Negative values order by their flipped magnitude, below every
+    // positive one.
+    let order = if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    };
+    u128::from(order) << 64 | u128::from(id)
 }
 
 /// Runs the full GBABS pipeline: RD-GBG granulation followed by borderline
@@ -237,6 +322,62 @@ mod tests {
             .collect();
         let (_, borderline) = borderline_over_balls(&data, balls);
         assert_eq!(borderline, vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn walks_are_exact_however_the_dimensions_split() {
+        // A cover from a real granulation, plus one dimension whose
+        // centers mix -0.0 and 0.0 (they must tie, ordered by ball id).
+        let data = DatasetId::S6.generate(0.1, 5);
+        let mut model = gbabs(&data, &RdGbgConfig::default()).model;
+        for (b, ball) in model.balls.iter_mut().enumerate() {
+            ball.center[1] = [0.0, -0.0, 1.0, -1.0][b % 4];
+        }
+        let serial = borderline_in(&data, &model, 1);
+        assert!(!serial.0.is_empty() && !serial.1.is_empty());
+        for ranges in [2, 3, 8] {
+            assert_eq!(
+                borderline_in(&data, &model, ranges),
+                serial,
+                "{ranges} ranges"
+            );
+        }
+    }
+
+    #[test]
+    fn signed_zero_centers_tie_and_order_by_ball_id() {
+        assert_eq!(walk_key(-0.0, 3), walk_key(0.0, 3));
+        let xs = [-1e300, -1.0, -5e-324, 0.0, 5e-324, 1.0, 1e300, f64::MAX];
+        for w in xs.windows(2) {
+            assert!(walk_key(w[0], 9) < walk_key(w[1], 0), "{} < {}", w[0], w[1]);
+        }
+        assert!(walk_key(-0.0, 1) < walk_key(0.0, 2));
+        // Balls 0 and 1 both sit at zero, one of them at -0.0: ball 0
+        // still comes first, so its neighbour on the right is ball 1.
+        let data = Dataset::from_parts(vec![0.0, 0.0, 2.0], vec![0, 1, 0], 1, 2);
+        let ball = |center: f64, row: usize, label: u32| GranularBall {
+            center: vec![center],
+            radius: 0.0,
+            label,
+            members: vec![row],
+            center_row: Some(row),
+            purity: 1.0,
+        };
+        let (rows, balls) = borderline_over_balls(
+            &data,
+            vec![ball(0.0, 0, 0), ball(-0.0, 1, 1), ball(2.0, 2, 0)],
+        );
+        assert_eq!((rows, balls), (vec![0, 1, 2], vec![0, 1, 2]));
+    }
+
+    #[test]
+    fn non_finite_centers_panic() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let (data, mut balls) = three_ball_line();
+            balls[1].center[0] = bad;
+            let result = std::panic::catch_unwind(|| borderline_over_balls(&data, balls));
+            assert!(result.is_err(), "{bad} center accepted");
+        }
     }
 
     #[test]

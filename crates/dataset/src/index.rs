@@ -480,10 +480,15 @@ impl Tombstones {
         Some(self.n_alive >= 64 && self.deleted_since_build > self.n_alive)
     }
 
+    /// Marks a rebuild done.
+    pub(crate) fn rebuilt(&mut self) {
+        self.deleted_since_build = 0;
+    }
+
     /// Marks a rebuild done and returns the surviving rows in ascending
     /// order.
     pub(crate) fn begin_rebuild(&mut self) -> Vec<u32> {
-        self.deleted_since_build = 0;
+        self.rebuilt();
         (0..self.alive.len() as u32)
             .filter(|&r| self.alive[r as usize])
             .collect()
@@ -637,16 +642,28 @@ impl Leaves {
         self.points.clear();
     }
 
-    /// Appends a leaf over `rows`, copying their coordinates out of the
-    /// row-major `points` (`p` wide); returns the leaf's slot range.
-    pub(crate) fn push(&mut self, rows: &[u32], points: &[f64], p: usize) -> (usize, usize) {
+    /// Appends a leaf over `items`, copying their coordinates out of the
+    /// row-major `points` (`p` wide, one row per item); `id` maps an item
+    /// to its row id. Returns the leaf's slot range.
+    pub(crate) fn push(
+        &mut self,
+        items: &[u32],
+        id: impl Fn(u32) -> u32,
+        points: &[f64],
+        p: usize,
+    ) -> (usize, usize) {
         let start = self.ids.len();
-        self.ids.extend_from_slice(rows);
-        for &r in rows {
-            let base = r as usize * p;
+        self.ids.extend(items.iter().map(|&i| id(i)));
+        for &i in items {
+            let base = i as usize * p;
             self.points.extend_from_slice(&points[base..base + p]);
         }
         (start, self.ids.len())
+    }
+
+    /// The row ids and coordinates of every slot, in slot order.
+    pub(crate) fn parts(&self) -> (&[u32], &[f64]) {
+        (&self.ids, &self.points)
     }
 
     /// Scans the leaf at slots `start..end` for `query`, passing every row
@@ -699,6 +716,18 @@ const GONE: u32 = u32::MAX;
 /// blocked sweep that loads every alive row once for all of its queries.
 const QUERY_TILE: usize = 16;
 
+/// Multiply-adds (alive rows × width × queries) per range below which a
+/// batched sweep ([`NeighborIndex::k_nearest_sq_many`]) is not split. A
+/// split costs a pool hand-off, the host's thread count (~12 µs each on a
+/// 2-vCPU x86-64 container, FMA tier) and a merge of per-range results.
+/// There two ranges lost up to ~0.9 M multiply-adds in all (512 rows × 7
+/// queries at p = 256: 97 µs in one range, 106 µs in two; 2,048 × 7 at
+/// p = 64: 122 µs against 138 µs) and took 68–74% of the one-range time
+/// from 1 M up (1,024 × 7 at p = 256: 252 → 187 µs), the size of RD-GBG's
+/// early hood sweeps on the `offline-usps-256d` input (~1,100 rows × 256
+/// features × 10 hoods).
+const PAR_SWEEP_WORK: usize = 1 << 19;
+
 impl BruteIndex {
     /// Builds the index over every row of `data` (squared Euclidean).
     ///
@@ -731,7 +760,7 @@ impl BruteIndex {
     }
 
     /// Answers a long list of k-NN queries in parallel. Rows of a lane
-    /// width or more go in tiles of 16 queries, each tile one
+    /// width or more go in tiles of 16 queries, each tile one serial
     /// [`NeighborIndex::k_nearest_sq_many`] sweep that reads every alive
     /// row once for the whole tile; sub-lane rows, where the blocked kernel
     /// has no vector work, take one [`NeighborIndex::k_nearest_sq`] per
@@ -759,7 +788,7 @@ impl BruteIndex {
             .into_par_iter()
             .map(|t| {
                 let tile = t * QUERY_TILE..((t + 1) * QUERY_TILE).min(queries.len());
-                self.k_nearest_sq_many(&queries[tile.clone()], k, &skips[tile])
+                self.k_nearest_many_in(1, &queries[tile.clone()], k, &skips[tile])
             })
             .collect();
         tiles.into_iter().flatten().collect()
@@ -821,7 +850,9 @@ impl NeighborIndex for BruteIndex {
         k: usize,
         skips: &[Option<usize>],
     ) -> Vec<Vec<SqNeighbor>> {
-        self.k_nearest_many_in(self.scan_chunks(), queries, k, skips)
+        let work = self.alive_rows.len() * self.n_features * queries.len();
+        let chunks = crate::par_ranges(work, PAR_SWEEP_WORK);
+        self.k_nearest_many_in(chunks, queries, k, skips)
     }
 
     fn nearest_heterogeneous_sq(
@@ -868,9 +899,9 @@ impl NeighborIndex for BruteIndex {
 }
 
 impl BruteIndex {
-    /// Number of parallel chunks for the current scan size (1 = serial).
-    /// Distance scans only go multi-threaded once they are long enough to
-    /// amortize thread hand-off.
+    /// Number of parallel chunks for a single-query scan of the current
+    /// size (1 = serial). Such scans only go multi-threaded once they are
+    /// long enough to amortize thread hand-off.
     fn scan_chunks(&self) -> usize {
         const PAR_THRESHOLD: usize = 16_384;
         let n = self.alive_rows.len();
@@ -1283,10 +1314,10 @@ mod tests {
 
     #[test]
     fn k_nearest_many_is_exact_however_the_scan_splits() {
-        // Past 16,384 alive rows brute scans split into one range per
-        // thread; the batched sweep keeps one `KBest` per query and range
-        // and merges them. Forcing the split covers the merge on any
-        // number of CPUs.
+        // Past `PAR_SWEEP_WORK` multiply-adds per range a batched sweep
+        // splits into one range per thread; it keeps one `KBest` per query
+        // and range and merges them. Forcing the split covers the merge on
+        // any number of CPUs.
         for p in [2, 4] {
             let data = random_data(2_000, p, 2, 23);
             let mut ix = BruteIndex::build(&data);

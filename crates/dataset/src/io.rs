@@ -131,33 +131,72 @@ pub fn read_csv(path: &Path, options: &CsvOptions) -> Result<Dataset, CsvError> 
 
 /// [`read_csv`] over an in-memory string (used by tests and pipes).
 ///
-/// One pass over the text parses each field at most once, borrowed from
-/// `content` (no `String` per field). A column is numeric until a value
-/// fails to parse; it is then categorical and its later values are not
-/// parsed. If any column turned categorical, one more pass over the rows
-/// codes every categorical column from its text in first-appearance
-/// order, exactly as if the columns had been typed before reading them.
-/// Both passes take time linear in the text. Blank lines are skipped but
-/// still counted in the 1-based line numbers errors report.
+/// Each field is parsed at most once, borrowed from `content` (no
+/// `String` per field), straight into its cell of one feature matrix
+/// allocated once. A column is numeric until a value fails to parse; it is
+/// then categorical and its later values are not parsed. If any column
+/// turned categorical, one more pass over the rows codes every categorical
+/// column from its text in first-appearance order, exactly as if the
+/// columns had been typed before reading them. Both passes take time
+/// linear in the text. Blank lines are skipped but still counted in the
+/// 1-based line numbers errors report.
+///
+/// From 64 KiB of text on (2 × `PAR_READ_BYTES`), the body is split at
+/// line ends into contiguous ranges, up to one per thread, counted and
+/// then parsed on the thread pool, each range into its own rows of the
+/// matrix. The ranges' label texts, column kinds and errors are merged
+/// in range order, so the result — and which error is reported — is the
+/// same for any number of ranges.
 ///
 /// # Errors
 /// See [`CsvError`]. With several faults the first applies: no data rows,
 /// then the first ragged row, then an unresolvable label column, then the
 /// first non-finite value of a column that stayed numeric.
 pub fn read_csv_str(content: &str, options: &CsvOptions) -> Result<Dataset, CsvError> {
+    read_csv_in(
+        content,
+        options,
+        crate::par_ranges(content.len(), PAR_READ_BYTES),
+    )
+}
+
+/// Text bytes per range below which [`read_csv_str`] does not split its
+/// body. A split costs two pool hand-offs and the host's thread count
+/// (~12 µs each on a 2-vCPU x86-64 container), where one range parses
+/// 220–370 MB/s (banana rows to USPS rows). There two ranges broke even
+/// at ~16 KiB each (32 KiB of text: 134 µs in one range, 131 µs in two),
+/// took 84% of the one-range time at 32 KiB each and 53–56% from 2 MB up
+/// (2 MB of banana rows: 9.3 → 5.0 ms).
+const PAR_READ_BYTES: usize = 32 << 10;
+
+/// [`read_csv_str`] with the text after the header split into `ranges`
+/// line ranges (at least one).
+fn read_csv_in(content: &str, options: &CsvOptions, ranges: usize) -> Result<Dataset, CsvError> {
+    use rayon::prelude::*;
     let sep = options.separator;
-    let mut lines = content
-        .lines()
-        .enumerate()
-        .filter(|(_, l)| !l.trim().is_empty())
-        .map(|(i, l)| (i + 1, l));
-    let header: Option<Vec<&str>> = if options.has_header {
-        lines.next().map(|(_, l)| fields(l, sep).collect())
-    } else {
-        None
-    };
-    let mut lines = lines.peekable();
-    let Some(&(_, first)) = lines.peek() else {
+    // The header is the first non-blank line; the body is what follows it.
+    let mut body_start = 0;
+    let mut first_line = 1;
+    let mut header: Option<Vec<&str>> = None;
+    if options.has_header {
+        for raw in content.split_inclusive('\n') {
+            body_start += raw.len();
+            first_line += 1;
+            let line = raw.lines().next().unwrap_or_default();
+            if !is_blank(line) {
+                header = Some(fields(line, sep).collect());
+                break;
+            }
+        }
+    }
+    let body = &content[body_start..];
+    let mut chunks: Vec<Chunk<'_>> = split_lines(body, ranges)
+        .into_iter()
+        .map(Chunk::new)
+        .collect();
+    chunks.par_iter_mut().for_each(Chunk::count);
+    let n_rows: usize = chunks.iter().map(|c| c.rows).sum();
+    let Some(first) = body.lines().find(|l| !is_blank(l)) else {
         return Err(CsvError::Empty);
     };
     let width = header
@@ -167,7 +206,7 @@ pub fn read_csv_str(content: &str, options: &CsvOptions) -> Result<Dataset, CsvE
         Ok(idx) => idx,
         Err(e) => {
             // A ragged row outranks a bad label selector.
-            for (line, text) in lines {
+            for (line, text) in data_lines(body, first_line) {
                 let found = fields(text, sep).count();
                 if found != width {
                     return Err(CsvError::Ragged {
@@ -180,11 +219,97 @@ pub fn read_csv_str(content: &str, options: &CsvOptions) -> Result<Dataset, CsvE
             return Err(e);
         }
     };
-    let mut table = Table::new(width, label_idx, sep);
-    for (line, text) in lines {
-        table.push_row(line, text)?;
+    let n_features = width - 1;
+    let mut features = vec![0.0; n_rows * n_features];
+    let mut labels = vec![0u32; n_rows];
+    {
+        let (mut cells, mut ids) = (&mut features[..], &mut labels[..]);
+        let mut line = first_line;
+        for chunk in &mut chunks {
+            let (mine, rest) = std::mem::take(&mut cells).split_at_mut(chunk.rows * n_features);
+            let (my_ids, rest_ids) = std::mem::take(&mut ids).split_at_mut(chunk.rows);
+            chunk.first_line = line;
+            chunk.cells = mine;
+            chunk.labels = my_ids;
+            chunk.categorical = vec![false; width];
+            line += chunk.lines;
+            (cells, ids) = (rest, rest_ids);
+        }
     }
-    table.finish()
+    let shape = Shape {
+        width,
+        label_idx,
+        sep,
+    };
+    chunks.par_iter_mut().for_each(|c| c.parse(shape));
+    if let Some(e) = chunks.iter_mut().find_map(|c| c.error.take()) {
+        return Err(e);
+    }
+    // Each chunk's label ids index its own first-appearance list; the
+    // union of those lists, densified in sorted order of the text, gives
+    // the final labels.
+    let mut texts: Vec<&str> = chunks
+        .iter()
+        .flat_map(|c| c.label_texts.iter().copied())
+        .collect();
+    texts.sort_unstable();
+    texts.dedup();
+    let n_classes = texts.len();
+    let mut categorical = vec![false; width];
+    for chunk in &mut chunks {
+        let dense: Vec<u32> = chunk
+            .label_texts
+            .iter()
+            .map(|t| texts.binary_search(t).expect("a merged label") as u32)
+            .collect();
+        for id in chunk.labels.iter_mut() {
+            *id = dense[*id as usize];
+        }
+        for (any, &mine) in categorical.iter_mut().zip(&chunk.categorical) {
+            *any |= mine;
+        }
+    }
+    drop(chunks);
+    if categorical.contains(&true) {
+        // Split each row once more and code every categorical column.
+        let mut codes: Vec<HashMap<&str, f64>> = vec![HashMap::new(); width];
+        for (cells, (_, row)) in features
+            .chunks_exact_mut(n_features)
+            .zip(data_lines(body, first_line))
+        {
+            for (c, field) in fields(row, sep).enumerate() {
+                if categorical[c] {
+                    cells[c - usize::from(c > label_idx)] = code(&mut codes[c], field);
+                }
+            }
+        }
+    }
+    let kinds: Vec<FeatureKind> = (0..width)
+        .filter(|&c| c != label_idx)
+        .map(|c| {
+            if categorical[c] {
+                FeatureKind::Categorical
+            } else {
+                FeatureKind::Numeric
+            }
+        })
+        .collect();
+    // `parse::<f64>` accepts `nan`, `inf` and overflowing literals; the
+    // dataset refuses them, and the error names the field.
+    match Dataset::new(features, labels, n_features, n_classes) {
+        Ok(data) => Ok(data.with_kinds(kinds)),
+        Err(DatasetError::NonFinite { row, col }) => {
+            let (line, text) = data_lines(body, first_line).nth(row).expect("a parsed row");
+            let column = col + usize::from(col >= label_idx);
+            let text = fields(text, sep).nth(column).expect("a full row");
+            Err(CsvError::NonFinite {
+                line,
+                column,
+                text: text.to_owned(),
+            })
+        }
+        Err(other) => unreachable!("the reader builds a well-formed table: {other}"),
+    }
 }
 
 fn label_column(
@@ -204,129 +329,173 @@ fn label_column(
     }
 }
 
-/// The columns [`read_csv_str`] has read so far.
-struct Table<'a> {
+fn is_blank(line: &str) -> bool {
+    line.trim().is_empty()
+}
+
+/// The non-blank lines of `text` with their 1-based line numbers, the
+/// first line of `text` being line `first_line`.
+fn data_lines(text: &str, first_line: usize) -> impl Iterator<Item = (usize, &str)> {
+    (first_line..)
+        .zip(text.lines())
+        .filter(|(_, l)| !is_blank(l))
+}
+
+/// Splits `text` into at most `ranges` (at least one) pieces of about
+/// equal size, each ending just after a `\n` (or at the end of `text`),
+/// so every piece holds whole lines.
+fn split_lines(text: &str, ranges: usize) -> Vec<&str> {
+    let ranges = ranges.max(1);
+    let mut pieces = Vec::with_capacity(ranges);
+    let mut start = 0;
+    for r in 1..=ranges {
+        let end = if r == ranges {
+            text.len()
+        } else {
+            let target = (text.len() * r / ranges).max(start);
+            text.as_bytes()[target..]
+                .iter()
+                .position(|&b| b == b'\n')
+                .map_or(text.len(), |i| target + i + 1)
+        };
+        if end > start {
+            pieces.push(&text[start..end]);
+            start = end;
+        }
+    }
+    if pieces.is_empty() {
+        pieces.push(text);
+    }
+    pieces
+}
+
+/// What every range of one read shares.
+#[derive(Clone, Copy)]
+struct Shape {
     width: usize,
     label_idx: usize,
     sep: char,
-    /// Row-major feature values: numbers, or a placeholder in categorical
-    /// columns until [`Table::finish`] codes them.
-    features: Vec<f64>,
-    /// Per column: whether some value failed to parse as a number.
-    categorical: Vec<bool>,
-    /// The rows read so far with their line numbers, for [`Table::finish`]
-    /// to code the categorical columns from and to name a bad field.
-    rows: Vec<(usize, &'a str)>,
-    /// Each row's label as an index into `label_texts`.
-    labels: Vec<u32>,
-    label_ids: HashMap<&'a str, u32>,
-    /// Distinct label texts in first-appearance order.
-    label_texts: Vec<&'a str>,
 }
 
-impl<'a> Table<'a> {
-    fn new(width: usize, label_idx: usize, sep: char) -> Self {
+/// One contiguous line range of a [`read_csv_str`] body and what its
+/// parse found.
+struct Chunk<'a> {
+    text: &'a str,
+    /// Lines in `text`, blank ones included.
+    lines: usize,
+    /// Non-blank lines in `text`: the range's rows.
+    rows: usize,
+    /// The 1-based line number of the first line of `text`.
+    first_line: usize,
+    /// The range's rows of the feature matrix (row-major), and their
+    /// labels as indices into `label_texts`.
+    cells: &'a mut [f64],
+    labels: &'a mut [u32],
+    /// The range's distinct label texts in first-appearance order.
+    label_texts: Vec<&'a str>,
+    /// Per column: whether some value of the range failed to parse as a
+    /// number.
+    categorical: Vec<bool>,
+    /// The range's first ragged row; the range stops there.
+    error: Option<CsvError>,
+}
+
+impl<'a> Chunk<'a> {
+    fn new(text: &'a str) -> Self {
         Self {
-            width,
-            label_idx,
-            sep,
-            features: Vec::new(),
-            categorical: vec![false; width],
-            rows: Vec::new(),
-            labels: Vec::new(),
-            label_ids: HashMap::new(),
+            text,
+            lines: 0,
+            rows: 0,
+            first_line: 0,
+            cells: &mut [],
+            labels: &mut [],
             label_texts: Vec::new(),
+            categorical: Vec::new(),
+            error: None,
         }
     }
 
-    fn push_row(&mut self, line: usize, text: &'a str) -> Result<(), CsvError> {
+    fn count(&mut self) {
+        let (mut lines, mut rows) = (0, 0);
+        for line in self.text.lines() {
+            lines += 1;
+            rows += usize::from(!is_blank(line));
+        }
+        (self.lines, self.rows) = (lines, rows);
+    }
+
+    fn parse(&mut self, shape: Shape) {
+        // Work on locals: the chunks sit side by side in one vector, and
+        // writing their fields from several threads would share cache
+        // lines.
+        let mut label_texts = std::mem::take(&mut self.label_texts);
+        let mut categorical = std::mem::take(&mut self.categorical);
+        self.error = parse_rows(
+            data_lines(self.text, self.first_line),
+            shape,
+            self.cells,
+            self.labels,
+            &mut label_texts,
+            &mut categorical,
+        );
+        (self.label_texts, self.categorical) = (label_texts, categorical);
+    }
+}
+
+/// Parses `rows` (line number, text) into the row-major `cells` and the
+/// `labels`, interning label texts into `label_texts` in first-appearance
+/// order and flagging columns that fail to parse in `categorical`.
+/// Returns the first ragged row; parsing stops there.
+fn parse_rows<'a>(
+    rows: impl Iterator<Item = (usize, &'a str)>,
+    Shape {
+        width,
+        label_idx,
+        sep,
+    }: Shape,
+    cells: &mut [f64],
+    labels: &mut [u32],
+    label_texts: &mut Vec<&'a str>,
+    categorical: &mut [bool],
+) -> Option<CsvError> {
+    let n_features = width - 1;
+    let mut label_ids: HashMap<&'a str, u32> = HashMap::new();
+    for (r, (line, text)) in rows.enumerate() {
+        let cells = &mut cells[r * n_features..(r + 1) * n_features];
+        let label = &mut labels[r];
         let mut found = 0;
-        for (c, field) in fields(text, self.sep).enumerate() {
+        for (c, field) in fields(text, sep).enumerate() {
             found += 1;
-            if c >= self.width {
+            if c >= width {
                 // Keep counting for the report.
                 continue;
             }
-            if c == self.label_idx {
-                let next = self.label_texts.len() as u32;
-                let id = *self.label_ids.entry(field).or_insert(next);
-                if id == next {
-                    self.label_texts.push(field);
+            if c == label_idx {
+                let next = label_texts.len() as u32;
+                *label = *label_ids.entry(field).or_insert(next);
+                if *label == next {
+                    label_texts.push(field);
                 }
-                self.labels.push(id);
                 continue;
             }
-            let value = if self.categorical[c] {
+            cells[c - usize::from(c > label_idx)] = if categorical[c] {
                 f64::NAN
             } else if let Ok(v) = field.parse::<f64>() {
                 v
             } else {
-                self.categorical[c] = true;
+                categorical[c] = true;
                 f64::NAN
             };
-            self.features.push(value);
         }
-        if found != self.width {
-            return Err(CsvError::Ragged {
+        if found != width {
+            return Some(CsvError::Ragged {
                 line,
                 found,
-                expected: self.width,
+                expected: width,
             });
         }
-        self.rows.push((line, text));
-        Ok(())
     }
-
-    fn finish(mut self) -> Result<Dataset, CsvError> {
-        let n_features = self.width - 1;
-        if self.categorical.contains(&true) {
-            // Split each row once more and code every categorical column.
-            let mut codes: Vec<HashMap<&str, f64>> = vec![HashMap::new(); self.width];
-            for (r, &(_, row)) in self.rows.iter().enumerate() {
-                let cells = &mut self.features[r * n_features..][..n_features];
-                for (c, field) in fields(row, self.sep).enumerate() {
-                    if self.categorical[c] {
-                        let column = c - usize::from(c > self.label_idx);
-                        cells[column] = code(&mut codes[c], field);
-                    }
-                }
-            }
-        }
-        // Labels densify to 0..q in sorted order of their text.
-        let mut sorted: Vec<u32> = (0..self.label_texts.len() as u32).collect();
-        sorted.sort_unstable_by_key(|&id| self.label_texts[id as usize]);
-        let mut dense = vec![0u32; sorted.len()];
-        for (rank, &id) in sorted.iter().enumerate() {
-            dense[id as usize] = rank as u32;
-        }
-        let labels = self.labels.iter().map(|&id| dense[id as usize]).collect();
-        let kinds: Vec<FeatureKind> = (0..self.width)
-            .filter(|&c| c != self.label_idx)
-            .map(|c| {
-                if self.categorical[c] {
-                    FeatureKind::Categorical
-                } else {
-                    FeatureKind::Numeric
-                }
-            })
-            .collect();
-        // `parse::<f64>` accepts `nan`, `inf` and overflowing literals;
-        // the dataset refuses them, and the error names the field.
-        match Dataset::new(self.features, labels, n_features, self.label_texts.len()) {
-            Ok(data) => Ok(data.with_kinds(kinds)),
-            Err(DatasetError::NonFinite { row, col }) => {
-                let (line, text) = self.rows[row];
-                let column = col + usize::from(col >= self.label_idx);
-                let text = fields(text, self.sep).nth(column).expect("a full row");
-                Err(CsvError::NonFinite {
-                    line,
-                    column,
-                    text: text.to_owned(),
-                })
-            }
-            Err(other) => unreachable!("the reader builds a well-formed table: {other}"),
-        }
-    }
+    None
 }
 
 /// The categorical code of `text`: its first-appearance index.
@@ -335,43 +504,131 @@ fn code<'a>(codes: &mut HashMap<&'a str, f64>, text: &'a str) -> f64 {
     *codes.entry(text).or_insert(next)
 }
 
-/// Renders a dataset as headered CSV text (`f0..f{p-1}, label`), the exact
-/// format [`read_csv_str`] parses back (numeric round trip is lossless:
-/// values print via Rust's shortest-roundtrip float formatting). The text
-/// is formatted straight into one buffer, sized for the whole table once
-/// the first row shows how wide a row is.
-#[must_use]
-pub fn write_csv_str(data: &Dataset) -> String {
+/// Cells (values and labels) per range below which [`write_csv_str`] and
+/// [`write_csv`] do not split a table. A split costs a pool hand-off and
+/// the host's thread count (~12 µs each on a 2-vCPU x86-64 container),
+/// where one range formats 9–12 M cells/s (shortest round-trip floats).
+/// There two ranges broke even at ~600 cells each (1,200 cells: 93 µs in
+/// one range, 88 µs in two), took 75% of the one-range time at 1,200
+/// cells each and 56–84% from 10 k cells up.
+const PAR_WRITE_CELLS: usize = 1_024;
+
+/// Text bytes a piece of written CSV holds at most (estimated from the
+/// first row). [`write_csv`] keeps one round of pieces in memory, one per
+/// range, not the whole text: ~0.5 MB on two threads where the
+/// `offline-usps-256d` input is 5.8 MB. A round costs a pool hand-off and
+/// the host's thread count (~12 µs each on a 2-vCPU x86-64 container),
+/// ~2% of formatting its two pieces there.
+const PIECE_BYTES: usize = 256 << 10;
+
+/// How [`emit_csv`] splits the rows of `data`: the ranges per round (one
+/// below 2 × [`PAR_WRITE_CELLS`] cells, else up to one per thread), the
+/// rows per piece, and the first row's text length.
+fn write_plan(data: &Dataset) -> (usize, usize, usize) {
+    let cells = data.n_samples() * (data.n_features() + 1);
+    let mut first = String::new();
+    format_rows(data, 0..data.n_samples().min(1), &mut first);
+    let piece_rows = PIECE_BYTES / first.len().max(1);
+    (
+        crate::par_ranges(cells, PAR_WRITE_CELLS),
+        piece_rows,
+        first.len(),
+    )
+}
+
+/// Hands the CSV text of `data` to `emit` in row order: the header, then
+/// the rows in pieces of `piece_rows` rows, formatted `ranges` pieces at a
+/// time on the thread pool (on the calling thread when `ranges` is 1).
+/// The piece buffers are allocated once, here, on the calling thread,
+/// sized from `row_bytes` (the first row's text length), and reused.
+fn emit_csv<E>(
+    data: &Dataset,
+    (ranges, piece_rows, row_bytes): (usize, usize, usize),
+    mut emit: impl FnMut(&str) -> Result<(), E>,
+) -> Result<(), E> {
+    use rayon::prelude::*;
     use std::fmt::Write as _;
-    let mut out = String::new();
+    let mut header = String::new();
     for j in 0..data.n_features() {
-        write!(out, "f{j},").expect("formatting into a String cannot fail");
+        write!(header, "f{j},").expect("formatting into a String cannot fail");
     }
-    out.push_str("label\n");
-    for (i, (row, label)) in data.iter_rows().enumerate() {
-        let start = out.len();
-        for v in row {
+    header.push_str("label\n");
+    emit(&header)?;
+    let n = data.n_samples();
+    let piece_rows = piece_rows.max(1);
+    // An eighth of slack absorbs rows with longer numbers.
+    let capacity = row_bytes * piece_rows.min(n);
+    let mut pieces: Vec<(std::ops::Range<usize>, String)> = (0..ranges
+        .clamp(1, n.div_ceil(piece_rows).max(1)))
+        .map(|_| (0..0, String::with_capacity(capacity + capacity / 8)))
+        .collect();
+    let mut next = 0;
+    while next < n {
+        for (rows, _) in &mut pieces {
+            *rows = next..(next + piece_rows).min(n);
+            next = rows.end;
+        }
+        pieces.par_iter_mut().for_each(|(rows, text)| {
+            // Format into a local: the pieces' headers sit side by side
+            // in one vector, and growing them from several threads would
+            // share cache lines.
+            let mut local = std::mem::take(text);
+            local.clear();
+            format_rows(data, rows.clone(), &mut local);
+            *text = local;
+        });
+        for (_, text) in &pieces {
+            emit(text)?;
+        }
+    }
+    Ok(())
+}
+
+/// Appends rows `rows` of `data` to `out` as CSV lines.
+fn format_rows(data: &Dataset, rows: std::ops::Range<usize>, out: &mut String) {
+    use std::fmt::Write as _;
+    for i in rows {
+        for v in data.row(i) {
             write!(out, "{v},").expect("formatting into a String cannot fail");
         }
-        writeln!(out, "{label}").expect("formatting into a String cannot fail");
-        if i == 0 {
-            // An eighth of slack absorbs rows with longer numbers.
-            let rest = (out.len() - start) * (data.n_samples() - 1);
-            out.reserve(rest + rest / 8);
-        }
+        writeln!(out, "{}", data.label(i)).expect("formatting into a String cannot fail");
     }
+}
+
+/// Renders a dataset as headered CSV text (`f0..f{p-1}, label`), the exact
+/// format [`read_csv_str`] parses back (numeric round trip is lossless:
+/// values print via Rust's shortest-roundtrip float formatting). From
+/// 2,048 cells on (2 × `PAR_WRITE_CELLS`), the rows are formatted in
+/// contiguous ranges on the thread pool and joined in row order; the text
+/// is the same for any number of ranges.
+#[must_use]
+pub fn write_csv_str(data: &Dataset) -> String {
+    let plan = write_plan(data);
+    let rows = plan.2 * data.n_samples();
+    let mut out = String::with_capacity(rows + rows / 8);
+    let joined: Result<(), std::convert::Infallible> = emit_csv(data, plan, |text| {
+        out.push_str(text);
+        Ok(())
+    });
+    let Ok(()) = joined;
     out
 }
 
-/// Writes a dataset as headered CSV (`f0..f{p-1}, label`).
+/// Writes a dataset as headered CSV (`f0..f{p-1}, label`), the text of
+/// [`write_csv_str`], formatted and written in pieces of at most ~256 KiB
+/// (`PIECE_BYTES`) rather than held in memory whole.
 ///
 /// # Errors
 /// Propagates I/O failures.
 pub fn write_csv(data: &Dataset, path: &Path) -> std::io::Result<()> {
+    use std::io::Write as _;
     if let Some(parent) = path.parent() {
         fs::create_dir_all(parent)?;
     }
-    fs::write(path, write_csv_str(data))
+    let mut file = fs::File::create(path)?;
+    emit_csv(data, write_plan(data), |text| {
+        file.write_all(text.as_bytes())
+    })
 }
 
 #[cfg(test)]
@@ -702,6 +959,177 @@ a,b,color,class
         let d = read_csv_str("a,label\ninf,x\nred,y\ninf,y\n", &CsvOptions::default()).unwrap();
         assert_eq!(d.feature_kinds(), &[FeatureKind::Categorical]);
         assert_eq!(d.features(), &[0.0, 1.0, 0.0]);
+    }
+
+    /// Everything a read produced, in comparable form.
+    fn outcome(result: Result<Dataset, CsvError>) -> Result<String, String> {
+        result
+            .map(|d| {
+                let bits: Vec<u64> = d.features().iter().map(|v| v.to_bits()).collect();
+                format!(
+                    "{}x{} q={} kinds={:?} labels={:?} bits={bits:?}",
+                    d.n_samples(),
+                    d.n_features(),
+                    d.n_classes(),
+                    d.feature_kinds(),
+                    d.labels(),
+                )
+            })
+            .map_err(|e| e.to_string())
+    }
+
+    /// Reads `csv` in 1, 2, 3 and 8 ranges and asserts every read equals
+    /// the one-range read; returns that.
+    fn read_every_split(csv: &str, options: &CsvOptions) -> Result<String, String> {
+        let serial = outcome(read_csv_in(csv, options, 1));
+        for ranges in [2, 3, 8] {
+            assert_eq!(
+                outcome(read_csv_in(csv, options, ranges)),
+                serial,
+                "{ranges} ranges"
+            );
+        }
+        serial
+    }
+
+    /// Rows `x,y,label` of a 1-d walk, enough that 8 ranges each hold
+    /// several of them.
+    fn rows(n: usize, label: impl Fn(usize) -> String) -> String {
+        (0..n)
+            .map(|i| format!("{}.5,{},{}\n", i, i % 7, label(i)))
+            .collect()
+    }
+
+    #[test]
+    fn split_reads_merge_labels_in_range_order() {
+        // "zz" first appears in the last eighth; "aa" sorts first but
+        // appears after "mm".
+        let csv = format!(
+            "x,y,label\n{}{}",
+            rows(60, |i| if i % 2 == 0 { "mm" } else { "aa" }.into()),
+            rows(10, |_| "zz".into())
+        );
+        let read = read_every_split(&csv, &CsvOptions::default()).unwrap();
+        assert!(read.starts_with("70x2 q=3"), "{read}");
+        let d = read_csv_in(&csv, &CsvOptions::default(), 8).unwrap();
+        assert_eq!(&d.labels()[..2], &[1, 0]);
+        assert_eq!(d.labels()[69], 2);
+    }
+
+    #[test]
+    fn split_reads_code_a_late_categorical_column_from_the_first_row() {
+        // Column y parses as numbers until row 65 of 70.
+        let mut csv = format!("x,y,label\n{}", rows(65, |i| (i % 2).to_string()));
+        csv.push_str("1,red,0\n2,3,1\n3,red,0\n4,blue,1\n5,3,0\n");
+        read_every_split(&csv, &CsvOptions::default()).unwrap();
+        let d = read_csv_in(&csv, &CsvOptions::default(), 8).unwrap();
+        assert_eq!(
+            d.feature_kinds(),
+            &[FeatureKind::Numeric, FeatureKind::Categorical]
+        );
+        // y's texts in first-appearance order: "0", "1", ..., "6", "red".
+        assert_eq!(d.value(0, 1), 0.0);
+        assert_eq!(d.value(65, 1), 7.0);
+        assert_eq!(d.value(66, 1), 3.0);
+        assert_eq!(d.value(68, 1), 8.0);
+    }
+
+    #[test]
+    fn split_reads_report_the_first_ragged_row() {
+        // Ragged rows at lines 12 and 60, in different ranges.
+        let mut lines: Vec<String> = rows(70, |i| (i % 2).to_string())
+            .lines()
+            .map(str::to_owned)
+            .collect();
+        lines[10] = "1,2".into();
+        lines[58] = "1,2,3,4".into();
+        let csv = format!("x,y,label\n{}\n", lines.join("\n"));
+        let err = read_every_split(&csv, &CsvOptions::default()).unwrap_err();
+        assert_eq!(err, "line 12: 2 fields, expected 3");
+        // A bad label selector still ranks below it.
+        let by_name = CsvOptions {
+            label: LabelColumn::Name("nope".into()),
+            ..CsvOptions::default()
+        };
+        assert_eq!(read_every_split(&csv, &by_name).unwrap_err(), err);
+    }
+
+    #[test]
+    fn split_reads_name_a_late_non_finite_value() {
+        let mut csv = format!("x,y,label\n{}", rows(69, |i| (i % 2).to_string()));
+        csv.push_str("1,-inf,0\n");
+        let err = read_every_split(&csv, &CsvOptions::default()).unwrap_err();
+        assert_eq!(err, "line 71, column 1: \"-inf\" is not a finite number");
+    }
+
+    #[test]
+    fn split_reads_handle_blank_lines_and_crlf_at_every_edge() {
+        // CRLF everywhere and a blank or whitespace-only line after every
+        // third row: every split point meets one of them somewhere.
+        let mut csv = String::from("\r\n  \r\nx,y,label\r\n\r\n");
+        for i in 0..60 {
+            csv.push_str(&format!("{i}.25,{},{}\r\n", i % 5, i % 3));
+            match i % 3 {
+                0 => csv.push_str("\r\n"),
+                1 => csv.push_str(" \t\r\n"),
+                _ => {}
+            }
+        }
+        csv.push_str("60.25,0,0");
+        let read = read_every_split(&csv, &CsvOptions::default()).unwrap();
+        assert!(read.starts_with("61x2 q=3"), "{read}");
+        // A ragged row after blank lines keeps its line number.
+        let ragged = format!("{csv}\r\n\r\n1,2\r\n");
+        assert_eq!(
+            read_every_split(&ragged, &CsvOptions::default()).unwrap_err(),
+            format!("line {}: 2 fields, expected 3", csv.lines().count() + 2)
+        );
+        let headerless = CsvOptions {
+            has_header: false,
+            ..CsvOptions::default()
+        };
+        read_every_split(&csv.replace("x,y,label", ""), &headerless).unwrap();
+        assert_eq!(
+            read_every_split("a,b\r\n\r\n \r\n", &CsvOptions::default()).unwrap_err(),
+            "no data rows"
+        );
+    }
+
+    #[test]
+    fn split_writes_join_to_the_one_range_text() {
+        use crate::catalog::DatasetId;
+        for data in [
+            DatasetId::S2.generate(0.05, 1),
+            Dataset::from_parts(
+                vec![-0.0, 1e-7, 1e21, 5e-324, 0.1 + 0.2, 2.5],
+                vec![1, 0],
+                3,
+                2,
+            ),
+            Dataset::from_parts(vec![1.5], vec![0], 1, 1),
+        ] {
+            let n = data.n_samples();
+            let text = |ranges: usize, piece_rows: usize| {
+                let mut pieces = Vec::new();
+                let emitted: Result<(), ()> = emit_csv(&data, (ranges, piece_rows, 8), |t| {
+                    pieces.push(t.to_owned());
+                    Ok(())
+                });
+                emitted.unwrap();
+                pieces.concat()
+            };
+            let serial = text(1, n);
+            assert_eq!(serial, write_csv_str(&data));
+            for ranges in [1, 2, 3, 8] {
+                for piece_rows in [1, 2, 7, n] {
+                    assert_eq!(
+                        text(ranges, piece_rows),
+                        serial,
+                        "{ranges} ranges of {piece_rows} rows"
+                    );
+                }
+            }
+        }
     }
 
     mod roundtrip_props {

@@ -16,8 +16,9 @@
 //! order, and queries are exact).
 //!
 //! Leaf buckets keep a **leaf-contiguous** copy of their rows'
-//! coordinates, and a leaf visit runs the index module's shared scan over
-//! it — the same scan the brute backend and the VP-tree run: for rows of
+//! coordinates — the tree's only copy: it builds from the dataset's rows
+//! and rebuilds from the leaves themselves — and a leaf visit runs the
+//! index module's shared scan over it — the same scan the brute backend and the VP-tree run: for rows of
 //! a lane width or more a fully-admitted leaf is one batched
 //! [`Metric::one_to_many`] call over a gap-free block, a filtered leaf
 //! pays per-pair [`Metric::pair`] calls for admitted rows only, and
@@ -28,16 +29,16 @@
 //! `diff²` in squared-Euclidean kernel space, `|diff|` in Manhattan, and
 //! `diff²` again for cosine (chord² on the unit sphere still obeys the
 //! Euclidean plane bound since normalized rows live in the same ambient
-//! space). Cosine builds index a **normalized copy** of the rows and
-//! normalize each query on entry, so the tree's geometry is plain
-//! Euclidean over unit vectors.
+//! space). Cosine builds index a **normalized copy** of the rows (dropped
+//! once the leaves hold it) and normalize each query on entry, so the
+//! tree's geometry is plain Euclidean over unit vectors.
 
 use crate::dataset::Dataset;
 use crate::distance::Metric;
 use crate::index::{KBest, Leaves, NeighborIndex, RangeBound, SqNeighbor, Tombstones};
 
 /// A node of the tree (arena-allocated).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 enum Node {
     /// A bucket: the slot range `start..end` of the tree's [`Leaves`].
     Leaf((usize, usize)),
@@ -55,11 +56,8 @@ enum Node {
 #[derive(Debug, Clone)]
 pub struct KdTree {
     nodes: Vec<Node>,
-    /// Flattened copy of the indexed points (row-major, original row order;
-    /// used when (re)building).
-    points: Vec<f64>,
-    /// The leaf buckets' rows and packed coordinates. Rebuilt with the
-    /// arena.
+    /// The leaf buckets' rows and packed coordinates: the tree's one copy
+    /// of the points. Rebuilt, from itself, with the arena.
     leaves: Leaves,
     /// Copied labels (for heterogeneous queries).
     labels: Vec<u32>,
@@ -82,9 +80,10 @@ impl KdTree {
         Self::build_with(data, leaf_size, Metric::SqEuclidean)
     }
 
-    /// Builds the index under `metric`. Cosine stores an L2-normalized copy
-    /// of the rows (queries are normalized on entry), so tree construction
-    /// and pruning always run in plain Euclidean / L1 geometry.
+    /// Builds the index under `metric`. Cosine builds from an L2-normalized
+    /// copy of the rows (queries are normalized on entry), so tree
+    /// construction and pruning always run in plain Euclidean / L1
+    /// geometry; the other metrics build straight from the dataset's rows.
     ///
     /// # Panics
     /// Panics if the dataset is empty or `leaf_size == 0`.
@@ -93,122 +92,53 @@ impl KdTree {
         assert!(leaf_size > 0, "leaf size must be positive");
         assert!(data.n_samples() > 0, "cannot index an empty dataset");
         let n = data.n_samples();
-        let mut points = data.features().to_vec();
-        metric.prepare_rows(&mut points, data.n_features());
-        let mut tree = Self {
-            nodes: Vec::new(),
-            points,
-            leaves: Leaves::with_capacity(n, data.n_features()),
+        let p = data.n_features();
+        let prepared;
+        let points = if metric.normalizes() {
+            let mut copy = data.features().to_vec();
+            metric.prepare_rows(&mut copy, p);
+            prepared = copy;
+            &prepared[..]
+        } else {
+            data.features()
+        };
+        let mut rows: Vec<u32> = (0..n as u32).collect();
+        let (nodes, leaves) = Builder::new(points, |row| row, p, leaf_size).run(&mut rows);
+        Self {
+            nodes,
+            leaves,
             labels: data.labels().to_vec(),
-            n_features: data.n_features(),
+            n_features: p,
             n_rows: n,
             leaf_size,
             metric,
             tombstones: Tombstones::new(n),
-        };
-        let mut rows: Vec<u32> = (0..n as u32).collect();
-        tree.build_node(&mut rows);
-        tree
+        }
     }
 
-    /// Rebuilds the node arena over the currently alive rows.
+    /// Rebuilds the node arena over the currently alive rows, reading
+    /// their coordinates from the current leaves, in leaf order. The
+    /// median selection breaks coordinate ties by row id, as the first
+    /// build does, so the splits and each leaf's rows are those of a build
+    /// over the survivors alone; only the order of rows inside a leaf can
+    /// differ, and no answer depends on it (k-NN answers are ordered by
+    /// `(distance, row)`, range answers are unordered).
     fn rebuild(&mut self) {
-        self.nodes.clear();
-        self.leaves.clear();
-        let mut rows = self.tombstones.begin_rebuild();
-        if rows.is_empty() {
-            self.push_leaf(&[]);
-        } else {
-            self.build_node(&mut rows);
-        }
-    }
-
-    fn coord(&self, row: u32, dim: usize) -> f64 {
-        self.points[row as usize * self.n_features + dim]
-    }
-
-    /// Appends a leaf node over `rows`.
-    fn push_leaf(&mut self, rows: &[u32]) -> usize {
-        let slots = self.leaves.push(rows, &self.points, self.n_features);
-        self.nodes.push(Node::Leaf(slots));
-        self.nodes.len() - 1
-    }
-
-    fn build_node(&mut self, rows: &mut [u32]) -> usize {
-        if rows.len() <= self.leaf_size {
-            return self.push_leaf(rows);
-        }
-        // pick the dimension with the largest spread
-        let mut best_dim = 0;
-        let mut best_spread = -1.0;
-        for d in 0..self.n_features {
-            let mut lo = f64::INFINITY;
-            let mut hi = f64::NEG_INFINITY;
-            for &r in rows.iter() {
-                let v = self.coord(r, d);
-                lo = lo.min(v);
-                hi = hi.max(v);
-            }
-            if hi - lo > best_spread {
-                best_spread = hi - lo;
-                best_dim = d;
-            }
-        }
-        if best_spread <= 0.0 {
-            // all points identical: cannot split
-            return self.push_leaf(rows);
-        }
-        let mid = rows.len() / 2;
-        rows.select_nth_unstable_by(mid, |&a, &b| {
-            self.coord(a, best_dim)
-                .partial_cmp(&self.coord(b, best_dim))
-                .expect("finite coords")
-                .then_with(|| a.cmp(&b))
-        });
-        let split_value = self.coord(rows[mid], best_dim);
-        // guard: ensure both sides non-empty under `<=` routing
-        let n_left = rows
-            .iter()
-            .filter(|&&r| self.coord(r, best_dim) <= split_value)
-            .count();
-        if n_left == rows.len() {
-            // split value is the max; nudge: put strictly-less on the left
-            let prev = rows
-                .iter()
-                .map(|&r| self.coord(r, best_dim))
-                .filter(|&v| v < split_value)
-                .fold(f64::NEG_INFINITY, f64::max);
-            if prev == f64::NEG_INFINITY {
-                return self.push_leaf(rows);
-            }
-            return self.build_node_with(rows, best_dim, prev);
-        }
-        self.build_node_with(rows, best_dim, split_value)
-    }
-
-    fn build_node_with(&mut self, rows: &mut [u32], dim: usize, value: f64) -> usize {
-        let mut left_rows: Vec<u32> = Vec::new();
-        let mut right_rows: Vec<u32> = Vec::new();
-        for &r in rows.iter() {
-            if self.coord(r, dim) <= value {
-                left_rows.push(r);
-            } else {
-                right_rows.push(r);
-            }
-        }
-        debug_assert!(!left_rows.is_empty() && !right_rows.is_empty());
-        let idx = self.nodes.len();
-        // placeholder, replaced with the Split below
-        self.nodes.push(Node::Leaf((0, 0)));
-        let left = self.build_node(&mut left_rows);
-        let right = self.build_node(&mut right_rows);
-        self.nodes[idx] = Node::Split {
-            dim,
-            value,
-            left,
-            right,
-        };
-        idx
+        let old = std::mem::take(&mut self.leaves);
+        let (ids, points) = old.parts();
+        let mut slots: Vec<u32> = (0u32..)
+            .zip(ids)
+            .filter(|&(_, &row)| self.tombstones.is_alive(row as usize))
+            .map(|(slot, _)| slot)
+            .collect();
+        self.tombstones.rebuilt();
+        (self.nodes, self.leaves) = Builder::new(
+            points,
+            |slot| ids[slot as usize],
+            self.n_features,
+            self.leaf_size,
+        )
+        .run(&mut slots);
     }
 
     /// Number of indexed rows (alive + deleted).
@@ -319,6 +249,125 @@ impl KdTree {
                 }
             }
         }
+    }
+}
+
+/// Median-split construction over items whose coordinates sit at
+/// `points[item * p..]`: the rows of a dataset on the first build, the
+/// slots of the previous leaves on a rebuild. `id` maps an item to its row
+/// id; it is a type parameter so that the first build's identity compiles
+/// away in the median selection's comparator.
+struct Builder<'a, I> {
+    points: &'a [f64],
+    id: I,
+    p: usize,
+    leaf_size: usize,
+    nodes: Vec<Node>,
+    leaves: Leaves,
+}
+
+impl<'a, I: Fn(u32) -> u32> Builder<'a, I> {
+    fn new(points: &'a [f64], id: I, p: usize, leaf_size: usize) -> Self {
+        Self {
+            points,
+            id,
+            p,
+            leaf_size,
+            nodes: Vec::new(),
+            leaves: Leaves::default(),
+        }
+    }
+
+    /// The arena and leaves of a tree over `items`.
+    fn run(mut self, items: &mut [u32]) -> (Vec<Node>, Leaves) {
+        self.leaves = Leaves::with_capacity(items.len(), self.p);
+        if items.is_empty() {
+            self.push_leaf(&[]);
+        } else {
+            self.node(items);
+        }
+        (self.nodes, self.leaves)
+    }
+
+    fn coord(&self, item: u32, dim: usize) -> f64 {
+        self.points[item as usize * self.p + dim]
+    }
+
+    /// Appends a leaf node over `items`.
+    fn push_leaf(&mut self, items: &[u32]) -> usize {
+        let slots = self.leaves.push(items, &self.id, self.points, self.p);
+        self.nodes.push(Node::Leaf(slots));
+        self.nodes.len() - 1
+    }
+
+    fn node(&mut self, items: &mut [u32]) -> usize {
+        if items.len() <= self.leaf_size {
+            return self.push_leaf(items);
+        }
+        // pick the dimension with the largest spread
+        let mut best_dim = 0;
+        let mut best_spread = -1.0;
+        for d in 0..self.p {
+            let mut lo = f64::INFINITY;
+            let mut hi = f64::NEG_INFINITY;
+            for &r in items.iter() {
+                let v = self.coord(r, d);
+                lo = lo.min(v);
+                hi = hi.max(v);
+            }
+            if hi - lo > best_spread {
+                best_spread = hi - lo;
+                best_dim = d;
+            }
+        }
+        if best_spread <= 0.0 {
+            // all points identical: cannot split
+            return self.push_leaf(items);
+        }
+        let mid = items.len() / 2;
+        items.select_nth_unstable_by(mid, |&a, &b| {
+            self.coord(a, best_dim)
+                .partial_cmp(&self.coord(b, best_dim))
+                .expect("finite coords")
+                .then_with(|| (self.id)(a).cmp(&(self.id)(b)))
+        });
+        let split_value = self.coord(items[mid], best_dim);
+        // guard: ensure both sides non-empty under `<=` routing
+        let n_left = items
+            .iter()
+            .filter(|&&r| self.coord(r, best_dim) <= split_value)
+            .count();
+        if n_left == items.len() {
+            // split value is the max; nudge: put strictly-less on the left
+            let prev = items
+                .iter()
+                .map(|&r| self.coord(r, best_dim))
+                .filter(|&v| v < split_value)
+                .fold(f64::NEG_INFINITY, f64::max);
+            if prev == f64::NEG_INFINITY {
+                return self.push_leaf(items);
+            }
+            return self.node_with(items, best_dim, prev);
+        }
+        self.node_with(items, best_dim, split_value)
+    }
+
+    fn node_with(&mut self, items: &[u32], dim: usize, value: f64) -> usize {
+        let (mut left_items, mut right_items): (Vec<u32>, Vec<u32>) =
+            items.iter().partition(|&&r| self.coord(r, dim) <= value);
+        debug_assert!(!left_items.is_empty() && !right_items.is_empty());
+        let idx = self.nodes.len();
+        // placeholder, replaced with the Split below
+        self.nodes.push(Node::Leaf((0, 0)));
+        let left = self.node(&mut left_items);
+        let right = self.node(&mut right_items);
+        self.nodes[idx] = Node::Split {
+            dim,
+            value,
+            left,
+            right,
+        };
+        idx
     }
 }
 
@@ -476,6 +525,53 @@ mod tests {
     fn empty_rejected() {
         let d = Dataset::from_parts(Vec::new(), Vec::new(), 2, 1);
         let _ = KdTree::build(&d, 4);
+    }
+
+    #[test]
+    fn rebuild_from_the_leaves_gives_the_tree_of_the_survivors() {
+        for metric in Metric::ALL {
+            // Coordinates on a small grid: ties everywhere.
+            let mut rng = rng_from_seed(11);
+            let feats: Vec<f64> = (0..400 * 3)
+                .map(|_| f64::from(rng.gen_range(0..6u32)))
+                .collect();
+            let d = Dataset::from_parts(feats, vec![0; 400], 3, 1);
+            let mut tree = KdTree::build_with(&d, 8, metric);
+            // The 201st deletion outnumbers the 199 survivors: a rebuild.
+            for r in 0..201 {
+                assert!(NeighborIndex::delete(&mut tree, r));
+            }
+            let survivors: Vec<usize> = (201..400).collect();
+            let fresh = KdTree::build_with(&d.select(&survivors), 8, metric);
+            assert_eq!(tree.nodes, fresh.nodes, "{metric}");
+            let (ids, points) = tree.leaves.parts();
+            let (fresh_ids, fresh_points) = fresh.leaves.parts();
+            for node in &tree.nodes {
+                let Node::Leaf((start, end)) = *node else {
+                    continue;
+                };
+                let mut got: Vec<(u32, Vec<u64>)> = (start..end)
+                    .map(|s| {
+                        (
+                            ids[s],
+                            points[s * 3..s * 3 + 3]
+                                .iter()
+                                .map(|x| x.to_bits())
+                                .collect(),
+                        )
+                    })
+                    .collect();
+                let mut want: Vec<(u32, Vec<u64>)> = (start..end)
+                    .map(|s| {
+                        let bits = fresh_points[s * 3..s * 3 + 3].iter().map(|x| x.to_bits());
+                        (fresh_ids[s] + 201, bits.collect())
+                    })
+                    .collect();
+                got.sort_unstable();
+                want.sort_unstable();
+                assert_eq!(got, want, "{metric}");
+            }
+        }
     }
 
     #[test]

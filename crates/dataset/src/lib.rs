@@ -37,6 +37,19 @@ pub mod summary;
 pub mod synth;
 pub mod vptree;
 
+/// How many contiguous ranges to split `work` units into, at least
+/// `per_range` each: one below twice that — without asking the host how
+/// many threads it has, which std answers by re-reading the affinity mask
+/// and the cgroup CPU quota (~12 µs on a 2-vCPU Linux container) — else
+/// up to one per thread.
+#[must_use]
+pub fn par_ranges(work: usize, per_range: usize) -> usize {
+    match work / per_range {
+        0 | 1 => 1,
+        ranges => rayon::current_num_threads().min(ranges),
+    }
+}
+
 pub use dataset::{Dataset, DatasetError, FeatureKind};
 pub use distance::{active_kernel, validate_simd_env, Kernel, Metric, CONTRACT_VERSION};
 pub use index::{GranulationBackend, NeighborIndex, SqNeighbor};

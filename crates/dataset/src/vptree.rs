@@ -147,7 +147,9 @@ impl VpTree {
 
     /// Appends a bucket leaf over `rows`.
     fn push_leaf(&mut self, rows: &[u32]) -> u32 {
-        let slots = self.leaves.push(rows, &self.points, self.n_features);
+        let slots = self
+            .leaves
+            .push(rows, |row| row, &self.points, self.n_features);
         self.nodes.push(Node::Leaf(slots));
         self.nodes.len() as u32 - 1
     }
