@@ -98,6 +98,39 @@ impl Method {
 /// any other method instead of ignoring them.
 pub const METHOD_FLAGS: [&str; 5] = ["--rho", "--ratio", "--backend", "--metric", "--progress"];
 
+/// Every flag with the commands that read it. The parser refuses a flag
+/// given to any other command instead of ignoring it. `--backend` has two
+/// meanings: a gb-serve shard address (`HOST:PORT`) for `router`, the
+/// granulation index for the other commands.
+pub const COMMAND_FLAGS: [(&str, &[Command]); 23] = {
+    use Command::{Inspect, Router, Sample, Serve};
+    [
+        ("-o", &[Sample]),
+        ("--output", &[Sample]),
+        ("--method", &[Sample]),
+        ("--rho", &[Sample, Inspect, Serve]),
+        ("--ratio", &[Sample]),
+        ("--seed", &[Sample, Inspect, Serve]),
+        ("--backend", &[Sample, Inspect, Serve, Router]),
+        ("--metric", &[Sample, Inspect, Serve]),
+        ("--progress", &[Sample]),
+        ("--addr", &[Serve, Router]),
+        ("--workers", &[Serve, Router]),
+        ("--request-timeout-ms", &[Serve, Router]),
+        ("--access-log", &[Serve, Router]),
+        ("--k", &[Serve]),
+        ("--model-dir", &[Serve]),
+        ("--model-mem-budget", &[Serve]),
+        ("--max-versions", &[Serve]),
+        ("--preload", &[Serve]),
+        ("--store-fault-rate", &[Serve]),
+        ("--store-fault-seed", &[Serve]),
+        ("--backends", &[Router]),
+        ("--vnodes", &[Router]),
+        ("--health-interval-ms", &[Router]),
+    ]
+};
+
 /// A parsed command line.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Cli {
@@ -204,6 +237,19 @@ pub enum Command {
     Router,
 }
 
+impl Command {
+    /// The CLI spelling.
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            Command::Sample => "sample",
+            Command::Inspect => "inspect",
+            Command::Serve => "serve",
+            Command::Router => "router",
+        }
+    }
+}
+
 /// Parse failures, rendered to the user with usage text.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ParseError {
@@ -243,6 +289,14 @@ pub enum ParseError {
     PreloadWithoutDir,
     /// `router` without any `--backend`/`--backends`.
     MissingBackends,
+    /// A flag of [`COMMAND_FLAGS`] given to a command that does not read
+    /// it.
+    FlagNotForCommand {
+        /// The refused flag.
+        flag: &'static str,
+        /// The command that would have ignored it.
+        command: Command,
+    },
     /// `sample` with a flag of [`METHOD_FLAGS`] the chosen method does not
     /// read.
     FlagNotForMethod {
@@ -323,6 +377,21 @@ impl fmt::Display for ParseError {
                     "router requires at least one --backend HOST:PORT (or --backends a,b,c)"
                 )
             }
+            ParseError::FlagNotForCommand { flag, command } => {
+                let readers: Vec<&str> = COMMAND_FLAGS
+                    .iter()
+                    .find(|(f, _)| f == flag)
+                    .map_or(&[][..], |(_, commands)| commands)
+                    .iter()
+                    .map(|c| c.name())
+                    .collect();
+                write!(
+                    f,
+                    "{flag} does not apply to `gbabs {}` (it applies to {} only)",
+                    command.name(),
+                    readers.join(", ")
+                )
+            }
             ParseError::FlagNotForMethod { flag, method } => {
                 let readers = if *flag == "--ratio" {
                     "srs, stratified and systematic"
@@ -352,8 +421,8 @@ usage:
                 [--max-versions N] [--preload N]
                 [--request-timeout-ms MS] [--store-fault-rate P] [--store-fault-seed S]
                 [--access-log PATH|stderr]
-  gbabs router  --backend HOST:PORT [--backend HOST:PORT ...] [--addr HOST:PORT]
-                [--vnodes N] [--health-interval-ms MS] [--workers W]
+  gbabs router  --backend HOST:PORT [--backend HOST:PORT ...] [--backends A,B,...]
+                [--addr HOST:PORT] [--vnodes N] [--health-interval-ms MS] [--workers W]
                 [--request-timeout-ms MS] [--access-log PATH|stderr]
 
 methods: gbabs (default), ggbs, igbs, srs, stratified, systematic,
@@ -362,6 +431,8 @@ methods: gbabs (default), ggbs, igbs, srs, stratified, systematic,
          (srs/stratified/systematic require --ratio; sample refuses
          --rho, --backend, --metric and --progress for any method but
          gbabs, and --ratio for any but srs/stratified/systematic)
+
+Each command refuses the flags its line above does not list.
 
 options:
   -o, --output PATH   output CSV (sample)
@@ -453,6 +524,11 @@ pub fn parse(args: &[String]) -> Result<Cli, ParseError> {
     // The method-specific flags given, to refuse them for other methods.
     let mut given: Vec<&'static str> = Vec::new();
     while let Some(arg) = it.next() {
+        if let Some(&(flag, readers)) = COMMAND_FLAGS.iter().find(|(f, _)| f == arg) {
+            if !readers.contains(&command) {
+                return Err(ParseError::FlagNotForCommand { flag, command });
+            }
+        }
         if let Some(&flag) = METHOD_FLAGS.iter().find(|&&f| f == arg) {
             given.push(flag);
         }
@@ -1002,6 +1078,207 @@ mod tests {
             "serve in.csv --rho 4 --backend vptree --metric cosine",
         ] {
             assert!(parse(&argv(line)).is_ok(), "{line}");
+        }
+    }
+
+    /// A command line of `command` that parses, plus `flag` with a value
+    /// it accepts (and whatever else that flag needs).
+    fn line_with(command: Command, flag: &str) -> String {
+        let base = match command {
+            Command::Sample => "sample in.csv -o o.csv",
+            Command::Inspect => "inspect in.csv",
+            Command::Serve => "serve in.csv",
+            Command::Router => "router --backend a:1",
+        };
+        let value = match flag {
+            "-o" | "--output" => "o.csv",
+            "--method" => "gbabs",
+            "--ratio" => "0.5 --method srs",
+            "--backend" if command == Command::Router => "b:2",
+            "--backend" => "kdtree",
+            "--metric" => "cosine",
+            "--progress" => "",
+            "--addr" => "127.0.0.1:9",
+            "--access-log" => "stderr",
+            "--model-dir" => "d",
+            "--model-mem-budget" => "1M --model-dir d",
+            "--max-versions" | "--preload" => "4 --model-dir d",
+            "--store-fault-rate" => "0.1 --model-dir d",
+            "--backends" => "b:2,c:3",
+            _ => "3",
+        };
+        format!("{base} {flag} {value}")
+    }
+
+    #[test]
+    fn commands_refuse_flags_they_do_not_read() {
+        for (line, flag, command) in [
+            (
+                "inspect t.csv --ratio 0.5 --progress --method smote",
+                "--ratio",
+                Command::Inspect,
+            ),
+            ("inspect t.csv -o x.csv", "-o", Command::Inspect),
+            ("inspect t.csv --method srs", "--method", Command::Inspect),
+            (
+                "sample t.csv -o y.csv --workers 3 --addr 1.2.3.4:5 --k 7 --vnodes 3",
+                "--workers",
+                Command::Sample,
+            ),
+            (
+                "router --backend 127.0.0.1:9 --rho 3 --method smote -o z.csv --model-dir d",
+                "--rho",
+                Command::Router,
+            ),
+            ("serve t.csv --backends a:1", "--backends", Command::Serve),
+            ("serve t.csv --progress", "--progress", Command::Serve),
+        ] {
+            let err = parse(&argv(line)).unwrap_err();
+            assert_eq!(
+                err,
+                ParseError::FlagNotForCommand { flag, command },
+                "{line}"
+            );
+        }
+        // Every flag, to every command that does not read it.
+        for (flag, readers) in COMMAND_FLAGS {
+            for command in [
+                Command::Sample,
+                Command::Inspect,
+                Command::Serve,
+                Command::Router,
+            ] {
+                let line = line_with(command, flag);
+                if readers.contains(&command) {
+                    assert!(parse(&argv(&line)).is_ok(), "{line}");
+                    continue;
+                }
+                let err = parse(&argv(&line)).unwrap_err();
+                assert_eq!(
+                    err,
+                    ParseError::FlagNotForCommand { flag, command },
+                    "{line}"
+                );
+                let message = err.to_string();
+                assert!(message.contains(flag), "{message}");
+                assert!(
+                    message.contains(&format!("gbabs {}", command.name())),
+                    "{message}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn usage_lists_exactly_the_flags_each_command_reads() {
+        let mut listed: Vec<(Command, Vec<String>)> = Vec::new();
+        for line in USAGE.lines().take_while(|l| !l.is_empty()).skip(1) {
+            let mut words = line.split_whitespace().peekable();
+            if words.peek() == Some(&"gbabs") {
+                let name = words.nth(1).expect("a command");
+                let command = [
+                    Command::Sample,
+                    Command::Inspect,
+                    Command::Serve,
+                    Command::Router,
+                ]
+                .into_iter()
+                .find(|c| c.name() == name)
+                .expect("a known command");
+                listed.push((command, Vec::new()));
+            }
+            let flags = &mut listed.last_mut().expect("a command line first").1;
+            for word in words {
+                let flag = word.trim_start_matches('[').trim_end_matches(']');
+                if flag.starts_with('-') && !flags.iter().any(|f| f == flag) {
+                    flags.push(flag.to_string());
+                }
+            }
+        }
+        assert_eq!(listed.len(), 4);
+        for (command, flags) in &listed {
+            let mut want: Vec<&str> = COMMAND_FLAGS
+                .iter()
+                .filter(|(f, readers)| readers.contains(command) && *f != "--output")
+                .map(|(f, _)| *f)
+                .collect();
+            let mut got: Vec<&str> = flags.iter().map(String::as_str).collect();
+            want.sort_unstable();
+            got.sort_unstable();
+            assert_eq!(got, want, "{}", command.name());
+            for flag in flags {
+                let line = line_with(*command, flag);
+                assert!(parse(&argv(&line)).is_ok(), "{line}");
+            }
+        }
+    }
+
+    /// The `gbabs` command lines in `text` (`\`-continued lines joined;
+    /// quotes, comments, redirections and background `&` dropped; shell
+    /// variables replaced by a placeholder).
+    fn invocations(text: &str) -> Vec<String> {
+        let joined = text.replace("\\\n", " ");
+        let mut out = Vec::new();
+        for line in joined.lines().filter(|l| !l.trim_start().starts_with('#')) {
+            let Some(at) = [
+                "gbabs sample",
+                "gbabs inspect",
+                "gbabs serve",
+                "gbabs router",
+                "gbabs\" ",
+            ]
+            .iter()
+            .filter_map(|p| line.find(p))
+            .min() else {
+                continue;
+            };
+            let rest = &line[at + "gbabs".len()..];
+            let rest = rest.trim_start_matches('"');
+            let end = rest.find(['#', '&', '>', '|', ';']).unwrap_or(rest.len());
+            let words: Vec<String> = rest[..end]
+                .split_whitespace()
+                .map(|w| {
+                    let w = w.trim_matches('"');
+                    if w.starts_with('$') {
+                        "x".to_string()
+                    } else {
+                        w.to_string()
+                    }
+                })
+                .collect();
+            out.push(words.join(" "));
+        }
+        out
+    }
+
+    #[test]
+    fn readme_and_ci_invocations_parse() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let readme = std::fs::read_to_string(root.join("README.md")).unwrap();
+        // Only fenced code: the prose names commands without arguments.
+        let fenced: String = readme
+            .split("```")
+            .skip(1)
+            .step_by(2)
+            .collect::<Vec<_>>()
+            .join("\n");
+        let mut lines = invocations(&fenced);
+        let mut scripts: Vec<_> = std::fs::read_dir(root.join("ci"))
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.extension().is_some_and(|e| e == "sh"))
+            .collect();
+        scripts.sort();
+        for script in scripts {
+            lines.extend(invocations(&std::fs::read_to_string(script).unwrap()));
+        }
+        assert!(lines.len() >= 5, "{lines:?}");
+        for line in &lines {
+            assert!(
+                parse(&argv(line)).is_ok(),
+                "{line}: {:?}",
+                parse(&argv(line))
+            );
         }
     }
 
