@@ -23,6 +23,12 @@
 //! `rdgbg_usps/auto/p256` granulates a 1,162-row stratified sample of the
 //! S13 USPS surrogate (p = 256) with 10% class noise, drawn the way the
 //! end-to-end benchmark's `offline-usps-256d` workload draws its inputs.
+//!
+//! `sample_pipeline` times what `gbabs sample IN -o OUT` does, in process:
+//! `read_csv_str` of the input's CSV text, GBABS (ρ = 5, seed 42, `Auto`),
+//! and `write_csv_str` of the sample. Its cells are the end-to-end
+//! benchmark's two offline inputs: `usps/p256` (the `rdgbg_usps` sample)
+//! and `banana/n50000` (input 0 of run seed 1 of `offline-banana-2d`).
 //! Run with:
 //!
 //! ```text
@@ -32,13 +38,14 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gb_dataset::catalog::DatasetId;
 use gb_dataset::index::GranulationBackend;
+use gb_dataset::io::{read_csv_str, write_csv_str, CsvOptions};
 use gb_dataset::noise::inject_class_noise;
 use gb_dataset::rng::derive_seed;
 use gb_dataset::split::stratified_subsample;
 use gb_dataset::synth::banana::BananaSpec;
 use gb_sampling::gbg_kdiv::{k_division_gbg, KDivConfig};
 use gb_sampling::gbg_pp::{gbg_pp, GbgPpConfig};
-use gbabs::{rd_gbg, RdGbgConfig};
+use gbabs::{rd_gbg, GbabsSampler, RdGbgConfig, Sampler};
 use std::hint::black_box;
 
 fn banana(n: usize) -> gb_dataset::Dataset {
@@ -122,6 +129,46 @@ fn bench_granulation_usps(c: &mut Criterion) {
     group.finish();
 }
 
+/// Input 0 of run seed 1 of the end-to-end benchmark's
+/// `offline-banana-2d` workload: 50,000 rows of its banana shape with 10%
+/// class noise, from the same seed streams.
+fn banana_e2e_input() -> gb_dataset::Dataset {
+    const BANANA_STREAM: u64 = 1;
+    const NOISE_STREAM: u64 = 3;
+    let mix = |seed: u64, stream: u64| derive_seed(derive_seed(seed, stream), 0);
+    let s = mix(1, BANANA_STREAM);
+    let clean = BananaSpec {
+        n_samples: 50_000,
+        noise: 0.12,
+        imbalance_ratio: 1.23,
+        scatter: 0.05,
+    }
+    .generate(s);
+    inject_class_noise(&clean, 0.10, mix(s, NOISE_STREAM)).0
+}
+
+fn bench_sample_pipeline(c: &mut Criterion) {
+    let mut group = c.benchmark_group("sample_pipeline");
+    group.sample_size(10);
+    group.warm_up_time(std::time::Duration::from_millis(300));
+    group.measurement_time(std::time::Duration::from_secs(2));
+    for (name, data) in [
+        ("usps/p256", usps_sample()),
+        ("banana/n50000", banana_e2e_input()),
+    ] {
+        let text = write_csv_str(&data);
+        let (input, cell) = name.split_once('/').expect("input/cell");
+        group.bench_with_input(BenchmarkId::new(input, cell), &text, |b, text| {
+            b.iter(|| {
+                let data = read_csv_str(text, &CsvOptions::default()).expect("a well-formed input");
+                let sample = GbabsSampler::default().sample(&data, 42);
+                black_box(write_csv_str(&sample.dataset))
+            });
+        });
+    }
+    group.finish();
+}
+
 /// The granulation-lineage baselines on the shared query layer (ISSUE-5
 /// tentpole): GBG++ across every backend — its attention peel is the
 /// distance-ordered index query, so the backend changes the asymptotics —
@@ -171,6 +218,7 @@ criterion_group!(
     benches,
     bench_granulation_backends,
     bench_granulation_usps,
+    bench_sample_pipeline,
     bench_lineage_baselines
 );
 criterion_main!(benches);
