@@ -1,8 +1,8 @@
-//! ISSUE-5 acceptance properties: every granulation-lineage sampler and
-//! the GBABS borderline detection produce **bit-identical** output across
-//! all three concrete `NeighborIndex` backends, now that they run on the
-//! shared query layer (distance-ordered iteration, bulk
-//! assign-to-nearest-centroid, conflict-index adjacency).
+//! Cross-backend properties of what runs on the shared query layer: the
+//! GBG++ attention peel (distance-ordered iteration) and the GBABS
+//! borderline detection over RD-GBG covers produce **bit-identical**
+//! output on all three concrete `NeighborIndex` backends, and the
+//! borderline walk matches a per-dimension sort oracle.
 //!
 //! Explicit seeded loops rather than `proptest!` so each cross-backend
 //! comparison is attributable to one (dataset, seed) pair, matching the
@@ -151,9 +151,8 @@ fn borderline_output_is_identical_across_backends() {
     }
 }
 
-/// The pre-refactor per-dimension sort, kept verbatim as the oracle for
-/// the conflict-index heterogeneous-adjacency query now backing
-/// `borderline_from_model`.
+/// The per-dimension sort on a float comparator, kept verbatim as the
+/// oracle of `borderline_from_model`'s integer-keyed walks.
 fn borderline_oracle(data: &Dataset, balls: &[GranularBall]) -> (Vec<usize>, Vec<usize>) {
     let m = balls.len();
     let p = data.n_features();
