@@ -558,8 +558,8 @@ fn emit_csv<E>(
     let piece_rows = piece_rows.max(1);
     // An eighth of slack absorbs rows with longer numbers.
     let capacity = row_bytes * piece_rows.min(n);
-    let mut pieces: Vec<(std::ops::Range<usize>, String)> = (0..ranges
-        .clamp(1, n.div_ceil(piece_rows).max(1)))
+    let per_round = ranges.clamp(1, n.div_ceil(piece_rows).max(1));
+    let mut pieces: Vec<(std::ops::Range<usize>, String)> = (0..per_round)
         .map(|_| (0..0, String::with_capacity(capacity + capacity / 8)))
         .collect();
     let mut next = 0;
