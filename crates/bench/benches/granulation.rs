@@ -24,6 +24,13 @@
 //! S13 USPS surrogate (p = 256) with 10% class noise, drawn the way the
 //! end-to-end benchmark's `offline-usps-256d` workload draws its inputs.
 //!
+//! `rdgbg_s8/auto/p16` granulates what `gbabs serve` boots on in the
+//! end-to-end benchmark's `serve-*` workloads: the S8 Dry Bean surrogate
+//! (p = 16, clean) less a 10% stratified holdout, 12,250 rows read back
+//! from CSV, under `Auto` (the KD-tree), where RD-GBG fetches the hood
+//! lists of every row left at its first ball-less iteration in one
+//! parallel batch.
+//!
 //! `sample_pipeline` times what `gbabs sample IN -o OUT` does, in process:
 //! `read_csv_str` of the input's CSV text, GBABS (ρ = 5, seed 42, `Auto`),
 //! and `write_csv_str` of the sample. Its cells are the end-to-end
@@ -41,7 +48,7 @@ use gb_dataset::index::GranulationBackend;
 use gb_dataset::io::{read_csv_str, write_csv_str, CsvOptions};
 use gb_dataset::noise::inject_class_noise;
 use gb_dataset::rng::derive_seed;
-use gb_dataset::split::stratified_subsample;
+use gb_dataset::split::{stratified_holdout, stratified_subsample};
 use gb_dataset::synth::banana::BananaSpec;
 use gb_sampling::gbg_kdiv::{k_division_gbg, KDivConfig};
 use gb_sampling::gbg_pp::{gbg_pp, GbgPpConfig};
@@ -126,6 +133,41 @@ fn bench_granulation_usps(c: &mut Criterion) {
             b.iter(|| black_box(rd_gbg(d, &cfg)));
         });
     }
+    group.finish();
+}
+
+/// The training split the end-to-end benchmark's `serve-*` workloads boot
+/// `gbabs serve` on at run seed 1: the fixed S8 population less a 10%
+/// stratified holdout, through the CSV text the server reads.
+fn s8_serve_split() -> gb_dataset::Dataset {
+    const POPULATION_SEED: u64 = 0x5EED_0813;
+    const SPLIT_STREAM: u64 = 4;
+    let population = DatasetId::S8.generate(1.0, POPULATION_SEED);
+    let (train, _) = stratified_holdout(
+        &population,
+        0.10,
+        derive_seed(derive_seed(1, SPLIT_STREAM), 0),
+    );
+    let text = write_csv_str(&population.select(&train));
+    read_csv_str(&text, &CsvOptions::default()).expect("a well-formed split")
+}
+
+fn bench_granulation_s8(c: &mut Criterion) {
+    let mut group = c.benchmark_group("rdgbg_s8");
+    group.sample_size(10);
+    group.warm_up_time(std::time::Duration::from_millis(300));
+    group.measurement_time(std::time::Duration::from_secs(2));
+    let cfg = RdGbgConfig {
+        seed: 42,
+        ..RdGbgConfig::default()
+    };
+    group.bench_with_input(
+        BenchmarkId::new("auto", "p16"),
+        &s8_serve_split(),
+        |b, d| {
+            b.iter(|| black_box(rd_gbg(d, &cfg)));
+        },
+    );
     group.finish();
 }
 
@@ -218,6 +260,7 @@ criterion_group!(
     benches,
     bench_granulation_backends,
     bench_granulation_usps,
+    bench_granulation_s8,
     bench_sample_pipeline,
     bench_lineage_baselines
 );

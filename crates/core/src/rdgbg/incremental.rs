@@ -121,7 +121,7 @@ fn sweep(
         // The step's reach (the ρ-hood radius, `∞` when the hood was not
         // full: any appended row could then join it) and its diffusion
         // bound are everything the decision looked at.
-        let step = granulator.step(row, None);
+        let step = granulator.step(row);
         trace.push(Decision {
             row,
             influence_sq: step.bound.map_or(step.reach, |b| step.reach.max(b)),

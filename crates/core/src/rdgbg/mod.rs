@@ -24,9 +24,9 @@
 //! RNG draws depend only on the evolving `U − L` sets, never on the
 //! backend.
 //!
-//! Each candidate costs one k-NN query: its density hood `H`, the ρ
-//! nearest alive rows (`k = 1` under the noise-detection ablation), which
-//! decides the Eq.-2 verdict. Every alive row outside `H` lies at least
+//! Each candidate starts from its density hood `H`, the ρ nearest alive
+//! rows (`k = 1` under the noise-detection ablation), which decides the
+//! Eq.-2 verdict. Every alive row outside `H` lies at least
 //! `reach` away — `H`'s last distance, or `+∞` when fewer than `k` rows
 //! remained — so the same hood, less the noisy neighbour the verdict
 //! deleted, usually settles the rest of the step too:
@@ -49,18 +49,45 @@
 //! tie-heavy inputs). The per-iteration [`ProgressEvent::Granulate`]
 //! reports how many queries of each kind ran.
 //!
-//! On a brute index over rows of at least four features (the kernel lane
-//! width), the hoods of an iteration's candidates — one per class — are
-//! fetched **in one batched call** before the first step, so the alive
-//! rows stream through the blocked many-to-many kernel once per
-//! iteration instead of once per candidate. A step uses its fetched hood
-//! only while every row in it is still alive, and otherwise queries the
-//! index as usual. That is exact: rows only ever leave `U`, so if none of
-//! the hood's rows has left, they are still the first `k` alive rows in
-//! `(dist, row)` order, and a hood shorter than `k` still holds every
-//! other alive row. What an iteration fetched is dropped with it. Trees
-//! (whose queries prune) and sub-lane rows keep one query per step, and
-//! so does the canonical order.
+//! Each candidate's hood comes from a **hood table** where the seeded
+//! engine fetched one: each fetched row's `k′ = 2k + 2` nearest alive rows
+//! at fetch time, kept as row ids in one flat `n × k′` table (distances
+//! are recomputed with [`Metric::pair`], which kernel contract v2 makes
+//! bit-identical to every scan). A step's hood is the first `k` alive rows
+//! of its list, or every alive row of a list shorter than `k′` (one that
+//! held every other alive row); only a list with fewer than `k` alive rows
+//! left sends the step to the index. That is exact: rows only ever leave
+//! `U`, so a row outside the list stays beyond every row in it. The `k + 2`
+//! rows of slack keep most lists usable after nearby rows left: at ρ = 5,
+//! lists of exactly `k` rows sent 4–48% of the fetched rows back to the
+//! index and granulated up to 3.6× slower (BENCH_GRANULATION.json entry 8).
+//!
+//! Fetches answer their rows through
+//! [`k_nearest_sq_par`](gb_dataset::index::NeighborIndex::k_nearest_sq_par),
+//! in 16-row tiles on the thread pool (a brute tile is one blocked sweep
+//! of the alive rows, a tree tile 16 single queries), and come in two
+//! phases:
+//!
+//! 1. until the first iteration that grows no diffusion ball, each
+//!    iteration's candidates (one per class) are fetched together, only
+//!    on a brute index, whose one sweep then reads the alive rows once for
+//!    all of them instead of once per candidate;
+//! 2. after that iteration, every row still in `T` is fetched once, in one
+//!    parallel batch, when `T` still holds at least 1,024 rows and, on a
+//!    tree, the pool has a second thread (a tree tile is 16 single
+//!    queries of the longer lists: more work than the per-step queries,
+//!    which only a second thread repays). By then balls have stopped
+//!    swallowing rows wholesale, so most of those lists are still usable
+//!    when their row is drawn; fetching all of `T` up front lost on clean
+//!    blobs, where early big balls swallow rows whose lists were already
+//!    fetched (BENCH_GRANULATION.json entry 8).
+//!
+//! Three cases never fetch: sub-lane rows (fewer than four features, the
+//! kernel lane width, where a fetch has no vector work to share and lost
+//! on banana), the canonical order (so `/rows` appends are unchanged), and
+//! a ρ with `2ρ + 2 > 64`, which would size the table by a ρ that
+//! `POST /sample` takes from request bodies. `knn_queries` counts one
+//! query per fetched row plus one per step no list served.
 //!
 //! # One engine, two candidate orders
 //!
@@ -261,6 +288,13 @@ impl<'d> CandidatePools<'d> {
         self.live.iter().map(|&c| self.pools[c].count).sum()
     }
 
+    /// Every row still in `T`, in ascending order.
+    fn rows(&self) -> Vec<usize> {
+        (0..self.slot.len())
+            .filter(|&row| self.slot[row] != GONE)
+            .collect()
+    }
+
     /// One random candidate per class still in `T`, larger classes first
     /// (ties by class id); empty once `T` is (`U ⊆ L`).
     fn draw(&mut self, rng: &mut impl Rng) -> Vec<usize> {
@@ -384,6 +418,9 @@ pub fn rd_gbg_with_progress(
     let mut rng = rng_from_seed(config.seed);
     let mut iterations = 0usize;
     let mut conflict_bounded = 0usize;
+    // Whether the fetch of every row of `T` is still to come; never where
+    // the granulator fetches nothing.
+    let mut fetch_pending = granulator.fetches();
 
     loop {
         let candidates = pools.draw(&mut rng);
@@ -392,16 +429,19 @@ pub fn rd_gbg_with_progress(
         }
         iterations += 1;
 
-        // One batched query for the iteration's hoods where that pays;
-        // empty otherwise. What is left of it drops with the iteration.
-        let mut hoods = granulator.fetch_hoods(&candidates);
-        for (i, center_row) in candidates.into_iter().enumerate() {
+        // Until the whole-`T` fetch, the iteration's hood lists in one
+        // batched call where that pays.
+        if fetch_pending && granulator.batches_candidates() {
+            granulator.fetch_hoods(&candidates);
+        }
+        let balls_before = granulator.balls().len();
+        for center_row in candidates {
             // A ball built earlier in this iteration may have absorbed the
             // candidate, or detection may have deleted it.
             if !granulator.is_candidate(center_row) {
                 continue;
             }
-            let step = granulator.step(center_row, hoods.get_mut(i).map(std::mem::take));
+            let step = granulator.step(center_row);
             if let Some(bad) = step.noisy_neighbor {
                 pools.remove(bad);
             }
@@ -414,6 +454,15 @@ pub fn rd_gbg_with_progress(
             }
             // Whatever the step decided, the candidate left `T`.
             pools.remove(center_row);
+        }
+        // The first iteration that grew no ball: balls have stopped
+        // swallowing rows wholesale, so the lists of every row left in `T`
+        // are fetched once, in one parallel batch.
+        if fetch_pending && granulator.balls().len() == balls_before {
+            if granulator.fetches_all(pools.len()) {
+                granulator.fetch_hoods(&pools.rows());
+            }
+            fetch_pending = false;
         }
 
         if let Some(sink) = progress.as_mut() {

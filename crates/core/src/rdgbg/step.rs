@@ -15,9 +15,10 @@
 //!
 //! The stop and the members come from the density hood wherever the two
 //! rules in the parent module's "Indexed hot path" docs prove them, and
-//! from the index otherwise. The three-query step the rules replaced is
-//! kept below as the test oracle they are checked against, candidate by
-//! candidate.
+//! from the index otherwise. The hood itself comes from the hood table
+//! when the seeded engine fetched the candidate's list ([`HoodTable`]).
+//! The three-query step the rules replaced is kept below as the test
+//! oracle they are checked against, candidate by candidate.
 
 use super::RdGbgModel;
 use crate::ball::GranularBall;
@@ -29,7 +30,8 @@ use gb_dataset::Dataset;
 /// Cumulative index-query counts of one granulation.
 #[derive(Default)]
 pub(crate) struct QueryCounts {
-    /// k-NN queries: one density hood per candidate step.
+    /// k-NN queries: one per fetched hood list, and one per candidate step
+    /// whose hood no list yielded.
     pub(crate) knn: usize,
     /// Nearest-heterogeneous queries the hood could not answer.
     pub(crate) het: usize,
@@ -47,6 +49,16 @@ pub(crate) enum Vetting {
     /// The `detect_noise: false` ablation: only the nearest row is
     /// inspected, and a heterogeneous one routes the candidate to `L`.
     NearestOnly,
+}
+
+impl Vetting {
+    /// `k` of a density hood: ρ, or 1 under the noise-detection ablation.
+    fn hood_size(self) -> usize {
+        match self {
+            Vetting::Density(rho) => rho,
+            Vetting::NearestOnly => 1,
+        }
+    }
 }
 
 /// What a candidate step decided. Every kind takes the candidate out of
@@ -99,9 +111,85 @@ impl Step {
     }
 }
 
+/// The longest hood list the table holds. A list takes `k′ = 2k + 2`
+/// entries, and `POST /sample` takes ρ from request bodies, so past this
+/// width (ρ > 31) nothing is fetched and the table is never allocated.
+const MAX_LIST: usize = 64;
+
+/// Rows per [`NeighborIndex::k_nearest_sq_par`] call of a fetch. The
+/// answers of one call are held as per-row vectors until they are copied
+/// into the table, so a fetch of every row of `T` goes in pieces.
+const FETCH_PIECE: usize = 1024;
+
+/// Rows of `T` below which fetching all of them does not pay: at ~650 rows
+/// (S1, S2) the fetch is about a millisecond of work, and whether the
+/// pool's second thread joins it in time decides whether it wins or loses
+/// (S2 at ρ = 3: 2.2 ms with one query per step, 1.7–3.0 ms with the
+/// fetch; BENCH_GRANULATION.json entry 8).
+const MIN_WHOLE_FETCH: usize = 1024;
+
+/// A fetched list's length marking a row that was never fetched.
+const UNFETCHED: u8 = u8::MAX;
+
+/// Each fetched row's `k′` nearest alive rows at fetch time, as row ids in
+/// `(dist, row)` order, in one flat table: row `r`'s list is
+/// `ids[r·k′..][..lens[r]]`. A list shorter than `k′` held every other
+/// alive row. Rows only ever leave `U`, so the first `k` alive rows of a
+/// list are the row's `k` nearest alive rows for as long as there are `k`
+/// of them, and a short list's alive rows stay every other alive row.
+struct HoodTable {
+    /// `k′`; 0 where the granulator never fetches.
+    width: usize,
+    ids: Vec<u32>,
+    /// Each row's list length, [`UNFETCHED`] for a row never fetched;
+    /// empty until the first fetch allocates the table.
+    lens: Vec<u8>,
+}
+
+impl HoodTable {
+    /// The table of a granulator over `p`-wide rows whose hoods hold `k`
+    /// rows: lists of `2k + 2` rows, or none on sub-lane rows (no vector
+    /// work to share between queries) and past [`MAX_LIST`].
+    fn new(p: usize, k: usize) -> Self {
+        let width = 2 * k + 2;
+        Self {
+            width: if p >= LANE_WIDTH && width <= MAX_LIST {
+                width
+            } else {
+                0
+            },
+            ids: Vec::new(),
+            lens: Vec::new(),
+        }
+    }
+
+    /// `row`'s fetched list, if it has one.
+    fn list(&self, row: usize) -> Option<&[u32]> {
+        match self.lens.get(row) {
+            Some(&len) if len != UNFETCHED => {
+                Some(&self.ids[row * self.width..][..usize::from(len)])
+            }
+            _ => None,
+        }
+    }
+
+    /// Stores `row`'s list, allocating the table for `n` rows first.
+    fn set(&mut self, n: usize, row: usize, list: &[SqNeighbor]) {
+        if self.lens.is_empty() {
+            self.lens = vec![UNFETCHED; n];
+            self.ids = vec![0; n * self.width];
+        }
+        let slots = &mut self.ids[row * self.width..][..list.len()];
+        for (slot, hit) in slots.iter_mut().zip(list) {
+            *slot = hit.row as u32;
+        }
+        self.lens[row] = list.len() as u8;
+    }
+}
+
 /// The state of one granulation: `U` (the index's alive rows), `L`, the
-/// noise list, the diffusion balls with their conflict index, and the
-/// query counts.
+/// noise list, the diffusion balls with their conflict index, the hood
+/// table, and the query counts.
 pub(crate) struct Granulator<'d> {
     data: &'d Dataset,
     index: Box<dyn NeighborIndex>,
@@ -117,11 +205,10 @@ pub(crate) struct Granulator<'d> {
     noise: Vec<usize>,
     /// Diffusion balls, in creation order.
     balls: Vec<GranularBall>,
-    /// Whether [`Granulator::fetch_hoods`] batches: a brute index over
-    /// rows of at least [`LANE_WIDTH`] features. Batching tied or won
-    /// there from p = 4 up and lost at three of four banana sizes at
-    /// p = 2 (BENCH_GRANULATION.json entry 7).
-    batch_hoods: bool,
+    hoods: HoodTable,
+    /// Whether the index is a brute scan, whose blocked sweep pays for a
+    /// fetch of a few candidates (see [`Granulator::batches_candidates`]).
+    brute: bool,
     pub(crate) queries: QueryCounts,
 }
 
@@ -133,9 +220,12 @@ impl<'d> Granulator<'d> {
         vetting: Vetting,
         restrict_overlap: bool,
     ) -> Self {
-        let batch_hoods = backend.resolve(data.n_samples(), data.n_features())
-            == GranulationBackend::Brute
-            && data.n_features() >= LANE_WIDTH;
+        let brute =
+            backend.resolve(data.n_samples(), data.n_features()) == GranulationBackend::Brute;
+        debug_assert!(
+            !metric.normalizes(),
+            "cosine granulates normalized rows with the squared-Euclidean kernel"
+        );
         Self {
             data,
             index: backend.build_with(data, metric),
@@ -146,33 +236,101 @@ impl<'d> Granulator<'d> {
             low_density: vec![false; data.n_samples()],
             noise: Vec::new(),
             balls: Vec::new(),
-            batch_hoods,
+            hoods: HoodTable::new(data.n_features(), vetting.hood_size()),
+            brute,
             queries: QueryCounts::default(),
         }
     }
 
-    /// `k` of a density hood: ρ, or 1 under the noise-detection ablation.
+    /// `k` of a density hood.
     fn hood_size(&self) -> usize {
-        match self.vetting {
-            Vetting::Density(rho) => rho,
-            Vetting::NearestOnly => 1,
-        }
+        self.vetting.hood_size()
     }
 
-    /// The density hoods of `rows`, in order, fetched in one batched index
-    /// call, for [`Granulator::step`] to use while they are fresh. Empty,
-    /// with no query made, where batching does not pay: on trees, whose
-    /// queries prune, and on sub-lane rows, which have no vector work to
-    /// share between queries.
-    pub(crate) fn fetch_hoods(&mut self, rows: &[usize]) -> Vec<Vec<SqNeighbor>> {
-        if !self.batch_hoods {
-            return Vec::new();
+    /// Whether the table serves lists at all: rows of at least
+    /// [`LANE_WIDTH`] features and `k′` within [`MAX_LIST`].
+    pub(crate) fn fetches(&self) -> bool {
+        self.hoods.width > 0
+    }
+
+    /// Whether fetching all `t` rows left in `T` at once pays: `t` must
+    /// reach [`MIN_WHOLE_FETCH`], and a tree needs a second thread. A
+    /// brute tile reads the alive rows once for 16 queries, which wins on
+    /// one thread too; a tree tile is 16 single queries of the longer
+    /// `k′`-lists, more work than the per-step queries it replaces, which
+    /// lost on one CPU in 32 of the 54 tree cells of entry 8.
+    pub(crate) fn fetches_all(&self, t: usize) -> bool {
+        self.fetches() && t >= MIN_WHOLE_FETCH && (self.brute || rayon::current_num_threads() > 1)
+    }
+
+    /// Whether fetching a handful of candidates pays: a brute index, whose
+    /// blocked sweep reads its alive rows once for all of them, over rows
+    /// the table serves. Batching each iteration's candidates tied or won
+    /// there from p = 4 up and lost at three of four banana sizes at p = 2
+    /// (BENCH_GRANULATION.json entry 7); trees, whose queries prune, gain
+    /// nothing from a fetch that small.
+    pub(crate) fn batches_candidates(&self) -> bool {
+        self.brute && self.fetches()
+    }
+
+    /// Fetches the `k′`-lists of `rows` into the hood table, for the
+    /// steps of those rows to take their hoods from. A no-op where the
+    /// table serves no list: sub-lane rows and `k′` past [`MAX_LIST`].
+    pub(crate) fn fetch_hoods(&mut self, rows: &[usize]) {
+        self.fetch_hoods_in(rows, rows.len().div_ceil(FETCH_PIECE));
+    }
+
+    /// [`Granulator::fetch_hoods`] in `pieces` contiguous pieces of
+    /// `rows` (at least one), each one [`NeighborIndex::k_nearest_sq_par`]
+    /// call, whose tiles run on the thread pool. A row's list is its own
+    /// query's answer, so the table is the same for any split.
+    fn fetch_hoods_in(&mut self, rows: &[usize], pieces: usize) {
+        if self.hoods.width == 0 || rows.is_empty() {
+            return;
         }
-        let queries: Vec<&[f64]> = rows.iter().map(|&row| self.data.row(row)).collect();
-        let skips: Vec<Option<usize>> = rows.iter().map(|&row| Some(row)).collect();
+        let data = self.data;
+        let pieces = pieces.clamp(1, rows.len());
+        for piece in 0..pieces {
+            let piece = &rows[rows.len() * piece / pieces..rows.len() * (piece + 1) / pieces];
+            let queries: Vec<&[f64]> = piece.iter().map(|&row| data.row(row)).collect();
+            let skips: Vec<Option<usize>> = piece.iter().map(|&row| Some(row)).collect();
+            let lists = self
+                .index
+                .k_nearest_sq_par(&queries, self.hoods.width, &skips);
+            for (&row, list) in piece.iter().zip(&lists) {
+                self.hoods.set(data.n_samples(), row, list);
+            }
+        }
         self.queries.knn += rows.len();
-        self.index
-            .k_nearest_sq_many(&queries, self.hood_size(), &skips)
+    }
+
+    /// `row`'s density hood: the first `k` alive rows of its fetched list,
+    /// or every alive row of a list that held every other alive row, with
+    /// their kernel distances recomputed ([`Metric::pair`] is
+    /// bit-identical to every scan, kernel contract v2); a fresh query
+    /// when the row has no list or its list has fewer than `k` alive rows
+    /// left.
+    fn hood(&mut self, row: usize) -> Vec<SqNeighbor> {
+        let data = self.data;
+        let k = self.hood_size();
+        if let Some(list) = self.hoods.list(row) {
+            let c = data.row(row);
+            let hood: Vec<SqNeighbor> = list
+                .iter()
+                .map(|&n| n as usize)
+                .filter(|&n| self.index.is_alive(n))
+                .take(k)
+                .map(|n| SqNeighbor {
+                    row: n,
+                    sq_dist: self.metric.pair(c, data.row(n)),
+                })
+                .collect();
+            if hood.len() == k || list.len() < self.hoods.width {
+                return hood;
+            }
+        }
+        self.queries.knn += 1;
+        self.index.k_nearest_sq(data.row(row), k, Some(row))
     }
 
     /// Whether `row` is still in `U`.
@@ -226,38 +384,27 @@ impl<'d> Granulator<'d> {
 
     /// Runs one candidate through the verdict and diffusion, answering the
     /// heterogeneous stop and the members from the density hood wherever
-    /// the parent module's rules prove them. `fetched` is the candidate's
-    /// hood from [`Granulator::fetch_hoods`], if one was fetched.
-    pub(crate) fn step(&mut self, row: usize, fetched: Option<Vec<SqNeighbor>>) -> Step {
-        self.vet_then_diffuse(row, fetched, |g, hood, reach| {
+    /// the parent module's rules prove them.
+    pub(crate) fn step(&mut self, row: usize) -> Step {
+        self.vet_then_diffuse(row, |g, hood, reach| {
             g.diffusion_from_hood(row, hood, reach)
         })
     }
 
-    /// Takes the candidate's hood — the fetched one while every row in it
-    /// is still alive, a fresh query otherwise — and applies the Eq.-2
-    /// verdict. An accepted candidate's noisy neighbour leaves `U`, and
-    /// `diffusion`, given the hood without it and the hood's reach, returns
-    /// the bound and the rows inside it, from which the ball is built.
+    /// Takes the candidate's hood ([`Granulator::hood`]) and applies the
+    /// Eq.-2 verdict. An accepted candidate's noisy neighbour leaves `U`,
+    /// and `diffusion`, given the hood without it and the hood's reach,
+    /// returns the bound and the rows inside it, from which the ball is
+    /// built.
     fn vet_then_diffuse(
         &mut self,
         row: usize,
-        fetched: Option<Vec<SqNeighbor>>,
         diffusion: impl FnOnce(&mut Self, &[SqNeighbor], f64) -> (f64, RangeBound, Vec<SqNeighbor>),
     ) -> Step {
         let data = self.data;
         let label = data.label(row);
         let k = self.hood_size();
-        // Rows only ever leave `U`: while every row of a fetched hood is
-        // alive, they are still the first `k` alive rows in `(dist, row)`
-        // order, and a hood shorter than `k` still holds every other row.
-        let hood = match fetched {
-            Some(hood) if hood.iter().all(|n| self.index.is_alive(n.row)) => hood,
-            _ => {
-                self.queries.knn += 1;
-                self.index.k_nearest_sq(data.row(row), k, Some(row))
-            }
-        };
+        let hood = self.hood(row);
         let reach = if hood.len() < k {
             f64::INFINITY
         } else {
@@ -440,7 +587,7 @@ mod tests {
         /// it always asks the index for the nearest heterogeneous row and
         /// for the members. Kept only as the oracle of the rules.
         fn oracle_step(&mut self, row: usize) -> Step {
-            self.vet_then_diffuse(row, None, |g, _, _| {
+            self.vet_then_diffuse(row, |g, _, _| {
                 let c = g.data.row(row);
                 let d_het = g.nearest_heterogeneous(row);
                 let (bound, kind) = diffusion_bound(g.conflict_bound(c), d_het);
@@ -471,19 +618,30 @@ mod tests {
         /// Inclusive (conflict) bound exactly at a finite reach: a row
         /// outside the hood may tie, so only the index can answer.
         inclusive_ties: usize,
-        /// Fetched hoods a step used as they were.
-        fresh_hoods: usize,
-        /// Fetched hoods a step replaced with a query: a row had left `U`.
-        stale_hoods: usize,
+        /// Fetched lists a step took its hood from with every row alive.
+        fresh_lists: usize,
+        /// Full lists with dead rows whose first `k` alive rows were the
+        /// hood.
+        dead_rows_yielded: usize,
+        /// Short lists (every other alive row at fetch time) a step took
+        /// all its alive rows from, `k` or fewer.
+        short_lists: usize,
+        /// Full lists with fewer than `k` alive rows left: the step had to
+        /// query.
+        requeried: usize,
     }
 
     /// Sweeps every candidate of `order` (twice, so later passes meet a
     /// shrunken `U` and a populated conflict index) through the hood step
     /// and the oracle on twin granulators, requiring identical steps and,
     /// at the end, identical balls, noise, `U` and `L`. With `window > 0`
-    /// the hood side fetches the hoods of each `window` candidates of the
-    /// order in one batched call first, as the seeded engine does per
-    /// iteration, whatever the backend and width.
+    /// the hood side takes lists of `2k + 2` rows, whatever the backend
+    /// and width: up to a window partway through the first pass it
+    /// fetches the lists of each `window` candidates in one call, as the
+    /// seeded engine does per iteration on the brute backend, then it
+    /// fetches every row left in `T` once, as the seeded engine does at
+    /// its first ball-less iteration, and no more. Every step must query the index
+    /// exactly when its list cannot yield its hood.
     #[allow(clippy::too_many_arguments)]
     fn sweep_against_oracle(
         data: &Dataset,
@@ -497,31 +655,64 @@ mod tests {
     ) {
         let mut hood = Granulator::new(data, backend, metric, vetting, restrict_overlap);
         let mut oracle = Granulator::new(data, backend, metric, vetting, restrict_overlap);
-        hood.batch_hoods = window > 0;
+        let k = hood.hood_size();
+        hood.hoods.width = if window > 0 { 2 * k + 2 } else { 0 };
+        let windows = order.chunks(window.max(1));
+        // The window before which the first pass fetches all of `T`:
+        // halfway for even windows, a quarter of the way for odd ones, so
+        // the lists of some sweeps go stale for longer.
+        let whole_fetch_at = (window > 0).then_some(windows.len() / (2 + 2 * (window % 2)));
         let mut accepted = 0;
-        let mut unused_hoods = 0;
-        for pass in [order, order] {
-            for window_rows in pass.chunks(window.max(1)) {
-                let candidates: Vec<usize> = window_rows
-                    .iter()
-                    .copied()
-                    .filter(|&row| hood.is_candidate(row))
+        let (mut fetched, mut used) = (0, 0);
+        for pass in 0..2 {
+            for (w, window_rows) in windows.clone().enumerate() {
+                let first_half = pass == 0 && whole_fetch_at.is_some_and(|at| w < at);
+                let fetch = if first_half {
+                    window_rows.to_vec()
+                } else if pass == 0 && whole_fetch_at == Some(w) {
+                    (0..data.n_samples()).collect()
+                } else {
+                    Vec::new()
+                };
+                let fetch: Vec<usize> = fetch
+                    .into_iter()
+                    .filter(|&r| hood.is_candidate(r))
                     .collect();
-                let mut hoods = hood.fetch_hoods(&candidates);
-                unused_hoods += hoods.len();
-                for (i, &row) in candidates.iter().enumerate() {
+                hood.fetch_hoods(&fetch);
+                fetched += fetch.len();
+                for &row in window_rows {
                     if !hood.is_candidate(row) {
                         continue;
                     }
-                    let fetched = hoods.get_mut(i).map(std::mem::take);
-                    let had_hood = fetched.is_some();
+                    // What the list holds before the step: its length and
+                    // its rows still alive.
+                    let list = hood.hoods.list(row).map(|list| {
+                        let alive = list.iter().filter(|&&n| hood.is_alive(n as usize)).count();
+                        (list.len(), alive)
+                    });
                     let queried = hood.queries.knn;
-                    let a = hood.step(row, fetched);
-                    if had_hood {
-                        let stale = hood.queries.knn - queried;
-                        edges.stale_hoods += stale;
-                        edges.fresh_hoods += 1 - stale;
-                        unused_hoods -= 1 - stale;
+                    let a = hood.step(row);
+                    let requery = hood.queries.knn - queried;
+                    if let Some((len, alive)) = list {
+                        let short = len < hood.hoods.width;
+                        let yields = alive >= k || short;
+                        assert_eq!(
+                            requery,
+                            usize::from(!yields),
+                            "row {row}: {len} listed, {alive} alive"
+                        );
+                        used += usize::from(yields);
+                        if !yields {
+                            edges.requeried += 1;
+                        } else if short {
+                            edges.short_lists += 1;
+                        } else if alive < len {
+                            edges.dead_rows_yielded += 1;
+                        } else {
+                            edges.fresh_lists += 1;
+                        }
+                    } else {
+                        assert_eq!(requery, 1, "row {row} has no list");
                     }
                     let b = oracle.oracle_step(row);
                     assert!(same(&a, &b), "row {row}: hood {a:?} vs oracle {b:?}");
@@ -547,9 +738,9 @@ mod tests {
         for row in 0..data.n_samples() {
             assert_eq!(hood.is_alive(row), oracle.is_alive(row), "row {row}");
         }
-        // Every step asked for one hood; the hood side also fetched the
-        // ones no step used as they were.
-        assert_eq!(hood.queries.knn, oracle.queries.knn + unused_hoods);
+        // The oracle asked for one hood per step; the hood side asked for
+        // one per fetched list and one per step no list served.
+        assert_eq!(hood.queries.knn + used, oracle.queries.knn + fetched);
         assert_eq!(oracle.queries.het, accepted);
         edges.accepted += accepted;
         edges.het_answered += accepted - hood.queries.het;
@@ -645,12 +836,92 @@ mod tests {
 
     #[test]
     fn prefetched_hoods_match_the_three_query_oracle() {
-        // Windows of 2..=7 candidates: the seeded engine fetches one hood
-        // per class still in `T` per iteration.
-        let edges = oracle_sweeps("prefetch_oracle", 300, |case| 2 + case as usize % 6);
-        // Both sides of the staleness rule must be met.
-        assert!(edges.fresh_hoods >= 1000, "{edges:?}");
-        assert!(edges.stale_hoods >= 100, "{edges:?}");
+        // Windows of 2..=7 candidates: the seeded engine fetches one list
+        // per class still in `T` per iteration, then all of `T` once.
+        let edges = oracle_sweeps("prefetch_oracle", 1000, |case| 2 + case as usize % 6);
+        // Every case of the list rule must be met.
+        assert!(edges.fresh_lists >= 5000, "{edges:?}");
+        assert!(edges.dead_rows_yielded >= 1000, "{edges:?}");
+        assert!(edges.short_lists >= 1000, "{edges:?}");
+        assert!(edges.requeried >= 50, "{edges:?}");
+    }
+
+    /// S4 (p = 12) at 500 rows with 10% class noise.
+    fn pumpkin() -> Dataset {
+        let clean = gb_dataset::catalog::DatasetId::S4.generate(0.2, 5);
+        gb_dataset::noise::inject_class_noise(&clean, 0.1, 6).0
+    }
+
+    #[test]
+    fn hood_table_is_the_same_however_the_fetch_splits() {
+        // Contract 6: a fetch answers its rows in contiguous pieces, each
+        // one `k_nearest_sq_par` call whose 16-row tiles run on the thread
+        // pool, and a row's list must be its own query's answer whichever
+        // piece and tile held it. Forcing 1, 2, 3 and 8 pieces covers the
+        // splits on any number of CPUs.
+        let data = pumpkin();
+        let n = data.n_samples();
+        for backend in GranulationBackend::CONCRETE {
+            for metric in [Metric::SqEuclidean, Metric::Manhattan] {
+                let table = |pieces: usize| {
+                    let mut g = Granulator::new(&data, backend, metric, Vetting::Density(5), true);
+                    // Shrink `U` first, so the lists skip deleted rows.
+                    for row in (0..n).step_by(3) {
+                        if g.is_candidate(row) {
+                            g.step(row);
+                        }
+                    }
+                    let t: Vec<usize> = (0..n).filter(|&row| g.is_candidate(row)).collect();
+                    assert!(t.len() > 8 * 16, "{} rows left in T", t.len());
+                    g.fetch_hoods_in(&t, pieces);
+                    for &row in &t {
+                        let want: Vec<u32> = g
+                            .index
+                            .k_nearest_sq(data.row(row), g.hoods.width, Some(row))
+                            .iter()
+                            .map(|hit| hit.row as u32)
+                            .collect();
+                        assert_eq!(g.hoods.list(row), Some(&want[..]), "row {row}");
+                    }
+                    (g.hoods.ids, g.hoods.lens)
+                };
+                let one = table(1);
+                for pieces in [2, 3, 8] {
+                    assert!(table(pieces) == one, "{backend}/{metric}: {pieces} pieces");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_rho_past_the_list_cap_fetches_nothing() {
+        // `k′ = 2ρ + 2 = 66` is past `MAX_LIST`: a fetch allocates no table
+        // and makes no query, and the cover is a never-fetching one's.
+        let data = pumpkin();
+        let n = data.n_samples();
+        let new = |rho| {
+            Granulator::new(
+                &data,
+                GranulationBackend::Brute,
+                Metric::SqEuclidean,
+                Vetting::Density(rho),
+                true,
+            )
+        };
+        assert!(new(31).fetches());
+        let (mut asked, mut never) = (new(32), new(32));
+        assert!(!asked.fetches());
+        asked.fetch_hoods(&(0..n).collect::<Vec<_>>());
+        for row in 0..n {
+            if asked.is_candidate(row) {
+                asked.fetch_hoods(&[row]);
+                assert!(same(&asked.step(row), &never.step(row)), "row {row}");
+            }
+        }
+        assert!(asked.hoods.ids.is_empty() && asked.hoods.lens.is_empty());
+        assert_eq!(asked.queries.knn, never.queries.knn);
+        assert_eq!(format!("{:?}", asked.balls), format!("{:?}", never.balls));
+        assert_eq!(asked.noise, never.noise);
     }
 
     #[test]

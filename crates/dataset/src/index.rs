@@ -31,18 +31,18 @@
 //! |----------------------|--------|-----------------|----------------------------|
 //! | build                | O(n)   | O(n log n)      | O(n log n)                 |
 //! | k-NN query           | O(n)   | O(log n + k)    | O(log n + k)               |
-//! | `q` k-NN queries     | one O(q·n) sweep | q queries | q queries              |
+//! | `q` k-NN queries     | one O(n) sweep per 16 queries | q queries | q queries |
 //! | range query          | O(n)   | O(log n + out)  | O(log n + out)             |
 //! | delete               | O(1)   | O(1)            | O(1)                       |
 //!
-//! [`NeighborIndex::k_nearest_sq_many`] answers several k-NN queries at
-//! once, each answer equal to its single query's bit for bit: the brute
-//! backend streams its alive rows once for all of them through the
-//! blocked many-to-many kernel ([`Metric::dist_block`]), so each row is
-//! read once per batch instead of once per query; the trees loop. RD-GBG
-//! fetches each iteration's density hoods this way on the brute backend,
-//! and the neighbour-based samplers fetch their hoods through
-//! [`BruteIndex::k_nearest_sq_par`].
+//! [`NeighborIndex::k_nearest_sq_par`] answers a list of k-NN queries on
+//! the thread pool, in tiles of 16 queries, each answer equal to its
+//! single query's bit for bit: the trees loop single queries inside each
+//! tile, and the brute backend streams its alive rows once per tile
+//! through the blocked many-to-many kernel ([`Metric::dist_block`]), so
+//! each row is read once per tile instead of once per query. RD-GBG
+//! fetches its density hoods this way, and the neighbour-based samplers
+//! their hoods.
 //!
 //! Tree queries degrade toward O(n) as the (intrinsic) dimensionality
 //! grows; [`GranulationBackend::Auto`] picks the KD-tree up to 24
@@ -372,25 +372,26 @@ pub trait NeighborIndex: Send + Sync {
     /// ascending by `(sq_dist, row)`.
     fn k_nearest_sq(&self, query: &[f64], k: usize, skip: Option<usize>) -> Vec<SqNeighbor>;
 
-    /// [`NeighborIndex::k_nearest_sq`] for several queries at once: entry
-    /// `i` equals `k_nearest_sq(queries[i], k, skips[i])` bit for bit. The
-    /// default implementation loops over the queries; [`BruteIndex`]
-    /// answers them all in one blocked sweep of its alive rows.
+    /// [`NeighborIndex::k_nearest_sq`] for a list of queries, answered on
+    /// the thread pool in tiles of 16 queries: entry `i` equals
+    /// `k_nearest_sq(queries[i], k, skips[i])` bit for bit, for any thread
+    /// count. The default implementation loops single queries inside each
+    /// tile; [`BruteIndex`] answers each tile in one blocked sweep of its
+    /// alive rows.
     ///
     /// # Panics
     /// When `queries` and `skips` differ in length.
-    fn k_nearest_sq_many(
+    fn k_nearest_sq_par(
         &self,
         queries: &[&[f64]],
         k: usize,
         skips: &[Option<usize>],
     ) -> Vec<Vec<SqNeighbor>> {
         assert_eq!(queries.len(), skips.len(), "one skip per query");
-        queries
-            .iter()
-            .zip(skips)
-            .map(|(query, &skip)| self.k_nearest_sq(query, k, skip))
-            .collect()
+        par_query_tiles(queries.len(), |tile| {
+            tile.map(|i| self.k_nearest_sq(queries[i], k, skips[i]))
+                .collect()
+        })
     }
 
     /// The single nearest alive row, or `None` when nothing (else) is alive.
@@ -436,6 +437,25 @@ pub trait NeighborIndex: Send + Sync {
     ) -> Box<dyn Iterator<Item = SqNeighbor> + 'a> {
         Box::new(DistanceOrdered::new(self, query))
     }
+}
+
+/// Queries per tile in [`NeighborIndex::k_nearest_sq_par`]: a brute tile
+/// is one blocked sweep that loads every alive row once for all of its
+/// queries.
+const QUERY_TILE: usize = 16;
+
+/// Runs `tile` over consecutive [`QUERY_TILE`]-query ranges of `0..n` on
+/// the thread pool and joins the answers in query order.
+fn par_query_tiles(
+    n: usize,
+    tile: impl Fn(std::ops::Range<usize>) -> Vec<Vec<SqNeighbor>> + Sync,
+) -> Vec<Vec<SqNeighbor>> {
+    use rayon::prelude::*;
+    let tiles: Vec<Vec<Vec<SqNeighbor>>> = (0..n.div_ceil(QUERY_TILE))
+        .into_par_iter()
+        .map(|t| tile(t * QUERY_TILE..((t + 1) * QUERY_TILE).min(n)))
+        .collect();
+    tiles.into_iter().flatten().collect()
 }
 
 /// Shared tombstone state for the tree indexes: the alive bitmap plus the
@@ -712,12 +732,8 @@ pub struct BruteIndex {
 
 const GONE: u32 = u32::MAX;
 
-/// Queries per tile in [`BruteIndex::k_nearest_sq_par`]: each tile is one
-/// blocked sweep that loads every alive row once for all of its queries.
-const QUERY_TILE: usize = 16;
-
 /// Multiply-adds (alive rows × width × queries) per range below which a
-/// batched sweep ([`NeighborIndex::k_nearest_sq_many`]) is not split. A
+/// lone tile's sweep ([`NeighborIndex::k_nearest_sq_par`]) is not split. A
 /// split costs a pool hand-off, the host's thread count (~12 µs each on a
 /// 2-vCPU x86-64 container, FMA tier) and a merge of per-range results.
 /// There two ranges lost up to ~0.9 M multiply-adds in all (512 rows × 7
@@ -757,41 +773,6 @@ impl BruteIndex {
             alive_points,
             position: (0..n as u32).collect(),
         }
-    }
-
-    /// Answers a long list of k-NN queries in parallel. Rows of a lane
-    /// width or more go in tiles of 16 queries, each tile one serial
-    /// [`NeighborIndex::k_nearest_sq_many`] sweep that reads every alive
-    /// row once for the whole tile; sub-lane rows, where the blocked kernel
-    /// has no vector work, take one [`NeighborIndex::k_nearest_sq`] per
-    /// query. Entry `i` equals `k_nearest_sq(queries[i], k, skips[i])` bit
-    /// for bit, for any thread count.
-    ///
-    /// # Panics
-    /// When `queries` and `skips` differ in length.
-    #[must_use]
-    pub fn k_nearest_sq_par(
-        &self,
-        queries: &[&[f64]],
-        k: usize,
-        skips: &[Option<usize>],
-    ) -> Vec<Vec<SqNeighbor>> {
-        use rayon::prelude::*;
-        assert_eq!(queries.len(), skips.len(), "one skip per query");
-        if self.n_features < LANE_WIDTH {
-            return (0..queries.len())
-                .into_par_iter()
-                .map(|i| self.k_nearest_sq(queries[i], k, skips[i]))
-                .collect();
-        }
-        let tiles: Vec<Vec<Vec<SqNeighbor>>> = (0..queries.len().div_ceil(QUERY_TILE))
-            .into_par_iter()
-            .map(|t| {
-                let tile = t * QUERY_TILE..((t + 1) * QUERY_TILE).min(queries.len());
-                self.k_nearest_many_in(1, &queries[tile.clone()], k, &skips[tile])
-            })
-            .collect();
-        tiles.into_iter().flatten().collect()
     }
 }
 
@@ -844,15 +825,32 @@ impl NeighborIndex for BruteIndex {
             .into_sorted()
     }
 
-    fn k_nearest_sq_many(
+    /// Rows of a lane width or more answer each tile in one serial blocked
+    /// sweep ([`BruteIndex::k_nearest_many_in`]), except a lone tile,
+    /// whose sweep splits across threads by work instead; sub-lane rows,
+    /// where the blocked kernel has no vector work, take one
+    /// [`NeighborIndex::k_nearest_sq`] per query.
+    fn k_nearest_sq_par(
         &self,
         queries: &[&[f64]],
         k: usize,
         skips: &[Option<usize>],
     ) -> Vec<Vec<SqNeighbor>> {
-        let work = self.alive_rows.len() * self.n_features * queries.len();
-        let chunks = crate::par_ranges(work, PAR_SWEEP_WORK);
-        self.k_nearest_many_in(chunks, queries, k, skips)
+        assert_eq!(queries.len(), skips.len(), "one skip per query");
+        let ranges = if queries.len() <= QUERY_TILE {
+            let work = self.alive_rows.len() * self.n_features * queries.len();
+            crate::par_ranges(work, PAR_SWEEP_WORK)
+        } else {
+            1
+        };
+        par_query_tiles(queries.len(), |tile| {
+            if self.n_features < LANE_WIDTH {
+                tile.map(|i| self.k_nearest_sq(queries[i], k, skips[i]))
+                    .collect()
+            } else {
+                self.k_nearest_many_in(ranges, &queries[tile.clone()], k, &skips[tile])
+            }
+        })
     }
 
     fn nearest_heterogeneous_sq(
@@ -1001,8 +999,9 @@ impl BruteIndex {
         merged
     }
 
-    /// [`NeighborIndex::k_nearest_sq_many`] with the alive slots split into
-    /// `chunks` ranges, one [`KBest`] per query and range, merged per query.
+    /// A blocked sweep answering every query of `queries` at once, with
+    /// the alive slots split into `chunks` ranges, one [`KBest`] per query
+    /// and range, merged per query.
     fn k_nearest_many_in(
         &self,
         chunks: usize,
@@ -1251,17 +1250,18 @@ mod tests {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
 
         #[test]
-        fn k_nearest_many_equals_repeated_single_queries(
+        fn k_nearest_par_equals_repeated_single_queries(
             width in 0usize..7,
             n in 1usize..90,
             metric in 0usize..3,
             k_pick in 0usize..4,
-            nq_pick in 0usize..5,
+            nq_pick in 0usize..6,
             seed in 0u64..u64::MAX,
         ) {
             let p = [1, 2, 3, 4, 5, 17, 256][width];
             let metric = Metric::ALL[metric];
-            let nq = [0, 1, 2, 3, 7][nq_pick];
+            // 40 queries fill three tiles, the last one partly.
+            let nq = [0, 1, 2, 3, 7, 40][nq_pick];
             let mut rng = rng_from_seed(seed);
             // A small integer grid: duplicate rows and distance ties are
             // common, so the tie-break is exercised.
@@ -1302,7 +1302,7 @@ mod tests {
                 .collect();
             let refs: Vec<&[f64]> = queries.iter().map(Vec::as_slice).collect();
             for (name, ix) in &idx {
-                let many = ix.k_nearest_sq_many(&refs, k, &skips);
+                let many = ix.k_nearest_sq_par(&refs, k, &skips);
                 proptest::prop_assert_eq!(many.len(), nq, "{}", name);
                 for ((query, &skip), got) in queries.iter().zip(&skips).zip(&many) {
                     let want = ix.k_nearest_sq(query, k, skip);
@@ -1314,7 +1314,7 @@ mod tests {
 
     #[test]
     fn k_nearest_many_is_exact_however_the_scan_splits() {
-        // Past `PAR_SWEEP_WORK` multiply-adds per range a batched sweep
+        // Past `PAR_SWEEP_WORK` multiply-adds per range a lone tile's sweep
         // splits into one range per thread; it keeps one `KBest` per query
         // and range and merges them. Forcing the split covers the merge on
         // any number of CPUs.
@@ -1334,6 +1334,42 @@ mod tests {
                         bits(&ix.k_nearest_sq(query, 6, skip)),
                         "p={p} chunks={chunks}"
                     );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn trees_are_exact_on_rows_a_rounding_error_apart() {
+        // Small integer grids, normalized for cosine: collinear rows land
+        // ~1e-16 apart, a gap the rounding of every vantage distance
+        // dwarfs, and tie at that distance. The VP-tree once pruned such
+        // ties away.
+        for seed in 0..300u64 {
+            let mut rng = rng_from_seed(seed);
+            let (n, p) = (40, 2 + seed as usize % 2);
+            let feats: Vec<f64> = (0..n * p)
+                .map(|_| f64::from(rng.gen_range(0..4u32)))
+                .collect();
+            let data = Dataset::from_parts(feats, vec![0; n], p, 1);
+            let mut idx: Vec<(&str, Box<dyn NeighborIndex>)> = GranulationBackend::CONCRETE
+                .iter()
+                .map(|b| (b.name(), b.build_with(&data, Metric::Cosine)))
+                .collect();
+            for row in 0..n {
+                if rng.gen_bool(0.3) {
+                    for (_, ix) in idx.iter_mut() {
+                        ix.delete(row);
+                    }
+                }
+            }
+            for row in 0..n {
+                for k in [1, 2, 3, 5] {
+                    let want = bits(&idx[0].1.k_nearest_sq(data.row(row), k, Some(row)));
+                    for (name, ix) in &idx[1..] {
+                        let got = bits(&ix.k_nearest_sq(data.row(row), k, Some(row)));
+                        assert_eq!(got, want, "{name} seed {seed} row {row} k {k}");
+                    }
                 }
             }
         }

@@ -62,6 +62,8 @@ pub enum CsvError {
     },
     /// The label column selector does not resolve.
     BadLabelColumn(String),
+    /// Every row holds only its label: no feature column is left beside it.
+    NoFeatures,
     /// A field of a numeric column parsed to a value that is not finite
     /// (`nan`, `inf`, or a literal beyond `f64` such as `1e400`).
     NonFinite {
@@ -85,6 +87,7 @@ impl fmt::Display for CsvError {
                 expected,
             } => write!(f, "line {line}: {found} fields, expected {expected}"),
             CsvError::BadLabelColumn(s) => write!(f, "label column not found: {s}"),
+            CsvError::NoFeatures => write!(f, "no feature column beside the label column"),
             CsvError::NonFinite { line, column, text } => {
                 write!(
                     f,
@@ -244,6 +247,9 @@ fn read_csv_in(content: &str, options: &CsvOptions, ranges: usize) -> Result<Dat
     chunks.par_iter_mut().for_each(|c| c.parse(shape));
     if let Some(e) = chunks.iter_mut().find_map(|c| c.error.take()) {
         return Err(e);
+    }
+    if n_features == 0 {
+        return Err(CsvError::NoFeatures);
     }
     // Each chunk's label ids index its own first-appearance list; the
     // union of those lists, densified in sorted order of the text, gives
@@ -721,6 +727,23 @@ a,b,color,class
         )
         .unwrap_err();
         assert!(matches!(err, CsvError::BadLabelColumn(_)));
+    }
+
+    #[test]
+    fn label_only_rows_are_refused() {
+        // One column leaves no feature beside the label; a ragged row still
+        // outranks that, and so does a header-less file's one column.
+        let err = read_csv_str("label\na\nb\n", &CsvOptions::default()).unwrap_err();
+        assert!(matches!(err, CsvError::NoFeatures), "{err}");
+        assert_eq!(err.to_string(), "no feature column beside the label column");
+        let err = read_csv_str("label\na\nb,c\n", &CsvOptions::default()).unwrap_err();
+        assert!(matches!(err, CsvError::Ragged { line: 3, .. }), "{err}");
+        let options = CsvOptions {
+            has_header: false,
+            ..CsvOptions::default()
+        };
+        let err = read_csv_str("1\n2\n", &options).unwrap_err();
+        assert!(matches!(err, CsvError::NoFeatures), "{err}");
     }
 
     #[test]
