@@ -83,6 +83,6 @@ pub use gb_obs::{ProgressEvent, ProgressPhase};
 // just to name it.
 pub use gb_dataset::Metric;
 pub use gbknn::{DistanceRule, GbKnn, GbKnnConfig};
-pub use rdgbg::incremental::{canonical_rd_gbg, AppendStats, MaintainedModel};
+pub use rdgbg::incremental::{canonical_rd_gbg, MaintainedModel};
 pub use rdgbg::{rd_gbg, rd_gbg_with_progress, ProgressSink, RdGbgConfig, RdGbgModel};
 pub use sampler::{GbabsSampler, NoSampling, SampleResult, Sampler};

@@ -96,8 +96,8 @@
 //! runs the orphan phase. This module supplies the paper's seeded order —
 //! per-class candidate pools, the RNG draws, the conflict-bounded count
 //! and the progress events; [`incremental`] supplies the canonical order
-//! (ascending row id), whose decision trace lets an append replay a clean
-//! prefix with the previous cover's balls.
+//! (ascending row id), under which every append rebuilds the cover of the
+//! grown dataset.
 //!
 //! Properties guaranteed by construction (and property-tested):
 //! * every ball is pure (purity 1.0),
@@ -216,12 +216,6 @@ impl RdGbgModel {
             .iter()
             .map(|b| (b.center.as_slice(), b.label))
             .collect()
-    }
-
-    /// Total number of samples covered by balls.
-    #[must_use]
-    pub fn covered_samples(&self) -> usize {
-        self.balls.iter().map(GranularBall::len).sum()
     }
 }
 

@@ -10,8 +10,7 @@
 //! The two entry points differ only in the order they offer candidates:
 //! the seeded engine ([`super::rd_gbg_with_progress`]) draws one random
 //! candidate per class per iteration, the canonical sweep
-//! ([`super::incremental`]) takes rows in ascending id and first replays a
-//! clean prefix of its previous decisions with the previous cover's balls.
+//! ([`super::incremental`]) takes rows in ascending id.
 //!
 //! The stop and the members come from the density hood wherever the two
 //! rules in the parent module's "Indexed hot path" docs prove them, and
@@ -85,30 +84,19 @@ pub(crate) struct Step {
     pub(crate) kind: DecisionKind,
     /// Kernel distance at or beyond which every alive row the hood did not
     /// hold lies: the hood's last distance, `+∞` when the hood held every
-    /// other alive row.
-    pub(crate) reach: f64,
+    /// other alive row. Only the oracle tests read it.
+    #[cfg(test)]
+    reach: f64,
     /// The `h == 1` noisy nearest neighbour, which left `U` before
     /// diffusion.
     pub(crate) noisy_neighbor: Option<usize>,
     /// The kernel-space diffusion bound, when the candidate passed the
-    /// verdict.
-    pub(crate) bound: Option<f64>,
+    /// verdict. Only the oracle tests read it.
+    #[cfg(test)]
+    bound: Option<f64>,
     /// The conflict radius (Eq. 4), not the heterogeneous stop, set the
     /// bound.
     pub(crate) conflict_bounded: bool,
-}
-
-impl Step {
-    /// A step that ended at the verdict, before diffusion.
-    fn rejected(kind: DecisionKind, reach: f64) -> Self {
-        Self {
-            kind,
-            reach,
-            noisy_neighbor: None,
-            bound: None,
-            conflict_bounded: false,
-        }
-    }
 }
 
 /// The longest hood list the table holds. A list takes `k′ = 2k + 2`
@@ -354,19 +342,19 @@ impl<'d> Granulator<'d> {
     }
 
     /// Moves `row` from `U` to the noise list.
-    pub(crate) fn discard(&mut self, row: usize) {
+    fn discard(&mut self, row: usize) {
         self.index.delete(row);
         self.noise.push(row);
     }
 
     /// Moves `row` to `L`.
-    pub(crate) fn defer(&mut self, row: usize) {
+    fn defer(&mut self, row: usize) {
         self.low_density[row] = true;
     }
 
     /// Adds a diffusion ball: its members leave `U` and it joins the
     /// conflict index.
-    pub(crate) fn absorb(&mut self, ball: GranularBall) {
+    fn absorb(&mut self, ball: GranularBall) {
         for &m in &ball.members {
             debug_assert!(self.index.is_alive(m));
             debug_assert_eq!(
@@ -401,8 +389,6 @@ impl<'d> Granulator<'d> {
         row: usize,
         diffusion: impl FnOnce(&mut Self, &[SqNeighbor], f64) -> (f64, RangeBound, Vec<SqNeighbor>),
     ) -> Step {
-        let data = self.data;
-        let label = data.label(row);
         let k = self.hood_size();
         let hood = self.hood(row);
         let reach = if hood.len() < k {
@@ -410,46 +396,76 @@ impl<'d> Granulator<'d> {
         } else {
             hood[k - 1].sq_dist
         };
+        let (kind, noisy_neighbor, diffused) = match self.verdict(row, &hood) {
+            Err(kind) => (kind, None, None),
+            Ok(noisy_neighbor) => {
+                // The noisy neighbour is the hood's first row.
+                let rest = &hood[usize::from(noisy_neighbor.is_some())..];
+                let (bound, range_bound, hits) = diffusion(self, rest, reach);
+                let kind = self.grow(row, &hits);
+                (kind, noisy_neighbor, Some((bound, range_bound)))
+            }
+        };
+        Step {
+            kind,
+            #[cfg(test)]
+            reach,
+            noisy_neighbor,
+            #[cfg(test)]
+            bound: diffused.map(|(bound, _)| bound),
+            conflict_bounded: diffused.is_some_and(|(_, kind)| kind == RangeBound::Inclusive),
+        }
+    }
+
+    /// The Eq.-2 verdict on `row`'s hood, applied: `Ok` with the `h == 1`
+    /// noisy neighbour, already out of `U`, when the candidate goes on to
+    /// diffusion; `Err` with what the candidate became otherwise.
+    fn verdict(&mut self, row: usize, hood: &[SqNeighbor]) -> Result<Option<usize>, DecisionKind> {
+        let data = self.data;
+        let label = data.label(row);
         // The hood's first hit is the nearest neighbour under the shared
         // tie-break. With no other undivided sample there is nothing to
         // diffuse into; the orphan phase picks the candidate up.
         let Some(&nn) = hood.first() else {
             self.defer(row);
-            return Step::rejected(DecisionKind::LowDensity, reach);
+            return Err(DecisionKind::LowDensity);
         };
-        let mut noisy_neighbor = None;
-        if data.label(nn.row) != label {
-            // Heterogeneous nearest neighbour: the ρ-hood votes (it holds
-            // fewer rows when fewer than ρ remain).
-            let h = hood.iter().filter(|n| data.label(n.row) != label).count();
-            match self.vetting {
-                Vetting::Density(_) if h == hood.len() => {
-                    self.discard(row);
-                    return Step::rejected(DecisionKind::CandidateNoise, reach);
-                }
-                Vetting::Density(_) if h == 1 => {
-                    self.discard(nn.row);
-                    noisy_neighbor = Some(nn.row);
-                }
-                _ => {
-                    self.defer(row);
-                    return Step::rejected(DecisionKind::LowDensity, reach);
-                }
+        if data.label(nn.row) == label {
+            return Ok(None);
+        }
+        // Heterogeneous nearest neighbour: the ρ-hood votes (it holds fewer
+        // rows when fewer than ρ remain).
+        let h = hood.iter().filter(|n| data.label(n.row) != label).count();
+        match self.vetting {
+            Vetting::Density(_) if h == hood.len() => {
+                self.discard(row);
+                Err(DecisionKind::CandidateNoise)
+            }
+            Vetting::Density(_) if h == 1 => {
+                self.discard(nn.row);
+                Ok(Some(nn.row))
+            }
+            _ => {
+                self.defer(row);
+                Err(DecisionKind::LowDensity)
             }
         }
-        // The noisy neighbour is the hood's first row.
-        let rest = &hood[usize::from(noisy_neighbor.is_some())..];
-        let (bound, range_bound, hits) = diffusion(self, rest, reach);
+    }
+
+    /// Grows `row`'s ball over the diffusion `hits`, or moves `row` to `L`
+    /// when none of them lies at a positive distance.
+    fn grow(&mut self, row: usize, hits: &[SqNeighbor]) -> DecisionKind {
+        let data = self.data;
         let r_k = hits.iter().fold(0.0f64, |m, h| m.max(h.sq_dist));
         let radius = self.metric.rank_of(r_k);
-        let kind = if radius > 0.0 {
+        if radius > 0.0 {
             let mut members: Vec<usize> = hits.iter().map(|h| h.row).collect();
             members.push(row);
             members.sort_unstable();
             self.absorb(GranularBall {
                 center: data.row(row).to_vec(),
                 radius,
-                label,
+                label: data.label(row),
                 members,
                 center_row: Some(row),
                 purity: 1.0,
@@ -458,13 +474,6 @@ impl<'d> Granulator<'d> {
         } else {
             self.defer(row);
             DecisionKind::LowDensity
-        };
-        Step {
-            kind,
-            reach,
-            noisy_neighbor,
-            bound: Some(bound),
-            conflict_bounded: range_bound == RangeBound::Inclusive,
         }
     }
 

@@ -816,18 +816,6 @@ impl Metric {
         }
     }
 
-    /// Per-pair kernel value in sequential (sub-lane) order — the inline
-    /// kernel for `p < LANE_WIDTH` hot loops. Cosine inputs must already be
-    /// normalized.
-    #[inline]
-    #[must_use]
-    pub fn pair_seq(self, a: &[f64], b: &[f64]) -> f64 {
-        match self {
-            Metric::SqEuclidean | Metric::Cosine => sq_euclidean(a, b),
-            Metric::Manhattan => manhattan(a, b),
-        }
-    }
-
     /// Per-pair kernel value via the active tier, width-keyed. Cosine
     /// inputs must already be normalized.
     #[inline]
@@ -836,25 +824,6 @@ impl Metric {
         match self {
             Metric::SqEuclidean | Metric::Cosine => sq_euclidean_dispatched(a, b),
             Metric::Manhattan => manhattan_dispatched(a, b),
-        }
-    }
-
-    /// Rank-space distance between two raw (unprepared) rows. Not a hot
-    /// path — cosine allocates normalized copies. Used where a distance in
-    /// the metric's human-facing unit is needed outside the index (ball
-    /// conflict gaps, diagnostics).
-    #[must_use]
-    pub fn rank_pair(self, a: &[f64], b: &[f64]) -> f64 {
-        match self {
-            Metric::SqEuclidean => sq_euclidean_dispatched(a, b).sqrt(),
-            Metric::Manhattan => manhattan_dispatched(a, b),
-            Metric::Cosine => {
-                let mut an = a.to_vec();
-                let mut bn = b.to_vec();
-                l2_normalize_row(&mut an);
-                l2_normalize_row(&mut bn);
-                sq_euclidean_dispatched(&an, &bn).sqrt()
-            }
         }
     }
 

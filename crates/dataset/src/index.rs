@@ -826,7 +826,7 @@ impl NeighborIndex for BruteIndex {
     }
 
     /// Rows of a lane width or more answer each tile in one serial blocked
-    /// sweep ([`BruteIndex::k_nearest_many_in`]), except a lone tile,
+    /// sweep (`BruteIndex::k_nearest_many_in`), except a lone tile,
     /// whose sweep splits across threads by work instead; sub-lane rows,
     /// where the blocked kernel has no vector work, take one
     /// [`NeighborIndex::k_nearest_sq`] per query.

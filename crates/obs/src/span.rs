@@ -27,7 +27,7 @@ pub enum Stage {
     /// Time a router spent forwarding the request to a backend (the full
     /// hop: connect/reuse, write, wait, read — including any retries).
     Forward,
-    /// Time spent in online maintenance: incremental re-granulation,
+    /// Time spent in online maintenance: re-granulation,
     /// version persistence, and predictor rebuild for `/rows` appends and
     /// rollbacks.
     Ingest,

@@ -46,9 +46,10 @@ pub struct EditedNn {
 /// rows are eligible.
 ///
 /// The eligible rows' neighbourhoods come from one parallel pass over a
-/// brute-force index of `data` (see [`BruteIndex::k_nearest_sq_par`]); the
-/// removal list is in row order, and the result is deterministic for any
-/// thread count and kernel tier.
+/// brute-force index of `data` (see
+/// [`NeighborIndex::k_nearest_sq_par`](gb_dataset::index::NeighborIndex::k_nearest_sq_par));
+/// the removal list is in row order, and the result is deterministic for
+/// any thread count and kernel tier.
 #[must_use]
 pub fn enn_removals(data: &Dataset, k: usize, edit_all: bool) -> Vec<usize> {
     if data.n_samples() == 0 {

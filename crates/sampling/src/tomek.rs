@@ -28,8 +28,8 @@ pub struct TomekLinks {
 ///
 /// The all-rows nearest-neighbour pass (the O(n²) part) is one parallel
 /// self-join over a brute-force index of `data` (see
-/// [`BruteIndex::k_nearest_sq_par`]); the mutual-pair sweep that follows
-/// is linear and stays sequential.
+/// [`NeighborIndex::k_nearest_sq_par`](gb_dataset::index::NeighborIndex::k_nearest_sq_par));
+/// the mutual-pair sweep that follows is linear and stays sequential.
 #[must_use]
 pub fn find_tomek_links(data: &Dataset) -> Vec<(usize, usize)> {
     let n = data.n_samples();

@@ -23,13 +23,13 @@
 //! Each resident model's footprint ([`ServingModel::resident_bytes`]: the
 //! measured serialized-envelope size for persisted tenants, a
 //! cover-geometry estimate for memory-only models) is accounted against an
-//! optional byte budget. Loading a model that would exceed the budget
-//! evicts the least-recently-used *persisted* resident tenants back to
-//! cold until the new total fits (the most recently touched model is never
-//! evicted, so the budget is exceeded rather than thrash when a single
-//! model is larger than the whole budget). Models loaded without a backing
-//! store file are never evicted — there would be nothing to reload them
-//! from.
+//! optional byte budget. Only a store-backed registry has a budget, and
+//! there every resident tenant has a store file to be reloaded from.
+//! Loading a model that would exceed the budget evicts the
+//! least-recently-used resident tenants back to cold until the new total
+//! fits (the most recently touched model is never evicted, so the budget
+//! is exceeded rather than thrash when a single model is larger than the
+//! whole budget).
 //!
 //! # Cold reloads are single-flight
 //!
@@ -45,7 +45,7 @@ use crate::metrics::LatencyHistogram;
 use crate::store::{MaintainedTenant, ModelStore, ScanReport};
 use gb_dataset::index::GranulationBackend;
 use gb_dataset::Dataset;
-use gbabs::{AppendStats, DistanceRule, GbKnn, MaintainedModel, RdGbgModel};
+use gbabs::{DistanceRule, GbKnn, MaintainedModel, RdGbgModel};
 use serde::Value;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -244,9 +244,6 @@ pub struct IngestReceipt {
     pub created: bool,
     /// Total rows backing the tenant after the append.
     pub n_rows: usize,
-    /// Incremental-sweep telemetry (`None` for a creation, which is a
-    /// from-scratch build by definition).
-    pub stats: Option<AppendStats>,
 }
 
 /// Acknowledgement of one accepted rollback.
@@ -307,7 +304,7 @@ impl Default for CreateOptions {
     }
 }
 
-/// Live ingest state of one maintained tenant: the incremental model plus
+/// Live ingest state of one maintained tenant: the maintained model plus
 /// the predictor options every committed version is rebuilt with.
 struct MaintainedEntry {
     model: Arc<Mutex<MaintainedModel>>,
@@ -329,9 +326,6 @@ struct Resident {
     model: Arc<ServingModel>,
     /// Logical-clock timestamp of the last lookup (LRU order).
     last_used: u64,
-    /// True when the store holds a file this model can be reloaded from —
-    /// the precondition for eviction.
-    persisted: bool,
 }
 
 #[derive(Default)]
@@ -536,14 +530,7 @@ impl ModelRegistry {
     }
 
     /// Allocates the version, swaps the model in, and enforces the budget.
-    /// `persisted` marks the entry evictable (a store file backs it).
-    fn swap_in(
-        &self,
-        name: &str,
-        built: Built,
-        backend: GranulationBackend,
-        persisted: bool,
-    ) -> Arc<ServingModel> {
+    fn swap_in(&self, name: &str, built: Built, backend: GranulationBackend) -> Arc<ServingModel> {
         let Built {
             predictor,
             n_classes,
@@ -572,7 +559,6 @@ impl ModelRegistry {
             Resident {
                 model: Arc::clone(&serving),
                 last_used,
-                persisted,
             },
         ) {
             inner.resident_bytes -= old.model.resident_bytes;
@@ -583,9 +569,10 @@ impl ModelRegistry {
         serving
     }
 
-    /// Evicts least-recently-used *persisted* residents (never `keep`)
-    /// until the resident total fits the budget or nothing evictable is
-    /// left.
+    /// Evicts least-recently-used residents (never `keep`) until the
+    /// resident total fits the budget or nothing evictable is left. A
+    /// budget implies a store, so every resident has a file to be reloaded
+    /// from.
     fn evict_over_budget(&self, inner: &mut Inner, keep: &str) {
         let Some(budget) = self.budget_bytes else {
             return;
@@ -594,7 +581,7 @@ impl ModelRegistry {
             let victim = inner
                 .resident
                 .iter()
-                .filter(|(n, r)| r.persisted && n.as_str() != keep)
+                .filter(|(n, _)| n.as_str() != keep)
                 .min_by_key(|(_, r)| r.last_used)
                 .map(|(n, _)| n.clone());
             let Some(victim) = victim else { break };
@@ -610,26 +597,6 @@ impl ModelRegistry {
         }
     }
 
-    /// Builds a [`ServingModel`] from a granulation and swaps it in under
-    /// `name`, replacing any previous version — **memory only** (the store
-    /// is not written; use [`ModelRegistry::publish`] for the persistent
-    /// path). Returns the loaded handle.
-    ///
-    /// # Errors
-    /// Rejects empty covers, `k == 0`, and geometrically invalid balls
-    /// (non-finite centers/radii, negative radii, ragged center widths) —
-    /// hot-reload payloads are untrusted, and a non-finite ball would
-    /// poison every later distance comparison in the predict path.
-    pub fn load(
-        &self,
-        name: &str,
-        model: &RdGbgModel,
-        options: &LoadOptions,
-    ) -> Result<Arc<ServingModel>, String> {
-        let built = Self::build(model, options)?;
-        Ok(self.swap_in(name, built, options.backend, false))
-    }
-
     /// Loads `model` memory-only **without validating it**: the way to
     /// serve a cover the validating loaders refuse, e.g. to prove that a
     /// panicking predict stays contained to its request.
@@ -637,18 +604,24 @@ impl ModelRegistry {
     pub(crate) fn load_unchecked(&self, name: &str, model: &RdGbgModel) -> Arc<ServingModel> {
         let options = LoadOptions::default();
         let built = Self::build_unchecked(model, &options);
-        self.swap_in(name, built, options.backend, false)
+        self.swap_in(name, built, options.backend)
     }
 
-    /// Like [`ModelRegistry::load`], but when a store is attached the
-    /// model is persisted **before** the swap (atomic write-then-rename),
-    /// so an accepted `POST /models/{name}` survives a restart. With no
-    /// store this is exactly `load`.
+    /// Builds a [`ServingModel`] from a granulation and swaps it in under
+    /// `name`, replacing any previous version. When a store is attached
+    /// the model is persisted **before** the swap (atomic
+    /// write-then-rename), so an accepted `POST /models/{name}` survives a
+    /// restart; with no store it is served from memory only. Returns the
+    /// loaded handle.
     ///
     /// # Errors
-    /// [`PublishError::Rejected`] on validation failures (nothing
-    /// persisted, nothing swapped); [`PublishError::Store`] on store I/O
-    /// failures (nothing swapped — memory and disk stay consistent).
+    /// [`PublishError::Rejected`] on validation failures — empty covers,
+    /// `k == 0`, and geometrically invalid balls (non-finite
+    /// centers/radii, negative radii, ragged center widths): hot-reload
+    /// payloads are untrusted, and a non-finite ball would poison every
+    /// later distance comparison in the predict path. Nothing is persisted
+    /// or swapped. [`PublishError::Store`] on store I/O failures (nothing
+    /// swapped — memory and disk stay consistent).
     pub fn publish(
         &self,
         name: &str,
@@ -663,48 +636,27 @@ impl ModelRegistry {
         }
         let mut built = Self::build(model, options).map_err(PublishError::Rejected)?;
         let _publishing = self.publish_lock.lock().expect("publish lock");
-        let persisted = match &self.store {
-            Some(store) => {
-                let saved_bytes = store
-                    .save(name, model, options, built.n_classes)
-                    .map_err(PublishError::Store)?;
-                // Measured-not-estimated: the footprint accounted for a
-                // persisted tenant is its serialized envelope size.
-                built.resident_bytes = saved_bytes;
-                true
-            }
-            None => false,
-        };
+        if let Some(store) = &self.store {
+            let saved_bytes = store
+                .save(name, model, options, built.n_classes)
+                .map_err(PublishError::Store)?;
+            // Measured-not-estimated: the footprint accounted for a
+            // persisted tenant is its serialized envelope size.
+            built.resident_bytes = saved_bytes;
+            self.gc_after_commit(name);
+        }
         // A full publish replaces the tenant with a fixed cover: any live
         // ingest state is superseded (the new version has no backing rows).
         self.maintained
             .lock()
             .expect("maintained lock")
             .remove(name);
-        if persisted {
-            self.gc_after_commit(name);
-        }
         // A cold reload that started *before* the save above read the old
         // file; let it settle before swapping so the accepted model cannot
         // be clobbered by the stale rebuild. (Reloads starting after the
         // save read the new file, so they can never roll us back.)
         self.settle_loading(name);
-        Ok(self.swap_in(name, built, options.backend, persisted))
-    }
-
-    /// Parses an [`RdGbgModel`] from JSON and loads it (memory only).
-    ///
-    /// # Errors
-    /// Malformed JSON, empty covers, or bad options.
-    pub fn load_json(
-        &self,
-        name: &str,
-        json: &str,
-        options: &LoadOptions,
-    ) -> Result<Arc<ServingModel>, String> {
-        let model: RdGbgModel =
-            serde_json::from_str(json).map_err(|e| format!("bad model JSON: {e}"))?;
-        self.load(name, &model, options)
+        Ok(self.swap_in(name, built, options.backend))
     }
 
     /// Publishes from an already-parsed JSON value (the server's reload
@@ -878,16 +830,16 @@ impl ModelRegistry {
             None => 0,
         };
         self.settle_loading(name);
-        let serving = self.swap_in(name, built, entry_options.backend, self.store.is_some());
+        let serving = self.swap_in(name, built, entry_options.backend);
         Ok((serving, store_version))
     }
 
     /// Appends labelled rows to a maintained tenant (creating it when the
-    /// name is entirely new), re-granulates the dirty region incrementally,
-    /// persists the result as a new immutable store version, and swaps the
-    /// rebuilt predictor in atomically. The resulting cover is bit-identical
-    /// to a from-scratch rebuild on the union dataset (the incremental ==
-    /// oracle contract, enforced by `tests/ingest_oracle.rs`).
+    /// name is entirely new), rebuilds the canonical cover of every row the
+    /// tenant now holds ([`MaintainedModel::append`]), persists the result
+    /// as a new immutable store version, and swaps the rebuilt predictor in
+    /// atomically. The cover depends only on the row sequence and ρ, not on
+    /// how the rows were batched (enforced by `tests/ingest_oracle.rs`).
     ///
     /// `features` is row-major, `labels.len() * n_features` long.
     /// `create` is consulted only when the tenant does not exist yet.
@@ -931,7 +883,7 @@ impl ModelRegistry {
             // errored batch is never half-ingested (and a client retry
             // after a clean error cannot double-append).
             let backup = state.clone();
-            let stats = state.append(features, labels);
+            state.append(features, labels);
             let (serving, store_version) =
                 match self.commit_maintained(name, &options, n_classes, &state) {
                     Ok(committed) => committed,
@@ -945,7 +897,6 @@ impl ModelRegistry {
                 store_version,
                 created: false,
                 n_rows: state.data().n_samples(),
-                stats: Some(stats),
             });
         }
         // Creation: the first batch founds the tenant.
@@ -977,7 +928,6 @@ impl ModelRegistry {
             store_version,
             created: true,
             n_rows,
-            stats: None,
         })
     }
 
@@ -1014,6 +964,10 @@ impl ModelRegistry {
             .load_version(name, version)
             .map_err(IngestError::Store)?;
         let n_classes = envelope.options.n_classes.unwrap_or(2);
+        // Validate before writing: a refused version must not become the
+        // head, or a restart would meet it.
+        let mut built =
+            Self::build(&envelope.model, &envelope.options).map_err(IngestError::Rejected)?;
         let saved = store
             .save_version(
                 name,
@@ -1024,8 +978,6 @@ impl ModelRegistry {
             )
             .map_err(IngestError::Store)?;
         self.gc_after_commit(name);
-        let mut built =
-            Self::build(&envelope.model, &envelope.options).map_err(IngestError::Rejected)?;
         built.resident_bytes = saved.bytes;
         // Restore (or drop) the live ingest state to match the rolled-back
         // content, so the next append continues from exactly this version.
@@ -1050,7 +1002,7 @@ impl ModelRegistry {
             }
         }
         self.settle_loading(name);
-        let serving = self.swap_in(name, built, envelope.options.backend, true);
+        let serving = self.swap_in(name, built, envelope.options.backend);
         Ok(RollbackReceipt {
             serving,
             store_version: saved.version,
@@ -1222,7 +1174,6 @@ impl ModelRegistry {
                 Resident {
                     model: Arc::clone(&serving),
                     last_used: now,
-                    persisted: true,
                 },
             );
             inner.resident_bytes += resident_bytes;
@@ -1378,7 +1329,7 @@ mod tests {
         let model = rd_gbg(&data, &RdGbgConfig::default());
         let reg = ModelRegistry::new();
         let v1 = reg
-            .load("default", &model, &LoadOptions::default())
+            .publish("default", &model, &LoadOptions::default())
             .unwrap();
         assert_eq!(v1.version, 1);
         assert_eq!(v1.n_classes, data.n_classes());
@@ -1386,7 +1337,7 @@ mod tests {
         assert!(v1.resident_bytes > 0);
         let held = reg.get("default").unwrap();
         let v2 = reg
-            .load("default", &model, &LoadOptions::default())
+            .publish("default", &model, &LoadOptions::default())
             .unwrap();
         assert_eq!(v2.version, 2);
         // the held Arc still points at version 1 (hot swap, not mutation)
@@ -1402,7 +1353,10 @@ mod tests {
         let offline = GbKnn::from_model(&model, data.n_classes(), 1);
         let reg = ModelRegistry::new();
         let json = serde_json::to_string(&model).unwrap();
-        let served = reg.load_json("m", &json, &LoadOptions::default()).unwrap();
+        let value: Value = serde_json::from_str(&json).unwrap();
+        let served = reg
+            .publish_value("m", &value, &LoadOptions::default())
+            .unwrap();
         assert_eq!(
             served.predictor.predict(&data),
             offline.predict(&data),
@@ -1414,9 +1368,14 @@ mod tests {
     #[test]
     fn rejects_garbage() {
         let reg = ModelRegistry::new();
-        assert!(reg
-            .load_json("m", "{not json", &LoadOptions::default())
-            .is_err());
+        assert!(matches!(
+            reg.publish_value(
+                "m",
+                &Value::Str("not a model".into()),
+                &LoadOptions::default()
+            ),
+            Err(PublishError::Rejected(_))
+        ));
         assert!(reg.get("missing").is_none());
         assert!(reg.acquire("missing").unwrap().is_none());
         assert!(reg.is_empty());
@@ -1450,7 +1409,8 @@ mod tests {
                 "ragged centers",
             ),
         ] {
-            let Err(err) = reg.load("m", &bad, &LoadOptions::default()) else {
+            let Err(PublishError::Rejected(err)) = reg.publish("m", &bad, &LoadOptions::default())
+            else {
                 panic!("{why} must be rejected");
             };
             assert!(!err.is_empty(), "{why} must carry a message");
@@ -1466,7 +1426,7 @@ mod tests {
         std::thread::scope(|s| {
             for _ in 0..8 {
                 s.spawn(|| {
-                    reg.load("m", &model, &LoadOptions::default()).unwrap();
+                    reg.publish("m", &model, &LoadOptions::default()).unwrap();
                 });
             }
         });
@@ -1597,35 +1557,12 @@ mod tests {
             assert_eq!(reloaded.resident_bytes, on_disk);
             assert_eq!(reg2.snapshot().resident_bytes, on_disk);
         }
-        // Memory-only models keep the estimate — nothing to measure.
-        let mem = reg.load("mem", &model, &LoadOptions::default()).unwrap();
+        // Models of a registry without a store keep the estimate — nothing
+        // to measure.
+        let mem = ModelRegistry::new()
+            .publish("mem", &model, &LoadOptions::default())
+            .unwrap();
         assert_eq!(mem.resident_bytes, estimate_resident_bytes(&model));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn unpersisted_models_are_never_evicted() {
-        let dir = tempdir("unpersisted");
-        let data = DatasetId::S5.generate(0.05, 6);
-        let model = rd_gbg(&data, &RdGbgConfig::default());
-        let store = ModelStore::open(&dir).unwrap();
-        let (reg, _) = ModelRegistry::with_store(store, Some(1)).unwrap();
-        // `load` (memory-only) under an absurdly small budget: nothing to
-        // reload it from, so it must stay resident.
-        reg.load("pinned", &model, &LoadOptions::default()).unwrap();
-        assert!(reg.get("pinned").is_some());
-        // The most recently swapped-in model is never evicted by its own
-        // load, so "victim" survives its own publish...
-        reg.publish("victim", &model, &LoadOptions::default())
-            .unwrap();
-        assert!(reg.get("victim").is_some());
-        // ...but the next publish evicts it (LRU persisted candidate),
-        // while the memory-only model is skipped even though it is older.
-        reg.publish("other", &model, &LoadOptions::default())
-            .unwrap();
-        assert!(reg.get("pinned").is_some(), "memory-only model survives");
-        assert!(reg.get("victim").is_none(), "persisted LRU model goes cold");
-        assert!(reg.get("other").is_some(), "the newcomer is kept");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1694,7 +1631,6 @@ mod tests {
         assert!(r0.created);
         assert_eq!(r0.store_version, 1);
         assert_eq!(r0.n_rows, 40);
-        assert!(r0.stats.is_none());
         let (f1, l1) = ingest_batch(10, 2);
         let r1 = reg
             .append_rows("live", &f1, &l1, 2, &CreateOptions::default())
@@ -1702,7 +1638,6 @@ mod tests {
         assert!(!r1.created);
         assert_eq!(r1.store_version, 2);
         assert_eq!(r1.n_rows, 50);
-        assert!(r1.stats.is_some());
 
         // The served cover must equal the from-scratch oracle on the union.
         let mut union_f = f0.clone();
@@ -1812,6 +1747,43 @@ mod tests {
             reg.rollback("ghost", 1).unwrap_err(),
             IngestError::NotFound(_)
         ));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_refused_rollback_commits_nothing() {
+        // A version stored before the class bound existed may vote over
+        // more classes than are served. Rolling back to it is refused, and
+        // the refusal must leave the chain, its head and the served model
+        // as they were, so a restart never meets the refused cover.
+        let dir = tempdir("rollback_refused");
+        let data = DatasetId::S5.generate(0.05, 4);
+        let model = rd_gbg(&data, &RdGbgConfig::default());
+        let store = ModelStore::open(&dir).unwrap();
+        let above = LoadOptions {
+            n_classes: Some(MAX_CLASSES + 1),
+            ..LoadOptions::default()
+        };
+        store.save("t", &model, &above, MAX_CLASSES + 1).unwrap();
+        store
+            .save("t", &model, &LoadOptions::default(), data.n_classes())
+            .unwrap();
+        let (reg, _) = ModelRegistry::with_store(store, None).unwrap();
+        let served = reg.acquire("t").unwrap().expect("cold reload of v2");
+        let err = reg.rollback("t", 1).unwrap_err();
+        assert!(matches!(err, IngestError::Rejected(_)), "{err}");
+        let store = reg.store().unwrap();
+        assert_eq!(store.versions_on_disk("t"), [1, 2]);
+        assert_eq!(store.head_version("t"), Some(2));
+        let after = reg.get("t").expect("still resident");
+        assert!(
+            Arc::ptr_eq(&after, &served),
+            "the served model is unchanged"
+        );
+        // A restart serves v2 too.
+        let (reg2, _) = ModelRegistry::with_store(ModelStore::open(&dir).unwrap(), None).unwrap();
+        let reloaded = reg2.acquire("t").unwrap().expect("cold reload");
+        assert_eq!(reloaded.n_classes, data.n_classes());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

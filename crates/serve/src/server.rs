@@ -844,27 +844,9 @@ fn integer(body: &Value, key: &str, min: u64) -> Result<Option<u64>, String> {
     }
 }
 
-/// Renders an [`AppendStats`] telemetry block for ingest acks.
-fn append_stats_value(stats: &gbabs::AppendStats) -> Value {
-    obj(vec![
-        ("appended", Value::Num(stats.appended as f64)),
-        (
-            "reused_decisions",
-            Value::Num(stats.reused_decisions as f64),
-        ),
-        (
-            "recomputed_decisions",
-            Value::Num(stats.recomputed_decisions as f64),
-        ),
-        ("reused_balls", Value::Num(stats.reused_balls as f64)),
-        ("rebuilt_balls", Value::Num(stats.rebuilt_balls as f64)),
-        ("full_rebuild", Value::Bool(stats.full_rebuild)),
-    ])
-}
-
 /// `POST /models/{name}/rows`: online maintenance. Appends labelled rows
-/// to a maintained tenant (creating it on first contact), re-granulates
-/// incrementally, persists a new immutable store version, and swaps the
+/// to a maintained tenant (creating it on first contact), rebuilds its
+/// canonical cover, persists a new immutable store version, and swaps the
 /// rebuilt predictor in — all under the registry's publish lock, timed as
 /// the `ingest` stage.
 fn ingest_endpoint(ctx: &ServerCtx, req: &Request, obs: &mut ObsCtx) -> Reply {
@@ -894,20 +876,19 @@ fn ingest_endpoint(ctx: &ServerCtx, req: &Request, obs: &mut ObsCtx) -> Reply {
         .fetch_add(labels.len() as u64, Ordering::Relaxed);
     let request_id = obs.id.clone();
     Ok(obs.time(Stage::Serialize, || {
-        let mut fields = vec![
-            ("model", Value::Str(name.to_string())),
-            ("created", Value::Bool(receipt.created)),
-            ("appended", Value::Num(labels.len() as f64)),
-            ("n_rows", Value::Num(receipt.n_rows as f64)),
-            ("version", Value::Num(receipt.serving.version as f64)),
-            ("store_version", Value::Num(receipt.store_version as f64)),
-            ("n_balls", Value::Num(receipt.serving.stats.n_balls as f64)),
-            ("request_id", Value::Str(request_id)),
-        ];
-        if let Some(stats) = &receipt.stats {
-            fields.push(("incremental", append_stats_value(stats)));
-        }
-        Response::json(200, render(&obj(fields)))
+        Response::json(
+            200,
+            render(&obj(vec![
+                ("model", Value::Str(name.to_string())),
+                ("created", Value::Bool(receipt.created)),
+                ("appended", Value::Num(labels.len() as f64)),
+                ("n_rows", Value::Num(receipt.n_rows as f64)),
+                ("version", Value::Num(receipt.serving.version as f64)),
+                ("store_version", Value::Num(receipt.store_version as f64)),
+                ("n_balls", Value::Num(receipt.serving.stats.n_balls as f64)),
+                ("request_id", Value::Str(request_id)),
+            ])),
+        )
     }))
 }
 
@@ -1003,7 +984,7 @@ mod tests {
         let registry = Arc::new(ModelRegistry::new());
         let data = DatasetId::S5.generate(0.05, 3);
         registry
-            .load(
+            .publish(
                 "default",
                 &rd_gbg(&data, &RdGbgConfig::default()),
                 &LoadOptions::default(),

@@ -133,7 +133,7 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 }
 
 /// The backing rows of a maintained tenant, persisted alongside the cover
-/// so incremental ingest survives restarts (the decision trace is rebuilt
+/// so ingest survives restarts (the maintained model is rebuilt
 /// deterministically from these rows on cold load).
 #[derive(Debug, Clone, PartialEq)]
 pub struct MaintainedTenant {

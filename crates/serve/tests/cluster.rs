@@ -33,7 +33,7 @@ fn boot_backend(model: &gbabs::RdGbgModel, tenants: &[&str]) -> ServerHandle {
     let registry = Arc::new(ModelRegistry::new());
     for name in tenants {
         registry
-            .load(name, model, &LoadOptions::default())
+            .publish(name, model, &LoadOptions::default())
             .expect("load model");
     }
     Server::bind(ServeConfig::default(), registry)

@@ -181,7 +181,7 @@ fn boot(
     let data = DatasetId::S5.generate(0.05, 1);
     let model = rd_gbg(&data, &RdGbgConfig::default());
     registry
-        .load("default", &model, &LoadOptions::default())
+        .publish("default", &model, &LoadOptions::default())
         .unwrap();
     let config = ServeConfig::default();
     let handle = Server::bind(config, Arc::new(registry))

@@ -23,7 +23,7 @@ fn boot(config: ServeConfig) -> (gb_serve::ServerHandle, Dataset) {
     let (data, model) = fixture();
     let registry = Arc::new(ModelRegistry::new());
     registry
-        .load("default", &model, &LoadOptions::default())
+        .publish("default", &model, &LoadOptions::default())
         .expect("load model");
     let handle = Server::bind(config, registry)
         .expect("bind")

@@ -23,7 +23,7 @@ fn boot(config: ServeConfig) -> (gb_serve::ServerHandle, Dataset, GbKnn) {
     let (data, model) = fixture();
     let registry = Arc::new(ModelRegistry::new());
     registry
-        .load("default", &model, &LoadOptions::default())
+        .publish("default", &model, &LoadOptions::default())
         .expect("load model");
     let offline = GbKnn::from_model(&model, data.n_classes(), 1);
     let handle = Server::bind(config, registry)
@@ -327,6 +327,49 @@ fn ingest_rejects_unknown_body_keys() {
         .unwrap();
     assert_eq!(status, 200, "{reply}");
     assert!(reply.contains("\"created\":true"), "{reply}");
+    handle.stop();
+}
+
+#[test]
+fn rows_acks_carry_exactly_the_documented_fields() {
+    let (handle, _, _) = boot(ServeConfig::default());
+    let mut c = client(&handle);
+    let ack = |c: &mut HttpClient, body: &str| {
+        let (status, reply) = c.request("POST", "/models/acked/rows", Some(body)).unwrap();
+        assert_eq!(status, 200, "{reply}");
+        let v: Value = serde_json::from_str(&reply).expect("ack JSON");
+        let Value::Obj(fields) = &v else {
+            panic!("ack is not an object: {reply}");
+        };
+        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(
+            keys,
+            [
+                "model",
+                "created",
+                "appended",
+                "n_rows",
+                "version",
+                "store_version",
+                "n_balls",
+                "request_id"
+            ],
+            "{reply}"
+        );
+        v
+    };
+    let created = ack(
+        &mut c,
+        "{\"rows\":[[0.0,0.0],[0.1,0.0],[5.0,5.0],[5.1,5.0]],\"labels\":[0,0,1,1],\"rho\":2}",
+    );
+    assert_eq!(created.get("model"), Some(&Value::Str("acked".into())));
+    assert_eq!(created.get("created"), Some(&Value::Bool(true)));
+    assert_eq!(created.get("appended"), Some(&Value::Num(4.0)));
+    assert_eq!(created.get("n_rows"), Some(&Value::Num(4.0)));
+    let appended = ack(&mut c, "{\"rows\":[[0.2,0.1],[5.2,5.1]],\"labels\":[0,1]}");
+    assert_eq!(appended.get("created"), Some(&Value::Bool(false)));
+    assert_eq!(appended.get("appended"), Some(&Value::Num(2.0)));
+    assert_eq!(appended.get("n_rows"), Some(&Value::Num(6.0)));
     handle.stop();
 }
 
