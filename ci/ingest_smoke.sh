@@ -6,7 +6,10 @@
 # verifying every /rows ack against a pinned-version read before sending
 # the next batch. Zero client errors anywhere; every access-log line must
 # parse as JSON and carry the ingest stage; the Prometheus exposition must
-# include the append counters and pass ci/check_prometheus.py.
+# include the append counters and pass ci/check_prometheus.py. Last, the
+# server is killed and booted again on the same --model-dir: one append
+# (which reads the tenant's rows from the store head) and one rollback
+# must continue the version chain, each ack agreeing with a pinned read.
 #
 # usage: ingest_smoke.sh path/to/release/bin/dir
 set -euo pipefail
@@ -32,16 +35,19 @@ awk 'BEGIN {
   }
 }' > "$CSV"
 
-"$BIN/gbabs" serve "$CSV" --addr "$ADDR" \
-  --model-dir "$DIR" --max-versions 40 \
-  --request-timeout-ms 2000 \
-  --access-log "$ACCESS_LOG" &
-SERVER=$!
-for _ in $(seq 1 100); do
-  curl -sf "http://$ADDR/readyz" > /dev/null && break
-  sleep 0.2
-done
-curl -sf "http://$ADDR/readyz"; echo
+boot() {
+  "$BIN/gbabs" serve "$CSV" --addr "$ADDR" \
+    --model-dir "$DIR" --max-versions 40 \
+    --request-timeout-ms 2000 \
+    --access-log "$ACCESS_LOG" &
+  SERVER=$!
+  for _ in $(seq 1 100); do
+    curl -sf "http://$ADDR/readyz" > /dev/null && break
+    sleep 0.2
+  done
+  curl -sf "http://$ADDR/readyz"; echo
+}
+boot
 
 echo "phase 1: predict load + paced loadgen ingest writer, in the background"
 "$BIN/loadgen" --addr "$ADDR" \
@@ -150,6 +156,45 @@ tenant_rows = value("gb_tenant_append_rows_total")
 assert tenant_rows == rows, (tenant_rows, rows)
 print(f"  OK: prometheus shows {int(appends)} appends, "
       f"{int(rollbacks)} rollbacks, {int(rows)} appended rows")
+EOF
+
+echo "phase 4: restart on the same --model-dir, then append + roll back"
+kill -9 "$SERVER"
+wait "$SERVER" 2>/dev/null || true
+boot
+python3 - "http://$ADDR" <<'EOF'
+import json, sys, urllib.request
+
+base = sys.argv[1]
+
+def call(method, path, body=None):
+    data = None if body is None else json.dumps(body).encode()
+    req = urllib.request.Request(base + path, data=data, method=method)
+    with urllib.request.urlopen(req, timeout=10) as resp:
+        return json.loads(resp.read())
+
+def agrees_with_pin(ack, n_rows):
+    pin = call("GET", f"/models/smoke?version={ack['store_version']}")
+    assert pin["version"] == pin["head"] == ack["store_version"], (pin, ack)
+    assert pin["n_rows"] == n_rows, (pin, n_rows)
+    assert pin["n_balls"] == ack["n_balls"], (pin, ack)
+
+# The restarted server holds `smoke` cold: this append reads its rows
+# from the store head.
+head = call("GET", "/models/smoke")
+ack = call("POST", "/models/smoke/rows",
+           {"rows": [[0.3, 0.4], [4.2, 4.1]], "labels": [0, 1]})
+assert not ack["created"], ack
+assert ack["n_rows"] == head["n_rows"] + 2, (ack, head)
+assert ack["store_version"] == head["version"] + 1, (ack, head)
+agrees_with_pin(ack, ack["n_rows"])
+rb = call("POST", "/models/smoke/rollback", {"version": head["version"]})
+assert rb["rolled_back_to"] == head["version"], rb
+assert rb["store_version"] == ack["store_version"] + 1, (rb, ack)
+agrees_with_pin(rb, head["n_rows"])
+print(f"  OK: after the restart, append to v{ack['store_version']} "
+      f"({ack['n_rows']} rows) and rollback to v{rb['store_version']} "
+      f"({head['n_rows']} rows) continue the chain")
 EOF
 
 echo "ingest smoke: all phases passed"

@@ -17,10 +17,13 @@
 //! balls ∪ noise — and the output is a *pure function of the row
 //! sequence and ρ*, so a maintained tenant's cover, and every prediction
 //! served from it, is the same whether the rows arrived in one batch or in
-//! many, and after a restart that rebuilds it from the stored rows.
+//! many; a restart serves the stored cover, which is that same function of
+//! the stored rows.
 //!
-//! [`MaintainedModel::append`] pushes the new rows and recomputes
-//! [`canonical_rd_gbg`] on the union. That is the whole maintenance step.
+//! An append reruns [`canonical_rd_gbg`] on the grown rows. That is the
+//! whole maintenance step: the serving tier's model registry calls it on a
+//! tenant's rows directly, and [`MaintainedModel::append`] does the same
+//! for the callers that keep a [`MaintainedModel`].
 //! Replaying the decisions no new row could reach reused 5–9% of them on
 //! e2ebench's `serve-ingest` tenant (~1,000 S8 rows, 2-row appends), which
 //! saved about 4% of an in-process append and nothing measurable at the
@@ -65,10 +68,10 @@ pub fn canonical_rd_gbg(data: &Dataset, rho: usize, backend: GranulationBackend)
 }
 
 /// A granular-ball model under online maintenance: the backing dataset,
-/// ρ, the neighbour-index backend and the canonical cover of the rows. The
-/// serving tier keeps one of these per maintained tenant; persistence
-/// stores only `(rows, labels, ρ)`, and a cold load rebuilds the cover
-/// with [`MaintainedModel::build`].
+/// ρ, the neighbour-index backend and the canonical cover of the rows.
+/// Only e2ebench's traced append replay and `tests/ingest_oracle.rs` keep
+/// one; the serving tier holds a tenant's rows in its served model and
+/// runs [`canonical_rd_gbg`] on them.
 #[derive(Debug, Clone)]
 pub struct MaintainedModel {
     data: Dataset,

@@ -129,7 +129,7 @@ pub use deadline::Deadline;
 pub use errors::{ErrorCode, ServeError};
 pub use metrics::{LatencyHistogram, TenantRegistry, TenantStats};
 pub use registry::{
-    LoadOptions, ModelRegistry, ModelStats, PublishError, ServingModel, MAX_CLASSES,
+    LoadOptions, ModelRegistry, ModelStats, RegistryError, ServingModel, MAX_CLASSES,
 };
 pub use router::{HashRing, Router, RouterConfig, RouterHandle};
 pub use server::{ServeConfig, Server, ServerHandle, SERVER_VERSION};

@@ -4,21 +4,35 @@
 //! A [`ServingModel`] bundles everything the request path needs — the
 //! GB-kNN predictor (built **once** per load from the ball cover), the
 //! cover statistics reported by `GET /model`, and a monotonically
-//! increasing version. The [`ModelRegistry`] maps names to
-//! `Arc<ServingModel>`; lookups clone the `Arc` under a briefly held lock,
-//! so a reload is one pointer swap: in-flight requests keep predicting
-//! against the model they resolved, new requests see the new one, and the
-//! old model is freed when its last in-flight request finishes.
+//! increasing version — plus the inputs of the tenant's next commit: its
+//! [`LoadOptions`] and, for a maintained tenant, ρ and the backing rows.
+//! The served model is a tenant's only home in memory. The
+//! [`ModelRegistry`] maps names to `Arc<ServingModel>`; lookups clone the
+//! `Arc` under a briefly held lock, so a reload is one pointer swap:
+//! in-flight requests keep predicting against the model they resolved,
+//! new requests see the new one, and the old model is freed when its last
+//! in-flight request finishes.
+//!
+//! # One commit path
+//!
+//! Every mutation — publish, `/rows` append, rollback — ends in the same
+//! private commit: validate the cover and build its predictor, write the
+//! tenant's next store version (when a store is attached), collect old
+//! versions, and swap the new model in. Mutations are serialized by one
+//! publish lock, and a mutation builds its new model as a new value, so
+//! nothing in memory changes unless the store write succeeds.
 //!
 //! # Residency and the memory budget
 //!
 //! With a [`ModelStore`] attached ([`ModelRegistry::with_store`]), every
 //! tenant is in one of two states:
 //!
-//! * **resident** — predictor in memory, served directly;
+//! * **resident** — predictor (and a maintained tenant's rows) in memory,
+//!   served directly;
 //! * **cold** — persisted on disk only (either never loaded since boot, or
 //!   evicted); the catalog knows it exists, a request against it triggers
-//!   a transparent reload.
+//!   a transparent reload, and an append reads its rows from the store
+//!   head.
 //!
 //! Each resident model's footprint ([`ServingModel::resident_bytes`]: the
 //! measured serialized-envelope size for persisted tenants, a
@@ -45,7 +59,7 @@ use crate::metrics::LatencyHistogram;
 use crate::store::{MaintainedTenant, ModelStore, ScanReport};
 use gb_dataset::index::GranulationBackend;
 use gb_dataset::Dataset;
-use gbabs::{DistanceRule, GbKnn, MaintainedModel, RdGbgModel};
+use gbabs::{canonical_rd_gbg, DistanceRule, GbKnn, RdGbgModel};
 use serde::Value;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -124,7 +138,17 @@ fn estimate_resident_bytes(model: &RdGbgModel) -> u64 {
 /// predictor: publish, hot reload, store reload, rollback and `/rows`.
 pub const MAX_CLASSES: usize = 65_536;
 
-/// A model as served: predictor + metadata, immutable once loaded.
+/// The refusal of a model that votes over more than [`MAX_CLASSES`]
+/// classes.
+fn too_many_classes(n_classes: usize) -> String {
+    format!(
+        "the model votes over {n_classes} classes (the larger of n_classes and \
+         the largest ball label + 1); at most {MAX_CLASSES} are served"
+    )
+}
+
+/// A model as served: predictor + metadata, immutable once loaded, plus
+/// the inputs of the tenant's next commit.
 pub struct ServingModel {
     /// Registry name.
     pub name: String,
@@ -136,15 +160,20 @@ pub struct ServingModel {
     pub n_classes: usize,
     /// The GB-kNN predictor, built once at load time.
     pub predictor: GbKnn,
-    /// Granulation backend label (metadata only — the cover is already
-    /// built; recorded so `/model` can report how it was produced).
-    pub backend: GranulationBackend,
+    /// The options the cover was committed with (`/model` reports the
+    /// backend label from here); the tenant's next commit keeps them.
+    pub options: LoadOptions,
+    /// ρ and the backing rows of a maintained tenant (`None` for a fixed
+    /// cover): the next `/rows` append grows these. They leave memory with
+    /// the predictor when the tenant is evicted.
+    pub maintained: Option<MaintainedTenant>,
     /// Cover statistics for `/model`.
     pub stats: ModelStats,
     /// Footprint accounted against the registry's byte budget: the
     /// measured serialized-envelope size for persisted tenants (captured
-    /// at persist/load time), or the cover-geometry estimate for
-    /// memory-only models (which never have a file to measure).
+    /// at persist/load time, rows included), or the cover-geometry
+    /// estimate for memory-only models (which never have a file to
+    /// measure).
     pub resident_bytes: u64,
 }
 
@@ -155,7 +184,7 @@ impl std::fmt::Debug for ServingModel {
             .field("version", &self.version)
             .field("n_features", &self.n_features)
             .field("n_classes", &self.n_classes)
-            .field("backend", &self.backend)
+            .field("options", &self.options)
             .field("resident_bytes", &self.resident_bytes)
             .finish_non_exhaustive()
     }
@@ -170,7 +199,8 @@ pub struct LoadOptions {
     pub rule: DistanceRule,
     /// Number of classes; `None` derives `max ball label + 1`.
     pub n_classes: Option<usize>,
-    /// Backend label recorded as metadata.
+    /// Backend label: metadata for a fixed cover, the neighbour index a
+    /// maintained tenant's appends granulate on.
     pub backend: GranulationBackend,
 }
 
@@ -185,52 +215,31 @@ impl Default for LoadOptions {
     }
 }
 
-/// Why a publish failed: a rejected payload is the client's fault (HTTP
-/// 400), a store failure is the server's (HTTP 500).
+/// Why a registry mutation (publish, `/rows` append, rollback) or a chain
+/// read failed. Every error commits nothing: the store and the served
+/// model stay where they were.
 #[derive(Debug)]
-pub enum PublishError {
-    /// The model payload failed validation; nothing was persisted or
-    /// swapped.
-    Rejected(String),
-    /// Persisting to the store failed; nothing was swapped (memory and
-    /// disk stay consistent).
-    Store(String),
-}
-
-impl std::fmt::Display for PublishError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PublishError::Rejected(m) => write!(f, "{m}"),
-            PublishError::Store(m) => write!(f, "model store: {m}"),
-        }
-    }
-}
-
-impl std::error::Error for PublishError {}
-
-/// Why an ingest (`/rows` append or rollback) failed.
-#[derive(Debug)]
-pub enum IngestError {
-    /// The request itself is wrong (bad rows, tenant not maintained,
-    /// rollback target malformed) — the client's fault (HTTP 400).
+pub enum RegistryError {
+    /// The request is wrong — an invalid payload, name or batch, a tenant
+    /// without backing rows, a rollback without a store — the client's
+    /// fault (HTTP 400).
     Rejected(String),
     /// The tenant or the pinned version does not exist (HTTP 404).
     NotFound(String),
-    /// Store I/O failed; nothing was swapped, memory and disk stay
-    /// consistent (HTTP 503 — retryable).
+    /// Store I/O failed (HTTP 503 — retryable).
     Store(String),
 }
 
-impl std::fmt::Display for IngestError {
+impl std::fmt::Display for RegistryError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            IngestError::Rejected(m) | IngestError::NotFound(m) => write!(f, "{m}"),
-            IngestError::Store(m) => write!(f, "model store: {m}"),
+            RegistryError::Rejected(m) | RegistryError::NotFound(m) => write!(f, "{m}"),
+            RegistryError::Store(m) => write!(f, "model store: {m}"),
         }
     }
 }
 
-impl std::error::Error for IngestError {}
+impl std::error::Error for RegistryError {}
 
 /// Acknowledgement of one accepted `/rows` append (or tenant creation).
 #[derive(Debug)]
@@ -302,23 +311,6 @@ impl Default for CreateOptions {
             load: LoadOptions::default(),
         }
     }
-}
-
-/// Live ingest state of one maintained tenant: the maintained model plus
-/// the predictor options every committed version is rebuilt with.
-struct MaintainedEntry {
-    model: Arc<Mutex<MaintainedModel>>,
-    options: LoadOptions,
-    n_classes: usize,
-}
-
-/// A predictor built and sized outside the registry lock, awaiting its
-/// version + swap.
-struct Built {
-    predictor: GbKnn,
-    n_classes: usize,
-    stats: ModelStats,
-    resident_bytes: u64,
 }
 
 /// One resident tenant.
@@ -394,13 +386,10 @@ pub struct ModelRegistry {
     versions: AtomicU64,
     store: Option<ModelStore>,
     budget_bytes: Option<u64>,
-    /// Serializes persist-then-swap sequences (publish, remove, append,
-    /// rollback) so the store file and the registry entry can never
-    /// disagree about which version won a race.
+    /// Serializes mutations (publish, remove, append, rollback) so the
+    /// store file and the registry entry can never disagree about which
+    /// version won a race.
     publish_lock: Mutex<()>,
-    /// Live ingest state per maintained tenant (rebuilt lazily from the
-    /// persisted rows on the first append after a restart).
-    maintained: Mutex<HashMap<String, MaintainedEntry>>,
     /// Version-chain retention per tenant (0 = unbounded). Old versions
     /// beyond this are garbage-collected after each commit; the head is
     /// never collected.
@@ -461,7 +450,7 @@ impl ModelRegistry {
     }
 
     /// Rejects covers the predict path could not serve safely.
-    fn validate(model: &RdGbgModel, options: &LoadOptions) -> Result<usize, String> {
+    fn validate(model: &RdGbgModel, options: &LoadOptions) -> Result<(), String> {
         if model.balls.is_empty() {
             return Err("model has no balls".into());
         }
@@ -474,10 +463,7 @@ impl ModelRegistry {
         }
         let n_classes = Self::class_count(model, options);
         if n_classes > MAX_CLASSES {
-            return Err(format!(
-                "the model votes over {n_classes} classes (the larger of n_classes and \
-                 the largest ball label + 1); at most {MAX_CLASSES} are served"
-            ));
+            return Err(too_many_classes(n_classes));
         }
         for (i, b) in model.balls.iter().enumerate() {
             if b.center.len() != n_features {
@@ -493,14 +479,20 @@ impl ModelRegistry {
                 return Err(format!("ball {i} has an invalid radius {}", b.radius));
             }
         }
-        Ok(n_features)
+        Ok(())
     }
 
-    /// Builds the predictor + stats outside any lock. Returns everything
-    /// needed to finish the swap except the version.
-    fn build(model: &RdGbgModel, options: &LoadOptions) -> Result<Built, String> {
-        Self::validate(model, options)?;
-        Ok(Self::build_unchecked(model, options))
+    /// Validates `model` and builds the served model of `name` from it,
+    /// outside the registry lock; its version is allocated when it is
+    /// swapped in.
+    fn build(
+        name: &str,
+        model: &RdGbgModel,
+        options: LoadOptions,
+        maintained: Option<MaintainedTenant>,
+    ) -> Result<ServingModel, String> {
+        Self::validate(model, &options)?;
+        Ok(Self::build_unchecked(name, model, options, maintained))
     }
 
     /// The classes the predictor votes over: `options.n_classes`, raised
@@ -517,54 +509,66 @@ impl ModelRegistry {
 
     /// [`Self::build`] without the validation — the predictor is built
     /// from whatever geometry `model` holds.
-    fn build_unchecked(model: &RdGbgModel, options: &LoadOptions) -> Built {
-        let n_classes = Self::class_count(model, options);
+    fn build_unchecked(
+        name: &str,
+        model: &RdGbgModel,
+        options: LoadOptions,
+        maintained: Option<MaintainedTenant>,
+    ) -> ServingModel {
+        let n_classes = Self::class_count(model, &options);
         let mut predictor = GbKnn::from_model(model, n_classes, options.k);
         predictor.set_rule(options.rule);
-        Built {
-            predictor,
+        ServingModel {
+            name: name.to_string(),
+            version: 0,
+            n_features: predictor.n_features(),
             n_classes,
+            predictor,
+            options,
+            maintained,
             stats: ModelStats::from_model(model),
             resident_bytes: estimate_resident_bytes(model),
         }
     }
 
-    /// Allocates the version, swaps the model in, and enforces the budget.
-    fn swap_in(&self, name: &str, built: Built, backend: GranulationBackend) -> Arc<ServingModel> {
-        let Built {
-            predictor,
-            n_classes,
-            stats,
-            resident_bytes,
-        } = built;
+    /// Versions `serving` and makes it its tenant's resident model,
+    /// replacing any resident version, then enforces the budget.
+    ///
+    /// A cold reload (`reload`) races commits and deletes: a tenant that a
+    /// commit made resident while the loader read the then-current file
+    /// keeps the committed model, which is returned instead, and a tenant
+    /// removed meanwhile is served to the loading request only, without
+    /// being registered again (requests finish on the model they
+    /// resolved).
+    fn swap_in(&self, mut serving: ServingModel, reload: bool) -> Arc<ServingModel> {
         let mut inner = self.inner.lock().expect("registry lock");
-        // Version allocation and the swap happen under one lock so
-        // concurrent reloads of the same name commit in version order (the
-        // model left serving is always the highest version acknowledged).
-        let version = self.versions.fetch_add(1, Ordering::Relaxed) + 1;
-        let serving = Arc::new(ServingModel {
-            name: name.to_string(),
-            version,
-            n_features: predictor.n_features(),
-            n_classes,
-            predictor,
-            backend,
-            stats,
-            resident_bytes,
-        });
         inner.clock += 1;
-        let last_used = inner.clock;
+        let now = inner.clock;
+        if reload {
+            if let Some(r) = inner.resident.get_mut(&serving.name) {
+                r.last_used = now;
+                return Arc::clone(&r.model);
+            }
+        }
+        // Version allocation and the swap happen under one lock so
+        // concurrent commits of the same name land in version order (the
+        // model left serving is always the highest version acknowledged).
+        serving.version = self.versions.fetch_add(1, Ordering::Relaxed) + 1;
+        let serving = Arc::new(serving);
+        let name = &serving.name;
+        if inner.cold.remove(name).is_none() && reload {
+            return serving;
+        }
         if let Some(old) = inner.resident.insert(
-            name.to_string(),
+            name.clone(),
             Resident {
                 model: Arc::clone(&serving),
-                last_used,
+                last_used: now,
             },
         ) {
             inner.resident_bytes -= old.model.resident_bytes;
         }
-        inner.resident_bytes += resident_bytes;
-        inner.cold.remove(name);
+        inner.resident_bytes += serving.resident_bytes;
         self.evict_over_budget(&mut inner, name);
         serving
     }
@@ -602,61 +606,87 @@ impl ModelRegistry {
     /// panicking predict stays contained to its request.
     #[cfg(test)]
     pub(crate) fn load_unchecked(&self, name: &str, model: &RdGbgModel) -> Arc<ServingModel> {
-        let options = LoadOptions::default();
-        let built = Self::build_unchecked(model, &options);
-        self.swap_in(name, built, options.backend)
+        let serving = Self::build_unchecked(name, model, LoadOptions::default(), None);
+        self.swap_in(serving, false)
+    }
+
+    /// Refuses a name the attached store could not hold (a memory-only
+    /// registry takes any name).
+    fn check_name(&self, name: &str) -> Result<(), RegistryError> {
+        match &self.store {
+            Some(_) => ModelStore::check_name(name).map_err(RegistryError::Rejected),
+            None => Ok(()),
+        }
+    }
+
+    /// The one commit path of every mutation: validates `model` and builds
+    /// its predictor, writes the tenant's next store version when a store
+    /// is attached, collects old versions, and swaps the new model in.
+    /// Returns it with the committed store version (0 without a store).
+    /// Nothing in memory changes unless the store write succeeds. Callers
+    /// hold the publish lock.
+    fn commit(
+        &self,
+        name: &str,
+        model: &RdGbgModel,
+        options: LoadOptions,
+        maintained: Option<MaintainedTenant>,
+    ) -> Result<(Arc<ServingModel>, u64), RegistryError> {
+        let mut serving =
+            Self::build(name, model, options, maintained).map_err(RegistryError::Rejected)?;
+        let mut store_version = 0;
+        if let Some(store) = &self.store {
+            let saved = store
+                .save_version(
+                    name,
+                    model,
+                    &serving.options,
+                    serving.n_classes,
+                    serving.maintained.as_ref(),
+                )
+                .map_err(RegistryError::Store)?;
+            // Measured-not-estimated, re-measured per commit: a persisted
+            // tenant is accounted by its serialized envelope size, so one
+            // grown by appends is re-accounted against the budget at every
+            // commit.
+            serving.resident_bytes = saved.bytes;
+            store_version = saved.version;
+            self.gc_after_commit(name);
+        }
+        // A cold reload that started *before* the save above read the old
+        // file; let it settle before swapping so the accepted model cannot
+        // be clobbered by the stale rebuild. (Reloads starting after the
+        // save read the new file, so they can never roll us back.)
+        self.settle_loading(name);
+        Ok((self.swap_in(serving, false), store_version))
     }
 
     /// Builds a [`ServingModel`] from a granulation and swaps it in under
-    /// `name`, replacing any previous version. When a store is attached
+    /// `name`, replacing any previous version (a maintained tenant's rows
+    /// go with it: the new version has none). When a store is attached
     /// the model is persisted **before** the swap (atomic
     /// write-then-rename), so an accepted `POST /models/{name}` survives a
     /// restart; with no store it is served from memory only. Returns the
     /// loaded handle.
     ///
     /// # Errors
-    /// [`PublishError::Rejected`] on validation failures — empty covers,
+    /// [`RegistryError::Rejected`] on validation failures — empty covers,
     /// `k == 0`, and geometrically invalid balls (non-finite
     /// centers/radii, negative radii, ragged center widths): hot-reload
     /// payloads are untrusted, and a non-finite ball would poison every
     /// later distance comparison in the predict path. Nothing is persisted
-    /// or swapped. [`PublishError::Store`] on store I/O failures (nothing
+    /// or swapped. [`RegistryError::Store`] on store I/O failures (nothing
     /// swapped — memory and disk stay consistent).
     pub fn publish(
         &self,
         name: &str,
         model: &RdGbgModel,
         options: &LoadOptions,
-    ) -> Result<Arc<ServingModel>, PublishError> {
-        if self.store.is_some() && !ModelStore::valid_name(name) {
-            return Err(PublishError::Rejected(format!(
-                "invalid model name '{name}': use 1-128 chars of \
-                 [A-Za-z0-9._-], not starting with '.'"
-            )));
-        }
-        let mut built = Self::build(model, options).map_err(PublishError::Rejected)?;
+    ) -> Result<Arc<ServingModel>, RegistryError> {
+        self.check_name(name)?;
         let _publishing = self.publish_lock.lock().expect("publish lock");
-        if let Some(store) = &self.store {
-            let saved_bytes = store
-                .save(name, model, options, built.n_classes)
-                .map_err(PublishError::Store)?;
-            // Measured-not-estimated: the footprint accounted for a
-            // persisted tenant is its serialized envelope size.
-            built.resident_bytes = saved_bytes;
-            self.gc_after_commit(name);
-        }
-        // A full publish replaces the tenant with a fixed cover: any live
-        // ingest state is superseded (the new version has no backing rows).
-        self.maintained
-            .lock()
-            .expect("maintained lock")
-            .remove(name);
-        // A cold reload that started *before* the save above read the old
-        // file; let it settle before swapping so the accepted model cannot
-        // be clobbered by the stale rebuild. (Reloads starting after the
-        // save read the new file, so they can never roll us back.)
-        self.settle_loading(name);
-        Ok(self.swap_in(name, built, options.backend))
+        let (serving, _) = self.commit(name, model, options.clone(), None)?;
+        Ok(serving)
     }
 
     /// Publishes from an already-parsed JSON value (the server's reload
@@ -664,15 +694,16 @@ impl ModelRegistry {
     ///
     /// # Errors
     /// Shape mismatches, empty covers, bad options
-    /// ([`PublishError::Rejected`]), or store I/O ([`PublishError::Store`]).
+    /// ([`RegistryError::Rejected`]), or store I/O
+    /// ([`RegistryError::Store`]).
     pub fn publish_value(
         &self,
         name: &str,
         value: &Value,
         options: &LoadOptions,
-    ) -> Result<Arc<ServingModel>, PublishError> {
+    ) -> Result<Arc<ServingModel>, RegistryError> {
         let model = <RdGbgModel as serde::Deserialize>::from_value(value)
-            .map_err(|e| PublishError::Rejected(format!("bad model: {e}")))?;
+            .map_err(|e| RegistryError::Rejected(format!("bad model: {e}")))?;
         self.publish(name, &model, options)
     }
 
@@ -712,12 +743,12 @@ impl ModelRegistry {
         labels: &[u32],
         n_features: usize,
         n_classes: usize,
-    ) -> Result<(), IngestError> {
+    ) -> Result<(), RegistryError> {
         if labels.is_empty() {
-            return Err(IngestError::Rejected("no rows in request".into()));
+            return Err(RegistryError::Rejected("no rows in request".into()));
         }
         if n_features == 0 || features.len() != labels.len() * n_features {
-            return Err(IngestError::Rejected(format!(
+            return Err(RegistryError::Rejected(format!(
                 "feature buffer has {} values for {} rows × {} features",
                 features.len(),
                 labels.len(),
@@ -725,129 +756,132 @@ impl ModelRegistry {
             )));
         }
         if !features.iter().all(|x| x.is_finite()) {
-            return Err(IngestError::Rejected(
+            return Err(RegistryError::Rejected(
                 "rows contain non-finite feature values".into(),
             ));
         }
         if let Some(&bad) = labels.iter().find(|&&l| (l as usize) >= n_classes) {
-            return Err(IngestError::Rejected(format!(
+            return Err(RegistryError::Rejected(format!(
                 "label {bad} out of range for {n_classes} classes"
             )));
         }
         Ok(())
     }
 
-    /// Resolves the live ingest state of `name`, rebuilding it from the
-    /// persisted rows when the tenant is maintained on disk but has not
-    /// been appended to since boot. Must run under the publish lock.
-    ///
-    /// `Ok(None)` means the tenant does not exist at all (the caller may
-    /// create it); a tenant that exists without maintained rows is
-    /// `Err(Rejected)`.
-    fn resolve_maintained(&self, name: &str) -> Result<Option<()>, IngestError> {
-        if self
-            .maintained
-            .lock()
-            .expect("maintained lock")
-            .contains_key(name)
-        {
-            return Ok(Some(()));
-        }
-        let on_disk = self
-            .store
-            .as_ref()
-            .and_then(|s| s.head_version(name))
-            .is_some();
-        if on_disk {
-            let store = self.store.as_ref().expect("checked above");
-            let envelope = store.load(name).map_err(IngestError::Store)?;
-            let Some(m) = envelope.maintained else {
-                return Err(IngestError::Rejected(format!(
-                    "tenant '{name}' was published as a fixed model and has no \
-                     backing rows; republish through /models/{name} or delete \
-                     and recreate it through /rows"
-                )));
-            };
-            let n_classes = envelope.options.n_classes.unwrap_or(2);
-            let data = Dataset::from_parts(m.features, m.labels, m.n_features, n_classes);
-            let rebuilt = MaintainedModel::build(data, m.rho, envelope.options.backend);
-            self.maintained.lock().expect("maintained lock").insert(
-                name.to_string(),
-                MaintainedEntry {
-                    model: Arc::new(Mutex::new(rebuilt)),
-                    options: envelope.options,
-                    n_classes,
-                },
-            );
-            return Ok(Some(()));
-        }
-        // Memory-only resident tenants have no rows to maintain either.
+    /// The rows of the existing maintained tenant `name` grown by a
+    /// validated batch, with the options and class count its next commit
+    /// keeps. The rows come from the resident model or, when the tenant is
+    /// cold, from the store head, without building a predictor for the
+    /// old cover. `Ok(None)` means no tenant of that name exists (the
+    /// caller may create it); a tenant without backing rows is
+    /// `Err(Rejected)`. Must run under the publish lock.
+    fn grown_rows(
+        &self,
+        name: &str,
+        features: &[f64],
+        labels: &[u32],
+        n_features: usize,
+    ) -> Result<Option<(LoadOptions, usize, MaintainedTenant)>, RegistryError> {
         let resident = self
             .inner
             .lock()
             .expect("registry lock")
             .resident
-            .contains_key(name);
-        if resident {
-            return Err(IngestError::Rejected(format!(
-                "tenant '{name}' is a memory-only model with no backing rows"
+            .get(name)
+            .map(|r| Arc::clone(&r.model));
+        let stored;
+        let (options, n_classes, rows) = match &resident {
+            Some(serving) => (&serving.options, serving.n_classes, &serving.maintained),
+            None => {
+                let Some(store) = self
+                    .store
+                    .as_ref()
+                    .filter(|s| s.head_version(name).is_some())
+                else {
+                    return Ok(None);
+                };
+                stored = store.load(name).map_err(RegistryError::Store)?;
+                let n_classes = Self::class_count(&stored.model, &stored.options);
+                (&stored.options, n_classes, &stored.maintained)
+            }
+        };
+        let Some(rows) = rows else {
+            return Err(RegistryError::Rejected(format!(
+                "tenant '{name}' was published as a fixed model and has no \
+                 backing rows; republish through /models/{name} or delete \
+                 and recreate it through /rows"
+            )));
+        };
+        if n_features != rows.n_features {
+            return Err(RegistryError::Rejected(format!(
+                "rows have {n_features} features but tenant '{name}' has {}",
+                rows.n_features
             )));
         }
-        Ok(None)
+        Self::validate_rows(features, labels, n_features, n_classes)?;
+        let grown = MaintainedTenant {
+            rho: rows.rho,
+            n_features,
+            features: [rows.features.as_slice(), features].concat(),
+            labels: [rows.labels.as_slice(), labels].concat(),
+        };
+        Ok(Some((options.clone(), n_classes, grown)))
     }
 
-    /// Commits the current state of a maintained tenant: persists a new
-    /// immutable version (when a store is attached), re-accounts the
-    /// resident footprint from the measured envelope size, GCs the chain,
-    /// and swaps the rebuilt predictor in.
-    fn commit_maintained(
-        &self,
-        name: &str,
-        entry_options: &LoadOptions,
-        n_classes: usize,
-        state: &MaintainedModel,
-    ) -> Result<(Arc<ServingModel>, u64), IngestError> {
-        let mut built = Self::build(state.model(), entry_options).map_err(IngestError::Rejected)?;
-        let store_version = match &self.store {
-            Some(store) => {
-                let data = state.data();
-                let maint = MaintainedTenant {
-                    rho: state.rho(),
-                    n_features: data.n_features(),
-                    features: data.features().to_vec(),
-                    labels: data.labels().to_vec(),
-                };
-                let saved = store
-                    .save_version(name, state.model(), entry_options, n_classes, Some(&maint))
-                    .map_err(IngestError::Store)?;
-                // Measured-not-estimated, re-measured per mutation: a
-                // tenant grown by appends is re-accounted against the
-                // byte budget at every commit.
-                built.resident_bytes = saved.bytes;
-                self.gc_after_commit(name);
-                saved.version
-            }
-            None => 0,
+    /// The rows of a tenant the batch founds, with the options and class
+    /// count of its first commit.
+    fn founding_rows(
+        features: &[f64],
+        labels: &[u32],
+        n_features: usize,
+        create: &CreateOptions,
+    ) -> Result<(LoadOptions, usize, MaintainedTenant), RegistryError> {
+        if create.rho < 2 {
+            return Err(RegistryError::Rejected(format!(
+                "rho must be at least 2, got {}",
+                create.rho
+            )));
+        }
+        let derived = labels.iter().map(|&l| l as usize + 1).max().unwrap_or(1);
+        let n_classes = create.n_classes.unwrap_or(derived).max(derived);
+        // Refused before the sweep, which would hold the publish lock only
+        // to reach the same refusal.
+        if n_classes > MAX_CLASSES {
+            return Err(RegistryError::Rejected(too_many_classes(n_classes)));
+        }
+        Self::validate_rows(features, labels, n_features, n_classes)?;
+        let options = LoadOptions {
+            n_classes: Some(n_classes),
+            ..create.load.clone()
         };
-        self.settle_loading(name);
-        let serving = self.swap_in(name, built, entry_options.backend);
-        Ok((serving, store_version))
+        let rows = MaintainedTenant {
+            rho: create.rho,
+            n_features,
+            features: features.to_vec(),
+            labels: labels.to_vec(),
+        };
+        Ok((options, n_classes, rows))
     }
 
     /// Appends labelled rows to a maintained tenant (creating it when the
-    /// name is entirely new), rebuilds the canonical cover of every row the
-    /// tenant now holds ([`MaintainedModel::append`]), persists the result
-    /// as a new immutable store version, and swaps the rebuilt predictor in
-    /// atomically. The cover depends only on the row sequence and ρ, not on
-    /// how the rows were batched (enforced by `tests/ingest_oracle.rs`).
+    /// name is entirely new), reruns [`canonical_rd_gbg`] over every row
+    /// the tenant now holds, and commits the new cover with the grown rows
+    /// as the tenant's next store version. The rows come from the resident
+    /// model, or from the store head when the tenant is cold; the grown
+    /// row set is a new value, so nothing in memory changes unless the
+    /// store write succeeds. The cover depends only on the row sequence
+    /// and ρ, not on how the rows were batched (enforced by
+    /// `tests/ingest_oracle.rs`).
     ///
     /// `features` is row-major, `labels.len() * n_features` long.
     /// `create` is consulted only when the tenant does not exist yet.
     ///
     /// # Errors
-    /// [`IngestError::Rejected`] for malformed batches, label/width
-    /// mismatches, and tenants without backing rows; [`IngestError::Store`]
-    /// when persisting the new version fails (nothing is swapped).
+    /// [`RegistryError::Rejected`] for malformed batches, label/width
+    /// mismatches, a creating batch whose class count exceeds
+    /// [`MAX_CLASSES`] (refused before the sweep), and tenants without
+    /// backing rows; [`RegistryError::Store`] when reading the cold
+    /// tenant's rows or persisting the new version fails.
     pub fn append_rows(
         &self,
         name: &str,
@@ -855,157 +889,72 @@ impl ModelRegistry {
         labels: &[u32],
         n_features: usize,
         create: &CreateOptions,
-    ) -> Result<IngestReceipt, IngestError> {
-        if self.store.is_some() && !ModelStore::valid_name(name) {
-            return Err(IngestError::Rejected(format!(
-                "invalid model name '{name}': use 1-128 chars of [A-Za-z0-9._-], \
-                 not starting with '.' or ending in '.v<digits>'"
-            )));
-        }
+    ) -> Result<IngestReceipt, RegistryError> {
+        self.check_name(name)?;
         let _publishing = self.publish_lock.lock().expect("publish lock");
-        let existing = self.resolve_maintained(name)?;
-        if existing.is_some() {
-            let (model_arc, options, n_classes) = {
-                let map = self.maintained.lock().expect("maintained lock");
-                let e = map.get(name).expect("resolved above");
-                (Arc::clone(&e.model), e.options.clone(), e.n_classes)
-            };
-            let mut state = model_arc.lock().expect("maintained model lock");
-            if n_features != state.data().n_features() {
-                return Err(IngestError::Rejected(format!(
-                    "rows have {n_features} features but tenant '{name}' has {}",
-                    state.data().n_features()
-                )));
-            }
-            Self::validate_rows(features, labels, n_features, n_classes)?;
-            // Snapshot before mutating: a failed commit must leave the
-            // in-memory state exactly where the durable head is, so an
-            // errored batch is never half-ingested (and a client retry
-            // after a clean error cannot double-append).
-            let backup = state.clone();
-            state.append(features, labels);
-            let (serving, store_version) =
-                match self.commit_maintained(name, &options, n_classes, &state) {
-                    Ok(committed) => committed,
-                    Err(e) => {
-                        *state = backup;
-                        return Err(e);
-                    }
-                };
-            return Ok(IngestReceipt {
-                serving,
-                store_version,
-                created: false,
-                n_rows: state.data().n_samples(),
-            });
-        }
-        // Creation: the first batch founds the tenant.
-        if create.rho < 2 {
-            return Err(IngestError::Rejected(format!(
-                "rho must be at least 2, got {}",
-                create.rho
-            )));
-        }
-        let derived = labels.iter().map(|&l| l as usize + 1).max().unwrap_or(1);
-        let n_classes = create.n_classes.unwrap_or(derived).max(derived);
-        Self::validate_rows(features, labels, n_features, n_classes)?;
-        let mut options = create.load.clone();
-        options.n_classes = Some(n_classes);
-        let data = Dataset::from_parts(features.to_vec(), labels.to_vec(), n_features, n_classes);
-        let state = MaintainedModel::build(data, create.rho, options.backend);
-        let (serving, store_version) = self.commit_maintained(name, &options, n_classes, &state)?;
-        let n_rows = state.data().n_samples();
-        self.maintained.lock().expect("maintained lock").insert(
-            name.to_string(),
-            MaintainedEntry {
-                model: Arc::new(Mutex::new(state)),
-                options,
+        let grown = self.grown_rows(name, features, labels, n_features)?;
+        let created = grown.is_none();
+        let (options, n_classes, rows) = match grown {
+            Some(grown) => grown,
+            None => Self::founding_rows(features, labels, n_features, create)?,
+        };
+        let model = {
+            let data = Dataset::from_parts(
+                rows.features.clone(),
+                rows.labels.clone(),
+                n_features,
                 n_classes,
-            },
-        );
+            );
+            canonical_rd_gbg(&data, rows.rho, options.backend)
+        };
+        let n_rows = rows.labels.len();
+        let (serving, store_version) = self.commit(name, &model, options, Some(rows))?;
         Ok(IngestReceipt {
             serving,
             store_version,
-            created: true,
+            created,
             n_rows,
         })
     }
 
-    /// Atomically re-activates a retained version: its content is copied
-    /// forward as a **new** head (the chain stays append-only and
-    /// single-file-atomic), the live ingest state is restored from the
-    /// rolled-back rows (or dropped, for a model-only version), and the
-    /// rebuilt predictor is swapped in.
+    /// Atomically re-activates a retained version: its cover, options and
+    /// rows (for a maintained version) are committed as they are, as a
+    /// **new** head (the chain stays append-only and single-file-atomic),
+    /// and served; nothing is granulated. Appends after it continue from
+    /// the rolled-back rows.
     ///
     /// # Errors
-    /// [`IngestError::NotFound`] when the tenant or the pinned version does
-    /// not exist; [`IngestError::Store`] on I/O failures;
-    /// [`IngestError::Rejected`] for registries without a store.
-    pub fn rollback(&self, name: &str, version: u64) -> Result<RollbackReceipt, IngestError> {
+    /// [`RegistryError::NotFound`] when the tenant or the pinned version
+    /// does not exist; [`RegistryError::Store`] on I/O failures;
+    /// [`RegistryError::Rejected`] for registries without a store and for
+    /// a version the predictor cannot serve (nothing is written).
+    pub fn rollback(&self, name: &str, version: u64) -> Result<RollbackReceipt, RegistryError> {
         let Some(store) = &self.store else {
-            return Err(IngestError::Rejected(
+            return Err(RegistryError::Rejected(
                 "rollback requires a persistent store (--model-dir)".into(),
             ));
         };
         if !ModelStore::valid_name(name) {
-            return Err(IngestError::NotFound(format!("no model named '{name}'")));
+            return Err(RegistryError::NotFound(format!("no model named '{name}'")));
         }
         let _publishing = self.publish_lock.lock().expect("publish lock");
         let versions = store.versions_on_disk(name);
         if versions.is_empty() {
-            return Err(IngestError::NotFound(format!("no model named '{name}'")));
+            return Err(RegistryError::NotFound(format!("no model named '{name}'")));
         }
         if !versions.contains(&version) {
-            return Err(IngestError::NotFound(format!(
+            return Err(RegistryError::NotFound(format!(
                 "tenant '{name}' has no version {version} (retained: {versions:?})"
             )));
         }
         let envelope = store
             .load_version(name, version)
-            .map_err(IngestError::Store)?;
-        let n_classes = envelope.options.n_classes.unwrap_or(2);
-        // Validate before writing: a refused version must not become the
-        // head, or a restart would meet it.
-        let mut built =
-            Self::build(&envelope.model, &envelope.options).map_err(IngestError::Rejected)?;
-        let saved = store
-            .save_version(
-                name,
-                &envelope.model,
-                &envelope.options,
-                n_classes,
-                envelope.maintained.as_ref(),
-            )
-            .map_err(IngestError::Store)?;
-        self.gc_after_commit(name);
-        built.resident_bytes = saved.bytes;
-        // Restore (or drop) the live ingest state to match the rolled-back
-        // content, so the next append continues from exactly this version.
-        {
-            let mut map = self.maintained.lock().expect("maintained lock");
-            match envelope.maintained {
-                Some(m) => {
-                    let data = Dataset::from_parts(m.features, m.labels, m.n_features, n_classes);
-                    let rebuilt = MaintainedModel::build(data, m.rho, envelope.options.backend);
-                    map.insert(
-                        name.to_string(),
-                        MaintainedEntry {
-                            model: Arc::new(Mutex::new(rebuilt)),
-                            options: envelope.options.clone(),
-                            n_classes,
-                        },
-                    );
-                }
-                None => {
-                    map.remove(name);
-                }
-            }
-        }
-        self.settle_loading(name);
-        let serving = self.swap_in(name, built, envelope.options.backend);
+            .map_err(RegistryError::Store)?;
+        let (serving, store_version) =
+            self.commit(name, &envelope.model, envelope.options, envelope.maintained)?;
         Ok(RollbackReceipt {
             serving,
-            store_version: saved.version,
+            store_version,
             rolled_back_to: version,
         })
     }
@@ -1015,13 +964,13 @@ impl ModelRegistry {
     /// memory-only tenant has no chain to inspect).
     ///
     /// # Errors
-    /// [`IngestError::NotFound`] for a pinned version that is not retained;
-    /// [`IngestError::Store`] when reading the version fails.
+    /// [`RegistryError::NotFound`] for a pinned version that is not
+    /// retained; [`RegistryError::Store`] when reading the version fails.
     pub fn version_info(
         &self,
         name: &str,
         version: Option<u64>,
-    ) -> Result<Option<VersionInfo>, IngestError> {
+    ) -> Result<Option<VersionInfo>, RegistryError> {
         let Some(store) = &self.store else {
             return Ok(None);
         };
@@ -1034,13 +983,13 @@ impl ModelRegistry {
         };
         let pinned = version.unwrap_or(head);
         if !versions.contains(&pinned) {
-            return Err(IngestError::NotFound(format!(
+            return Err(RegistryError::NotFound(format!(
                 "tenant '{name}' has no version {pinned} (retained: {versions:?})"
             )));
         }
         let envelope = store
             .load_version(name, pinned)
-            .map_err(IngestError::Store)?;
+            .map_err(RegistryError::Store)?;
         Ok(Some(VersionInfo {
             name: name.to_string(),
             version: pinned,
@@ -1070,9 +1019,9 @@ impl ModelRegistry {
     }
 
     /// Request-path lookup: a resident hit returns immediately; a cold
-    /// tenant is transparently rebuilt from the store (single-flight —
-    /// concurrent callers coalesce onto one disk load); an unknown name is
-    /// `Ok(None)`.
+    /// tenant is transparently rebuilt from the store head, its rows
+    /// included (single-flight — concurrent callers coalesce onto one disk
+    /// load); an unknown name is `Ok(None)`.
     ///
     /// # Errors
     /// Disk or checksum failures during a cold reload (the tenant stays
@@ -1104,20 +1053,20 @@ impl ModelRegistry {
         let start = Instant::now();
         let built = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let envelope = store.load(name)?;
-            Self::build(&envelope.model, &envelope.options).map(|mut built| {
-                // Measured-not-estimated: account the reloaded tenant by
-                // the envelope size just read, matching what `publish`
-                // recorded when it wrote the file.
-                built.resident_bytes = envelope.file_bytes;
-                (built, envelope.options.backend)
-            })
+            let mut serving =
+                Self::build(name, &envelope.model, envelope.options, envelope.maintained)?;
+            // Measured-not-estimated: account the reloaded tenant by the
+            // envelope size just read, matching what its commit recorded
+            // when it wrote the file.
+            serving.resident_bytes = envelope.file_bytes;
+            Ok::<_, String>(serving)
         }))
         .unwrap_or_else(|_| Err("panicked rebuilding persisted model".into()));
         let result = match built {
-            Ok((built, backend)) => {
+            Ok(serving) => {
                 self.stats.cold_reloads.fetch_add(1, Ordering::Relaxed);
                 self.stats.reload_latency.observe(start.elapsed());
-                Ok(Some(self.finish_cold_reload(name, built, backend)))
+                Ok(Some(self.swap_in(serving, true)))
             }
             Err(e) => Err(format!("reload '{name}' from store: {e}")),
         };
@@ -1126,61 +1075,6 @@ impl ModelRegistry {
         drop(inner);
         self.loaded.notify_all();
         result
-    }
-
-    /// Lands a finished cold reload, racing publishes and deletes safely.
-    /// Unlike `swap_in`, registration is conditional: a tenant that was
-    /// **published** while this loader was reading the (then-current) file
-    /// keeps the newer published version — the stale rebuild is dropped in
-    /// favour of the resident model — and a tenant that was **removed**
-    /// meanwhile is served to this in-flight request only, without being
-    /// re-registered (matching the hot-reload contract: requests finish on
-    /// the model they resolved).
-    fn finish_cold_reload(
-        &self,
-        name: &str,
-        built: Built,
-        backend: GranulationBackend,
-    ) -> Arc<ServingModel> {
-        let Built {
-            predictor,
-            n_classes,
-            stats,
-            resident_bytes,
-        } = built;
-        let mut inner = self.inner.lock().expect("registry lock");
-        inner.clock += 1;
-        let now = inner.clock;
-        if let Some(r) = inner.resident.get_mut(name) {
-            // A publish swapped a newer version in while we were loading:
-            // the acknowledged publish wins.
-            r.last_used = now;
-            return Arc::clone(&r.model);
-        }
-        let version = self.versions.fetch_add(1, Ordering::Relaxed) + 1;
-        let serving = Arc::new(ServingModel {
-            name: name.to_string(),
-            version,
-            n_features: predictor.n_features(),
-            n_classes,
-            predictor,
-            backend,
-            stats,
-            resident_bytes,
-        });
-        if inner.cold.remove(name).is_some() {
-            inner.resident.insert(
-                name.to_string(),
-                Resident {
-                    model: Arc::clone(&serving),
-                    last_used: now,
-                },
-            );
-            inner.resident_bytes += resident_bytes;
-            self.evict_over_budget(&mut inner, name);
-        }
-        // else: a concurrent remove deleted the tenant — stay unregistered.
-        serving
     }
 
     /// Warms the `n` most-recently-written cold tenants (by store-file
@@ -1220,10 +1114,6 @@ impl ModelRegistry {
     /// Store deletion failures (the registry entry is already gone).
     pub fn remove(&self, name: &str) -> Result<bool, String> {
         let _publishing = self.publish_lock.lock().expect("publish lock");
-        self.maintained
-            .lock()
-            .expect("maintained lock")
-            .remove(name);
         let existed = {
             let mut inner = self.inner.lock().expect("registry lock");
             let was_resident = inner.resident.remove(name);
@@ -1374,7 +1264,7 @@ mod tests {
                 &Value::Str("not a model".into()),
                 &LoadOptions::default()
             ),
-            Err(PublishError::Rejected(_))
+            Err(RegistryError::Rejected(_))
         ));
         assert!(reg.get("missing").is_none());
         assert!(reg.acquire("missing").unwrap().is_none());
@@ -1409,7 +1299,7 @@ mod tests {
                 "ragged centers",
             ),
         ] {
-            let Err(PublishError::Rejected(err)) = reg.publish("m", &bad, &LoadOptions::default())
+            let Err(RegistryError::Rejected(err)) = reg.publish("m", &bad, &LoadOptions::default())
             else {
                 panic!("{why} must be rejected");
             };
@@ -1682,7 +1572,7 @@ mod tests {
         let err = reg
             .append_rows("fixed", &f, &l, 2, &CreateOptions::default())
             .unwrap_err();
-        assert!(matches!(err, IngestError::Rejected(_)), "{err}");
+        assert!(matches!(err, RegistryError::Rejected(_)), "{err}");
         assert_eq!(
             reg.store().unwrap().head_version("fixed"),
             Some(1),
@@ -1701,7 +1591,7 @@ mod tests {
             let err = reg
                 .append_rows("live", &bf, &bl, 2, &CreateOptions::default())
                 .unwrap_err();
-            assert!(matches!(err, IngestError::Rejected(_)), "{why}: {err}");
+            assert!(matches!(err, RegistryError::Rejected(_)), "{why}: {err}");
         }
         assert_eq!(reg.store().unwrap().head_version("live"), Some(1));
         let _ = std::fs::remove_dir_all(&dir);
@@ -1741,11 +1631,11 @@ mod tests {
         // Unknown versions are NotFound.
         assert!(matches!(
             reg.rollback("t", 99).unwrap_err(),
-            IngestError::NotFound(_)
+            RegistryError::NotFound(_)
         ));
         assert!(matches!(
             reg.rollback("ghost", 1).unwrap_err(),
-            IngestError::NotFound(_)
+            RegistryError::NotFound(_)
         ));
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1771,7 +1661,7 @@ mod tests {
         let (reg, _) = ModelRegistry::with_store(store, None).unwrap();
         let served = reg.acquire("t").unwrap().expect("cold reload of v2");
         let err = reg.rollback("t", 1).unwrap_err();
-        assert!(matches!(err, IngestError::Rejected(_)), "{err}");
+        assert!(matches!(err, RegistryError::Rejected(_)), "{err}");
         let store = reg.store().unwrap();
         assert_eq!(store.versions_on_disk("t"), [1, 2]);
         assert_eq!(store.head_version("t"), Some(2));
@@ -1806,7 +1696,7 @@ mod tests {
         assert_eq!(info.versions, [4, 5, 6], "retention keeps the newest 3");
         assert!(matches!(
             reg.version_info("t", Some(1)).unwrap_err(),
-            IngestError::NotFound(_)
+            RegistryError::NotFound(_)
         ));
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1839,7 +1729,7 @@ mod tests {
             let attempt = reg.append_rows(&name, &f1, &l1, 2, &CreateOptions::default());
             store.set_fault_policy(None);
             let Err(err) = attempt else { continue };
-            assert!(matches!(err, IngestError::Store(_)), "{err}");
+            assert!(matches!(err, RegistryError::Store(_)), "{err}");
             failed = true;
             // In memory the serving model still reflects only batch 0.
             let base = Dataset::from_parts(f0.clone(), l0.clone(), 2, 2);
@@ -1915,6 +1805,57 @@ mod tests {
         );
         assert!(reg.get("bystander").is_none(), "bystander went cold");
         assert!(reg.get("grower").is_some(), "the grower itself stays");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// An evicted maintained tenant's rows left memory with its model: an
+    /// append reads them from the store head and commits the canonical
+    /// cover of the grown rows, without a cold reload of the old cover.
+    #[test]
+    fn appends_to_evicted_tenants_read_their_rows_from_the_store() {
+        let dir = tempdir("evicted_append");
+        let (f0, l0) = ingest_batch(40, 40);
+        // Budget: fits one 40-row tenant (grown by a few rows), not two.
+        let one = {
+            let store = ModelStore::open(dir.join("probe")).unwrap();
+            let (reg, _) = ModelRegistry::with_store(store, None).unwrap();
+            reg.append_rows("p", &f0, &l0, 2, &CreateOptions::default())
+                .unwrap()
+                .serving
+                .resident_bytes
+        };
+        let store = ModelStore::open(&dir).unwrap();
+        let (reg, _) = ModelRegistry::with_store(store, Some(one + one / 2)).unwrap();
+        let names = ["t0", "t1", "t2", "t3"];
+        let mut rows = Vec::new();
+        for (seed, name) in (41..).zip(names) {
+            let (f, l) = ingest_batch(40, seed);
+            reg.append_rows(name, &f, &l, 2, &CreateOptions::default())
+                .unwrap();
+            rows.push((f, l));
+        }
+        for name in &names[..3] {
+            assert!(reg.get(name).is_none(), "{name} went cold");
+        }
+        for ((seed, name), (uf, ul)) in (51..).zip(&names[..3]).zip(&mut rows) {
+            let (f, l) = ingest_batch(5, seed);
+            let r = reg
+                .append_rows(name, &f, &l, 2, &CreateOptions::default())
+                .unwrap();
+            uf.extend_from_slice(&f);
+            ul.extend_from_slice(&l);
+            let union = Dataset::from_parts(uf.clone(), ul.clone(), 2, 2);
+            let oracle = gbabs::canonical_rd_gbg(&union, 5, GranulationBackend::Auto);
+            assert!(!r.created, "{name}");
+            assert_eq!(r.n_rows, 45, "{name}");
+            assert_eq!(r.store_version, 2, "{name}: the chain continues");
+            assert_eq!(r.serving.stats.n_balls, oracle.balls.len(), "{name}");
+            let committed = reg.version_info(name, None).unwrap().unwrap();
+            assert_eq!(committed.head, r.store_version, "{name}");
+            assert_eq!(committed.n_rows, Some(45), "{name}");
+            assert_eq!(committed.n_balls, oracle.balls.len(), "{name}");
+        }
+        assert_eq!(reg.stats.cold_reloads.load(Ordering::Relaxed), 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

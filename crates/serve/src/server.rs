@@ -8,8 +8,8 @@ use crate::errors::{ErrorCode, ServeError};
 use crate::http::{Request, Response};
 use crate::metrics::{self as m, Exposition, Metrics, Reading, TenantRegistry, TenantStats};
 use crate::registry::{
-    CreateOptions, IngestError, LoadOptions, ModelRegistry, PublishError, ServingModel,
-    VersionInfo, MAX_CLASSES,
+    CreateOptions, LoadOptions, ModelRegistry, RegistryError, ServingModel, VersionInfo,
+    MAX_CLASSES,
 };
 use crate::service::{
     obj, render, Background, Bound, Limits, Reply, Route, Running, Service, Shell,
@@ -410,7 +410,7 @@ fn model_stats_value(model: &ServingModel) -> Value {
         ("n_classes", Value::Num(model.n_classes as f64)),
         ("k", Value::Num(model.predictor.k() as f64)),
         ("metric", Value::Str(model.predictor.metric().name().into())),
-        ("backend", Value::Str(model.backend.to_string())),
+        ("backend", Value::Str(model.options.backend.to_string())),
         ("n_balls", Value::Num(s.n_balls as f64)),
         ("n_singletons", Value::Num(s.n_singletons as f64)),
         ("radius_min", Value::Num(s.radius_min)),
@@ -667,10 +667,7 @@ fn reload_endpoint(ctx: &ServerCtx, req: &Request, obs: &mut ObsCtx) -> Reply {
     let published = obs.time(Stage::StoreIo, || {
         ctx.registry.publish_value(name, model_value, &options)
     });
-    let model = published.map_err(|e| match e {
-        PublishError::Rejected(e) => ServeError::bad_request(e),
-        e @ PublishError::Store(_) => ServeError::store_io(e.to_string()),
-    })?;
+    let model = published.map_err(registry_error)?;
     ctx.metrics.reloads.fetch_add(1, Ordering::Relaxed);
     obs.tenant = Some(model.name.clone());
     ctx.tenants
@@ -680,14 +677,14 @@ fn reload_endpoint(ctx: &ServerCtx, req: &Request, obs: &mut ObsCtx) -> Reply {
     Ok(Response::json(200, render(&model_stats_value(&model))))
 }
 
-/// Maps an [`IngestError`] onto the closed error taxonomy: client-caused
+/// Maps a [`RegistryError`] onto the closed error taxonomy: client-caused
 /// rejections are 400s, unknown tenants/versions 404s, store failures the
 /// same 503 `store_io` code cold reloads use.
-fn ingest_error(e: IngestError) -> ServeError {
+fn registry_error(e: RegistryError) -> ServeError {
     match e {
-        IngestError::Rejected(m) => ServeError::bad_request(m),
-        IngestError::NotFound(m) => ServeError::not_found(m),
-        IngestError::Store(m) => ServeError::store_io(m),
+        RegistryError::Rejected(m) => ServeError::bad_request(m),
+        RegistryError::NotFound(m) => ServeError::not_found(m),
+        e @ RegistryError::Store(_) => ServeError::store_io(e.to_string()),
     }
 }
 
@@ -863,7 +860,7 @@ fn ingest_endpoint(ctx: &ServerCtx, req: &Request, obs: &mut ObsCtx) -> Reply {
         ctx.registry
             .append_rows(name, &features, &labels, n_features, &create)
     });
-    let receipt = receipt.map_err(ingest_error)?;
+    let receipt = receipt.map_err(registry_error)?;
     ctx.metrics.appends.fetch_add(1, Ordering::Relaxed);
     ctx.metrics
         .append_rows
@@ -904,7 +901,7 @@ fn rollback_endpoint(ctx: &ServerCtx, req: &Request, obs: &mut ObsCtx) -> Reply 
         .map_err(ServeError::bad_request)?;
     req.deadline.check("rollback")?;
     let receipt = obs.time(Stage::Ingest, || ctx.registry.rollback(name, version));
-    let receipt = receipt.map_err(ingest_error)?;
+    let receipt = receipt.map_err(registry_error)?;
     ctx.metrics.rollbacks.fetch_add(1, Ordering::Relaxed);
     obs.tenant = Some(name.to_string());
     ctx.tenants
@@ -967,7 +964,9 @@ fn version_endpoint(ctx: &ServerCtx, req: &Request, obs: &mut ObsCtx) -> Reply {
         })
         .transpose()?;
     let info = obs.time(Stage::StoreIo, || ctx.registry.version_info(name, version));
-    let info = info.map_err(ingest_error)?.ok_or_else(|| no_model(name))?;
+    let info = info
+        .map_err(registry_error)?
+        .ok_or_else(|| no_model(name))?;
     obs.tenant = Some(info.name.clone());
     Ok(Response::json(200, render(&version_info_value(&info))))
 }

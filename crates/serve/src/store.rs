@@ -133,8 +133,9 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 }
 
 /// The backing rows of a maintained tenant, persisted alongside the cover
-/// so ingest survives restarts (the maintained model is rebuilt
-/// deterministically from these rows on cold load).
+/// so ingest survives restarts: a cold reload serves the stored cover and
+/// keeps these rows in the served model, and the next `/rows` append grows
+/// them.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MaintainedTenant {
     /// Density tolerance ρ the cover is maintained under.
@@ -416,20 +417,21 @@ impl ModelStore {
 
     /// Path of the pre-chain legacy file (version 0).
     fn path_for(&self, name: &str) -> Result<PathBuf, String> {
-        self.check_name(name)?;
+        Self::check_name(name)?;
         Ok(self.dir.join(format!("{name}.json")))
     }
 
     /// Path of one version file in the tenant's chain.
     fn version_path(&self, name: &str, version: u64) -> Result<PathBuf, String> {
-        self.check_name(name)?;
+        Self::check_name(name)?;
         if version == 0 {
             return self.path_for(name);
         }
         Ok(self.dir.join(format!("{name}.v{version}.json")))
     }
 
-    fn check_name(&self, name: &str) -> Result<(), String> {
+    /// Refuses a name [`ModelStore::valid_name`] rejects, saying why.
+    pub(crate) fn check_name(name: &str) -> Result<(), String> {
         if !Self::valid_name(name) {
             return Err(format!(
                 "invalid model name '{name}': use 1-128 chars of [A-Za-z0-9._-], \
@@ -627,7 +629,7 @@ impl ModelStore {
     /// # Errors
     /// Invalid names and I/O failures other than not-found.
     pub fn delete(&self, name: &str) -> Result<bool, String> {
-        self.check_name(name)?;
+        Self::check_name(name)?;
         let mut removed = false;
         let mut errors: Vec<String> = Vec::new();
         let entries = match fs::read_dir(&self.dir) {
