@@ -29,7 +29,13 @@
 //! (p = 16, clean) less a 10% stratified holdout, 12,250 rows read back
 //! from CSV, under `Auto` (the KD-tree), where RD-GBG fetches the hood
 //! lists of every row left at its first ball-less iteration in one
-//! parallel batch.
+//! self-join.
+//!
+//! `hood_fetch` times that fetch alone on the same split: every row's
+//! `k′ = 12` list (ρ = 5), once from `self_join` (`join/s8`) and once
+//! from one KD-tree `k_nearest_sq` per row on the thread pool
+//! (`kdtree_rows/s8`), the per-row fetch the join replaced. Their ratio
+//! is gated in `ci/bench-thresholds.json`.
 //!
 //! `sample_pipeline` times what `gbabs sample IN -o OUT` does, in process:
 //! `read_csv_str` of the input's CSV text, GBABS (ρ = 5, seed 42, `Auto`),
@@ -44,7 +50,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gb_dataset::catalog::DatasetId;
-use gb_dataset::index::GranulationBackend;
+use gb_dataset::index::{self_join, GranulationBackend};
 use gb_dataset::io::{read_csv_str, write_csv_str, CsvOptions};
 use gb_dataset::noise::inject_class_noise;
 use gb_dataset::rng::derive_seed;
@@ -53,6 +59,7 @@ use gb_dataset::synth::banana::BananaSpec;
 use gb_sampling::gbg_kdiv::{k_division_gbg, KDivConfig};
 use gb_sampling::gbg_pp::{gbg_pp, GbgPpConfig};
 use gbabs::{rd_gbg, GbabsSampler, RdGbgConfig, Sampler};
+use rayon::prelude::*;
 use std::hint::black_box;
 
 fn banana(n: usize) -> gb_dataset::Dataset {
@@ -171,6 +178,31 @@ fn bench_granulation_s8(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_hood_fetch(c: &mut Criterion) {
+    let mut group = c.benchmark_group("hood_fetch");
+    group.sample_size(10);
+    group.warm_up_time(std::time::Duration::from_millis(300));
+    group.measurement_time(std::time::Duration::from_secs(2));
+    let data = s8_serve_split();
+    let index = GranulationBackend::Auto.build(&data);
+    let rows: Vec<usize> = (0..data.n_samples()).collect();
+    // RD-GBG's list width at the default ρ = 5: `2ρ + 2`.
+    let k = 12;
+    group.bench_with_input(BenchmarkId::new("join", "s8"), &rows, |b, rows| {
+        b.iter(|| black_box(self_join(index.as_ref(), &data, rows, k)));
+    });
+    group.bench_with_input(BenchmarkId::new("kdtree_rows", "s8"), &rows, |b, rows| {
+        b.iter(|| {
+            let lists: Vec<_> = rows
+                .par_iter()
+                .map(|&row| index.k_nearest_sq(data.row(row), k, Some(row)))
+                .collect();
+            black_box(lists)
+        });
+    });
+    group.finish();
+}
+
 /// Input 0 of run seed 1 of the end-to-end benchmark's
 /// `offline-banana-2d` workload: 50,000 rows of its banana shape with 10%
 /// class noise, from the same seed streams.
@@ -261,6 +293,7 @@ criterion_group!(
     bench_granulation_backends,
     bench_granulation_usps,
     bench_granulation_s8,
+    bench_hood_fetch,
     bench_sample_pipeline,
     bench_lineage_baselines
 );

@@ -62,25 +62,27 @@
 //! lists of exactly `k` rows sent 4–48% of the fetched rows back to the
 //! index and granulated up to 3.6× slower (BENCH_GRANULATION.json entry 8).
 //!
-//! Fetches answer their rows through
-//! [`k_nearest_sq_par`](gb_dataset::index::NeighborIndex::k_nearest_sq_par),
-//! in 16-row tiles on the thread pool (a brute tile is one blocked sweep
-//! of the alive rows, a tree tile 16 single queries), and come in two
-//! phases:
+//! A fetch is one
+//! [`self_join`](gb_dataset::index::self_join) of the fetched rows
+//! against the alive rows, on every backend: it measures each pair of
+//! fetched rows once, for both rows' lists, in row blocks on the thread
+//! pool, where one query per row measured every pair from both ends.
+//! Fetches come in two phases:
 //!
 //! 1. until the first iteration that grows no diffusion ball, each
 //!    iteration's candidates (one per class) are fetched together, only
-//!    on a brute index, whose one sweep then reads the alive rows once for
-//!    all of them instead of once per candidate;
-//! 2. after that iteration, every row still in `T` is fetched once, in one
-//!    parallel batch, when `T` still holds at least 1,024 rows and, on a
-//!    tree, the pool has a second thread (a tree tile is 16 single
-//!    queries of the longer lists: more work than the per-step queries,
-//!    which only a second thread repays). By then balls have stopped
-//!    swallowing rows wholesale, so most of those lists are still usable
-//!    when their row is drawn; fetching all of `T` up front lost on clean
-//!    blobs, where early big balls swallow rows whose lists were already
-//!    fetched (BENCH_GRANULATION.json entry 8).
+//!    on a brute index, which would otherwise read all alive rows once per
+//!    candidate (a tree's single queries prune, and gain nothing from a
+//!    fetch that small);
+//! 2. after that iteration, every row still in `T` is fetched once. By
+//!    then balls have stopped swallowing rows wholesale, so most of those
+//!    lists are still usable when their row is drawn; fetching all of `T`
+//!    up front lost on clean blobs, where early big balls swallow rows
+//!    whose lists were already fetched (BENCH_GRANULATION.json entry 8).
+//!    The whole-`T` fetch runs on every backend and thread count and at
+//!    any size of `T`: the join measures each pair once and skips far
+//!    strips, where the per-row fetch it replaced measured every pair
+//!    from both ends and lost on one CPU and below 1,024 rows (entry 8).
 //!
 //! Three cases never fetch: sub-lane rows (fewer than four features, the
 //! kernel lane width, where a fetch has no vector work to share and lost
@@ -451,11 +453,9 @@ pub fn rd_gbg_with_progress(
         }
         // The first iteration that grew no ball: balls have stopped
         // swallowing rows wholesale, so the lists of every row left in `T`
-        // are fetched once, in one parallel batch.
+        // are fetched once, in one self-join.
         if fetch_pending && granulator.balls().len() == balls_before {
-            if granulator.fetches_all(pools.len()) {
-                granulator.fetch_hoods(&pools.rows());
-            }
+            granulator.fetch_hoods(&pools.rows());
             fetch_pending = false;
         }
 

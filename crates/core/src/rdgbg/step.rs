@@ -23,7 +23,9 @@ use super::RdGbgModel;
 use crate::ball::GranularBall;
 use crate::conflict::BallConflictIndex;
 use gb_dataset::distance::{Metric, LANE_WIDTH};
-use gb_dataset::index::{GranulationBackend, NeighborIndex, RangeBound, SqNeighbor};
+use gb_dataset::index::{
+    self_join, GranulationBackend, HoodLists, NeighborIndex, RangeBound, SqNeighbor,
+};
 use gb_dataset::Dataset;
 
 /// Cumulative index-query counts of one granulation.
@@ -103,18 +105,6 @@ pub(crate) struct Step {
 /// entries, and `POST /sample` takes ρ from request bodies, so past this
 /// width (ρ > 31) nothing is fetched and the table is never allocated.
 const MAX_LIST: usize = 64;
-
-/// Rows per [`NeighborIndex::k_nearest_sq_par`] call of a fetch. The
-/// answers of one call are held as per-row vectors until they are copied
-/// into the table, so a fetch of every row of `T` goes in pieces.
-const FETCH_PIECE: usize = 1024;
-
-/// Rows of `T` below which fetching all of them does not pay: at ~650 rows
-/// (S1, S2) the fetch is about a millisecond of work, and whether the
-/// pool's second thread joins it in time decides whether it wins or loses
-/// (S2 at ρ = 3: 2.2 ms with one query per step, 1.7–3.0 ms with the
-/// fetch; BENCH_GRANULATION.json entry 8).
-const MIN_WHOLE_FETCH: usize = 1024;
 
 /// A fetched list's length marking a row that was never fetched.
 const UNFETCHED: u8 = u8::MAX;
@@ -241,16 +231,6 @@ impl<'d> Granulator<'d> {
         self.hoods.width > 0
     }
 
-    /// Whether fetching all `t` rows left in `T` at once pays: `t` must
-    /// reach [`MIN_WHOLE_FETCH`], and a tree needs a second thread. A
-    /// brute tile reads the alive rows once for 16 queries, which wins on
-    /// one thread too; a tree tile is 16 single queries of the longer
-    /// `k′`-lists, more work than the per-step queries it replaces, which
-    /// lost on one CPU in 32 of the 54 tree cells of entry 8.
-    pub(crate) fn fetches_all(&self, t: usize) -> bool {
-        self.fetches() && t >= MIN_WHOLE_FETCH && (self.brute || rayon::current_num_threads() > 1)
-    }
-
     /// Whether fetching a handful of candidates pays: a brute index, whose
     /// blocked sweep reads its alive rows once for all of them, over rows
     /// the table serves. Batching each iteration's candidates tied or won
@@ -261,33 +241,28 @@ impl<'d> Granulator<'d> {
         self.brute && self.fetches()
     }
 
-    /// Fetches the `k′`-lists of `rows` into the hood table, for the
-    /// steps of those rows to take their hoods from. A no-op where the
-    /// table serves no list: sub-lane rows and `k′` past [`MAX_LIST`].
+    /// Fetches the `k′`-lists of `rows` (candidates, so alive and
+    /// distinct) into the hood table in one [`self_join`], for the steps
+    /// of those rows to take their hoods from. A no-op where the table
+    /// serves no list: sub-lane rows and `k′` past [`MAX_LIST`].
     pub(crate) fn fetch_hoods(&mut self, rows: &[usize]) {
-        self.fetch_hoods_in(rows, rows.len().div_ceil(FETCH_PIECE));
+        self.fetch_hoods_with(rows, self_join);
     }
 
-    /// [`Granulator::fetch_hoods`] in `pieces` contiguous pieces of
-    /// `rows` (at least one), each one [`NeighborIndex::k_nearest_sq_par`]
-    /// call, whose tiles run on the thread pool. A row's list is its own
-    /// query's answer, so the table is the same for any split.
-    fn fetch_hoods_in(&mut self, rows: &[usize], pieces: usize) {
+    /// [`Granulator::fetch_hoods`] through `join`, a [`self_join`] or a
+    /// test's fixed cut of it.
+    fn fetch_hoods_with(
+        &mut self,
+        rows: &[usize],
+        join: impl FnOnce(&dyn NeighborIndex, &Dataset, &[usize], usize) -> HoodLists,
+    ) {
         if self.hoods.width == 0 || rows.is_empty() {
             return;
         }
         let data = self.data;
-        let pieces = pieces.clamp(1, rows.len());
-        for piece in 0..pieces {
-            let piece = &rows[rows.len() * piece / pieces..rows.len() * (piece + 1) / pieces];
-            let queries: Vec<&[f64]> = piece.iter().map(|&row| data.row(row)).collect();
-            let skips: Vec<Option<usize>> = piece.iter().map(|&row| Some(row)).collect();
-            let lists = self
-                .index
-                .k_nearest_sq_par(&queries, self.hoods.width, &skips);
-            for (&row, list) in piece.iter().zip(&lists) {
-                self.hoods.set(data.n_samples(), row, list);
-            }
+        let lists = join(self.index.as_ref(), data, rows, self.hoods.width);
+        for (&row, list) in rows.iter().zip(lists.iter()) {
+            self.hoods.set(data.n_samples(), row, list);
         }
         self.queries.knn += rows.len();
     }
@@ -589,6 +564,7 @@ fn diffusion_bound(rconf_k: f64, d_het: f64) -> (f64, RangeBound) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gb_dataset::index::self_join_in;
     use proptest::prelude::*;
 
     impl Granulator<'_> {
@@ -863,16 +839,15 @@ mod tests {
 
     #[test]
     fn hood_table_is_the_same_however_the_fetch_splits() {
-        // Contract 6: a fetch answers its rows in contiguous pieces, each
-        // one `k_nearest_sq_par` call whose 16-row tiles run on the thread
-        // pool, and a row's list must be its own query's answer whichever
-        // piece and tile held it. Forcing 1, 2, 3 and 8 pieces covers the
-        // splits on any number of CPUs.
+        // Contract 6: a fetch is one self-join whose blocks and block
+        // pairs run on the thread pool, and a row's list must be its own
+        // query's answer however the join cuts the rows. Forcing 1, 2, 3
+        // and 8 blocks covers every schedule on any number of CPUs.
         let data = pumpkin();
         let n = data.n_samples();
         for backend in GranulationBackend::CONCRETE {
             for metric in [Metric::SqEuclidean, Metric::Manhattan] {
-                let table = |pieces: usize| {
+                let table = |blocks: usize| {
                     let mut g = Granulator::new(&data, backend, metric, Vetting::Density(5), true);
                     // Shrink `U` first, so the lists skip deleted rows.
                     for row in (0..n).step_by(3) {
@@ -882,7 +857,9 @@ mod tests {
                     }
                     let t: Vec<usize> = (0..n).filter(|&row| g.is_candidate(row)).collect();
                     assert!(t.len() > 8 * 16, "{} rows left in T", t.len());
-                    g.fetch_hoods_in(&t, pieces);
+                    g.fetch_hoods_with(&t, |index, data, rows, k| {
+                        self_join_in(index, data, rows, k, blocks)
+                    });
                     for &row in &t {
                         let want: Vec<u32> = g
                             .index
@@ -895,8 +872,8 @@ mod tests {
                     (g.hoods.ids, g.hoods.lens)
                 };
                 let one = table(1);
-                for pieces in [2, 3, 8] {
-                    assert!(table(pieces) == one, "{backend}/{metric}: {pieces} pieces");
+                for blocks in [2, 3, 8] {
+                    assert!(table(blocks) == one, "{backend}/{metric}: {blocks} blocks");
                 }
             }
         }

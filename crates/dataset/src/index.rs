@@ -31,18 +31,23 @@
 //! |----------------------|--------|-----------------|----------------------------|
 //! | build                | O(n)   | O(n log n)      | O(n log n)                 |
 //! | k-NN query           | O(n)   | O(log n + k)    | O(log n + k)               |
-//! | `q` k-NN queries     | one O(n) sweep per 16 queries | q queries | q queries |
 //! | range query          | O(n)   | O(log n + out)  | O(log n + out)             |
 //! | delete               | O(1)   | O(1)            | O(1)                       |
 //!
-//! [`NeighborIndex::k_nearest_sq_par`] answers a list of k-NN queries on
-//! the thread pool, in tiles of 16 queries, each answer equal to its
-//! single query's bit for bit: the trees loop single queries inside each
-//! tile, and the brute backend streams its alive rows once per tile
-//! through the blocked many-to-many kernel ([`Metric::dist_block`]), so
-//! each row is read once per tile instead of once per query. RD-GBG
-//! fetches its density hoods this way, and the neighbour-based samplers
-//! their hoods.
+//! [`self_join`] answers the k-NN lists of many alive rows at once, on any
+//! backend: it reads the rows from the dataset and only their liveness
+//! from the index, and walks row blocks through the blocked many-to-many
+//! kernel ([`Metric::dist_block`]). A pair of requested rows is computed
+//! once and offered to both rows' lists, a requested row and any other
+//! alive row once, one way, and a pair of strips whose bounding boxes lie
+//! farther apart than every list they would feed reaches is skipped. Each
+//! list equals the row's own `k_nearest_sq(row, k, Some(row))` bit for
+//! bit, for any thread count: a kernel value is symmetric bit for bit
+//! (`(a−b)² = (b−a)²` and `|a−b| = |b−a|` exactly, summed in the same
+//! lane order), a skipped pair lies beyond every list it would have fed,
+//! and a list keeps the same entries in whatever order they arrive.
+//! RD-GBG fetches its density hoods this way, and the neighbour-based
+//! samplers their hoods.
 //!
 //! Tree queries degrade toward O(n) as the (intrinsic) dimensionality
 //! grows; [`GranulationBackend::Auto`] picks the KD-tree up to 24
@@ -94,13 +99,44 @@ impl RangeBound {
 #[derive(Debug, Clone)]
 pub struct KBest {
     k: usize,
-    /// Max-heap on `(sq_dist, row)` lexicographic order.
-    heap: Vec<(f64, usize)>,
+    /// Max-heap in `(sq_dist, row)` order.
+    heap: Vec<SqNeighbor>,
 }
 
+/// Whether `a` sorts after `b` in `(sq_dist, row)` order.
 #[inline]
-fn entry_gt(a: (f64, usize), b: (f64, usize)) -> bool {
-    a.0 > b.0 || (a.0 == b.0 && a.1 > b.1)
+fn after(a: &SqNeighbor, b: &SqNeighbor) -> bool {
+    a.sq_dist > b.sq_dist || (a.sq_dist == b.sq_dist && a.row > b.row)
+}
+
+/// Restores the max-heap order of `heap` below slot `i`.
+#[inline]
+fn sift_down(heap: &mut [SqNeighbor], mut i: usize) {
+    loop {
+        let (l, r) = (2 * i + 1, 2 * i + 2);
+        let mut largest = i;
+        if l < heap.len() && after(&heap[l], &heap[largest]) {
+            largest = l;
+        }
+        if r < heap.len() && after(&heap[r], &heap[largest]) {
+            largest = r;
+        }
+        if largest == i {
+            break;
+        }
+        heap.swap(i, largest);
+        i = largest;
+    }
+}
+
+/// Sorts hits ascending by `(sq_dist, row)`.
+fn sort_hits(hits: &mut [SqNeighbor]) {
+    hits.sort_unstable_by(|a, b| {
+        a.sq_dist
+            .partial_cmp(&b.sq_dist)
+            .expect("finite distances")
+            .then_with(|| a.row.cmp(&b.row))
+    });
 }
 
 impl KBest {
@@ -122,7 +158,7 @@ impl KBest {
         if self.heap.len() < self.k {
             f64::INFINITY
         } else {
-            self.heap[0].0
+            self.heap[0].sq_dist
         }
     }
 
@@ -144,19 +180,20 @@ impl KBest {
         if self.k == 0 {
             return;
         }
+        let hit = SqNeighbor { row, sq_dist };
         if self.heap.len() < self.k {
-            self.heap.push((sq_dist, row));
+            self.heap.push(hit);
             self.sift_up(self.heap.len() - 1);
-        } else if entry_gt(self.heap[0], (sq_dist, row)) {
-            self.heap[0] = (sq_dist, row);
-            self.sift_down(0);
+        } else if after(&self.heap[0], &hit) {
+            self.heap[0] = hit;
+            sift_down(&mut self.heap, 0);
         }
     }
 
     fn sift_up(&mut self, mut i: usize) {
         while i > 0 {
             let parent = (i - 1) / 2;
-            if entry_gt(self.heap[i], self.heap[parent]) {
+            if after(&self.heap[i], &self.heap[parent]) {
                 self.heap.swap(i, parent);
                 i = parent;
             } else {
@@ -165,47 +202,19 @@ impl KBest {
         }
     }
 
-    fn sift_down(&mut self, mut i: usize) {
-        loop {
-            let (l, r) = (2 * i + 1, 2 * i + 2);
-            let mut largest = i;
-            if l < self.heap.len() && entry_gt(self.heap[l], self.heap[largest]) {
-                largest = l;
-            }
-            if r < self.heap.len() && entry_gt(self.heap[r], self.heap[largest]) {
-                largest = r;
-            }
-            if largest == i {
-                break;
-            }
-            self.heap.swap(i, largest);
-            i = largest;
-        }
-    }
-
     /// Merges another accumulator into this one (used by chunked parallel
     /// brute scans; the result is independent of chunking).
     pub fn merge(&mut self, other: &KBest) {
-        for &(d, r) in &other.heap {
-            self.insert(d, r);
+        for hit in &other.heap {
+            self.insert(hit.sq_dist, hit.row);
         }
     }
 
     /// Extracts the kept entries sorted ascending by `(sq_dist, row)`.
     #[must_use]
-    pub fn into_sorted(self) -> Vec<SqNeighbor> {
-        let mut v: Vec<SqNeighbor> = self
-            .heap
-            .into_iter()
-            .map(|(sq_dist, row)| SqNeighbor { row, sq_dist })
-            .collect();
-        v.sort_unstable_by(|a, b| {
-            a.sq_dist
-                .partial_cmp(&b.sq_dist)
-                .expect("finite distances")
-                .then_with(|| a.row.cmp(&b.row))
-        });
-        v
+    pub fn into_sorted(mut self) -> Vec<SqNeighbor> {
+        sort_hits(&mut self.heap);
+        self.heap
     }
 }
 
@@ -372,28 +381,6 @@ pub trait NeighborIndex: Send + Sync {
     /// ascending by `(sq_dist, row)`.
     fn k_nearest_sq(&self, query: &[f64], k: usize, skip: Option<usize>) -> Vec<SqNeighbor>;
 
-    /// [`NeighborIndex::k_nearest_sq`] for a list of queries, answered on
-    /// the thread pool in tiles of 16 queries: entry `i` equals
-    /// `k_nearest_sq(queries[i], k, skips[i])` bit for bit, for any thread
-    /// count. The default implementation loops single queries inside each
-    /// tile; [`BruteIndex`] answers each tile in one blocked sweep of its
-    /// alive rows.
-    ///
-    /// # Panics
-    /// When `queries` and `skips` differ in length.
-    fn k_nearest_sq_par(
-        &self,
-        queries: &[&[f64]],
-        k: usize,
-        skips: &[Option<usize>],
-    ) -> Vec<Vec<SqNeighbor>> {
-        assert_eq!(queries.len(), skips.len(), "one skip per query");
-        par_query_tiles(queries.len(), |tile| {
-            tile.map(|i| self.k_nearest_sq(queries[i], k, skips[i]))
-                .collect()
-        })
-    }
-
     /// The single nearest alive row, or `None` when nothing (else) is alive.
     fn nearest_sq(&self, query: &[f64], skip: Option<usize>) -> Option<SqNeighbor> {
         self.k_nearest_sq(query, 1, skip).first().copied()
@@ -437,25 +424,6 @@ pub trait NeighborIndex: Send + Sync {
     ) -> Box<dyn Iterator<Item = SqNeighbor> + 'a> {
         Box::new(DistanceOrdered::new(self, query))
     }
-}
-
-/// Queries per tile in [`NeighborIndex::k_nearest_sq_par`]: a brute tile
-/// is one blocked sweep that loads every alive row once for all of its
-/// queries.
-const QUERY_TILE: usize = 16;
-
-/// Runs `tile` over consecutive [`QUERY_TILE`]-query ranges of `0..n` on
-/// the thread pool and joins the answers in query order.
-fn par_query_tiles(
-    n: usize,
-    tile: impl Fn(std::ops::Range<usize>) -> Vec<Vec<SqNeighbor>> + Sync,
-) -> Vec<Vec<SqNeighbor>> {
-    use rayon::prelude::*;
-    let tiles: Vec<Vec<Vec<SqNeighbor>>> = (0..n.div_ceil(QUERY_TILE))
-        .into_par_iter()
-        .map(|t| tile(t * QUERY_TILE..((t + 1) * QUERY_TILE).min(n)))
-        .collect();
-    tiles.into_iter().flatten().collect()
 }
 
 /// Shared tombstone state for the tree indexes: the alive bitmap plus the
@@ -515,7 +483,7 @@ impl Tombstones {
     }
 }
 
-/// Rows per batched-kernel call in the brute sweeps, single or batched.
+/// Rows per batched-kernel call in the brute sweep.
 const SCAN_BLOCK: usize = 128;
 
 /// Rows per batched-kernel call in a tree leaf scan: half the wide-row leaf
@@ -732,18 +700,6 @@ pub struct BruteIndex {
 
 const GONE: u32 = u32::MAX;
 
-/// Multiply-adds (alive rows × width × queries) per range below which a
-/// lone tile's sweep ([`NeighborIndex::k_nearest_sq_par`]) is not split. A
-/// split costs a pool hand-off, the host's thread count (~12 µs each on a
-/// 2-vCPU x86-64 container, FMA tier) and a merge of per-range results.
-/// There two ranges lost up to ~0.9 M multiply-adds in all (512 rows × 7
-/// queries at p = 256: 97 µs in one range, 106 µs in two; 2,048 × 7 at
-/// p = 64: 122 µs against 138 µs) and took 68–74% of the one-range time
-/// from 1 M up (1,024 × 7 at p = 256: 252 → 187 µs), the size of RD-GBG's
-/// early hood sweeps on the `offline-usps-256d` input (~1,100 rows × 256
-/// features × 10 hoods).
-const PAR_SWEEP_WORK: usize = 1 << 19;
-
 impl BruteIndex {
     /// Builds the index over every row of `data` (squared Euclidean).
     ///
@@ -825,34 +781,6 @@ impl NeighborIndex for BruteIndex {
             .into_sorted()
     }
 
-    /// Rows of a lane width or more answer each tile in one serial blocked
-    /// sweep (`BruteIndex::k_nearest_many_in`), except a lone tile,
-    /// whose sweep splits across threads by work instead; sub-lane rows,
-    /// where the blocked kernel has no vector work, take one
-    /// [`NeighborIndex::k_nearest_sq`] per query.
-    fn k_nearest_sq_par(
-        &self,
-        queries: &[&[f64]],
-        k: usize,
-        skips: &[Option<usize>],
-    ) -> Vec<Vec<SqNeighbor>> {
-        assert_eq!(queries.len(), skips.len(), "one skip per query");
-        let ranges = if queries.len() <= QUERY_TILE {
-            let work = self.alive_rows.len() * self.n_features * queries.len();
-            crate::par_ranges(work, PAR_SWEEP_WORK)
-        } else {
-            1
-        };
-        par_query_tiles(queries.len(), |tile| {
-            if self.n_features < LANE_WIDTH {
-                tile.map(|i| self.k_nearest_sq(queries[i], k, skips[i]))
-                    .collect()
-            } else {
-                self.k_nearest_many_in(ranges, &queries[tile.clone()], k, &skips[tile])
-            }
-        })
-    }
-
     fn nearest_heterogeneous_sq(
         &self,
         query: &[f64],
@@ -877,7 +805,7 @@ impl NeighborIndex for BruteIndex {
         let query = self.metric.prepare_query(query);
         let query = &*query;
         let filter = self.skip_filter(skip);
-        let mut parts = self.scan_parts(self.scan_chunks(), |slot_lo, slot_hi| {
+        let mut parts = self.scan_parts(|slot_lo, slot_hi| {
             let mut out = Vec::new();
             self.scan_slots(slot_lo, slot_hi, query, filter, |row, d| {
                 if bound.admits(d, sq_bound) {
@@ -912,15 +840,12 @@ impl BruteIndex {
         }
     }
 
-    /// Runs `scan` over the alive slots in `chunks` contiguous ranges
-    /// (callers pass [`Self::scan_chunks`]), in parallel when there is
-    /// more than one, and returns each range's result in slot order.
-    fn scan_parts<T: Send>(
-        &self,
-        chunks: usize,
-        scan: impl Fn(usize, usize) -> T + Sync,
-    ) -> Vec<T> {
+    /// Runs `scan` over the alive slots in [`Self::scan_chunks`]
+    /// contiguous ranges, in parallel when there is more than one, and
+    /// returns each range's result in slot order.
+    fn scan_parts<T: Send>(&self, scan: impl Fn(usize, usize) -> T + Sync) -> Vec<T> {
         let n = self.alive_rows.len();
+        let chunks = self.scan_chunks();
         if chunks <= 1 {
             return vec![scan(0, n)];
         }
@@ -984,7 +909,7 @@ impl BruteIndex {
         filter: ScanFilter<K>,
     ) -> KBest {
         let mut parts = self
-            .scan_parts(self.scan_chunks(), |slot_lo, slot_hi| {
+            .scan_parts(|slot_lo, slot_hi| {
                 let mut best = KBest::new(k);
                 self.scan_slots(slot_lo, slot_hi, query, filter, |row, d| {
                     best.insert(d, row as usize);
@@ -998,81 +923,579 @@ impl BruteIndex {
         }
         merged
     }
+}
 
-    /// A blocked sweep answering every query of `queries` at once, with
-    /// the alive slots split into `chunks` ranges, one [`KBest`] per query
-    /// and range, merged per query.
-    fn k_nearest_many_in(
-        &self,
-        chunks: usize,
-        queries: &[&[f64]],
-        k: usize,
-        skips: &[Option<usize>],
-    ) -> Vec<Vec<SqNeighbor>> {
-        assert_eq!(queries.len(), skips.len(), "one skip per query");
-        if k == 0 || queries.is_empty() {
-            return vec![Vec::new(); queries.len()];
-        }
-        let mut tile = Vec::with_capacity(queries.len() * self.n_features);
-        for query in queries {
-            assert_eq!(query.len(), self.n_features, "query width mismatch");
-            tile.extend_from_slice(&self.metric.prepare_query(query));
-        }
-        let skip_slots: Vec<usize> = skips.iter().map(|&skip| self.skip_slot(skip)).collect();
-        let mut parts = self
-            .scan_parts(chunks, |lo, hi| {
-                self.scan_best_many(lo, hi, &tile, k, &skip_slots)
-            })
-            .into_iter();
-        let mut best = parts.next().expect("at least one part");
-        for part in parts {
-            for (merged, kb) in best.iter_mut().zip(&part) {
-                merged.merge(kb);
-            }
-        }
-        best.into_iter().map(KBest::into_sorted).collect()
+/// Rows per block of a [`self_join`]: the unit the thread pool schedules,
+/// and each side of a block pair.
+const JOIN_BLOCK: usize = 256;
+
+/// Rows per kernel call in a [`self_join`]: one [`Metric::dist_block`]
+/// call measures a whole block against a strip of this many rows, which
+/// stay in L1 cache while the block streams past them.
+const JOIN_STRIP: usize = 32;
+
+/// Relative slack of the bound below which a [`self_join`] skips a block
+/// and a strip: the box gap is summed in another order than the kernel's
+/// lane tree, which moves a sum of `p` terms by at most ~`p` units in the
+/// last place, far below 1e-9 for any width.
+const GAP_SLACK: f64 = 1e-9;
+
+/// A list slot no hit filled yet: it sorts after every hit.
+const UNSET: SqNeighbor = SqNeighbor {
+    row: usize::MAX,
+    sq_dist: f64::INFINITY,
+};
+
+/// The lists of a [`self_join`], one per requested row, each ascending by
+/// `(sq_dist, row)`, in one flat table.
+#[derive(Debug, Clone)]
+pub struct HoodLists {
+    width: usize,
+    /// Each requested row's list's place in `hits`, in request order.
+    place: Vec<u32>,
+    hits: Vec<SqNeighbor>,
+}
+
+impl HoodLists {
+    /// Number of lists: one per requested row.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.place.len()
     }
 
-    /// Best-`k` sweep of slots `slot_lo..slot_hi` for a tile of prepared
-    /// queries (row-major, one `n_features`-wide row per query), one
-    /// [`KBest`] per query, skipping each query's `skip_slots` entry.
-    /// Blocks of [`SCAN_BLOCK`] rows go through [`Metric::dist_block`],
-    /// which is bit-identical to the `one_to_many` kernel of the single
-    /// scan, and a `KBest` keeps the same entries in whatever order they
-    /// arrive, so each query's result is its single scan's.
-    fn scan_best_many(
-        &self,
-        slot_lo: usize,
-        slot_hi: usize,
-        tile: &[f64],
-        k: usize,
-        skip_slots: &[usize],
-    ) -> Vec<KBest> {
-        let p = self.n_features;
-        let nq = skip_slots.len();
-        let mut best: Vec<KBest> = (0..nq).map(|_| KBest::new(k)).collect();
-        let mut dists = vec![0.0f64; nq * SCAN_BLOCK];
-        let mut lo = slot_lo;
-        while lo < slot_hi {
-            let hi = (lo + SCAN_BLOCK).min(slot_hi);
-            let rows = hi - lo;
-            let dists = &mut dists[..nq * rows];
-            self.metric
-                .dist_block(tile, &self.alive_points[lo * p..hi * p], p, dists);
-            for ((kb, &skip), row_dists) in best
-                .iter_mut()
-                .zip(skip_slots)
-                .zip(dists.chunks_exact(rows))
-            {
-                for (s, &d) in (lo..hi).zip(row_dists) {
-                    if s != skip {
-                        kb.insert(d, self.alive_rows[s] as usize);
-                    }
+    /// True when no row was requested.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.place.is_empty()
+    }
+
+    /// Hits per list: `k`, or every other alive row when fewer are left.
+    #[must_use]
+    pub fn width(&self) -> usize {
+        self.width
+    }
+
+    /// The list of the `i`-th requested row.
+    #[must_use]
+    pub fn get(&self, i: usize) -> &[SqNeighbor] {
+        let at = self.place[i] as usize * self.width;
+        &self.hits[at..at + self.width]
+    }
+
+    /// Every list, in request order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &[SqNeighbor]> + '_ {
+        (0..self.len()).map(|i| self.get(i))
+    }
+}
+
+/// The `k` nearest alive rows of each of `rows` (each row skipped in its
+/// own list), in `rows` order: list `i` equals
+/// `index.k_nearest_sq(data.row(rows[i]), k, Some(rows[i]))` bit for bit,
+/// on any backend and for any thread count. `index` must be built over
+/// `data`; the join reads the rows from `data` (prepared for the index's
+/// metric) and only their liveness from `index`.
+///
+/// `rows` are ordered into blocks of [`JOIN_BLOCK`] rows that are compact
+/// in space, each made of compact strips of [`JOIN_STRIP`] rows, and so
+/// are the alive rows not requested. A thread takes one block at a time
+/// and offers its lists every pair inside the block and the other rows,
+/// then every pair of blocks runs once, in rounds in which no block
+/// appears twice, each distance offered to both rows' lists. No two
+/// threads ever hold one list, so the table, one `k`-slot max-heap per
+/// requested row, is filled without locks; besides it the join keeps only
+/// row ids and one bounding box per strip. Two strips whose boxes lie
+/// farther apart than the last entry of every list they would feed are
+/// not measured: on low-dimensional data most pairs of strips of a large
+/// request are, so the join does not measure every pair there.
+///
+/// # Panics
+/// When `index` is not over `data`'s rows, or a requested row is deleted
+/// or requested twice.
+#[must_use]
+pub fn self_join(index: &dyn NeighborIndex, data: &Dataset, rows: &[usize], k: usize) -> HoodLists {
+    self_join_in(index, data, rows, k, rows.len().div_ceil(JOIN_BLOCK))
+}
+
+/// [`self_join`] with `rows` cut into blocks of `⌈rows / blocks⌉` rows: the
+/// lists are the same for any cut, which tests force to cover every
+/// schedule on any number of CPUs.
+///
+/// # Panics
+/// As [`self_join`].
+#[must_use]
+pub fn self_join_in(
+    index: &dyn NeighborIndex,
+    data: &Dataset,
+    rows: &[usize],
+    k: usize,
+    blocks: usize,
+) -> HoodLists {
+    let n = index.n_rows();
+    assert_eq!(n, data.n_samples(), "the index must be built over `data`");
+    let mut requested = vec![false; n];
+    for &row in rows {
+        assert!(
+            index.is_alive(row) && !requested[row],
+            "requested rows must be alive and distinct (row {row})"
+        );
+        requested[row] = true;
+    }
+    // A list holds every other alive row at most.
+    let width = k.min(index.n_alive().saturating_sub(1));
+    let mut order = rows.to_vec();
+    let mut hits = vec![UNSET; rows.len() * width];
+    if width > 0 && !rows.is_empty() {
+        let block_rows = rows.len().div_ceil(blocks.max(1));
+        compact(data, &mut order, block_rows);
+        for block in order.chunks_mut(block_rows) {
+            compact(data, block, JOIN_STRIP);
+        }
+        let mut others: Vec<usize> = (0..n)
+            .filter(|&row| !requested[row] && index.is_alive(row))
+            .collect();
+        // Ordering and boxing the other rows costs about what one sweep
+        // of them does, so a request of one strip or less (RD-GBG's
+        // candidates, one per class) sweeps them all instead.
+        let metric = index.metric();
+        let other_boxes = (rows.len() > JOIN_STRIP).then(|| {
+            compact(data, &mut others, JOIN_STRIP);
+            Boxes::of_strips(data, metric, &others)
+        });
+        let join = Join {
+            data,
+            metric,
+            width,
+            others: &others,
+            other_boxes,
+        };
+        join.run(&order, block_rows, &mut hits);
+    }
+    // Each requested row's place in the join's order.
+    let place = if order == rows {
+        (0..rows.len() as u32).collect()
+    } else {
+        let mut place = vec![0u32; n];
+        for (i, &row) in order.iter().enumerate() {
+            place[row] = i as u32;
+        }
+        rows.iter().map(|&row| place[row]).collect()
+    };
+    HoodLists { width, place, hits }
+}
+
+/// Rows [`compact`] samples to find the dimension a set spreads widest
+/// along.
+const SPREAD_SAMPLE: usize = 64;
+
+/// Reorders `rows` so that each run of `run` rows (the last one shorter)
+/// lies compact in space: halves them, in whole runs, at the median of
+/// the dimension an even sample of them spreads widest along, until one
+/// run is left.
+fn compact(data: &Dataset, rows: &mut [usize], run: usize) {
+    let runs = rows.len().div_ceil(run);
+    if runs <= 1 {
+        return;
+    }
+    let p = data.n_features();
+    let (mut lo, mut hi) = (vec![f64::INFINITY; p], vec![f64::NEG_INFINITY; p]);
+    for &row in rows.iter().step_by(rows.len().div_ceil(SPREAD_SAMPLE)) {
+        for ((l, h), &x) in lo.iter_mut().zip(&mut hi).zip(data.row(row)) {
+            *l = l.min(x);
+            *h = h.max(x);
+        }
+    }
+    let widest = (0..p)
+        .max_by(|&a, &b| (hi[a] - lo[a]).total_cmp(&(hi[b] - lo[b])))
+        .unwrap_or(0);
+    let mid = run * (runs / 2);
+    rows.select_nth_unstable_by(mid, |&a, &b| {
+        data.row(a)[widest].total_cmp(&data.row(b)[widest])
+    });
+    let (left, right) = rows.split_at_mut(mid);
+    compact(data, left, run);
+    compact(data, right, run);
+}
+
+/// Axis-aligned bounding boxes of the strips of a run of rows, in
+/// metric-prepared coordinates: `2p` values per strip, the lows then the
+/// highs.
+struct Boxes {
+    p: usize,
+    bounds: Vec<f64>,
+}
+
+impl Boxes {
+    /// The boxes of `rows`' [`JOIN_STRIP`]-row strips.
+    fn of_strips(data: &Dataset, metric: Metric, rows: &[usize]) -> Self {
+        let p = data.n_features();
+        let mut bounds = Vec::with_capacity(rows.len().div_ceil(JOIN_STRIP) * 2 * p);
+        for strip in rows.chunks(JOIN_STRIP) {
+            let at = bounds.len();
+            bounds.extend(std::iter::repeat_n(f64::INFINITY, p));
+            bounds.extend(std::iter::repeat_n(f64::NEG_INFINITY, p));
+            let (lo, hi) = bounds[at..].split_at_mut(p);
+            for &row in strip {
+                let x = metric.prepare_query(data.row(row));
+                for ((l, h), &x) in lo.iter_mut().zip(hi.iter_mut()).zip(x.iter()) {
+                    *l = l.min(x);
+                    *h = h.max(x);
                 }
             }
-            lo = hi;
         }
-        best
+        Self { p, bounds }
+    }
+
+    /// The lows and highs of strip `s`.
+    fn strip(&self, s: usize) -> (&[f64], &[f64]) {
+        self.bounds[2 * s * self.p..2 * (s + 1) * self.p].split_at(self.p)
+    }
+
+    /// The box around strips `strips`.
+    fn hull(&self, strips: std::ops::Range<usize>) -> (Vec<f64>, Vec<f64>) {
+        let (mut lo, mut hi) = (vec![f64::INFINITY; self.p], vec![f64::NEG_INFINITY; self.p]);
+        for s in strips {
+            let (slo, shi) = self.strip(s);
+            for ((l, h), (&a, &b)) in lo.iter_mut().zip(hi.iter_mut()).zip(slo.iter().zip(shi)) {
+                *l = l.min(a);
+                *h = h.max(b);
+            }
+        }
+        (lo, hi)
+    }
+}
+
+/// A lower bound on the kernel value of any pair of rows from boxes `a`
+/// and `b`, shrunk by [`GAP_SLACK`]: the metric's gap along each axis,
+/// summed. A row outside a box differs from every row inside it by at
+/// least the gap along each axis, and rounding is monotone, so every
+/// kernel term is at least its axis's.
+fn box_gap(metric: Metric, (alo, ahi): (&[f64], &[f64]), (blo, bhi): (&[f64], &[f64])) -> f64 {
+    let mut sum = 0.0;
+    for (((&al, &ah), &bl), &bh) in alo.iter().zip(ahi).zip(blo).zip(bhi) {
+        let gap = (bl - ah).max(al - bh);
+        if gap > 0.0 {
+            sum += metric.plane_gap(gap);
+        }
+    }
+    sum * (1.0 - GAP_SLACK)
+}
+
+/// The last entry of the farthest-reaching of `lists` (`w` slots each):
+/// no row farther than this from all of them enters any of them.
+fn reach(lists: &[SqNeighbor], w: usize) -> f64 {
+    lists
+        .chunks_exact(w)
+        .fold(0.0, |m: f64, list| m.max(list[0].sq_dist))
+}
+
+/// Requested rows and their lists, `width` slots per row, with the
+/// bounding boxes of their strips and of the whole block.
+struct Block<'a> {
+    rows: &'a [usize],
+    lists: &'a mut [SqNeighbor],
+    boxes: Boxes,
+    hull: (Vec<f64>, Vec<f64>),
+}
+
+/// What every step of one [`self_join`] reads.
+struct Join<'a> {
+    data: &'a Dataset,
+    metric: Metric,
+    width: usize,
+    /// The alive rows not requested, in compact strips when they are
+    /// boxed.
+    others: &'a [usize],
+    /// The boxes of `others`' strips; none when every strip is swept.
+    other_boxes: Option<Boxes>,
+}
+
+impl Join<'_> {
+    /// Fills `hits` with the lists of `rows`, in blocks of `block_rows`.
+    fn run(&self, rows: &[usize], block_rows: usize, hits: &mut [SqNeighbor]) {
+        use rayon::prelude::*;
+        let mut cut: Vec<Block> = rows
+            .chunks(block_rows)
+            .zip(hits.chunks_mut(block_rows * self.width))
+            .map(|(rows, lists)| {
+                let boxes = Boxes::of_strips(self.data, self.metric, rows);
+                let hull = boxes.hull(0..rows.len().div_ceil(JOIN_STRIP));
+                Block {
+                    rows,
+                    lists,
+                    boxes,
+                    hull,
+                }
+            })
+            .collect();
+        let blocks = cut.len();
+        cut.par_iter_mut().for_each(|block| self.within(block));
+        // The circle method: with an even number of seats (one empty when
+        // the block count is odd), seat `seats − 1` stays while the others
+        // turn, so every pair of seats meets in exactly one round and no
+        // seat sits twice in a round.
+        let seats = blocks + blocks % 2;
+        let mut held: Vec<Option<Block>> = cut.into_iter().map(Some).collect();
+        for round in 0..seats - 1 {
+            let turn = seats - 1;
+            let mut pairs: Vec<(usize, usize, Block, Block)> = std::iter::once((round, turn))
+                .chain((1..seats / 2).map(|s| ((round + s) % turn, (round + turn - s) % turn)))
+                .filter(|&(a, b)| a < blocks && b < blocks)
+                .map(|(a, b)| {
+                    let block_a = held[a].take().expect("seated once");
+                    (a, b, block_a, held[b].take().expect("seated once"))
+                })
+                .collect();
+            pairs
+                .par_iter_mut()
+                .for_each(|(_, _, a, b)| self.across(a, b));
+            for (a, b, block_a, block_b) in pairs {
+                held[a] = Some(block_a);
+                held[b] = Some(block_b);
+            }
+        }
+        let width = self.width;
+        held.par_iter_mut().for_each(|block| {
+            let block = block.as_mut().expect("every block back");
+            for list in block.lists.chunks_exact_mut(width) {
+                sort_hits(list);
+            }
+        });
+    }
+
+    /// Offers `block`'s lists every pair inside the block, computed once
+    /// for both rows, and every alive row that was not requested.
+    fn within(&self, block: &mut Block) {
+        let (p, w) = (self.data.n_features(), self.width);
+        let mut own = Vec::new();
+        let q = self.rows_of(block.rows, &mut own);
+        let mut dists = vec![0.0; block.rows.len() * JOIN_STRIP];
+        for (s, strip) in block.rows.chunks(JOIN_STRIP).enumerate() {
+            let (lo, hi) = (s * JOIN_STRIP, s * JOIN_STRIP + strip.len());
+            // Only the block's rows before the strip's end pair with a
+            // later row of it: those before the strip with all of it, as
+            // in `across`, and those in it with the strip's later rows.
+            let dists = &mut dists[..hi * strip.len()];
+            self.metric
+                .dist_block(&q[..hi * p], &q[lo * p..hi * p], p, dists);
+            let (before, strip_lists) = block.lists[..hi * w].split_at_mut(lo * w);
+            offer_both_ways(
+                w,
+                before,
+                &block.rows[..lo],
+                &dists[..lo * strip.len()],
+                strip_lists,
+                strip,
+            );
+            for (a, row_dists) in (lo..hi).zip(dists[lo * strip.len()..].chunks_exact(strip.len()))
+            {
+                for c in a + 1..hi {
+                    let d = row_dists[c - lo];
+                    offer(&mut block.lists[a * w..(a + 1) * w], d, block.rows[c]);
+                    offer(&mut block.lists[c * w..(c + 1) * w], d, block.rows[a]);
+                }
+            }
+        }
+        // Unboxed other rows go in blocks rather than strips: nothing is
+        // skipped, and fewer kernel calls share each gather.
+        let sweep = match self.other_boxes {
+            Some(_) => JOIN_STRIP,
+            None => JOIN_BLOCK,
+        };
+        dists.resize(block.rows.len() * sweep, 0.0);
+        let mut buf = Vec::new();
+        for (s, strip) in self.others.chunks(sweep).enumerate() {
+            let runs = match &self.other_boxes {
+                Some(boxes) => self.near_runs(block, boxes.strip(s), 0.0),
+                None => std::iter::once(0..block.rows.len()).collect(),
+            };
+            if runs.is_empty() {
+                continue;
+            }
+            let o = self.rows_of(strip, &mut buf);
+            for run in runs {
+                let dists = &mut dists[..run.len() * strip.len()];
+                self.metric
+                    .dist_block(&q[run.start * p..run.end * p], o, p, dists);
+                for (list, row_dists) in block.lists[run.start * w..run.end * w]
+                    .chunks_exact_mut(w)
+                    .zip(dists.chunks_exact(strip.len()))
+                {
+                    offer_each(list, row_dists, strip);
+                }
+            }
+        }
+    }
+
+    /// Offers every pair of a row of `a` and a row of `b` to both rows'
+    /// lists, each distance computed once, skipping the pairs of strips
+    /// too far apart for either row's list.
+    fn across(&self, a: &mut Block, b: &mut Block) {
+        let (p, w) = (self.data.n_features(), self.width);
+        let hull_a = (a.hull.0.as_slice(), a.hull.1.as_slice());
+        let hull_b = (b.hull.0.as_slice(), b.hull.1.as_slice());
+        if box_gap(self.metric, hull_a, hull_b) > reach(a.lists, w).max(reach(b.lists, w)) {
+            return;
+        }
+        let mut own = Vec::new();
+        let mut buf = Vec::new();
+        let mut dists = Vec::new();
+        for (s, strip) in b.rows.chunks(JOIN_STRIP).enumerate() {
+            let strip_lists = &mut b.lists[s * JOIN_STRIP * w..][..strip.len() * w];
+            let runs = self.near_runs(a, b.boxes.strip(s), reach(strip_lists, w));
+            if runs.is_empty() {
+                continue;
+            }
+            // The block's rows are gathered for its first strip in reach.
+            if own.is_empty() {
+                self.gather(a.rows, &mut own);
+                dists = vec![0.0; a.rows.len() * JOIN_STRIP];
+            }
+            let o = self.rows_of(strip, &mut buf);
+            for run in runs {
+                let dists = &mut dists[..run.len() * strip.len()];
+                self.metric
+                    .dist_block(&own[run.start * p..run.end * p], o, p, dists);
+                offer_both_ways(
+                    w,
+                    &mut a.lists[run.start * w..run.end * w],
+                    &a.rows[run],
+                    dists,
+                    strip_lists,
+                    strip,
+                );
+            }
+        }
+    }
+
+    /// The row ranges of `block` that a strip boxed by `other` can reach:
+    /// runs of the block's consecutive strips whose box lies no farther
+    /// from `other` than the last entry of the strip's lists or of the
+    /// other side's (`other_reach`, 0 for rows without lists).
+    fn near_runs(
+        &self,
+        block: &Block,
+        other: (&[f64], &[f64]),
+        other_reach: f64,
+    ) -> Vec<std::ops::Range<usize>> {
+        let w = self.width;
+        let mut runs: Vec<std::ops::Range<usize>> = Vec::new();
+        for (t, lists) in block.lists.chunks(JOIN_STRIP * w).enumerate() {
+            if box_gap(self.metric, block.boxes.strip(t), other) > reach(lists, w).max(other_reach)
+            {
+                continue;
+            }
+            let rows = t * JOIN_STRIP..t * JOIN_STRIP + lists.len() / w;
+            match runs.last_mut() {
+                Some(run) if run.end == rows.start => run.end = rows.end,
+                _ => runs.push(rows),
+            }
+        }
+        runs
+    }
+
+    /// Copies the coordinates of `rows` into `buf`, row-major and
+    /// prepared for the metric.
+    fn gather(&self, rows: &[usize], buf: &mut Vec<f64>) {
+        buf.clear();
+        for &row in rows {
+            buf.extend_from_slice(self.data.row(row));
+        }
+        self.metric.prepare_rows(buf, self.data.n_features());
+    }
+
+    /// The coordinates of `rows`, row-major and prepared for the metric:
+    /// a slice of the dataset when they are consecutive rows the metric
+    /// takes as they are, as the other rows of a small request mostly
+    /// are, else [`Join::gather`]ed into `buf`.
+    fn rows_of<'b>(&'b self, rows: &[usize], buf: &'b mut Vec<f64>) -> &'b [f64] {
+        if !self.metric.normalizes() && rows.windows(2).all(|w| w[1] == w[0] + 1) {
+            let p = self.data.n_features();
+            return &self.data.features()[rows[0] * p..][..rows.len() * p];
+        }
+        self.gather(rows, buf);
+        buf
+    }
+}
+
+/// Offers `(sq_dist, row)` to a full list (a max-heap whose empty slots
+/// hold [`UNSET`]): it replaces the list's last entry when it sorts
+/// before it.
+#[inline]
+fn offer(list: &mut [SqNeighbor], sq_dist: f64, row: usize) {
+    let hit = SqNeighbor { row, sq_dist };
+    if after(&list[0], &hit) {
+        list[0] = hit;
+        sift_down(list, 0);
+    }
+}
+
+/// The smallest of `dists` (`+∞` for none), in eight independent
+/// chains the compiler keeps in vector registers.
+#[inline]
+fn least(dists: &[f64]) -> f64 {
+    let mut lanes = [f64::INFINITY; 8];
+    let mut octs = dists.chunks_exact(8);
+    for oct in octs.by_ref() {
+        for (m, &d) in lanes.iter_mut().zip(oct) {
+            *m = if d < *m { d } else { *m };
+        }
+    }
+    for (m, &d) in lanes.iter_mut().zip(octs.remainder()) {
+        *m = if d < *m { d } else { *m };
+    }
+    lanes.into_iter().fold(f64::INFINITY, f64::min)
+}
+
+/// [`offer`]s one list each distance of `dists` with its row of `rows`.
+/// A list's last entry only moves down, so a batch whose least distance
+/// lies beyond it offers nothing.
+#[inline]
+fn offer_each(list: &mut [SqNeighbor], dists: &[f64], rows: &[usize]) {
+    let mut last = list[0].sq_dist;
+    if least(dists) > last {
+        return;
+    }
+    for (&d, &row) in dists.iter().zip(rows) {
+        if d <= last {
+            offer(list, d, row);
+            last = list[0].sq_dist;
+        }
+    }
+}
+
+/// Offers each pair of a row of `rows` and a row of `strip` to both rows'
+/// lists (`w` slots per row), given their distances (`dists`, one row per
+/// row of `rows`).
+fn offer_both_ways(
+    w: usize,
+    lists: &mut [SqNeighbor],
+    rows: &[usize],
+    dists: &[f64],
+    strip_lists: &mut [SqNeighbor],
+    strip: &[usize],
+) {
+    let n = strip.len();
+    // Each strip row's least distance to `rows`, to skip the lists no row
+    // of `rows` enters.
+    let mut nearest = [f64::INFINITY; JOIN_STRIP];
+    for (list, row_dists) in lists.chunks_exact_mut(w).zip(dists.chunks_exact(n)) {
+        for (m, &d) in nearest.iter_mut().zip(row_dists) {
+            *m = if d < *m { d } else { *m };
+        }
+        offer_each(list, row_dists, strip);
+    }
+    for (i, (list, &m)) in strip_lists.chunks_exact_mut(w).zip(&nearest).enumerate() {
+        let mut last = list[0].sq_dist;
+        if m > last {
+            continue;
+        }
+        for (&row, row_dists) in rows.iter().zip(dists.chunks_exact(n)) {
+            let d = row_dists[i];
+            if d <= last {
+                offer(list, d, row);
+                last = list[0].sq_dist;
+            }
+        }
     }
 }
 
@@ -1254,18 +1677,22 @@ mod tests {
             width in 0usize..7,
             n in 1usize..90,
             metric in 0usize..3,
-            k_pick in 0usize..4,
-            nq_pick in 0usize..6,
+            grid in 0usize..2,
+            k_pick in 0usize..5,
+            subset in 0usize..2,
             seed in 0u64..u64::MAX,
         ) {
+            // The self-join's oracle: every list equals its row's single
+            // query bit for bit, on every backend's liveness, however the
+            // requested rows are cut into blocks.
             let p = [1, 2, 3, 4, 5, 17, 256][width];
             let metric = Metric::ALL[metric];
-            // 40 queries fill three tiles, the last one partly.
-            let nq = [0, 1, 2, 3, 7, 40][nq_pick];
             let mut rng = rng_from_seed(seed);
-            // A small integer grid: duplicate rows and distance ties are
-            // common, so the tie-break is exercised.
-            let feats: Vec<f64> = (0..n * p).map(|_| f64::from(rng.gen_range(0..4u32)) - 1.5).collect();
+            // Tiny grids: duplicate rows and distance ties are common. The
+            // first mixes -0.0 and 0.0; the second is the integer grid on
+            // which cosine puts collinear rows a rounding error apart.
+            let values: &[f64] = [&[-1.0, -0.0, 0.0, 1.0, 2.0][..], &[0.0, 1.0, 2.0, 3.0][..]][grid];
+            let feats: Vec<f64> = (0..n * p).map(|_| values[rng.gen_range(0..values.len())]).collect();
             let labels: Vec<u32> = (0..n).map(|_| rng.gen_range(0..2)).collect();
             let data = Dataset::from_parts(feats, labels, p, 2);
             let mut idx: Vec<(&str, Box<dyn NeighborIndex>)> = GranulationBackend::CONCRETE
@@ -1282,61 +1709,93 @@ mod tests {
                 }
             }
             let n_alive = alive.iter().filter(|&&a| a).count();
-            let k = [0, 1, 5, n_alive + 1][k_pick];
-            let queries: Vec<Vec<f64>> = (0..nq)
-                .map(|_| {
-                    if rng.gen_bool(0.5) {
-                        data.row(rng.gen_range(0..n)).to_vec()
-                    } else {
-                        (0..p).map(|_| rng.gen_range(-2.0..2.0)).collect()
-                    }
-                })
-                .collect();
-            // Skips: none, an alive row, or a deleted one.
-            let skips: Vec<Option<usize>> = (0..nq)
-                .map(|_| match rng.gen_range(0..3) {
-                    0 => None,
-                    1 => (0..n).find(|&r| alive[r] && rng.gen_bool(0.3)),
-                    _ => (0..n).find(|&r| !alive[r]),
-                })
-                .collect();
-            let refs: Vec<&[f64]> = queries.iter().map(Vec::as_slice).collect();
+            let k = [0, 1, 5, n_alive.saturating_sub(1), n_alive + 1][k_pick];
+            // All alive rows in ascending order (consecutive runs read
+            // straight from the dataset), or a strict subset in random
+            // order (gathered).
+            let subset = subset == 1;
+            let mut rows: Vec<usize> = (0..n).filter(|&r| alive[r] && (!subset || rng.gen_bool(0.5))).collect();
+            if subset {
+                for i in (1..rows.len()).rev() {
+                    rows.swap(i, rng.gen_range(0..=i));
+                }
+            }
             for (name, ix) in &idx {
-                let many = ix.k_nearest_sq_par(&refs, k, &skips);
-                proptest::prop_assert_eq!(many.len(), nq, "{}", name);
-                for ((query, &skip), got) in queries.iter().zip(&skips).zip(&many) {
-                    let want = ix.k_nearest_sq(query, k, skip);
-                    proptest::prop_assert_eq!(bits(got), bits(&want), "{} p={} {}", name, p, metric);
+                let want: Vec<Vec<(usize, u64)>> = rows
+                    .iter()
+                    .map(|&r| bits(&ix.k_nearest_sq(data.row(r), k, Some(r))))
+                    .collect();
+                let joined = self_join(ix.as_ref(), &data, &rows, k);
+                proptest::prop_assert_eq!(joined.len(), rows.len());
+                for blocks in [1, 2, 3, 8] {
+                    let split = self_join_in(ix.as_ref(), &data, &rows, k, blocks);
+                    for (i, list) in split.iter().enumerate() {
+                        proptest::prop_assert_eq!(
+                            bits(list), want[i].clone(),
+                            "{} p={} {} row {} blocks {}", name, p, metric, rows[i], blocks
+                        );
+                        proptest::prop_assert_eq!(bits(joined.get(i)), want[i].clone());
+                    }
                 }
             }
         }
     }
 
     #[test]
-    fn k_nearest_many_is_exact_however_the_scan_splits() {
-        // Past `PAR_SWEEP_WORK` multiply-adds per range a lone tile's sweep
-        // splits into one range per thread; it keeps one `KBest` per query
-        // and range and merges them. Forcing the split covers the merge on
-        // any number of CPUs.
-        for p in [2, 4] {
-            let data = random_data(2_000, p, 2, 23);
-            let mut ix = BruteIndex::build(&data);
-            for row in (0..2_000).step_by(7) {
+    fn self_join_is_exact_where_it_skips_far_strips() {
+        // Integer grids: many rows lie exactly at a list's last distance
+        // from a strip's box, where the join must not skip the strip, and
+        // far strips are skipped once the lists fill. Large enough for
+        // many blocks and strips; ties everywhere.
+        for (p, n, metric) in [
+            (1, 1_500, Metric::SqEuclidean),
+            (2, 2_000, Metric::Manhattan),
+            (4, 2_000, Metric::SqEuclidean),
+            (4, 1_200, Metric::Cosine),
+            (8, 1_000, Metric::Manhattan),
+        ] {
+            let mut rng = rng_from_seed(p as u64 * 7 + n as u64);
+            let feats: Vec<f64> = (0..n * p)
+                .map(|_| f64::from(rng.gen_range(0..40u32)))
+                .collect();
+            let data = Dataset::from_parts(feats, vec![0; n], p, 1);
+            let mut ix = GranulationBackend::KdTree.build_with(&data, metric);
+            for row in (0..n).step_by(5) {
                 ix.delete(row);
             }
-            let queries: Vec<&[f64]> = [3, 700, 1_999].iter().map(|&r| data.row(r)).collect();
-            let skips = [Some(3), Some(700), None];
-            for chunks in [1, 2, 3, 8] {
-                let many = ix.k_nearest_many_in(chunks, &queries, 6, &skips);
-                for ((query, &skip), got) in queries.iter().zip(&skips).zip(&many) {
-                    assert_eq!(
-                        bits(got),
-                        bits(&ix.k_nearest_sq(query, 6, skip)),
-                        "p={p} chunks={chunks}"
-                    );
+            let all: Vec<usize> = (0..n).filter(|&r| ix.is_alive(r)).collect();
+            let some: Vec<usize> = all.iter().copied().filter(|r| r % 3 != 0).rev().collect();
+            for rows in [&all, &some] {
+                for k in [1, 4, 12] {
+                    for blocks in [1, 3, 8] {
+                        let lists = self_join_in(ix.as_ref(), &data, rows, k, blocks);
+                        for (list, &row) in lists.iter().zip(rows.iter()) {
+                            assert_eq!(
+                                bits(list),
+                                bits(&ix.k_nearest_sq(data.row(row), k, Some(row))),
+                                "p={p} {metric} k={k} blocks={blocks} row {row}"
+                            );
+                        }
+                    }
                 }
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "alive and distinct")]
+    fn self_join_refuses_a_row_requested_twice() {
+        let data = random_data(10, 4, 2, 3);
+        let _ = self_join(&BruteIndex::build(&data), &data, &[1, 2, 1], 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "alive and distinct")]
+    fn self_join_refuses_a_deleted_row() {
+        let data = random_data(10, 4, 2, 3);
+        let mut ix = BruteIndex::build(&data);
+        ix.delete(2);
+        let _ = self_join(&ix, &data, &[1, 2], 3);
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //! run over the whole dataset, synthesis interpolates between same-class
 //! neighbours.
 
-use crate::{class_index, row_hoods};
-use gb_dataset::index::BruteIndex;
+use crate::class_index;
+use gb_dataset::index::{self_join, BruteIndex};
 use gb_dataset::rng::rng_from_seed;
 use gb_dataset::Dataset;
 use gbabs::{SampleResult, Sampler};
@@ -91,7 +91,7 @@ impl Sampler for Adasyn {
             }
             let class = class as u32;
             // Difficulty r_i: heterogeneous fraction of the k-NN in D.
-            let weights: Vec<f64> = row_hoods(&index, data, donors, k)
+            let weights: Vec<f64> = self_join(&index, data, donors, k)
                 .iter()
                 .map(|hood| {
                     if hood.is_empty() {
@@ -111,8 +111,8 @@ impl Sampler for Adasyn {
                 .filter(|&(_, &g)| g > 0)
                 .map(|(&d, _)| d)
                 .collect();
-            let mut partner_lists =
-                row_hoods(&class_index(&index, data, class), data, &active, k).into_iter();
+            let partner_lists = self_join(&class_index(&index, data, class), data, &active, k);
+            let mut partner_lists = partner_lists.iter();
             for (&donor, &g) in donors.iter().zip(counts.iter()) {
                 if g == 0 {
                     continue;

@@ -5,9 +5,8 @@
 //! classes — donate synthetic samples; interpolation partners come from the
 //! `k = 5` nearest same-class neighbours, as in plain SMOTE.
 
-use crate::row_hoods;
 use crate::smote::{oversample_targets, synthesize_for_class};
-use gb_dataset::index::{BruteIndex, SqNeighbor};
+use gb_dataset::index::{self_join, BruteIndex, SqNeighbor};
 use gb_dataset::rng::rng_from_seed;
 use gb_dataset::Dataset;
 use gbabs::{SampleResult, Sampler};
@@ -86,10 +85,10 @@ impl Sampler for BorderlineSmote {
             if n_new == 0 {
                 continue;
             }
-            let hoods = row_hoods(&index, data, &groups[class], self.config.m_neighbors);
+            let hoods = self_join(&index, data, &groups[class], self.config.m_neighbors);
             let danger: Vec<usize> = groups[class]
                 .iter()
-                .zip(&hoods)
+                .zip(hoods.iter())
                 .filter(|&(&r, hood)| region_of(data, r, hood) == Region::Danger)
                 .map(|(&r, _)| r)
                 .collect();

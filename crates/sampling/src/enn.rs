@@ -11,8 +11,7 @@
 //! classes; [`EnnConfig::edit_all`] switches to Wilson's original
 //! all-classes rule (the variant SMOTE-ENN uses).
 
-use crate::row_hoods;
-use gb_dataset::index::BruteIndex;
+use gb_dataset::index::{self_join, BruteIndex};
 use gb_dataset::Dataset;
 use gbabs::{SampleResult, Sampler};
 
@@ -45,10 +44,9 @@ pub struct EditedNn {
 /// disagrees with their own. `edit_all` controls whether minority-class
 /// rows are eligible.
 ///
-/// The eligible rows' neighbourhoods come from one parallel pass over a
-/// brute-force index of `data` (see
-/// [`NeighborIndex::k_nearest_sq_par`](gb_dataset::index::NeighborIndex::k_nearest_sq_par));
-/// the removal list is in row order, and the result is deterministic for
+/// The eligible rows' neighbourhoods come from one parallel self-join
+/// over a brute-force index of `data` (see [`self_join`]); the removal
+/// list is in row order, and the result is deterministic for
 /// any thread count and kernel tier.
 #[must_use]
 pub fn enn_removals(data: &Dataset, k: usize, edit_all: bool) -> Vec<usize> {
@@ -66,16 +64,16 @@ pub fn enn_removals(data: &Dataset, k: usize, edit_all: bool) -> Vec<usize> {
     let eligible: Vec<usize> = (0..data.n_samples())
         .filter(|&i| edit_all || data.label(i) != minority)
         .collect();
-    let hoods = row_hoods(&BruteIndex::build(data), data, &eligible, k);
+    let hoods = self_join(&BruteIndex::build(data), data, &eligible, k);
     eligible
         .into_iter()
-        .zip(hoods)
+        .zip(hoods.iter())
         .filter(|(i, hood)| {
             if hood.is_empty() {
                 return false;
             }
             let mut votes = vec![0usize; data.n_classes()];
-            for h in hood {
+            for h in *hood {
                 votes[data.label(h.row) as usize] += 1;
             }
             let winner = votes

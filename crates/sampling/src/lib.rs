@@ -79,21 +79,8 @@ pub use stratified::Stratified;
 pub use systematic::Systematic;
 pub use tomek::TomekLinks;
 
-use gb_dataset::index::{BruteIndex, NeighborIndex, SqNeighbor};
+use gb_dataset::index::{BruteIndex, NeighborIndex};
 use gb_dataset::Dataset;
-
-/// The `k` nearest rows to each of `rows` (every row skipped in its own
-/// search) among the rows alive in `index`, in `rows` order.
-pub(crate) fn row_hoods(
-    index: &BruteIndex,
-    data: &Dataset,
-    rows: &[usize],
-    k: usize,
-) -> Vec<Vec<SqNeighbor>> {
-    let queries: Vec<&[f64]> = rows.iter().map(|&r| data.row(r)).collect();
-    let skips: Vec<Option<usize>> = rows.iter().map(|&r| Some(r)).collect();
-    index.k_nearest_sq_par(&queries, k, &skips)
-}
 
 /// `index` with every row outside `class` deleted, so a same-class search
 /// is a plain skip-one query, which stays fully batched.

@@ -5,8 +5,8 @@
 //! nearest same-class neighbours (imbalanced-learn's `auto` strategy and
 //! default `k_neighbors`).
 
-use crate::{class_index, row_hoods};
-use gb_dataset::index::BruteIndex;
+use crate::class_index;
+use gb_dataset::index::{self_join, BruteIndex};
 use gb_dataset::rng::rng_from_seed;
 use gb_dataset::Dataset;
 use gbabs::{SampleResult, Sampler};
@@ -94,9 +94,9 @@ pub(crate) fn synthesize_for_class(
     let mut drawn: Vec<usize> = plans.iter().map(|&(base, _, _)| base).collect();
     drawn.sort_unstable();
     drawn.dedup();
-    let hoods = row_hoods(&class_index(index, data, class), data, &drawn, k);
+    let hoods = self_join(&class_index(index, data, class), data, &drawn, k);
     for (base, pick, gap) in plans {
-        let hood = &hoods[drawn.binary_search(&base).expect("a drawn donor")];
+        let hood = hoods.get(drawn.binary_search(&base).expect("a drawn donor"));
         let row: Vec<f64> = data
             .row(base)
             .iter()

@@ -5,8 +5,7 @@
 //! member of each link is removed (removing both is the other classic
 //! variant, available via [`TomekConfig::remove_both`]).
 
-use crate::row_hoods;
-use gb_dataset::index::BruteIndex;
+use gb_dataset::index::{self_join, BruteIndex};
 use gb_dataset::Dataset;
 use gbabs::{SampleResult, Sampler};
 
@@ -27,9 +26,8 @@ pub struct TomekLinks {
 /// Finds all Tomek links as index pairs `(a, b)` with `a < b`.
 ///
 /// The all-rows nearest-neighbour pass (the O(n²) part) is one parallel
-/// self-join over a brute-force index of `data` (see
-/// [`NeighborIndex::k_nearest_sq_par`](gb_dataset::index::NeighborIndex::k_nearest_sq_par));
-/// the mutual-pair sweep that follows is linear and stays sequential.
+/// self-join over a brute-force index of `data` (see [`self_join`]); the
+/// mutual-pair sweep that follows is linear and stays sequential.
 #[must_use]
 pub fn find_tomek_links(data: &Dataset) -> Vec<(usize, usize)> {
     let n = data.n_samples();
@@ -37,8 +35,8 @@ pub fn find_tomek_links(data: &Dataset) -> Vec<(usize, usize)> {
         return Vec::new();
     }
     let rows: Vec<usize> = (0..n).collect();
-    let nn: Vec<Option<usize>> = row_hoods(&BruteIndex::build(data), data, &rows, 1)
-        .into_iter()
+    let nn: Vec<Option<usize>> = self_join(&BruteIndex::build(data), data, &rows, 1)
+        .iter()
         .map(|hood| hood.first().map(|h| h.row))
         .collect();
     let mut links = Vec::new();

@@ -113,9 +113,10 @@ impl ModelStats {
     }
 }
 
-/// Estimated resident footprint of a loaded model: what the GB-kNN
+/// Estimated resident footprint of a loaded model's cover: what the GB-kNN
 /// predictor holds — the flattened center matrix plus one radius and one
-/// label per ball (no member lists).
+/// label per ball (no member lists). A maintained tenant adds its rows
+/// ([`row_bytes`]).
 ///
 /// Used only for **memory-only** models, which never touch the store.
 /// Persisted tenants are accounted by their measured serialized-envelope
@@ -128,6 +129,13 @@ fn estimate_resident_bytes(model: &RdGbgModel) -> u64 {
     let n_features = model.balls.first().map_or(0, |b| b.center.len());
     let per_ball = n_features * size_of::<f64>() + size_of::<f64>() + size_of::<u32>();
     (model.balls.len() * per_ball) as u64
+}
+
+/// The bytes of a maintained tenant's rows: its feature matrix and labels,
+/// which its served model holds beside the cover.
+fn row_bytes(rows: &MaintainedTenant) -> u64 {
+    use std::mem::size_of;
+    (rows.features.len() * size_of::<f64>() + rows.labels.len() * size_of::<u32>()) as u64
 }
 
 /// Most classes a served model may vote over: the larger of its
@@ -518,6 +526,8 @@ impl ModelRegistry {
         let n_classes = Self::class_count(model, &options);
         let mut predictor = GbKnn::from_model(model, n_classes, options.k);
         predictor.set_rule(options.rule);
+        let resident_bytes =
+            estimate_resident_bytes(model) + maintained.as_ref().map_or(0, row_bytes);
         ServingModel {
             name: name.to_string(),
             version: 0,
@@ -527,7 +537,7 @@ impl ModelRegistry {
             options,
             maintained,
             stats: ModelStats::from_model(model),
-            resident_bytes: estimate_resident_bytes(model),
+            resident_bytes,
         }
     }
 
@@ -1454,6 +1464,35 @@ mod tests {
             .unwrap();
         assert_eq!(mem.resident_bytes, estimate_resident_bytes(&model));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_store_less_maintained_tenant_accounts_its_rows() {
+        // Without a store there is no envelope to measure, so a tenant is
+        // accounted by estimate; a maintained tenant's served model holds
+        // its rows beside the cover, and they count too.
+        let reg = ModelRegistry::new();
+        let (f, l) = ingest_batch(300, 7);
+        let created = reg
+            .append_rows("live", &f, &l, 2, &CreateOptions::default())
+            .unwrap();
+        let data = Dataset::from_parts(f.clone(), l.clone(), 2, 2);
+        let cover =
+            estimate_resident_bytes(&gbabs::canonical_rd_gbg(&data, 5, GranulationBackend::Auto));
+        let rows = (f.len() * 8 + l.len() * 4) as u64;
+        assert_eq!(created.serving.resident_bytes, cover + rows);
+        assert_eq!(reg.snapshot().resident_bytes, cover + rows);
+        // An append re-accounts the grown rows.
+        let (f2, l2) = ingest_batch(20, 8);
+        let grown = reg
+            .append_rows("live", &f2, &l2, 2, &CreateOptions::default())
+            .unwrap();
+        let data = Dataset::from_parts([f, f2].concat(), [l, l2].concat(), 2, 2);
+        let cover =
+            estimate_resident_bytes(&gbabs::canonical_rd_gbg(&data, 5, GranulationBackend::Auto));
+        let rows = (320 * 2 * 8 + 320 * 4) as u64;
+        assert_eq!(grown.serving.resident_bytes, cover + rows);
+        assert_eq!(reg.snapshot().resident_bytes, cover + rows);
     }
 
     #[test]

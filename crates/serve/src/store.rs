@@ -553,12 +553,17 @@ impl ModelStore {
 
     /// Payload checksum of one on-disk version, read from its header line
     /// (no payload verification — used only as the best-effort chain link
-    /// for the next commit).
+    /// for the next commit). Only the header line is read: a maintained
+    /// tenant's version holds all of its rows, and every commit links to
+    /// its head.
     fn payload_checksum(&self, name: &str, version: u64) -> Option<u64> {
+        use std::io::BufRead as _;
         let path = self.version_path(name, version).ok()?;
-        let bytes = fs::read(path).ok()?;
-        let newline = bytes.iter().position(|&b| b == b'\n')?;
-        let header = std::str::from_utf8(&bytes[..newline]).ok()?;
+        let mut line = Vec::new();
+        std::io::BufReader::new(fs::File::open(path).ok()?)
+            .read_until(b'\n', &mut line)
+            .ok()?;
+        let header = std::str::from_utf8(line.strip_suffix(b"\n")?).ok()?;
         header
             .split_whitespace()
             .find_map(|p| p.strip_prefix("fnv1a64="))
