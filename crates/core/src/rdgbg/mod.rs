@@ -62,27 +62,32 @@
 //! lists of exactly `k` rows sent 4–48% of the fetched rows back to the
 //! index and granulated up to 3.6× slower (BENCH_GRANULATION.json entry 8).
 //!
-//! A fetch is one
+//! A fetch of many rows is one
 //! [`self_join`](gb_dataset::index::self_join) of the fetched rows
-//! against the alive rows, on every backend: it measures each pair of
+//! against the alive rows where that pays: it measures each pair of
 //! fetched rows once, for both rows' lists, in row blocks on the thread
-//! pool, where one query per row measured every pair from both ends.
-//! Fetches come in two phases:
+//! pool, where one query per row measures every pair it does not prune
+//! from both ends. Fetches come in two phases:
 //!
 //! 1. until the first iteration that grows no diffusion ball, each
 //!    iteration's candidates (one per class) are fetched together, only
 //!    on a brute index, which would otherwise read all alive rows once per
 //!    candidate (a tree's single queries prune, and gain nothing from a
-//!    fetch that small);
+//!    fetch that small); the join answers so few rows with one pass over
+//!    the brute index's packed alive rows;
 //! 2. after that iteration, every row still in `T` is fetched once. By
 //!    then balls have stopped swallowing rows wholesale, so most of those
 //!    lists are still usable when their row is drawn; fetching all of `T`
 //!    up front lost on clean blobs, where early big balls swallow rows
 //!    whose lists were already fetched (BENCH_GRANULATION.json entry 8).
-//!    The whole-`T` fetch runs on every backend and thread count and at
-//!    any size of `T`: the join measures each pair once and skips far
-//!    strips, where the per-row fetch it replaced measured every pair
-//!    from both ends and lost on one CPU and below 1,024 rows (entry 8).
+//!    The brute index and the trees from eight features up fetch `T` in
+//!    one self-join, at any size of `T` and thread count. Below eight
+//!    features a tree's queries prune most rows and beat the join, which
+//!    measures every pair, so there `T` is fetched by one tree query per
+//!    row on the thread pool, and only with a second thread and at least
+//!    1,024 rows in `T` (a query of the longer `k′`-list is more work than
+//!    the step's own, which only a second thread repays; BENCH_GRANULATION
+//!    entries 8 and 9).
 //!
 //! Three cases never fetch: sub-lane rows (fewer than four features, the
 //! kernel lane width, where a fetch has no vector work to share and lost
@@ -453,9 +458,9 @@ pub fn rd_gbg_with_progress(
         }
         // The first iteration that grew no ball: balls have stopped
         // swallowing rows wholesale, so the lists of every row left in `T`
-        // are fetched once, in one self-join.
+        // are fetched once, where that pays.
         if fetch_pending && granulator.balls().len() == balls_before {
-            granulator.fetch_hoods(&pools.rows());
+            granulator.fetch_all(&pools.rows());
             fetch_pending = false;
         }
 

@@ -106,6 +106,18 @@ pub(crate) struct Step {
 /// width (ρ > 31) nothing is fetched and the table is never allocated.
 const MAX_LIST: usize = 64;
 
+/// Rows per piece of a per-row fetch ([`Granulator::query_hoods`]): a
+/// piece's answers are held as per-row vectors until they are copied into
+/// the table.
+const QUERY_PIECE: usize = 1024;
+
+/// Rows of `T` below which fetching all of them does not pay: at ~650
+/// rows (S1, S2) the fetch is about a millisecond of work, and it lost to
+/// the per-step queries by per-row tree queries (BENCH_GRANULATION.json
+/// entry 8) and by the self-join on the brute backend (up to 1.9x at
+/// ρ = 9, entry 9).
+const MIN_WHOLE_FETCH: usize = 1024;
+
 /// A fetched list's length marking a row that was never fetched.
 const UNFETCHED: u8 = u8::MAX;
 
@@ -164,6 +176,17 @@ impl HoodTable {
         self.lens[row] = list.len() as u8;
     }
 }
+
+/// The narrowest rows on which a tree fetches `T` by [`self_join`] rather
+/// than by one query per row. The join measures every pair whatever the
+/// data; a tree query prunes most rows at low `p` and fewer as `p` grows.
+/// Timing both on every row of two-blob gaussians (2,000-20,000 rows,
+/// 2-vCPU x86-64 container, one and two threads), the KD-tree's queries
+/// won at p = 4 (the join 2.3-5.3x slower) and at p = 6 from 5,000 rows
+/// (1.0-2.6x), and the join won from p = 8 up (0.34-0.71x), as on the
+/// catalog's S8-S11 (p = 8-16, 0.54-0.82x); at p = 6 the two tied on
+/// 1,728-row S3 and on the VP-tree at 5,000 rows.
+const TREE_JOIN_WIDTH: usize = 8;
 
 /// The state of one granulation: `U` (the index's alive rows), `L`, the
 /// noise list, the diffusion balls with their conflict index, the hood
@@ -247,6 +270,46 @@ impl<'d> Granulator<'d> {
     /// serves no list: sub-lane rows and `k′` past [`MAX_LIST`].
     pub(crate) fn fetch_hoods(&mut self, rows: &[usize]) {
         self.fetch_hoods_with(rows, self_join);
+    }
+
+    /// Fetches the `k′`-lists of every row left in `T` (`rows`) the way
+    /// that measured fastest, when `T` holds at least [`MIN_WHOLE_FETCH`]
+    /// rows: in one [`self_join`] on the brute backend, and on a tree from
+    /// [`TREE_JOIN_WIDTH`] features up; below that, by one tree query per
+    /// row on the thread pool when the pool has a second thread. Else
+    /// nothing is fetched, and each step queries its own `k`-hood: a tree
+    /// query of the longer `k′`-list is more work than the step's own,
+    /// which only a second thread repays.
+    pub(crate) fn fetch_all(&mut self, rows: &[usize]) {
+        if rows.len() < MIN_WHOLE_FETCH {
+            return;
+        }
+        if self.brute || self.data.n_features() >= TREE_JOIN_WIDTH {
+            self.fetch_hoods(rows);
+        } else if rayon::current_num_threads() > 1 {
+            self.query_hoods(rows);
+        }
+    }
+
+    /// Fetches the `k′`-lists of `rows` into the hood table by one
+    /// [`NeighborIndex::k_nearest_sq`] per row on the thread pool, in
+    /// pieces of [`QUERY_PIECE`] rows.
+    fn query_hoods(&mut self, rows: &[usize]) {
+        use rayon::prelude::*;
+        if self.hoods.width == 0 {
+            return;
+        }
+        let (data, index, k) = (self.data, self.index.as_ref(), self.hoods.width);
+        for piece in rows.chunks(QUERY_PIECE) {
+            let lists: Vec<Vec<SqNeighbor>> = piece
+                .par_iter()
+                .map(|&row| index.k_nearest_sq(data.row(row), k, Some(row)))
+                .collect();
+            for (&row, list) in piece.iter().zip(&lists) {
+                self.hoods.set(data.n_samples(), row, list);
+            }
+        }
+        self.queries.knn += rows.len();
     }
 
     /// [`Granulator::fetch_hoods`] through `join`, a [`self_join`] or a
@@ -842,12 +905,13 @@ mod tests {
         // Contract 6: a fetch is one self-join whose blocks and block
         // pairs run on the thread pool, and a row's list must be its own
         // query's answer however the join cuts the rows. Forcing 1, 2, 3
-        // and 8 blocks covers every schedule on any number of CPUs.
+        // and 8 blocks covers every schedule on any number of CPUs. The
+        // per-row tree fetch (`None`) must fill the same table.
         let data = pumpkin();
         let n = data.n_samples();
         for backend in GranulationBackend::CONCRETE {
             for metric in [Metric::SqEuclidean, Metric::Manhattan] {
-                let table = |blocks: usize| {
+                let table = |blocks: Option<usize>| {
                     let mut g = Granulator::new(&data, backend, metric, Vetting::Density(5), true);
                     // Shrink `U` first, so the lists skip deleted rows.
                     for row in (0..n).step_by(3) {
@@ -857,9 +921,12 @@ mod tests {
                     }
                     let t: Vec<usize> = (0..n).filter(|&row| g.is_candidate(row)).collect();
                     assert!(t.len() > 8 * 16, "{} rows left in T", t.len());
-                    g.fetch_hoods_with(&t, |index, data, rows, k| {
-                        self_join_in(index, data, rows, k, blocks)
-                    });
+                    match blocks {
+                        Some(blocks) => g.fetch_hoods_with(&t, |index, data, rows, k| {
+                            self_join_in(index, data, rows, k, blocks)
+                        }),
+                        None => g.query_hoods(&t),
+                    }
                     for &row in &t {
                         let want: Vec<u32> = g
                             .index
@@ -871,9 +938,12 @@ mod tests {
                     }
                     (g.hoods.ids, g.hoods.lens)
                 };
-                let one = table(1);
-                for blocks in [2, 3, 8] {
-                    assert!(table(blocks) == one, "{backend}/{metric}: {blocks} blocks");
+                let one = table(Some(1));
+                for blocks in [Some(2), Some(3), Some(8), None] {
+                    assert!(
+                        table(blocks) == one,
+                        "{backend}/{metric}: {blocks:?} blocks"
+                    );
                 }
             }
         }

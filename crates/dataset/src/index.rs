@@ -39,15 +39,16 @@
 //! from the index, and walks row blocks through the blocked many-to-many
 //! kernel ([`Metric::dist_block`]). A pair of requested rows is computed
 //! once and offered to both rows' lists, a requested row and any other
-//! alive row once, one way, and a pair of strips whose bounding boxes lie
-//! farther apart than every list they would feed reaches is skipped. Each
-//! list equals the row's own `k_nearest_sq(row, k, Some(row))` bit for
-//! bit, for any thread count: a kernel value is symmetric bit for bit
-//! (`(a−b)² = (b−a)²` and `|a−b| = |b−a|` exactly, summed in the same
-//! lane order), a skipped pair lies beyond every list it would have fed,
-//! and a list keeps the same entries in whatever order they arrive.
-//! RD-GBG fetches its density hoods this way, and the neighbour-based
-//! samplers their hoods.
+//! alive row once, one way; a request of a few rows on the brute backend
+//! is one pass over its packed alive rows. Each list equals the row's own
+//! `k_nearest_sq(row, k, Some(row))` bit for bit, for any thread count: a
+//! kernel value is symmetric bit for bit (`(a−b)² = (b−a)²` and
+//! `|a−b| = |b−a|` exactly, summed in the same lane order), and a list
+//! keeps the same entries in whatever order they arrive. The join
+//! measures every pair, so it pays where a tree's queries prune little;
+//! RD-GBG fetches its density hoods with it on the brute backend and
+//! wherever it measured faster than per-row tree queries, and the
+//! neighbour-based samplers fetch their hoods with it.
 //!
 //! Tree queries degrade toward O(n) as the (intrinsic) dimensionality
 //! grows; [`GranulationBackend::Auto`] picks the KD-tree up to 24
@@ -403,6 +404,14 @@ pub trait NeighborIndex: Send + Sync {
         bound: RangeBound,
         skip: Option<usize>,
     ) -> Vec<SqNeighbor>;
+
+    /// The alive rows' ids and their metric-prepared coordinates, packed
+    /// row-major in the same order, when the index keeps them so (the
+    /// brute backend): [`self_join`] then answers a small request with one
+    /// pass over them. `None` by default.
+    fn packed_alive(&self) -> Option<(&[u32], &[f64])> {
+        None
+    }
 
     /// Distance-ordered iteration from a pivot: lazily yields every alive
     /// row in ascending `(sq_dist, row)` order — the "attention" query of
@@ -771,6 +780,10 @@ impl NeighborIndex for BruteIndex {
         true
     }
 
+    fn packed_alive(&self) -> Option<(&[u32], &[f64])> {
+        Some((&self.alive_rows, &self.alive_points))
+    }
+
     fn k_nearest_sq(&self, query: &[f64], k: usize, skip: Option<usize>) -> Vec<SqNeighbor> {
         assert_eq!(query.len(), self.n_features, "query width mismatch");
         if k == 0 {
@@ -930,15 +943,10 @@ impl BruteIndex {
 const JOIN_BLOCK: usize = 256;
 
 /// Rows per kernel call in a [`self_join`]: one [`Metric::dist_block`]
-/// call measures a whole block against a strip of this many rows, which
-/// stay in L1 cache while the block streams past them.
+/// call measures a whole block against this many rows, which stay in L1
+/// cache while the block streams past them. Also the largest request
+/// [`self_join`] answers with one pass over an index's packed alive rows.
 const JOIN_STRIP: usize = 32;
-
-/// Relative slack of the bound below which a [`self_join`] skips a block
-/// and a strip: the box gap is summed in another order than the kernel's
-/// lane tree, which moves a sum of `p` terms by at most ~`p` units in the
-/// last place, far below 1e-9 for any width.
-const GAP_SLACK: f64 = 1e-9;
 
 /// A list slot no hit filled yet: it sorts after every hit.
 const UNSET: SqNeighbor = SqNeighbor {
@@ -946,45 +954,47 @@ const UNSET: SqNeighbor = SqNeighbor {
     sq_dist: f64::INFINITY,
 };
 
-/// The lists of a [`self_join`], one per requested row, each ascending by
-/// `(sq_dist, row)`, in one flat table.
+/// The lists of a [`self_join`], one per requested row in request order,
+/// each ascending by `(sq_dist, row)`, in one flat table.
 #[derive(Debug, Clone)]
 pub struct HoodLists {
+    lists: usize,
+    /// Hits per list: `k`, or every other alive row when fewer are left.
     width: usize,
-    /// Each requested row's list's place in `hits`, in request order.
-    place: Vec<u32>,
     hits: Vec<SqNeighbor>,
 }
 
 impl HoodLists {
+    /// `lists` lists of `width` unset slots.
+    fn unset(lists: usize, width: usize) -> Self {
+        Self {
+            lists,
+            width,
+            hits: vec![UNSET; lists * width],
+        }
+    }
+
     /// Number of lists: one per requested row.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.place.len()
+        self.lists
     }
 
     /// True when no row was requested.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.place.is_empty()
-    }
-
-    /// Hits per list: `k`, or every other alive row when fewer are left.
-    #[must_use]
-    pub fn width(&self) -> usize {
-        self.width
+        self.lists == 0
     }
 
     /// The list of the `i`-th requested row.
     #[must_use]
     pub fn get(&self, i: usize) -> &[SqNeighbor] {
-        let at = self.place[i] as usize * self.width;
-        &self.hits[at..at + self.width]
+        &self.hits[i * self.width..(i + 1) * self.width]
     }
 
     /// Every list, in request order.
     pub fn iter(&self) -> impl ExactSizeIterator<Item = &[SqNeighbor]> + '_ {
-        (0..self.len()).map(|i| self.get(i))
+        (0..self.lists).map(|i| self.get(i))
     }
 }
 
@@ -995,30 +1005,36 @@ impl HoodLists {
 /// `data`; the join reads the rows from `data` (prepared for the index's
 /// metric) and only their liveness from `index`.
 ///
-/// `rows` are ordered into blocks of [`JOIN_BLOCK`] rows that are compact
-/// in space, each made of compact strips of [`JOIN_STRIP`] rows, and so
-/// are the alive rows not requested. A thread takes one block at a time
-/// and offers its lists every pair inside the block and the other rows,
-/// then every pair of blocks runs once, in rounds in which no block
-/// appears twice, each distance offered to both rows' lists. No two
-/// threads ever hold one list, so the table, one `k`-slot max-heap per
-/// requested row, is filled without locks; besides it the join keeps only
-/// row ids and one bounding box per strip. Two strips whose boxes lie
-/// farther apart than the last entry of every list they would feed are
-/// not measured: on low-dimensional data most pairs of strips of a large
-/// request are, so the join does not measure every pair there.
+/// `rows` go in blocks of [`JOIN_BLOCK`]. A thread takes one block at a
+/// time and offers its lists every pair inside the block and every alive
+/// row outside `rows`; then every pair of blocks runs once, in rounds in
+/// which no block appears twice, each pair's distances offered to both
+/// blocks' lists. No two threads ever hold one list, so the table is
+/// filled without locks, and it is the only memory that grows with
+/// `rows`: one `k`-slot max-heap per requested row.
+///
+/// A request of at most [`JOIN_STRIP`] rows (RD-GBG's candidates, one per
+/// class) over an index that packs its alive rows
+/// ([`NeighborIndex::packed_alive`], the brute backend) is one pass over
+/// that buffer instead: for so few rows, measuring the pairs of requested
+/// rows from both ends costs less than listing and gathering the other
+/// alive rows.
 ///
 /// # Panics
 /// When `index` is not over `data`'s rows, or a requested row is deleted
 /// or requested twice.
 #[must_use]
 pub fn self_join(index: &dyn NeighborIndex, data: &Dataset, rows: &[usize], k: usize) -> HoodLists {
-    self_join_in(index, data, rows, k, rows.len().div_ceil(JOIN_BLOCK))
+    match index.packed_alive() {
+        Some(packed) if rows.len() <= JOIN_STRIP => sweep_packed(index, data, rows, k, packed),
+        _ => self_join_in(index, data, rows, k, rows.len().div_ceil(JOIN_BLOCK)),
+    }
 }
 
-/// [`self_join`] with `rows` cut into blocks of `⌈rows / blocks⌉` rows: the
-/// lists are the same for any cut, which tests force to cover every
-/// schedule on any number of CPUs.
+/// [`self_join`] with `rows` cut into `blocks` blocks (at least one, at
+/// most one per row), never taking the packed pass: the lists are the
+/// same for any cut, which tests force to cover every schedule on any
+/// number of CPUs.
 ///
 /// # Panics
 /// As [`self_join`].
@@ -1041,198 +1057,106 @@ pub fn self_join_in(
         requested[row] = true;
     }
     // A list holds every other alive row at most.
-    let width = k.min(index.n_alive().saturating_sub(1));
-    let mut order = rows.to_vec();
-    let mut hits = vec![UNSET; rows.len() * width];
-    if width > 0 && !rows.is_empty() {
-        let block_rows = rows.len().div_ceil(blocks.max(1));
-        compact(data, &mut order, block_rows);
-        for block in order.chunks_mut(block_rows) {
-            compact(data, block, JOIN_STRIP);
-        }
-        let mut others: Vec<usize> = (0..n)
+    let mut lists = HoodLists::unset(rows.len(), k.min(index.n_alive().saturating_sub(1)));
+    if lists.width > 0 && !rows.is_empty() {
+        let others: Vec<usize> = (0..n)
             .filter(|&row| !requested[row] && index.is_alive(row))
             .collect();
-        // Ordering and boxing the other rows costs about what one sweep
-        // of them does, so a request of one strip or less (RD-GBG's
-        // candidates, one per class) sweeps them all instead.
-        let metric = index.metric();
-        let other_boxes = (rows.len() > JOIN_STRIP).then(|| {
-            compact(data, &mut others, JOIN_STRIP);
-            Boxes::of_strips(data, metric, &others)
-        });
         let join = Join {
             data,
-            metric,
-            width,
+            metric: index.metric(),
+            width: lists.width,
             others: &others,
-            other_boxes,
         };
-        join.run(&order, block_rows, &mut hits);
+        join.run(rows, &mut lists.hits, blocks.clamp(1, rows.len()));
     }
-    // Each requested row's place in the join's order.
-    let place = if order == rows {
-        (0..rows.len() as u32).collect()
-    } else {
-        let mut place = vec![0u32; n];
-        for (i, &row) in order.iter().enumerate() {
-            place[row] = i as u32;
-        }
-        rows.iter().map(|&row| place[row]).collect()
-    };
-    HoodLists { width, place, hits }
-}
-
-/// Rows [`compact`] samples to find the dimension a set spreads widest
-/// along.
-const SPREAD_SAMPLE: usize = 64;
-
-/// Reorders `rows` so that each run of `run` rows (the last one shorter)
-/// lies compact in space: halves them, in whole runs, at the median of
-/// the dimension an even sample of them spreads widest along, until one
-/// run is left.
-fn compact(data: &Dataset, rows: &mut [usize], run: usize) {
-    let runs = rows.len().div_ceil(run);
-    if runs <= 1 {
-        return;
-    }
-    let p = data.n_features();
-    let (mut lo, mut hi) = (vec![f64::INFINITY; p], vec![f64::NEG_INFINITY; p]);
-    for &row in rows.iter().step_by(rows.len().div_ceil(SPREAD_SAMPLE)) {
-        for ((l, h), &x) in lo.iter_mut().zip(&mut hi).zip(data.row(row)) {
-            *l = l.min(x);
-            *h = h.max(x);
-        }
-    }
-    let widest = (0..p)
-        .max_by(|&a, &b| (hi[a] - lo[a]).total_cmp(&(hi[b] - lo[b])))
-        .unwrap_or(0);
-    let mid = run * (runs / 2);
-    rows.select_nth_unstable_by(mid, |&a, &b| {
-        data.row(a)[widest].total_cmp(&data.row(b)[widest])
-    });
-    let (left, right) = rows.split_at_mut(mid);
-    compact(data, left, run);
-    compact(data, right, run);
-}
-
-/// Axis-aligned bounding boxes of the strips of a run of rows, in
-/// metric-prepared coordinates: `2p` values per strip, the lows then the
-/// highs.
-struct Boxes {
-    p: usize,
-    bounds: Vec<f64>,
-}
-
-impl Boxes {
-    /// The boxes of `rows`' [`JOIN_STRIP`]-row strips.
-    fn of_strips(data: &Dataset, metric: Metric, rows: &[usize]) -> Self {
-        let p = data.n_features();
-        let mut bounds = Vec::with_capacity(rows.len().div_ceil(JOIN_STRIP) * 2 * p);
-        for strip in rows.chunks(JOIN_STRIP) {
-            let at = bounds.len();
-            bounds.extend(std::iter::repeat_n(f64::INFINITY, p));
-            bounds.extend(std::iter::repeat_n(f64::NEG_INFINITY, p));
-            let (lo, hi) = bounds[at..].split_at_mut(p);
-            for &row in strip {
-                let x = metric.prepare_query(data.row(row));
-                for ((l, h), &x) in lo.iter_mut().zip(hi.iter_mut()).zip(x.iter()) {
-                    *l = l.min(x);
-                    *h = h.max(x);
-                }
-            }
-        }
-        Self { p, bounds }
-    }
-
-    /// The lows and highs of strip `s`.
-    fn strip(&self, s: usize) -> (&[f64], &[f64]) {
-        self.bounds[2 * s * self.p..2 * (s + 1) * self.p].split_at(self.p)
-    }
-
-    /// The box around strips `strips`.
-    fn hull(&self, strips: std::ops::Range<usize>) -> (Vec<f64>, Vec<f64>) {
-        let (mut lo, mut hi) = (vec![f64::INFINITY; self.p], vec![f64::NEG_INFINITY; self.p]);
-        for s in strips {
-            let (slo, shi) = self.strip(s);
-            for ((l, h), (&a, &b)) in lo.iter_mut().zip(hi.iter_mut()).zip(slo.iter().zip(shi)) {
-                *l = l.min(a);
-                *h = h.max(b);
-            }
-        }
-        (lo, hi)
-    }
-}
-
-/// A lower bound on the kernel value of any pair of rows from boxes `a`
-/// and `b`, shrunk by [`GAP_SLACK`]: the metric's gap along each axis,
-/// summed. A row outside a box differs from every row inside it by at
-/// least the gap along each axis, and rounding is monotone, so every
-/// kernel term is at least its axis's.
-fn box_gap(metric: Metric, (alo, ahi): (&[f64], &[f64]), (blo, bhi): (&[f64], &[f64])) -> f64 {
-    let mut sum = 0.0;
-    for (((&al, &ah), &bl), &bh) in alo.iter().zip(ahi).zip(blo).zip(bhi) {
-        let gap = (bl - ah).max(al - bh);
-        if gap > 0.0 {
-            sum += metric.plane_gap(gap);
-        }
-    }
-    sum * (1.0 - GAP_SLACK)
-}
-
-/// The last entry of the farthest-reaching of `lists` (`w` slots each):
-/// no row farther than this from all of them enters any of them.
-fn reach(lists: &[SqNeighbor], w: usize) -> f64 {
     lists
-        .chunks_exact(w)
-        .fold(0.0, |m: f64, list| m.max(list[0].sq_dist))
 }
 
-/// Requested rows and their lists, `width` slots per row, with the
-/// bounding boxes of their strips and of the whole block.
+/// [`self_join`]'s pass over the packed alive rows (`ids`, and their
+/// metric-prepared coordinates `points`): every requested row is
+/// measured against every alive row in [`JOIN_BLOCK`]-row slabs and
+/// offered all but itself.
+fn sweep_packed(
+    index: &dyn NeighborIndex,
+    data: &Dataset,
+    rows: &[usize],
+    k: usize,
+    (ids, points): (&[u32], &[f64]),
+) -> HoodLists {
+    assert_eq!(
+        index.n_rows(),
+        data.n_samples(),
+        "the index must be built over `data`"
+    );
+    for (i, &row) in rows.iter().enumerate() {
+        assert!(
+            index.is_alive(row) && !rows[..i].contains(&row),
+            "requested rows must be alive and distinct (row {row})"
+        );
+    }
+    let mut lists = HoodLists::unset(rows.len(), k.min(ids.len().saturating_sub(1)));
+    let w = lists.width;
+    if w == 0 || rows.is_empty() {
+        return lists;
+    }
+    let (p, metric) = (data.n_features(), index.metric());
+    let mut q = Vec::with_capacity(rows.len() * p);
+    gather(data, metric, rows, &mut q);
+    let mut dists = vec![0.0; rows.len() * JOIN_BLOCK];
+    let mut slab_rows = Vec::with_capacity(JOIN_BLOCK);
+    for (slab_ids, slab) in ids.chunks(JOIN_BLOCK).zip(points.chunks(JOIN_BLOCK * p)) {
+        let dists = &mut dists[..rows.len() * slab_ids.len()];
+        metric.dist_block(&q, slab, p, dists);
+        slab_rows.clear();
+        slab_rows.extend(slab_ids.iter().map(|&id| id as usize));
+        for ((list, row_dists), &row) in lists
+            .hits
+            .chunks_exact_mut(w)
+            .zip(dists.chunks_exact(slab_ids.len()))
+            .zip(rows)
+        {
+            offer_each(list, row_dists, &slab_rows, row);
+        }
+    }
+    for list in lists.hits.chunks_exact_mut(w) {
+        sort_hits(list);
+    }
+    lists
+}
+
+/// Requested rows and their lists, `width` slots per row.
 struct Block<'a> {
     rows: &'a [usize],
     lists: &'a mut [SqNeighbor],
-    boxes: Boxes,
-    hull: (Vec<f64>, Vec<f64>),
 }
 
-/// What every step of one [`self_join`] reads.
+/// What every step of one [`self_join_in`] reads.
 struct Join<'a> {
     data: &'a Dataset,
     metric: Metric,
     width: usize,
-    /// The alive rows not requested, in compact strips when they are
-    /// boxed.
+    /// The alive rows not requested, ascending.
     others: &'a [usize],
-    /// The boxes of `others`' strips; none when every strip is swept.
-    other_boxes: Option<Boxes>,
 }
 
 impl Join<'_> {
-    /// Fills `hits` with the lists of `rows`, in blocks of `block_rows`.
-    fn run(&self, rows: &[usize], block_rows: usize, hits: &mut [SqNeighbor]) {
+    /// Fills `hits` with the lists of `rows`, cut into `blocks` blocks.
+    fn run(&self, rows: &[usize], hits: &mut [SqNeighbor], blocks: usize) {
         use rayon::prelude::*;
-        let mut cut: Vec<Block> = rows
-            .chunks(block_rows)
-            .zip(hits.chunks_mut(block_rows * self.width))
-            .map(|(rows, lists)| {
-                let boxes = Boxes::of_strips(self.data, self.metric, rows);
-                let hull = boxes.hull(0..rows.len().div_ceil(JOIN_STRIP));
-                Block {
-                    rows,
-                    lists,
-                    boxes,
-                    hull,
-                }
-            })
-            .collect();
-        let blocks = cut.len();
+        let mut cut = Vec::with_capacity(blocks);
+        let mut rest = hits;
+        for b in 0..blocks {
+            let rows = &rows[rows.len() * b / blocks..rows.len() * (b + 1) / blocks];
+            let (lists, tail) = std::mem::take(&mut rest).split_at_mut(rows.len() * self.width);
+            cut.push(Block { rows, lists });
+            rest = tail;
+        }
         cut.par_iter_mut().for_each(|block| self.within(block));
         // The circle method: with an even number of seats (one empty when
-        // the block count is odd), seat `seats − 1` stays while the others
-        // turn, so every pair of seats meets in exactly one round and no
-        // seat sits twice in a round.
+        // `blocks` is odd), seat `seats − 1` stays while the others turn,
+        // so every pair of seats meets in exactly one round and no seat
+        // sits twice in a round.
         let seats = blocks + blocks % 2;
         let mut held: Vec<Option<Block>> = cut.into_iter().map(Some).collect();
         for round in 0..seats - 1 {
@@ -1295,126 +1219,59 @@ impl Join<'_> {
                 }
             }
         }
-        // Unboxed other rows go in blocks rather than strips: nothing is
-        // skipped, and fewer kernel calls share each gather.
-        let sweep = match self.other_boxes {
-            Some(_) => JOIN_STRIP,
-            None => JOIN_BLOCK,
-        };
-        dists.resize(block.rows.len() * sweep, 0.0);
         let mut buf = Vec::new();
-        for (s, strip) in self.others.chunks(sweep).enumerate() {
-            let runs = match &self.other_boxes {
-                Some(boxes) => self.near_runs(block, boxes.strip(s), 0.0),
-                None => std::iter::once(0..block.rows.len()).collect(),
-            };
-            if runs.is_empty() {
-                continue;
-            }
+        for strip in self.others.chunks(JOIN_STRIP) {
             let o = self.rows_of(strip, &mut buf);
-            for run in runs {
-                let dists = &mut dists[..run.len() * strip.len()];
-                self.metric
-                    .dist_block(&q[run.start * p..run.end * p], o, p, dists);
-                for (list, row_dists) in block.lists[run.start * w..run.end * w]
-                    .chunks_exact_mut(w)
-                    .zip(dists.chunks_exact(strip.len()))
-                {
-                    offer_each(list, row_dists, strip);
-                }
+            let dists = &mut dists[..block.rows.len() * strip.len()];
+            self.metric.dist_block(q, o, p, dists);
+            for (list, row_dists) in block
+                .lists
+                .chunks_exact_mut(w)
+                .zip(dists.chunks_exact(strip.len()))
+            {
+                offer_each(list, row_dists, strip, usize::MAX);
             }
         }
     }
 
     /// Offers every pair of a row of `a` and a row of `b` to both rows'
-    /// lists, each distance computed once, skipping the pairs of strips
-    /// too far apart for either row's list.
+    /// lists, each distance computed once.
     fn across(&self, a: &mut Block, b: &mut Block) {
         let (p, w) = (self.data.n_features(), self.width);
-        let hull_a = (a.hull.0.as_slice(), a.hull.1.as_slice());
-        let hull_b = (b.hull.0.as_slice(), b.hull.1.as_slice());
-        if box_gap(self.metric, hull_a, hull_b) > reach(a.lists, w).max(reach(b.lists, w)) {
-            return;
-        }
         let mut own = Vec::new();
+        let q = self.rows_of(a.rows, &mut own);
         let mut buf = Vec::new();
-        let mut dists = Vec::new();
+        let mut dists = vec![0.0; a.rows.len() * JOIN_STRIP];
         for (s, strip) in b.rows.chunks(JOIN_STRIP).enumerate() {
-            let strip_lists = &mut b.lists[s * JOIN_STRIP * w..][..strip.len() * w];
-            let runs = self.near_runs(a, b.boxes.strip(s), reach(strip_lists, w));
-            if runs.is_empty() {
-                continue;
-            }
-            // The block's rows are gathered for its first strip in reach.
-            if own.is_empty() {
-                self.gather(a.rows, &mut own);
-                dists = vec![0.0; a.rows.len() * JOIN_STRIP];
-            }
             let o = self.rows_of(strip, &mut buf);
-            for run in runs {
-                let dists = &mut dists[..run.len() * strip.len()];
-                self.metric
-                    .dist_block(&own[run.start * p..run.end * p], o, p, dists);
-                offer_both_ways(
-                    w,
-                    &mut a.lists[run.start * w..run.end * w],
-                    &a.rows[run],
-                    dists,
-                    strip_lists,
-                    strip,
-                );
-            }
+            let dists = &mut dists[..a.rows.len() * strip.len()];
+            self.metric.dist_block(q, o, p, dists);
+            let strip_lists = &mut b.lists[s * JOIN_STRIP * w..][..strip.len() * w];
+            offer_both_ways(w, a.lists, a.rows, dists, strip_lists, strip);
         }
-    }
-
-    /// The row ranges of `block` that a strip boxed by `other` can reach:
-    /// runs of the block's consecutive strips whose box lies no farther
-    /// from `other` than the last entry of the strip's lists or of the
-    /// other side's (`other_reach`, 0 for rows without lists).
-    fn near_runs(
-        &self,
-        block: &Block,
-        other: (&[f64], &[f64]),
-        other_reach: f64,
-    ) -> Vec<std::ops::Range<usize>> {
-        let w = self.width;
-        let mut runs: Vec<std::ops::Range<usize>> = Vec::new();
-        for (t, lists) in block.lists.chunks(JOIN_STRIP * w).enumerate() {
-            if box_gap(self.metric, block.boxes.strip(t), other) > reach(lists, w).max(other_reach)
-            {
-                continue;
-            }
-            let rows = t * JOIN_STRIP..t * JOIN_STRIP + lists.len() / w;
-            match runs.last_mut() {
-                Some(run) if run.end == rows.start => run.end = rows.end,
-                _ => runs.push(rows),
-            }
-        }
-        runs
-    }
-
-    /// Copies the coordinates of `rows` into `buf`, row-major and
-    /// prepared for the metric.
-    fn gather(&self, rows: &[usize], buf: &mut Vec<f64>) {
-        buf.clear();
-        for &row in rows {
-            buf.extend_from_slice(self.data.row(row));
-        }
-        self.metric.prepare_rows(buf, self.data.n_features());
     }
 
     /// The coordinates of `rows`, row-major and prepared for the metric:
     /// a slice of the dataset when they are consecutive rows the metric
-    /// takes as they are, as the other rows of a small request mostly
-    /// are, else [`Join::gather`]ed into `buf`.
+    /// takes as they are, else a copy in `buf`.
     fn rows_of<'b>(&'b self, rows: &[usize], buf: &'b mut Vec<f64>) -> &'b [f64] {
         if !self.metric.normalizes() && rows.windows(2).all(|w| w[1] == w[0] + 1) {
             let p = self.data.n_features();
             return &self.data.features()[rows[0] * p..][..rows.len() * p];
         }
-        self.gather(rows, buf);
+        gather(self.data, self.metric, rows, buf);
         buf
     }
+}
+
+/// Copies the coordinates of `rows` into `buf`, row-major and prepared
+/// for `metric`.
+fn gather(data: &Dataset, metric: Metric, rows: &[usize], buf: &mut Vec<f64>) {
+    buf.clear();
+    for &row in rows {
+        buf.extend_from_slice(data.row(row));
+    }
+    metric.prepare_rows(buf, data.n_features());
 }
 
 /// Offers `(sq_dist, row)` to a full list (a max-heap whose empty slots
@@ -1446,17 +1303,17 @@ fn least(dists: &[f64]) -> f64 {
     lanes.into_iter().fold(f64::INFINITY, f64::min)
 }
 
-/// [`offer`]s one list each distance of `dists` with its row of `rows`.
-/// A list's last entry only moves down, so a batch whose least distance
-/// lies beyond it offers nothing.
+/// [`offer`]s one list each distance of `dists` with its row of `rows`,
+/// but for row `skip`. A list's last entry only moves down, so a batch
+/// whose least distance lies beyond it offers nothing.
 #[inline]
-fn offer_each(list: &mut [SqNeighbor], dists: &[f64], rows: &[usize]) {
+fn offer_each(list: &mut [SqNeighbor], dists: &[f64], rows: &[usize], skip: usize) {
     let mut last = list[0].sq_dist;
     if least(dists) > last {
         return;
     }
     for (&d, &row) in dists.iter().zip(rows) {
-        if d <= last {
+        if d <= last && row != skip {
             offer(list, d, row);
             last = list[0].sq_dist;
         }
@@ -1482,7 +1339,7 @@ fn offer_both_ways(
         for (m, &d) in nearest.iter_mut().zip(row_dists) {
             *m = if d < *m { d } else { *m };
         }
-        offer_each(list, row_dists, strip);
+        offer_each(list, row_dists, strip, usize::MAX);
     }
     for (i, (list, &m)) in strip_lists.chunks_exact_mut(w).zip(&nearest).enumerate() {
         let mut last = list[0].sq_dist;
@@ -1742,47 +1599,6 @@ mod tests {
     }
 
     #[test]
-    fn self_join_is_exact_where_it_skips_far_strips() {
-        // Integer grids: many rows lie exactly at a list's last distance
-        // from a strip's box, where the join must not skip the strip, and
-        // far strips are skipped once the lists fill. Large enough for
-        // many blocks and strips; ties everywhere.
-        for (p, n, metric) in [
-            (1, 1_500, Metric::SqEuclidean),
-            (2, 2_000, Metric::Manhattan),
-            (4, 2_000, Metric::SqEuclidean),
-            (4, 1_200, Metric::Cosine),
-            (8, 1_000, Metric::Manhattan),
-        ] {
-            let mut rng = rng_from_seed(p as u64 * 7 + n as u64);
-            let feats: Vec<f64> = (0..n * p)
-                .map(|_| f64::from(rng.gen_range(0..40u32)))
-                .collect();
-            let data = Dataset::from_parts(feats, vec![0; n], p, 1);
-            let mut ix = GranulationBackend::KdTree.build_with(&data, metric);
-            for row in (0..n).step_by(5) {
-                ix.delete(row);
-            }
-            let all: Vec<usize> = (0..n).filter(|&r| ix.is_alive(r)).collect();
-            let some: Vec<usize> = all.iter().copied().filter(|r| r % 3 != 0).rev().collect();
-            for rows in [&all, &some] {
-                for k in [1, 4, 12] {
-                    for blocks in [1, 3, 8] {
-                        let lists = self_join_in(ix.as_ref(), &data, rows, k, blocks);
-                        for (list, &row) in lists.iter().zip(rows.iter()) {
-                            assert_eq!(
-                                bits(list),
-                                bits(&ix.k_nearest_sq(data.row(row), k, Some(row))),
-                                "p={p} {metric} k={k} blocks={blocks} row {row}"
-                            );
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "alive and distinct")]
     fn self_join_refuses_a_row_requested_twice() {
         let data = random_data(10, 4, 2, 3);
@@ -1792,10 +1608,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "alive and distinct")]
     fn self_join_refuses_a_deleted_row() {
+        // A tree: the join's blocked path (the brute backend's packed pass
+        // is the twice-requested test's).
         let data = random_data(10, 4, 2, 3);
-        let mut ix = BruteIndex::build(&data);
+        let mut ix = GranulationBackend::KdTree.build(&data);
         ix.delete(2);
-        let _ = self_join(&ix, &data, &[1, 2], 3);
+        let _ = self_join(ix.as_ref(), &data, &[1, 2], 3);
     }
 
     #[test]
