@@ -1005,7 +1005,7 @@ impl HoodLists {
 /// `data`; the join reads the rows from `data` (prepared for the index's
 /// metric) and only their liveness from `index`.
 ///
-/// `rows` go in blocks of [`JOIN_BLOCK`]. A thread takes one block at a
+/// `rows` go in blocks of 256 rows. A thread takes one block at a
 /// time and offers its lists every pair inside the block and every alive
 /// row outside `rows`; then every pair of blocks runs once, in rounds in
 /// which no block appears twice, each pair's distances offered to both
@@ -1013,7 +1013,7 @@ impl HoodLists {
 /// filled without locks, and it is the only memory that grows with
 /// `rows`: one `k`-slot max-heap per requested row.
 ///
-/// A request of at most [`JOIN_STRIP`] rows (RD-GBG's candidates, one per
+/// A request of at most 32 rows (RD-GBG's candidates, one per
 /// class) over an index that packs its alive rows
 /// ([`NeighborIndex::packed_alive`], the brute backend) is one pass over
 /// that buffer instead: for so few rows, measuring the pairs of requested
